@@ -114,10 +114,6 @@ def moment_map(action, point):
     return moment_from_masses(action, masses(action.model, z))
 
 
-def moment_component(action, xi, point):
-    return float(np.dot(moment_map(action, point), np.asarray(xi, dtype=float)))
-
-
 def fundamental_fields(action, xi, point):
     """Ambient velocities of X^xi and JX^xi at a point.
 
@@ -263,16 +259,16 @@ def m_basis(action, iso):
 
 
 def orbit_volume_from_masses(action, p, iso):
-    """Orbit volume at mass vectors, Gram-determinant closed form."""
+    """Orbit volume at mass vectors, Gram-determinant closed form.
+
+    Broadcasts over leading axes of p; a single mass vector gives a float.
+    """
     if iso.is_full:
         return 1.0, True
     mb = m_basis(action, iso)
-    G = field_pairing(action, p)
-    Gm = mb @ G @ mb.T
-    det = float(np.linalg.det(Gm))
-    if det <= 0:
-        return 0.0, False
-    return float(np.sqrt(det)), False
+    det = np.linalg.det(mb @ field_pairing(action, p) @ mb.T)
+    vol = np.sqrt(np.clip(det, 0.0, None))
+    return (float(vol) if vol.ndim == 0 else vol), False
 
 
 def orbit_volume(action, point, iso=None):
@@ -289,7 +285,10 @@ def orbit_volume(action, point, iso=None):
 
 
 def geometric_orbit_volume(action, point, iso=None):
-    """Orbit volume divided by the finite stabilizer order (covering-corrected)."""
+    """Orbit volume divided by the finite stabilizer order (covering-corrected).
+
+    A batch of points, shape (N, ncoords), needs their common `iso`.
+    """
     z = as_coords(action.model, point)
     if iso is None:
         iso = isotropy(action, z)

@@ -346,38 +346,23 @@ def _slice_residual(action, sl, exps, k, twist, quad):
     """int_{S_i} (s_a, s_b)(u) T_k(u) dvol(S_i) over one slice."""
     model = action.model
     dim = exps.shape[0]
+    z, p, w = strata.slice_quadrature(action, sl, max(24, as_quad(quad).grid_order // 2))
+    # the Riemannian measure of S_i: the reduced measure times the orbit volume
+    w = w * ta.geometric_orbit_volume(action, z, ta.isotropy_of_support(action, sl.pattern))
 
-    def transverse(z):
-        p = masses(model, z)
+    def transverse(zn, pn):
         weight = None
         if twist == "halfform":
-            weight = lambda xis: ta.divergence_factor(action, xis, p, from_masses=True)
-        return _m_integral(action, z, k, weight=weight)
+            weight = lambda xis: ta.divergence_factor(action, xis, pn, from_masses=True)
+        return _m_integral(action, zn, k, weight=weight)
 
+    T = np.array([transverse(zn, pn) for zn, pn in zip(z, p)])
     if sl.q == 0:
-        J, z = strata.slice_embedding_jacobian(action, sl)
-        base = J * TWO_PI**sl.n_theta
         E = sections.section_matrix(model, exps, z, twist)[0]
-        T = transverse(z)
-        return base * T * (E[:, None] * np.conj(E[None, :])), np.zeros((dim, dim))
-    if sl.q != 1:
-        raise AsymptoticsError("slice residuals implemented for slice dimension <= 1")
-    t_lo, t_hi = sl.segment
-    nodes, wts = gauss_segment(t_lo, t_hi, max(24, as_quad(quad).grid_order // 2))
-    diag = np.zeros(dim)
-    q0 = 1.0
-    if twist == "halfform":
-        for nj, l in zip(model.factors, model.bundle_degrees):
-            q0 *= float(l) ** (-nj / 2.0)
-    for t, w in zip(nodes, wts):
-        s = np.array([t])
-        J, z = strata.slice_embedding_jacobian(action, sl, s)
-        p = masses(model, z)
-        T = transverse(z)
-        diag += w * J * TWO_PI**sl.n_theta * T * q0 * np.prod(np.power(p[None, :], exps), axis=1)
-    out = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(out, diag)
-    return out, np.zeros((dim, dim))
+        return w[0] * T[0] * (E[:, None] * np.conj(E[None, :])), np.zeros((dim, dim))
+    frame = sections.halfform_frame(model) if twist == "halfform" else 1.0
+    diag = frame * ((w * T) @ np.prod(p[:, None, :] ** exps, axis=-1))
+    return np.diag(diag).astype(complex), np.zeros((dim, dim))
 
 
 def residual_II(action, label, k, twist="plain", quad=None, strat=None):
@@ -444,54 +429,25 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
     return defect, sigma
 
 
-def defect_curve(action, ks, twist, norm_def, quad=None, strat=None):
-    curve = DensityCurve(quantity="defect_B" if twist == "halfform" else "defect_A",
-                         stratum=f"norm_def_{norm_def}")
-    for k in ks:
-        d, s = unitarity_defect(action, k, twist, norm_def, quad, strat=strat)
-        curve.points.append((int(k), d, s))
-    return curve
-
-
 def _stratum_density_integral(action, lab, exps, k, twist, quad, order=32):
     """(k/2pi)^{d_S/2} int_S (desc_a, desc_a) density_k eps_hat, diagonal vector.
 
-    Gauss nodes on the zero-level slice; at each node the descended pair is
-    weighted by the density I_k (plain) or J_k (half-form) evaluated through
-    the transverse integral.
+    Gauss nodes of the reduced measure on the zero-level slice; at each node
+    the descended pair is weighted by the density I_k (plain) or J_k
+    (half-form) evaluated through the transverse integral.
     """
     model = action.model
-    dim = exps.shape[0]
     pref_s = (k / TWO_PI) ** (lab.dim_S / 2.0)
     if lab.isotropy.is_full:
         E = sections.section_matrix(model, exps, lab.representative, twist)[0]
         return np.abs(E) ** 2  # density 1, zero-dimensional stratum
-    gamma = lab.isotropy.finite_part
-    m = action.rank - lab.isotropy.dim
     sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
-    if sl.q == 0:
-        nodes, wts = [None], [1.0]
-    elif sl.q == 1:
-        nodes, wts = gauss_segment(sl.segment[0], sl.segment[1], order)
-        nodes = [np.array([t]) for t in nodes]
-    else:
-        raise AsymptoticsError("density route implemented for slice dimension <= 1")
-    out = np.zeros(dim)
-    q0 = 1.0
+    z, p, w = strata.slice_quadrature(action, sl, order)
+    density = density_J if twist == "halfform" else density_I
+    w = w * np.array([density(action, lab, zn, k) for zn in z])
     if twist == "halfform":
-        for nj, l in zip(model.factors, model.bundle_degrees):
-            q0 *= float(l) ** (-nj / 2.0)
-    for s, w in zip(nodes, wts):
-        J, z = strata.slice_embedding_jacobian(action, sl, s)
-        p = masses(model, z)
-        vol, _ = ta.orbit_volume_from_masses(action, p, lab.isotropy)
-        base = w * J * TWO_PI**sl.n_theta * gamma / vol
-        dens = (density_J if twist == "halfform" else density_I)(action, lab, z, k)
-        fac = 1.0
-        if twist == "halfform":
-            fac = 2.0 ** (-m / 2.0) * vol / gamma
-        out += base * dens * fac * q0 * np.prod(np.power(p[None, :], exps), axis=1)
-    return pref_s * out
+        w = w * reduction.descent_norm_factor(action, z, lab.isotropy) * sections.halfform_frame(model)
+    return pref_s * (w @ np.prod(p[:, None, :] ** exps, axis=-1))
 
 
 def norm_split_consistency(action, k, twist="plain", quad=None, strat=None):

@@ -25,6 +25,8 @@ from . import asymptotics, models, reduction, sections, strata
 from .integrate import QuadConfig
 
 QUANTITIES = ("strata", "gram", "density", "unitarity", "consistency")
+# 'grid' is an alias of 'exact': the deterministic moment/quadrature route
+QUAD_METHODS = ("exact", "grid", "mc")
 
 PRESETS = {
     # the desk-scale example family
@@ -58,7 +60,6 @@ class Scenario:
     seed: int
     out: str
     quantities: tuple
-    numerics: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
 
@@ -131,7 +132,17 @@ def validate(config):
     unknown = [q for q in quantities if q not in QUANTITIES]
     if unknown:
         errors.append(f"quantities: unknown {unknown}")
-    quad = QuadConfig.from_dict(cfg.get("quad", {}))
+    qspec = cfg.get("quad", {})
+    if not isinstance(qspec, dict):
+        errors.append("quad: must be an object")
+        qspec = {}
+    quad = QuadConfig.from_dict(qspec)
+    if quad.method not in QUAD_METHODS:
+        errors.append(f"quad.method: unknown value {quad.method!r} (use one of {list(QUAD_METHODS)})")
+    for name in ("samples", "blocks", "grid_order"):
+        value = getattr(quad, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            errors.append(f"quad.{name}: must be a positive integer, got {value!r}")
     seed = int(cfg.get("seed", 0))
     out = cfg.get("out", "quantred_out")
     if errors:
@@ -146,7 +157,6 @@ def validate(config):
         seed=seed,
         out=out,
         quantities=quantities,
-        numerics=dict(cfg.get("numerics", {})),
         raw=config,
     )
 

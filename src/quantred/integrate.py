@@ -22,7 +22,7 @@ class QuadConfig:
     samples: int = 100_000
     seed: int = 0
     stderr_target: float = 0.0
-    method: str = "exact"   # 'exact' or 'mc'
+    method: str = "exact"   # 'exact' (alias 'grid') or 'mc'
     grid_order: int = 96
     blocks: int = 32
 
@@ -50,18 +50,6 @@ def rng_for(seed, *keys):
         digest = hashlib.sha256(str(k).encode()).digest()
         material.append(int.from_bytes(digest[:4], "little"))
     return np.random.default_rng(np.random.SeedSequence(material))
-
-
-def block_mean(values, blocks=32):
-    """Mean and block standard error of a sample array along axis 0."""
-    values = np.asarray(values)
-    n = values.shape[0]
-    blocks = max(2, min(blocks, n))
-    cut = (n // blocks) * blocks
-    vb = values[:cut].reshape(blocks, cut // blocks, *values.shape[1:]).mean(axis=1)
-    mean = values.mean(axis=0)
-    err = vb.std(axis=0, ddof=1) / np.sqrt(blocks)
-    return mean, err
 
 
 def gauss_segment(lo, hi, order):

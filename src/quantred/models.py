@@ -70,10 +70,6 @@ def make_model(factors, bundle_degrees):
     return Model(tuple(int(n) for n in factors), tuple(int(l) for l in bundle_degrees))
 
 
-def model_from_json(data):
-    return make_model(data["factors"], data["bundle_degrees"])
-
-
 def liouville_volume_exact(model):
     """Closed-form total Liouville volume, prod_j (2 pi l_j)^{n_j} / n_j!."""
     vol = 1.0

@@ -23,8 +23,8 @@ from . import actions as ta
 from . import models
 from . import strata
 from . import sections
-from .integrate import TWO_PI, as_quad, gauss_segment, rng_for
-from .models import as_coords, masses
+from .integrate import TWO_PI, as_quad, rng_for
+from .models import as_coords
 
 
 class ReductionError(ValueError):
@@ -67,7 +67,10 @@ def descend(action, section):
 
 
 def descent_norm_factor(action, point, iso=None):
-    """Pointwise descent factor for half-form sections at a zero-level point."""
+    """Pointwise descent factor for half-form sections at a zero-level point.
+
+    A batch of points, shape (N, ncoords), needs their common `iso`.
+    """
     z = as_coords(action.model, point)
     if iso is None:
         iso = ta.isotropy(action, z)
@@ -85,24 +88,6 @@ def pointwise_descended_norm(action, reduced_section, point, iso=None):
 
 # ----------------------------------------------------------------------
 # the contraction oracle (independent route to the descent factor)
-
-
-def _pfaffian(a):
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n % 2:
-        return 0.0 + 0.0j
-    if n == 2:
-        return a[0, 1]
-    total = 0.0 + 0.0j
-    rest = list(range(2, n))
-    for j in range(1, n):
-        idx = [i for i in range(1, n) if i != j]
-        sub = a[np.ix_(idx, idx)]
-        sign = (-1.0) ** (j - 1)
-        total += sign * a[0, j] * _pfaffian(sub)
-    return total
 
 
 def _omega_complex(g, a, b):
@@ -161,17 +146,18 @@ def contraction_factor(action, point, fd_step=1e-6):
         for j in range(i + 1, n_big):
             A[i, j] = _omega_complex(g, big[i], big[j])
             A[j, i] = -A[i, j]
-    lhs = _pfaffian(A)
     n_v = len(vvecs)
     Av = np.zeros((n_v, n_v), dtype=complex)
     for i in range(n_v):
         for j in range(i + 1, n_v):
             Av[i, j] = _omega_complex(g, vvecs[i], vvecs[j])
             Av[j, i] = -Av[i, j]
-    rhs = _pfaffian(Av)
-    if abs(rhs) < 1e-300:
+    # only |Pf| enters, and Pf(A)^2 = det(A) for antisymmetric A
+    lhs = np.sqrt(abs(np.linalg.det(A)))
+    rhs = np.sqrt(abs(np.linalg.det(Av)))
+    if rhs < 1e-300:
         raise ReductionError("degenerate reduced volume form in contraction oracle")
-    return float(np.sqrt(abs(lhs) / abs(rhs)))
+    return float(np.sqrt(lhs / rhs))
 
 
 # ----------------------------------------------------------------------
@@ -212,42 +198,27 @@ def stratum_gram(action, lab, exps, twist, quad, tag="down"):
     """Integral over the quotient stratum of the descended pointwise pairs.
 
     Returns (matrix, errors) of int_S (desc_a, desc_b) eps_hat.  The grid
-    route uses Gauss nodes on the level slice with the exact phase average
-    (distinct monomials are torus-orthogonal); the mc route samples the
-    slice and the phases. Zero-dimensional strata contribute point values.
+    route uses Gauss nodes of the Duistermaat-Heckman measure on the level
+    slice with the exact phase average (distinct monomials are
+    torus-orthogonal), and a half-order rerun as its error estimate; the mc
+    route samples the slice and the phases. Zero-dimensional strata
+    contribute point values.
     """
     quad = as_quad(quad)
     model = action.model
     dim = exps.shape[0]
-    gamma = lab.isotropy.finite_part
     sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
     if sl is None:
         raise ReductionError("stratum slice infeasible")
-
-    def node_factor(z, p):
-        w = 1.0
-        if not lab.isotropy.is_full:
-            vol, _ = ta.orbit_volume_from_masses(action, p, lab.isotropy)
-            w *= gamma / vol
-            if twist == "halfform":
-                m = action.rank - lab.isotropy.dim
-                w *= 2.0 ** (-m / 2.0) * vol / gamma
-        return w
 
     if quad.method == "mc":
         rng = rng_for(quad.seed, "reduced", tag)
         count = max(256, quad.samples // 10)
         pts, wts = strata.sample_stratum(action, lab, count, rng.integers(2**32))
-        fac = np.empty(count)
-        for i in range(count):
-            p = masses(model, pts[i])
-            fac[i] = 1.0
-            if not lab.isotropy.is_full and twist == "halfform":
-                vol, _ = ta.orbit_volume_from_masses(action, p, lab.isotropy)
-                m = action.rank - lab.isotropy.dim
-                fac[i] = 2.0 ** (-m / 2.0) * vol / gamma
+        if twist == "halfform":
+            wts = wts * descent_norm_factor(action, pts, lab.isotropy)
         E = sections.section_matrix(model, exps, pts, twist)
-        scaled = E * (wts * fac)[:, None]
+        scaled = E * wts[:, None]
         mat = (scaled.conj().T @ E).T * 1.0
         nblk = max(4, quad.blocks)
         cut = (count // nblk) * nblk
@@ -260,47 +231,25 @@ def stratum_gram(action, lab, exps, twist, quad, tag="down"):
         err = blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
         return mat, np.abs(err)
 
-    # grid route
-    mat = np.zeros((dim, dim), dtype=complex)
+    def nodes(order):
+        z, p, w = strata.slice_quadrature(action, sl, order)
+        if twist == "halfform":
+            w = w * descent_norm_factor(action, z, lab.isotropy)
+        return z, p, w
+
     if sl.q == 0:
-        J, z = strata.slice_embedding_jacobian(action, sl)
-        p = masses(model, z)
-        base = J * TWO_PI**sl.n_theta * node_factor(z, p)
+        z, _, w = nodes(quad.grid_order)
         E = sections.section_matrix(model, exps, z, twist)[0]
-        mat = base * (E[:, None] * np.conj(E[None, :]))
-        return mat, np.zeros((dim, dim))
-    if sl.q != 1:
-        raise ReductionError("grid route supports slice dimension <= 1; use mc")
-    t_lo, t_hi = sl.segment
-    nodes, wts = gauss_segment(t_lo, t_hi, quad.grid_order)
-    diag = np.zeros(dim)
-    for t, w in zip(nodes, wts):
-        s = np.array([t])
-        J, z = strata.slice_embedding_jacobian(action, sl, s)
-        p = masses(model, z)
-        base = w * J * TWO_PI**sl.n_theta * node_factor(z, p)
-        vals = np.prod(np.power(p[None, :], exps), axis=1)
-        diag += base * vals
-    if twist == "halfform":
-        q0 = 1.0
-        for nj, l in zip(model.factors, model.bundle_degrees):
-            q0 *= float(l) ** (-nj / 2.0)
-        diag *= q0
-    np.fill_diagonal(mat, diag)
-    # refinement error estimate: repeat at half order
-    nodes2, wts2 = gauss_segment(t_lo, t_hi, max(8, quad.grid_order // 2))
-    diag2 = np.zeros(dim)
-    for t, w in zip(nodes2, wts2):
-        s = np.array([t])
-        J, z = strata.slice_embedding_jacobian(action, sl, s)
-        p = masses(model, z)
-        base = w * J * TWO_PI**sl.n_theta * node_factor(z, p)
-        diag2 += base * np.prod(np.power(p[None, :], exps), axis=1)
-    if twist == "halfform":
-        diag2 *= q0
-    err = np.zeros((dim, dim))
-    np.fill_diagonal(err, np.abs(diag - diag2))
-    return mat, err
+        return w[0] * (E[:, None] * np.conj(E[None, :])), np.zeros((dim, dim))
+    frame = sections.halfform_frame(model) if twist == "halfform" else 1.0
+
+    def diagonal(order):
+        _, p, w = nodes(order)
+        return frame * (w @ np.prod(p[:, None, :] ** exps, axis=-1))
+
+    diag = diagonal(quad.grid_order)
+    err = np.abs(diag - diagonal(max(8, quad.grid_order // 2)))
+    return np.diag(diag).astype(complex), np.diag(err)
 
 
 def reduced_gram(action, k, twist="plain", norm_def=1, quad=None, strat=None):

@@ -5,8 +5,9 @@ Sections of L^k are multi-homogeneous polynomials of per-factor degree
 k*l_j; the half-form twist shifts the degrees to k*l_j - (n_j+1)/2.  On
 unit-normalized coordinates the plain pointwise norm square of a polynomial
 is simply |P(z)|^2; the twisted norm carries the half-form frame factor
-(mu, mu) computed numerically in a chart from mu^2 wedge conj(mu^2) against
-the Liouville form.
+(mu, mu), which is the constant prod_j l_j^{-n_j/2} (`halfform_frame`).
+The chart evaluation from mu^2 wedge conj(mu^2) against the Liouville form
+(`halfform_factor`) is kept as its reference.
 """
 
 import itertools
@@ -149,14 +150,22 @@ def evaluate_monomials(exponents, z):
     return out
 
 
+def halfform_frame(model):
+    """(mu, mu) of the monomial half-form frame: the constant prod_j l_j^{-n_j/2}.
+
+    The twisted pointwise norm of a degree-(k l_j - (n_j+1)/2) polynomial P
+    on unit-normalized coordinates is |P(z)|^2 times this factor.
+    """
+    return math.prod(float(l) ** (-n / 2.0) for n, l in zip(model.factors, model.bundle_degrees))
+
+
 def halfform_factor(model, z):
     """Pointwise (mu, mu) of the monomial half-form frame, shape (...,).
 
-    The twisted pointwise norm of a degree-(k l_j - (n_j+1)/2) polynomial P
-    on unit-normalized coordinates is |P(z)|^2 times this factor.  It is the
-    numeric chart evaluation |z_c|^{n_j+1} (mu_c, mu_c) with
+    The numeric chart evaluation |z_c|^{n_j+1} (mu_c, mu_c) with
     (mu_c, mu_c) = det g(w)^{-1/2} read off from mu_c^2 wedge conj(mu_c^2)
-    against the Liouville form.
+    against the Liouville form: the reference for `halfform_frame`, which
+    production paths use.
     """
     zin = np.asarray(z, dtype=complex)
     z = np.atleast_2d(zin)
@@ -184,7 +193,7 @@ def section_matrix(model, exps, z, twist="plain"):
     """
     E = evaluate_monomials(exps, np.atleast_2d(z))
     if twist == "halfform":
-        E = E * np.sqrt(halfform_factor(model, np.atleast_2d(z)))[:, None]
+        E = E * np.sqrt(halfform_frame(model))
     return E
 
 
@@ -193,15 +202,8 @@ def pointwise_norm(section, point):
     z = as_coords(section.model, point)
     val = abs(section.value(z)) ** 2
     if section.twist == "halfform":
-        val = val * float(halfform_factor(section.model, z))
+        val = val * halfform_frame(section.model)
     return float(val)
-
-
-def pointwise_pair(model, sa, sb, z, twist):
-    v = sa.value(z) * np.conj(sb.value(z))
-    if twist == "halfform":
-        v = v * halfform_factor(model, z)
-    return complex(v)
 
 
 # ----------------------------------------------------------------------
@@ -328,23 +330,6 @@ def _full_pattern(model):
     return tuple(tuple(range(sl.start, sl.stop)) for sl in model.slices)
 
 
-def _ambient_gram_exact(action, exps, twist):
-    model = action.model
-    dim = exps.shape[0]
-    mat = np.zeros((dim, dim), dtype=complex)
-    pat = _full_pattern(model)
-    q0 = 1.0
-    if twist == "halfform":
-        for nj, l in zip(model.factors, model.bundle_degrees):
-            q0 *= float(l) ** (-nj / 2.0)
-    for a in range(dim):
-        for b in range(a, dim):
-            if not np.array_equal(exps[a], exps[b]):
-                continue  # torus-weight orthogonality of distinct monomials
-            mat[a, b] = q0 * monomial_integral_on_pattern(model, pat, exps[a])
-    return hermitize(mat), np.zeros((dim, dim))
-
-
 def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
     """Monte Carlo Gram of pointwise pairs over a closed pattern subvariety.
 
@@ -398,7 +383,7 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
     if quad.method == "mc":
         mat, err = _pattern_gram_mc(action, exps, twist, _full_pattern(model), quad, (k, twist, "ambient"))
     else:
-        mat, err = _ambient_gram_exact(action, exps, twist)
+        mat, err = _gram_exact_on_pattern(action, exps, twist, _full_pattern(model))
     mat = pref * mat
     err = pref * err
     flags = []
@@ -436,19 +421,14 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
 
 
 def _gram_exact_on_pattern(action, exps, twist, pattern):
+    """Exact Gram over a closed pattern subvariety: Dirichlet moments on the
+    diagonal, zero elsewhere (the rows of exps are distinct monomials, which
+    are torus-orthogonal)."""
     model = action.model
+    frame = halfform_frame(model) if twist == "halfform" else 1.0
     dim = exps.shape[0]
-    q0 = 1.0
-    if twist == "halfform":
-        for nj, l in zip(model.factors, model.bundle_degrees):
-            q0 *= float(l) ** (-nj / 2.0)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(a, dim):
-            if not np.array_equal(exps[a], exps[b]):
-                continue
-            mat[a, b] = q0 * monomial_integral_on_pattern(model, pattern, exps[a])
-    return hermitize(mat), np.zeros((dim, dim))
+    diag = [frame * monomial_integral_on_pattern(model, pattern, row) for row in exps]
+    return np.diag(np.asarray(diag, dtype=complex)), np.zeros((dim, dim))
 
 
 def _pattern_point(model, pattern):

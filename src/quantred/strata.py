@@ -21,6 +21,7 @@ from scipy.optimize import linprog
 
 from . import actions as ta
 from . import models
+from .integrate import gauss_segment
 from .models import TWO_PI, as_coords, masses
 
 ZERO_TOL = 1e-9
@@ -227,7 +228,11 @@ def make_level_slice(action, pattern, value, shrink=1e-6):
 
 
 def slice_embedding_jacobian(action, sl, s=None, fd_step=1e-6):
-    """Riemannian Jacobian of (s, theta) -> M at a slice point (theta-independent)."""
+    """Riemannian Jacobian of (s, theta) -> M at a slice point (theta-independent).
+
+    Finite-difference reference for `slice_constant`; no production path
+    calls it.
+    """
     model = action.model
     z = models.normalize(model, sl.point(s))
     charts = models.chart_indices(model, z)
@@ -254,6 +259,71 @@ def slice_embedding_jacobian(action, sl, s=None, fd_step=1e-6):
     if det <= 0:
         raise StrataError("degenerate slice parametrization")
     return float(np.sqrt(det)), z
+
+
+def slice_constant(action, sl, iso):
+    """Duistermaat-Heckman constant C of a level slice: eps_hat = C ds.
+
+    The reduced measure of the slice's quotient is C times Lebesgue measure
+    in the slice coordinates s, which are action coordinates (Duistermaat &
+    Heckman 1982).  With P the slice basis on the free phases scaled by the
+    factor degrees l_j, and Wt the m-basis image of the weights relative to
+    each factor's gauge coordinate, restricted to the free phases,
+
+        C = sqrt det(P P^T) (2 pi)^(n_theta - m) |Gamma| / sqrt det(Wt Wt^T).
+
+    `iso` is the isotropy of the slice's pattern.  The Riemannian measure of
+    the slice itself is C vol(G.x)/|Gamma| ds, the geometric orbit volume
+    times C; `slice_embedding_jacobian` is the finite-difference reference.
+    """
+    model = action.model
+    theta = list(sl.theta_idx)
+    # per coordinate: the bundle degree and the gauge coordinate of its factor
+    degree = np.concatenate([np.full(f.stop - f.start, float(l)) for f, l in zip(model.slices, model.bundle_degrees)])
+    gauge = np.concatenate([np.full(f.stop - f.start, g) for f, g in zip(model.slices, sl.gauge_idx)])
+    P = sl.basis[:, theta] * degree[theta]
+    Wt = ta.m_basis(action, iso) @ (action.W[:, theta] - action.W[:, gauge[theta]])
+    return float(
+        np.sqrt(np.linalg.det(P @ P.T)) * TWO_PI ** (len(theta) - Wt.shape[0]) * iso.finite_part
+        / np.sqrt(np.linalg.det(Wt @ Wt.T))
+    )
+
+
+def slice_quadrature(action, sl, order):
+    """Gauss nodes of the reduced measure on a level slice with q <= 1.
+
+    Returns (z, p, w): unit points with zero free phases, shape (N, ncoords),
+    their masses, and weights with sum_n w_n f(p_n) = int f eps_hat up to
+    the Gauss error of f.  A q = 0 slice gives its one point with weight C.
+    """
+    if sl.q == 0:
+        s, gw = np.zeros((1, 0)), np.ones(1)
+    elif sl.q == 1:
+        t, gw = gauss_segment(sl.segment[0], sl.segment[1], order)
+        s = t[:, None]
+    else:
+        raise StrataError("slice quadrature supports slice dimension <= 1; use mc")
+    z = models.normalize(action.model, sl.point(s))
+    C = slice_constant(action, sl, ta.isotropy_of_support(action, sl.pattern))
+    return z, masses(action.model, z), C * gw
+
+
+def _slice_box(sl):
+    """Per-coordinate bounds of the slice polytope {s : p0 + s basis >= 0}."""
+    sup = np.flatnonzero(sl.p0 > 0)
+    a_ub, b_ub = -sl.basis[:, sup].T, sl.p0[sup]
+    lo, hi = np.empty(sl.q), np.empty(sl.q)
+    for a in range(sl.q):
+        c = np.zeros(sl.q)
+        c[a] = 1.0
+        bounds = []
+        for sign in (1.0, -1.0):
+            res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * sl.q, method="highs")
+            if not res.success:
+                raise StrataError("slice polytope is unbounded or empty")
+            bounds.append(res.x[a])
+        lo[a], hi[a] = bounds
+    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -620,45 +690,38 @@ def sample_stratum(action, target, count, seed):
     For a stratum label the weights realize integrals against the reduced
     volume: sum_i w_i f(x_i) estimates int_S f eps_hat (one representative
     per orbit, finite-part corrected).  For an ExtraPiece slice the weights
-    realize the induced Riemannian measure of S_i itself.
+    realize the induced Riemannian measure of S_i itself.  Slices with q >= 2
+    are sampled by rejection from a box around the slice polytope: a
+    rejected draw keeps weight 0 and the slice's interior point.
     """
     if count <= 0:
         raise StrataError("count must be positive")
     rng = np.random.default_rng(seed)
+    model = action.model
     if isinstance(target, StratumLabel):
         sl = make_level_slice(action, target.top_pattern, np.zeros(action.rank))
-        quotient = True
-        gamma = target.isotropy.finite_part
     else:
-        sign, sl = target.slices[0] if isinstance(target, ExtraPiece) else (1, target)
-        quotient = False
-        gamma = 1
-    pts = np.empty((count, action.model.ncoords), dtype=complex)
-    wts = np.empty(count)
-    for i in range(count):
-        if sl.q == 0:
-            s = None
-            meas = 1.0
-        elif sl.q == 1:
-            t_lo, t_hi = sl.segment
-            s = np.array([rng.uniform(t_lo, t_hi)])
-            meas = t_hi - t_lo
-        else:
-            # rejection from the bounding box of the basis coefficients
-            for _ in range(10000):
-                s = rng.uniform(-1.0, 1.0, size=sl.q)
-                if np.all(sl.p0 + s @ sl.basis >= 0):
-                    break
-            meas = 2.0**sl.q  # proposal volume; rejected draws contribute zero
-        J, z = slice_embedding_jacobian(action, sl, s)
-        theta = np.zeros(action.model.ncoords)
-        theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=sl.n_theta)
-        z = models.normalize(action.model, z * np.exp(1j * theta))
-        w = J * meas * TWO_PI**sl.n_theta / count
-        if quotient:
-            vol, is_full = ta.orbit_volume(action, z)
-            if not is_full:
-                w *= gamma / vol
-        pts[i] = z
-        wts[i] = w
-    return pts, wts
+        sl = target.slices[0][1] if isinstance(target, ExtraPiece) else target
+    # one row of uniforms per draw, slice coordinates first, then the phases
+    u = rng.random((count, sl.q + sl.n_theta))
+    accepted = np.ones(count, dtype=bool)
+    if sl.q == 0:
+        s, meas = np.zeros((count, 0)), 1.0
+    elif sl.q == 1:
+        t_lo, t_hi = sl.segment
+        s, meas = t_lo + (t_hi - t_lo) * u[:, :1], t_hi - t_lo
+    else:
+        lo, hi = _slice_box(sl)
+        s, meas = lo + (hi - lo) * u[:, : sl.q], float(np.prod(hi - lo))
+        accepted = np.all(sl.p0 + s @ sl.basis >= 0, axis=1)
+        if not accepted.any():
+            raise StrataError("no draw landed in the slice polytope")
+        s[~accepted] = 0.0
+    theta = np.zeros((count, model.ncoords))
+    theta[:, list(sl.theta_idx)] = TWO_PI * u[:, sl.q :]
+    z = models.normalize(model, models.normalize(model, sl.point(s)) * np.exp(1j * theta))
+    iso = ta.isotropy_of_support(action, sl.pattern)
+    w = np.where(accepted, slice_constant(action, sl, iso) * meas / count, 0.0)
+    if not isinstance(target, StratumLabel):
+        w = w * ta.geometric_orbit_volume(action, z, iso)
+    return z, w

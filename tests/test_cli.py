@@ -34,6 +34,25 @@ def test_validate_empty_k():
     assert "k_list" in str(err.value)
 
 
+def test_validate_quad_fields(tmp_path):
+    assert cli.validate({"preset": "E1", "k_list": [2], "quad": {"method": "grid"}}).quad.method == "grid"
+    bad = [
+        ({"method": "MC"}, "quad.method"),
+        ({"samples": 0}, "quad.samples"),
+        ({"blocks": 2.5}, "quad.blocks"),
+        ({"grid_order": -8}, "quad.grid_order"),
+        ([1], "quad: must be an object"),
+    ]
+    for quad, name in bad:
+        with pytest.raises(cli.ConfigError) as err:
+            cli.validate({"preset": "E1", "k_list": [2], "quad": quad})
+        assert name in str(err.value)
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({"preset": "E1", "k_list": [2], "quad": {"method": "MC"}}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_flat_and_block_weights():
     a = cli.validate({"preset": "E3", "k_list": [2]}).action
     b = cli.validate({

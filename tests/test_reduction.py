@@ -127,6 +127,31 @@ def test_open_stratum_quadrature_matches_quotient_chart_oracle(e2, st2):
     assert np.allclose(np.diag(mat).real, diag, rtol=2e-3)
 
 
+def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
+    """The FD slice Jacobian and the chart half-form factor are test oracles:
+    reduced Grams, the norm-split check and the residuals never call them."""
+    from quantred import asymptotics
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(strata, "slice_embedding_jacobian", counted(strata.slice_embedding_jacobian))
+    monkeypatch.setattr(sections, "halfform_factor", counted(sections.halfform_factor))
+    mc = {"method": "mc", "samples": 4000, "seed": 1}
+    for action, strat, twist in ((e2, st2, "plain"), (e3, st3, "halfform")):
+        for quad in ({"method": "grid"}, mc):
+            reduction.reduced_gram(action, 4, twist, 2, quad, strat=strat)
+        asymptotics.norm_split_consistency(action, 4, twist, mc, strat=strat)
+    full = [s for s in st2.strata if s.isotropy.is_full][0]
+    asymptotics.residual_II(e2, full, 10, "plain", strat=st2)
+    assert calls == []
+
+
 def test_map_matrix_identity_and_probe(e3, st3):
     out = reduction.map_matrix(e3, 6, "halfform", probe={"samples": 10, "seed": 4, "k_grid": (1, 2, 4, 8, 16, 32, 64)})
     assert np.allclose(out["matrix"], np.eye(out["dims"][0]))

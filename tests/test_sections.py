@@ -104,12 +104,16 @@ def test_pointwise_norm_zero_of_section():
 
 
 def test_halfform_factor_matches_bundle_scaling(rng):
-    # on O(l) over CP^1 the numeric frame factor is l^{-1/2}, constant
-    for l in (1, 2, 5):
-        m = models.make_model([1], [l])
+    # on O(l) over CP^1 the numeric frame factor is l^{-1/2}, constant; on a
+    # product it is prod_j l_j^{-n_j/2}, the constant halfform_frame
+    cases = [([1], [1]), ([1], [2]), ([1], [5]), ([1, 1], [2, 3]), ([3], [2]), ([1, 3], [3, 1]), ([1, 1, 3], [1, 4, 2])]
+    for factors, degrees in cases:
+        m = models.make_model(factors, degrees)
         z = models.random_points(m, 6, rng)
         fac = sections.halfform_factor(m, z)
-        assert np.allclose(fac, l ** (-0.5), rtol=1e-10)
+        expect = np.prod([float(l) ** (-n / 2.0) for n, l in zip(factors, degrees)])
+        assert np.allclose(fac, expect, rtol=1e-10)
+        assert abs(sections.halfform_frame(m) - expect) < 1e-15 * expect
 
 
 def test_gram_exact_matches_dirichlet(e2):

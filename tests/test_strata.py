@@ -3,6 +3,26 @@ import pytest
 
 from quantred import actions as ta
 from quantred import models, strata
+from quantred.integrate import TWO_PI, gauss_segment
+
+RANK2_WEIGHTS = [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]
+
+
+def cp1_cp2(degrees):
+    """CP^1 x CP^2 under weights (1, 0; -1, 0, 1): its open stratum has q = 2."""
+    return ta.make_action(models.make_model([1, 2], degrees), [[1, 0, -1, 0, 1]])
+
+
+@pytest.fixture(scope="module")
+def r2():
+    action = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), RANK2_WEIGHTS)
+    return action, strata.analyze(action)
+
+
+@pytest.fixture(scope="module")
+def cp_open():
+    action = cp1_cp2([1, 1])
+    return action, strata.analyze(action).open_stratum()
 
 
 def ray_limit_oracle(action, z, tol=1e-13):
@@ -207,3 +227,114 @@ def test_stratification_report_json(e2, st2):
     data = st2.to_json_dict()
     assert len(data["strata"]) == 3
     assert "extra_pieces" in data and "unsemistable_patterns" in data
+
+
+def test_slice_constant_matches_fd_jacobian(e2, st2, e3, st3, r2):
+    """Duistermaat-Heckman: J (2pi)^{n_theta} |Gamma| / vol(G.x) from the
+    finite-difference slice Jacobian is the closed-form constant C at every
+    Gauss node; on a piece slice J (2pi)^{n_theta} is C vol(G.x) / |Gamma|."""
+    cp = cp1_cp2([2, 3])
+    st_cp = strata.analyze(cp)
+    piece = [p for ps in st_cp.pieces.values() for p in ps if p.pattern == ((0, 1), (3, 4))][0]
+    cases = [
+        (e2, st2.open_stratum().top_pattern, True),
+        (e3, st3.open_stratum().top_pattern, True),
+        (r2[0], r2[1].open_stratum().top_pattern, True),
+        (cp, piece.pattern, False),
+    ]
+    consts = []
+    for action, pattern, quotient in cases:
+        sl = strata.make_level_slice(action, pattern, np.zeros(action.rank))
+        if not quotient:
+            sl = piece.slices[0][1]
+        assert sl.q == 1
+        iso = ta.isotropy_of_support(action, pattern)
+        C = strata.slice_constant(action, sl, iso)
+        nodes, _ = gauss_segment(sl.segment[0], sl.segment[1], 24)
+        for t in nodes:
+            J, z = strata.slice_embedding_jacobian(action, sl, np.array([t]))
+            vol = ta.geometric_orbit_volume(action, z, iso)
+            if quotient:
+                assert abs(J * TWO_PI**sl.n_theta / vol - C) < 1e-7 * C
+            else:
+                assert abs(J * TWO_PI**sl.n_theta - C * vol) < 1e-7 * C * vol
+        consts.append(C)
+    assert abs(consts[0] - np.pi * np.sqrt(2.0 / 3.0)) < 1e-12
+    assert abs(consts[1] - np.pi) < 1e-12
+
+
+def _reference_points(action, sl, count, seed):
+    """The per-draw loop of the q <= 1 sampler: slice coordinate, then phases."""
+    model = action.model
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(count):
+        s = None if sl.q == 0 else np.array([rng.uniform(*sl.segment)])
+        theta = np.zeros(model.ncoords)
+        theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=sl.n_theta)
+        z = models.normalize(model, sl.point(s))
+        pts.append(models.normalize(model, z * np.exp(1j * theta)))
+    return np.asarray(pts)
+
+
+def test_sample_stratum_stream_matches_loop(e1, st1, e2, st2, e3, st3, r2):
+    for action, strat in ((e1, st1), (e2, st2), (e3, st3), r2):
+        for lab in strat.strata:
+            sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
+            for count in (1, 7, 200):
+                pts, wts = strata.sample_stratum(action, lab, count, seed=5)
+                assert np.array_equal(pts, _reference_points(action, sl, count, 5))
+                assert np.all(wts > 0)
+
+
+def _polygon_area(sl):
+    """Shoelace area of {s : p0 + s basis >= 0} for a q = 2 slice, from the
+    vertices where two mass constraints meet."""
+    sup = np.flatnonzero(sl.p0 > 0)
+    A, b = sl.basis[:, sup].T, sl.p0[sup]
+    verts = []
+    for i in range(len(sup)):
+        for j in range(i + 1, len(sup)):
+            M = A[[i, j]]
+            if abs(np.linalg.det(M)) < 1e-12:
+                continue
+            v = np.linalg.solve(M, -b[[i, j]])
+            if np.all(A @ v + b >= -1e-12):
+                verts.append(v)
+    verts = np.unique(np.round(verts, 12), axis=0)
+    c = verts.mean(axis=0)
+    verts = verts[np.argsort(np.arctan2(verts[:, 1] - c[1], verts[:, 0] - c[0]))]
+    x, y = verts[:, 0], verts[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def test_sample_stratum_q2_weights_match_polygon_area(cp_open):
+    """Rejection sampling on a q = 2 slice: the weights sum to C times the
+    polygon's area within binomial error, and every point is on the zero level."""
+    action, lab = cp_open
+    sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(1))
+    assert sl.q == 2
+    exact = strata.slice_constant(action, sl, lab.isotropy) * _polygon_area(sl)
+    count = 4000
+    for seed in (7, 8):
+        pts, wts = strata.sample_stratum(action, lab, count, seed=seed)
+        hit = wts > 0
+        frac = hit.mean()
+        sigma = wts[hit][0] * count * np.sqrt(frac * (1.0 - frac) / count)
+        assert abs(np.sum(wts) - exact) < 4.0 * sigma
+        assert np.max(np.abs(ta.moment_map(action, pts))) < 1e-9
+        assert np.min(models.masses(action.model, pts)) > 0
+
+
+def test_sample_stratum_q2_raises_without_accepted_draw(cp_open):
+    action, lab = cp_open
+    outcomes = []
+    for seed in range(12):
+        try:
+            _, wts = strata.sample_stratum(action, lab, 1, seed=seed)
+        except strata.StrataError:
+            outcomes.append(False)
+        else:
+            assert wts[0] > 0
+            outcomes.append(True)
+    assert any(outcomes) and not all(outcomes)
