@@ -357,12 +357,10 @@ def _slice_residual(action, sl, exps, k, twist, quad):
         return _m_integral(action, zn, k, weight=weight)
 
     T = np.array([transverse(zn, pn) for zn, pn in zip(z, p)])
+    E = sections.section_matrix(model, exps, z, twist)
     if sl.q == 0:
-        E = sections.section_matrix(model, exps, z, twist)[0]
-        return w[0] * T[0] * (E[:, None] * np.conj(E[None, :])), np.zeros((dim, dim))
-    frame = sections.halfform_frame(model) if twist == "halfform" else 1.0
-    diag = frame * ((w * T) @ np.prod(p[:, None, :] ** exps, axis=-1))
-    return np.diag(diag).astype(complex), np.zeros((dim, dim))
+        return w[0] * T[0] * (E[0][:, None] * np.conj(E[0][None, :])), np.zeros((dim, dim))
+    return np.diag((w * T) @ np.abs(E) ** 2).astype(complex), np.zeros((dim, dim))
 
 
 def residual_II(action, label, k, twist="plain", quad=None, strat=None):
@@ -442,12 +440,12 @@ def _stratum_density_integral(action, lab, exps, k, twist, quad, order=32):
         E = sections.section_matrix(model, exps, lab.representative, twist)[0]
         return np.abs(E) ** 2  # density 1, zero-dimensional stratum
     sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
-    z, p, w = strata.slice_quadrature(action, sl, order)
+    z, _, w = strata.slice_quadrature(action, sl, order)
     density = density_J if twist == "halfform" else density_I
     w = w * np.array([density(action, lab, zn, k) for zn in z])
     if twist == "halfform":
-        w = w * reduction.descent_norm_factor(action, z, lab.isotropy) * sections.halfform_frame(model)
-    return pref_s * (w @ np.prod(p[:, None, :] ** exps, axis=-1))
+        w = w * reduction.descent_norm_factor(action, z, lab.isotropy)
+    return pref_s * (w @ np.abs(sections.section_matrix(model, exps, z, twist)) ** 2)
 
 
 def norm_split_consistency(action, k, twist="plain", quad=None, strat=None):

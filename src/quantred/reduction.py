@@ -215,6 +215,8 @@ def stratum_gram(action, lab, exps, twist, quad, tag="down"):
         rng = rng_for(quad.seed, "reduced", tag)
         count = max(256, quad.samples // 10)
         pts, wts = strata.sample_stratum(action, lab, count, rng.integers(2**32))
+        if not np.any(wts > 0):
+            raise ReductionError("no stratum sample landed in the slice polytope")
         if twist == "halfform":
             wts = wts * descent_norm_factor(action, pts, lab.isotropy)
         E = sections.section_matrix(model, exps, pts, twist)
@@ -232,20 +234,18 @@ def stratum_gram(action, lab, exps, twist, quad, tag="down"):
         return mat, np.abs(err)
 
     def nodes(order):
-        z, p, w = strata.slice_quadrature(action, sl, order)
+        z, _, w = strata.slice_quadrature(action, sl, order)
         if twist == "halfform":
             w = w * descent_norm_factor(action, z, lab.isotropy)
-        return z, p, w
+        return w, sections.section_matrix(model, exps, z, twist)
 
     if sl.q == 0:
-        z, _, w = nodes(quad.grid_order)
-        E = sections.section_matrix(model, exps, z, twist)[0]
-        return w[0] * (E[:, None] * np.conj(E[None, :])), np.zeros((dim, dim))
-    frame = sections.halfform_frame(model) if twist == "halfform" else 1.0
+        w, E = nodes(quad.grid_order)
+        return w[0] * (E[0][:, None] * np.conj(E[0][None, :])), np.zeros((dim, dim))
 
     def diagonal(order):
-        _, p, w = nodes(order)
-        return frame * (w @ np.prod(p[:, None, :] ** exps, axis=-1))
+        w, E = nodes(order)
+        return w @ np.abs(E) ** 2
 
     diag = diagonal(quad.grid_order)
     err = np.abs(diag - diagonal(max(8, quad.grid_order // 2)))

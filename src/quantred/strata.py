@@ -692,7 +692,8 @@ def sample_stratum(action, target, count, seed):
     per orbit, finite-part corrected).  For an ExtraPiece slice the weights
     realize the induced Riemannian measure of S_i itself.  Slices with q >= 2
     are sampled by rejection from a box around the slice polytope: a
-    rejected draw keeps weight 0 and the slice's interior point.
+    rejected draw keeps weight 0 and the slice's interior point, so every
+    returned point lies on the slice even when no draw is accepted.
     """
     if count <= 0:
         raise StrataError("count must be positive")
@@ -714,8 +715,6 @@ def sample_stratum(action, target, count, seed):
         lo, hi = _slice_box(sl)
         s, meas = lo + (hi - lo) * u[:, : sl.q], float(np.prod(hi - lo))
         accepted = np.all(sl.p0 + s @ sl.basis >= 0, axis=1)
-        if not accepted.any():
-            raise StrataError("no draw landed in the slice polytope")
         s[~accepted] = 0.0
     theta = np.zeros((count, model.ncoords))
     theta[:, list(sl.theta_idx)] = TWO_PI * u[:, sl.q :]

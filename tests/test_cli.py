@@ -53,6 +53,38 @@ def test_validate_quad_fields(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_density_on_q2_stratum_for_any_seed(tmp_path):
+    """CP^1 x CP^2 under weights (1, 0; -1, 0, 1) has an open stratum with a
+    two-dimensional slice, which is sampled by rejection.  The density
+    quantity needs one point there; seed 0 draws a rejected point and seed 1
+    an accepted one, and both runs succeed with finite curves."""
+    from quantred import strata
+
+    cfg = {
+        "model": {"factors": [1, 2], "bundle_degrees": [1, 1]},
+        "action": {"rank": 1, "weights": [[1, 0, -1, 0, 1]], "shift": ["0"]},
+        "k_list": [2],
+    }
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps(cfg))
+    action = cli.validate(cfg).action
+    st = strata.analyze(action)
+    lab = st.open_stratum()
+    i = st.strata.index(lab)
+    accepted = []
+    for seed in (0, 1):
+        # the draw cli.run makes for the density point of stratum i
+        _, wts = strata.sample_stratum(action, lab, 1, seed=seed + 17 * i)
+        accepted.append(wts[0] > 0)
+        out = tmp_path / f"s{seed}"
+        rc = cli.main(["run", "--config", str(path), "--only", "density", "--seed", str(seed), "--out", str(out)])
+        assert rc == 0
+        rows = (out / "curves.csv").read_text().strip().splitlines()[1:]
+        assert any(r.startswith(f"I,stratum_{i},") for r in rows)
+        assert all(np.isfinite(float(r.split(",")[3])) for r in rows)
+    assert accepted == [False, True]
+
+
 def test_validate_flat_and_block_weights():
     a = cli.validate({"preset": "E3", "k_list": [2]}).action
     b = cli.validate({

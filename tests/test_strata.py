@@ -229,30 +229,36 @@ def test_stratification_report_json(e2, st2):
     assert "extra_pieces" in data and "unsemistable_patterns" in data
 
 
-def test_slice_constant_matches_fd_jacobian(e2, st2, e3, st3, r2):
+def test_slice_constant_matches_fd_jacobian(e2, st2, e3, st3, r2, cp_open):
     """Duistermaat-Heckman: J (2pi)^{n_theta} |Gamma| / vol(G.x) from the
     finite-difference slice Jacobian is the closed-form constant C at every
-    Gauss node; on a piece slice J (2pi)^{n_theta} is C vol(G.x) / |Gamma|."""
+    test point; on a piece slice J (2pi)^{n_theta} is C vol(G.x) / |Gamma|.
+    The q = 1 slices are checked at Gauss nodes, the q = 2 open slice of
+    CP^1 x CP^2 at its centroid and halfway to each polygon vertex."""
     cp = cp1_cp2([2, 3])
     st_cp = strata.analyze(cp)
     piece = [p for ps in st_cp.pieces.values() for p in ps if p.pattern == ((0, 1), (3, 4))][0]
+    zero_slice = lambda action, pattern: strata.make_level_slice(action, pattern, np.zeros(action.rank))
     cases = [
-        (e2, st2.open_stratum().top_pattern, True),
-        (e3, st3.open_stratum().top_pattern, True),
-        (r2[0], r2[1].open_stratum().top_pattern, True),
-        (cp, piece.pattern, False),
+        (e2, zero_slice(e2, st2.open_stratum().top_pattern), True),
+        (e3, zero_slice(e3, st3.open_stratum().top_pattern), True),
+        (r2[0], zero_slice(r2[0], r2[1].open_stratum().top_pattern), True),
+        (cp, piece.slices[0][1], False),
+        (cp_open[0], zero_slice(cp_open[0], cp_open[1].top_pattern), True),
     ]
     consts = []
-    for action, pattern, quotient in cases:
-        sl = strata.make_level_slice(action, pattern, np.zeros(action.rank))
-        if not quotient:
-            sl = piece.slices[0][1]
-        assert sl.q == 1
-        iso = ta.isotropy_of_support(action, pattern)
+    for action, sl, quotient in cases:
+        if sl.q == 1:
+            points = gauss_segment(sl.segment[0], sl.segment[1], 24)[0][:, None]
+        else:
+            assert sl.q == 2
+            verts = _polygon_vertices(sl)
+            c = verts.mean(axis=0)
+            points = np.vstack([c, 0.5 * (c + verts)])
+        iso = ta.isotropy_of_support(action, sl.pattern)
         C = strata.slice_constant(action, sl, iso)
-        nodes, _ = gauss_segment(sl.segment[0], sl.segment[1], 24)
-        for t in nodes:
-            J, z = strata.slice_embedding_jacobian(action, sl, np.array([t]))
+        for s in points:
+            J, z = strata.slice_embedding_jacobian(action, sl, s)
             vol = ta.geometric_orbit_volume(action, z, iso)
             if quotient:
                 assert abs(J * TWO_PI**sl.n_theta / vol - C) < 1e-7 * C
@@ -287,9 +293,9 @@ def test_sample_stratum_stream_matches_loop(e1, st1, e2, st2, e3, st3, r2):
                 assert np.all(wts > 0)
 
 
-def _polygon_area(sl):
-    """Shoelace area of {s : p0 + s basis >= 0} for a q = 2 slice, from the
-    vertices where two mass constraints meet."""
+def _polygon_vertices(sl):
+    """Vertices of the polygon {s : p0 + s basis >= 0} of a q = 2 slice, in
+    angular order: the feasible points where two mass constraints meet."""
     sup = np.flatnonzero(sl.p0 > 0)
     A, b = sl.basis[:, sup].T, sl.p0[sup]
     verts = []
@@ -303,8 +309,12 @@ def _polygon_area(sl):
                 verts.append(v)
     verts = np.unique(np.round(verts, 12), axis=0)
     c = verts.mean(axis=0)
-    verts = verts[np.argsort(np.arctan2(verts[:, 1] - c[1], verts[:, 0] - c[0]))]
-    x, y = verts[:, 0], verts[:, 1]
+    return verts[np.argsort(np.arctan2(verts[:, 1] - c[1], verts[:, 0] - c[0]))]
+
+
+def _polygon_area(sl):
+    """Shoelace area of the polygon of a q = 2 slice."""
+    x, y = _polygon_vertices(sl).T
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
@@ -326,15 +336,29 @@ def test_sample_stratum_q2_weights_match_polygon_area(cp_open):
         assert np.min(models.masses(action.model, pts)) > 0
 
 
-def test_sample_stratum_q2_raises_without_accepted_draw(cp_open):
+def test_sample_stratum_q2_rejected_draw_keeps_interior_point(cp_open):
+    """A single draw on a q = 2 slice is accepted or rejected depending on
+    the seed; either way the returned point lies on the stratum, and a
+    rejected draw carries weight 0."""
     action, lab = cp_open
-    outcomes = []
+    accepted = []
     for seed in range(12):
-        try:
-            _, wts = strata.sample_stratum(action, lab, 1, seed=seed)
-        except strata.StrataError:
-            outcomes.append(False)
-        else:
-            assert wts[0] > 0
-            outcomes.append(True)
-    assert any(outcomes) and not all(outcomes)
+        pts, wts = strata.sample_stratum(action, lab, 1, seed=seed)
+        assert wts[0] >= 0
+        assert np.max(np.abs(ta.moment_map(action, pts))) < 1e-9
+        assert np.min(models.masses(action.model, pts)) > 0
+        accepted.append(wts[0] > 0)
+    assert any(accepted) and not all(accepted)
+
+
+def test_reduced_mc_gram_raises_without_accepted_sample(cp_open, monkeypatch):
+    """The MC reduced Gram integrates with the sample weights, so it refuses
+    a q = 2 stratum on which no draw landed in the slice polytope."""
+    from quantred import reduction
+    from quantred.integrate import QuadConfig
+
+    action, _ = cp_open
+    box = strata._slice_box
+    monkeypatch.setattr(strata, "_slice_box", lambda sl: tuple(b + 10.0 for b in box(sl)))
+    with pytest.raises(reduction.ReductionError):
+        reduction.reduced_gram(action, 2, quad=QuadConfig(method="mc", samples=2560, seed=1))
