@@ -8,6 +8,7 @@ twist, stratified density integrals, and asymptotic unitarity defects.
 
 __version__ = "0.1.0"
 
+from .errors import QuantredError
 from .models import (
     Model,
     PointM,
@@ -52,11 +53,8 @@ from .sections import (
 )
 from .reduction import (
     ReducedSection,
-    ReducedGram,
     descend,
-    pointwise_descended_norm,
     reduced_gram,
-    map_matrix,
 )
 from .asymptotics import (
     DensityCurve,
@@ -71,6 +69,7 @@ from .asymptotics import (
 )
 
 __all__ = [
+    "QuantredError",
     "Model", "PointM", "ChartFrame", "make_model", "frame_at",
     "liouville_volume", "check_prequantum", "divergence_liouville",
     "WeightAction", "IsotropyDescriptor", "FlowPotentialReport",
@@ -82,8 +81,7 @@ __all__ = [
     "sample_stratum",
     "SectionPoly", "GramMatrix", "basis_sections", "invariant_basis",
     "pointwise_norm", "gram_upstairs",
-    "ReducedSection", "ReducedGram", "descend", "pointwise_descended_norm",
-    "reduced_gram", "map_matrix",
+    "ReducedSection", "descend", "reduced_gram",
     "DensityCurve", "TailCertificate", "density_I", "density_J",
     "truncated_density", "tail_certificate", "residual_II",
     "unitarity_defect", "norm_split_consistency",

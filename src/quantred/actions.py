@@ -31,12 +31,13 @@ from scipy.special import logsumexp
 
 from . import models
 from ._lattice import rational_nullspace, stabilizer_component_order
+from .errors import QuantredError
 from .models import TWO_PI, as_coords, masses
 
 SUPPORT_TOL = 1e-9
 
 
-class ActionError(ValueError):
+class ActionError(QuantredError, ValueError):
     pass
 
 

@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import actions as ta
-from . import models
 from . import reduction
 from . import sections
 from . import strata
+from .errors import QuantredError
 from .integrate import (
     TWO_PI,
     adaptive_line_quadrature,
@@ -35,7 +34,7 @@ from .integrate import (
 from .models import as_coords, masses
 
 
-class AsymptoticsError(RuntimeError):
+class AsymptoticsError(QuantredError, RuntimeError):
     pass
 
 
@@ -318,34 +317,25 @@ def _tail_direct(action, z, k, mb, s_basis, radius, far):
 # residual pieces
 
 
-def residual_matrix(action, label, k, twist="plain", quad=None, strat=None):
-    """Gram-entry contributions of the extra preimage pieces of one label.
+def residual_diagonal(action, label, k, twist="plain", quad=None, strat=None):
+    """Gram-diagonal contributions of the extra preimage pieces of one label.
 
-    Per piece and slice: (k/2pi)^{n/2} sum_i sign int_{S_i} (s_a, s_b)(u)
+    Per piece and slice: (k/2pi)^{n/2} sum_i sign int_{S_i} |s_a|^2(u)
     T_k(u) dvol(S_i), with T_k the transverse integral of tau e^{-k f}
     (times the divergence correction for the half-form twist).
     """
-    quad = as_quad(quad)
     strat = strat or strata.analyze(action)
     exps = sections.invariant_exponents(action, k, twist)
-    dim = exps.shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    err = np.zeros((dim, dim))
-    pieces = strat.pieces.get(label.key, ())
-    model = action.model
-    for piece in pieces:
+    out = np.zeros(exps.shape[0])
+    for piece in strat.pieces.get(label.key, ()):
         pref = (k / TWO_PI) ** (piece.dim_piece / 2.0)
         for sign, sl in piece.slices:
-            mat_s, err_s = _slice_residual(action, sl, exps, k, twist, quad)
-            out = out + sign * pref * mat_s
-            err = np.sqrt(err**2 + (pref * err_s) ** 2)
-    return out, err
+            out = out + sign * pref * _slice_residual(action, sl, exps, k, twist, quad)
+    return out
 
 
 def _slice_residual(action, sl, exps, k, twist, quad):
-    """int_{S_i} (s_a, s_b)(u) T_k(u) dvol(S_i) over one slice."""
-    model = action.model
-    dim = exps.shape[0]
+    """int_{S_i} |s_a|^2(u) T_k(u) dvol(S_i) over one slice, per basis monomial."""
     z, p, w = strata.slice_quadrature(action, sl, max(24, as_quad(quad).grid_order // 2))
     # the Riemannian measure of S_i: the reduced measure times the orbit volume
     w = w * ta.geometric_orbit_volume(action, z, ta.isotropy_of_support(action, sl.pattern))
@@ -357,16 +347,12 @@ def _slice_residual(action, sl, exps, k, twist, quad):
         return _m_integral(action, zn, k, weight=weight)
 
     T = np.array([transverse(zn, pn) for zn, pn in zip(z, p)])
-    E = sections.section_matrix(model, exps, z, twist)
-    if sl.q == 0:
-        return w[0] * T[0] * (E[0][:, None] * np.conj(E[0][None, :])), np.zeros((dim, dim))
-    return np.diag((w * T) @ np.abs(E) ** 2).astype(complex), np.zeros((dim, dim))
+    return (w * T) @ sections.monomial_norms(action.model, exps, z, twist)
 
 
 def residual_II(action, label, k, twist="plain", quad=None, strat=None):
     """Trace over the invariant basis of the extra-piece contributions."""
-    mat, _ = residual_matrix(action, label, k, twist, quad, strat)
-    return float(np.real(np.trace(mat)))
+    return float(np.sum(residual_diagonal(action, label, k, twist, quad, strat)))
 
 
 # ----------------------------------------------------------------------
@@ -398,11 +384,13 @@ class DensityCurve:
 
 
 def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None, grams=None):
-    """max |lambda - 1| over generalized eigenvalues of (G_down, G_up).
+    """max |lambda - 1| over the generalized eigenvalues of (G_down, G_up).
 
     The descent matrix is the identity in matched bases, so the defect of
     B'^* B' - I (or A'^* A' - I) is read off the Gram pair under the chosen
-    norm definition.  Returns (defect, propagated error).
+    norm definition.  Both Grams are diagonal, so the eigenvalues are the
+    ratios lambda_a = d_a / u_a of their diagonals.  Returns (defect,
+    propagated error sqrt(sd_a^2 + lambda_a^2 su_a^2) / u_a at the worst a).
     """
     if grams is not None:
         gu, gd = grams
@@ -411,20 +399,13 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
         gd = reduction.reduced_gram(action, k, twist, norm_def, quad, strat=strat)
     if gu.dim == 0:
         raise AsymptoticsError(f"empty invariant space at k={k}")
-    A = gd.matrix
-    B = gu.matrix
-    eigmin = np.linalg.eigvalsh(B).min()
-    if eigmin <= 0:
+    u = gu.diagonal
+    if u.min() <= 0:
         raise AsymptoticsError("upstairs Gram not positive definite: insufficient sampling")
-    vals, vecs = scipy.linalg.eigh(A, B)
-    defect = float(np.max(np.abs(vals - 1.0)))
-    idx = int(np.argmax(np.abs(vals - 1.0)))
-    v = vecs[:, idx]
-    lam = vals[idx]
-    denom = float(np.real(np.conj(v) @ B @ v))
-    w = np.abs(np.outer(v, np.conj(v)))
-    sigma = float(np.sqrt(np.sum(w**2 * (gd.errors**2 + lam**2 * gu.errors**2)))) / max(denom, 1e-300)
-    return defect, sigma
+    lam = gd.diagonal / u
+    a = int(np.argmax(np.abs(lam - 1.0)))
+    sigma = np.sqrt(gd.stderr[a] ** 2 + lam[a] ** 2 * gu.stderr[a] ** 2) / u[a]
+    return float(abs(lam[a] - 1.0)), float(sigma)
 
 
 def _stratum_density_integral(action, lab, exps, k, twist, quad, order=32):
@@ -437,15 +418,14 @@ def _stratum_density_integral(action, lab, exps, k, twist, quad, order=32):
     model = action.model
     pref_s = (k / TWO_PI) ** (lab.dim_S / 2.0)
     if lab.isotropy.is_full:
-        E = sections.section_matrix(model, exps, lab.representative, twist)[0]
-        return np.abs(E) ** 2  # density 1, zero-dimensional stratum
+        return sections.monomial_norms(model, exps, lab.representative, twist)[0]  # density 1, a point
     sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
     z, _, w = strata.slice_quadrature(action, sl, order)
     density = density_J if twist == "halfform" else density_I
     w = w * np.array([density(action, lab, zn, k) for zn in z])
     if twist == "halfform":
         w = w * reduction.descent_norm_factor(action, z, lab.isotropy)
-    return pref_s * (w @ np.abs(sections.section_matrix(model, exps, z, twist)) ** 2)
+    return pref_s * (w @ sections.monomial_norms(model, exps, z, twist))
 
 
 def norm_split_consistency(action, k, twist="plain", quad=None, strat=None):
@@ -471,37 +451,30 @@ def norm_split_consistency(action, k, twist="plain", quad=None, strat=None):
         # ---- direct route
         pref_gz = (k / TWO_PI) ** (lab.dim_upstairs / 2.0)
         if lab.dim_upstairs == 0:
-            z0 = lab.representative
-            E = sections.section_matrix(model, exps, z0, twist)[0]
-            lhs = pref_gz * np.abs(E) ** 2
+            lhs = pref_gz * sections.monomial_norms(model, exps, lab.representative, twist)[0]
             lhs_err = np.zeros(dim)
         else:
-            sub, suberr = sections._pattern_gram_mc(
+            lhs, lhs_err = sections._pattern_gram_mc(
                 action, exps, twist, lab.top_pattern, mc_quad, ("normsplit", k, twist, si)
             )
-            lhs = pref_gz * np.real(np.diag(sub))
-            lhs_err = pref_gz * np.real(np.diag(suberr))
+            lhs, lhs_err = pref_gz * lhs, pref_gz * lhs_err
         for piece in strat.pieces.get(lab.key, ()):
             prefp = (k / TWO_PI) ** (piece.dim_piece / 2.0)
             sub, suberr = sections._pattern_gram_mc(
                 action, exps, twist, piece.pattern, mc_quad, ("normsplit-piece", k, twist, si, piece.pattern)
             )
-            lhs = lhs + prefp * np.real(np.diag(sub))
-            lhs_err = np.sqrt(lhs_err**2 + (prefp * np.real(np.diag(suberr))) ** 2)
+            lhs = lhs + prefp * sub
+            lhs_err = np.sqrt(lhs_err**2 + (prefp * suberr) ** 2)
         # ---- stratum-density route (deterministic quadrature)
         rhs = _stratum_density_integral(action, lab, exps, k, twist, quad)
-        res_mat, res_err = residual_matrix(action, lab, k, twist, quad, strat)
-        rhs = rhs + np.real(np.diag(res_mat))
-        rhs_err = np.real(np.diag(res_err))
-        # rhs statistical error from the stratum sampling is folded in coarsely
-        # through a resampled half-set difference when dim_S > 0
-        nsig = np.abs(lhs - rhs) / np.maximum(np.sqrt(lhs_err**2 + rhs_err**2), 1e-12)
+        rhs = rhs + residual_diagonal(action, lab, k, twist, quad, strat)
+        nsig = np.abs(lhs - rhs) / np.maximum(lhs_err, 1e-12)
         entry = {
             "stratum": si,
             "dim_S": lab.dim_S,
             "lhs": lhs.tolist(),
             "rhs": rhs.tolist(),
-            "stderr": np.sqrt(lhs_err**2 + rhs_err**2).tolist(),
+            "stderr": lhs_err.tolist(),
             "nsigma": nsig.tolist(),
         }
         report["strata"].append(entry)

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +22,14 @@ import numpy as np
 from . import __version__
 from . import actions as ta
 from . import asymptotics, models, reduction, sections, strata
+from .errors import QuantredError
 from .integrate import QuadConfig
 
 QUANTITIES = ("strata", "gram", "density", "unitarity", "consistency")
 # 'grid' is an alias of 'exact': the deterministic moment/quadrature route
 QUAD_METHODS = ("exact", "grid", "mc")
+CONFIG_KEYS = ("preset", "model", "action", "k_list", "twist", "norm_defs", "quantities", "quad", "seed", "out")
+QUAD_KEYS = tuple(f.name for f in fields(QuadConfig))
 
 PRESETS = {
     # the desk-scale example family
@@ -45,7 +48,7 @@ PRESETS = {
 }
 
 
-class ConfigError(ValueError):
+class ConfigError(QuantredError, ValueError):
     pass
 
 
@@ -83,7 +86,7 @@ def validate(config):
     if isinstance(config, str):
         config = json.loads(config)
     cfg = dict(config)
-    errors = []
+    errors = [f"{key}: unknown config key" for key in cfg if key not in CONFIG_KEYS]
     preset = cfg.pop("preset", None)
     if preset is not None:
         if preset not in PRESETS:
@@ -136,7 +139,8 @@ def validate(config):
     if not isinstance(qspec, dict):
         errors.append("quad: must be an object")
         qspec = {}
-    quad = QuadConfig.from_dict(qspec)
+    errors += [f"quad.{key}: unknown config key" for key in qspec if key not in QUAD_KEYS]
+    quad = QuadConfig.from_dict({key: v for key, v in qspec.items() if key in QUAD_KEYS})
     if quad.method not in QUAD_METHODS:
         errors.append(f"quad.method: unknown value {quad.method!r} (use one of {list(QUAD_METHODS)})")
     for name in ("samples", "blocks", "grid_order"):
@@ -227,8 +231,7 @@ def run(scn):
         "config_hash": _hash_bytes(json.dumps(hashed_cfg, sort_keys=True).encode()),
         "files": {},
     }
-    quad = scn.quad
-    quad.seed = scn.seed if quad.seed == 0 else quad.seed
+    quad = scn.quad if scn.quad.seed else replace(scn.quad, seed=scn.seed)
 
     def record(name, digest):
         manifest["files"][name] = digest
@@ -353,7 +356,7 @@ def main(argv=None):
         else:
             manifest = run(scn)
             print(json.dumps(manifest, sort_keys=True, indent=1))
-    except Exception as exc:  # numerical failure paths exit distinctly
+    except (QuantredError, np.linalg.LinAlgError) as exc:  # programming errors keep their traceback
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -21,16 +21,13 @@ TWO_PI = 2.0 * np.pi
 class QuadConfig:
     samples: int = 100_000
     seed: int = 0
-    stderr_target: float = 0.0
     method: str = "exact"   # 'exact' (alias 'grid') or 'mc'
     grid_order: int = 96
     blocks: int = 32
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data or {})
-        known = {f: data[f] for f in ("samples", "seed", "stderr_target", "method", "grid_order", "blocks") if f in data}
-        return cls(**known)
+        return cls(**(data or {}))
 
 
 def as_quad(quad):

@@ -8,14 +8,16 @@ affine charts chosen per point.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
-from dataclasses import dataclass
+
+from .errors import QuantredError
 
 TWO_PI = 2.0 * np.pi
 
 
-class ModelError(ValueError):
+class ModelError(QuantredError, ValueError):
     pass
 
 

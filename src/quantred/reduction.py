@@ -3,7 +3,8 @@ reduced Gram matrices, and the push-down contraction oracle.
 
 Descent is basis-preserving: an invariant monomial corresponds to its class
 downstairs, so the matrix of the descent map in matched bases is the
-identity and all unitarity questions live in the Gram matrices.  The
+identity and all unitarity questions live in the Gram matrices, which are
+diagonal on both sides (distinct monomials are torus-orthogonal).  The
 corrected pointwise norm on a stratum with stabilizer H is
 
     |B' r|^2([x]) = |r|^2(x)                    if H = G,
@@ -23,11 +24,12 @@ from . import actions as ta
 from . import models
 from . import strata
 from . import sections
+from .errors import QuantredError
 from .integrate import TWO_PI, as_quad, rng_for
 from .models import as_coords
 
 
-class ReductionError(ValueError):
+class ReductionError(QuantredError, ValueError):
     pass
 
 
@@ -79,11 +81,6 @@ def descent_norm_factor(action, point, iso=None):
     m = action.rank - iso.dim
     vol, _ = ta.orbit_volume(action, z, iso)
     return 2.0 ** (-m / 2.0) * vol / iso.finite_part
-
-
-def pointwise_descended_norm(action, reduced_section, point, iso=None):
-    """pi^* |B' r|^2([x]) (half-form) or |A' s|^2([x]) (plain) at x in phi^{-1}(0)."""
-    return reduced_section.norm_squared_at(action, point, iso)
 
 
 # ----------------------------------------------------------------------
@@ -164,49 +161,18 @@ def contraction_factor(action, point, fd_step=1e-6):
 # reduced Gram matrices
 
 
-@dataclass
-class ReducedGram:
-    basis_ids: list
-    matrix: np.ndarray
-    errors: np.ndarray
-    norm_def: int
-    k: int
-    twist: str
-    per_stratum: dict = field(default_factory=dict)
-    flags: list = field(default_factory=list)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def to_json_dict(self):
-        out = {
-            "k": self.k,
-            "twist": self.twist,
-            "norm_def": self.norm_def,
-            "basis": [list(map(int, b)) for b in self.basis_ids],
-            "matrix_re": np.real(self.matrix).tolist(),
-            "matrix_im": np.imag(self.matrix).tolist(),
-            "stderr": self.errors.tolist(),
-            "flags": self.flags,
-            "per_stratum": {str(i): np.real(mat).tolist() for i, mat in enumerate(self.per_stratum.values())},
-        }
-        return out
-
-
 def stratum_gram(action, lab, exps, twist, quad, tag="down"):
-    """Integral over the quotient stratum of the descended pointwise pairs.
+    """Integral over the quotient stratum of the descended pointwise norms.
 
-    Returns (matrix, errors) of int_S (desc_a, desc_b) eps_hat.  The grid
-    route uses Gauss nodes of the Duistermaat-Heckman measure on the level
-    slice with the exact phase average (distinct monomials are
-    torus-orthogonal), and a half-order rerun as its error estimate; the mc
-    route samples the slice and the phases. Zero-dimensional strata
-    contribute point values.
+    Returns (diagonal, stderr) of int_S |desc_a|^2 eps_hat; the off-diagonal
+    pairs integrate to 0 (distinct monomials are torus-orthogonal).  The
+    grid route uses Gauss nodes of the Duistermaat-Heckman measure on the
+    level slice, and a half-order rerun as its error estimate; the mc route
+    samples the slice and the phases, with block standard errors.  A
+    zero-dimensional stratum is its one node.
     """
     quad = as_quad(quad)
     model = action.model
-    dim = exps.shape[0]
     sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
     if sl is None:
         raise ReductionError("stratum slice infeasible")
@@ -219,37 +185,20 @@ def stratum_gram(action, lab, exps, twist, quad, tag="down"):
             raise ReductionError("no stratum sample landed in the slice polytope")
         if twist == "halfform":
             wts = wts * descent_norm_factor(action, pts, lab.isotropy)
-        E = sections.section_matrix(model, exps, pts, twist)
-        scaled = E * wts[:, None]
-        mat = (scaled.conj().T @ E).T * 1.0
+        terms = wts[:, None] * sections.monomial_norms(model, exps, pts, twist)
         nblk = max(4, quad.blocks)
-        cut = (count // nblk) * nblk
-        per = cut // nblk
-        blocks = np.empty((nblk, dim, dim), dtype=complex)
-        for b in range(nblk):
-            Sb = scaled[b * per : (b + 1) * per]
-            Eb = E[b * per : (b + 1) * per]
-            blocks[b] = (Sb.conj().T @ Eb).T * (count / per)
-        err = blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
-        return mat, np.abs(err)
+        per = count // nblk
+        blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)
+        return terms.sum(axis=0), blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
 
-    def nodes(order):
+    def diagonal(order):
         z, _, w = strata.slice_quadrature(action, sl, order)
         if twist == "halfform":
             w = w * descent_norm_factor(action, z, lab.isotropy)
-        return w, sections.section_matrix(model, exps, z, twist)
-
-    if sl.q == 0:
-        w, E = nodes(quad.grid_order)
-        return w[0] * (E[0][:, None] * np.conj(E[0][None, :])), np.zeros((dim, dim))
-
-    def diagonal(order):
-        w, E = nodes(order)
-        return w @ np.abs(E) ** 2
+        return w @ sections.monomial_norms(model, exps, z, twist)
 
     diag = diagonal(quad.grid_order)
-    err = np.abs(diag - diagonal(max(8, quad.grid_order // 2)))
-    return np.diag(diag).astype(complex), np.diag(err)
+    return diag, np.abs(diag - diagonal(max(8, quad.grid_order // 2)))
 
 
 def reduced_gram(action, k, twist="plain", norm_def=1, quad=None, strat=None):
@@ -257,50 +206,21 @@ def reduced_gram(action, k, twist="plain", norm_def=1, quad=None, strat=None):
     quad = as_quad(quad)
     exps = sections.invariant_exponents(action, k, twist)
     ids = [tuple(map(int, r)) for r in exps]
-    dim = exps.shape[0]
-    if dim == 0:
-        return ReducedGram(basis_ids=ids, matrix=np.zeros((0, 0), dtype=complex),
-                           errors=np.zeros((0, 0)), norm_def=norm_def, k=k, twist=twist)
-    strat = strat or strata.analyze(action)
-    labs = [strat.open_stratum()] if norm_def == 1 else strat.strata
-    mat = np.zeros((dim, dim), dtype=complex)
-    err = np.zeros((dim, dim))
-    per = {}
-    flags = []
-    for lab in labs:
-        sub, suberr = stratum_gram(action, lab, exps, twist, quad, tag=("down", k, twist, lab.key))
-        pref = (k / TWO_PI) ** (lab.dim_S / 2.0)
-        per[lab.key] = pref * sub
-        mat = mat + pref * sub
-        err = np.sqrt(err**2 + (pref * suberr) ** 2)
-    mat = sections.hermitize(mat)
-    rel = err / np.maximum(np.abs(mat), 1e-300)
-    if np.any((rel > 0.2) & (np.abs(mat) > 1e-14)):
-        flags.append("entry_error_over_20_percent")
-    eig = np.linalg.eigvalsh(mat)
-    if dim and eig.min() < -1e-9 * max(1.0, eig.max()):
-        flags.append("not_psd_within_tolerance")
-    return ReducedGram(basis_ids=ids, matrix=mat, errors=err, norm_def=norm_def,
-                       k=k, twist=twist, per_stratum=per, flags=flags)
+    diag, err, per = np.zeros(len(ids)), np.zeros(len(ids)), {}
+    if ids:
+        strat = strat or strata.analyze(action)
+        for lab in [strat.open_stratum()] if norm_def == 1 else strat.strata:
+            sub, suberr = stratum_gram(action, lab, exps, twist, quad, tag=("down", k, twist, lab.key))
+            pref = (k / TWO_PI) ** (lab.dim_S / 2.0)
+            per[lab.key] = pref * sub
+            diag = diag + pref * sub
+            err = np.sqrt(err**2 + (pref * suberr) ** 2)
+    return sections.GramMatrix(basis_ids=ids, diagonal=diag, stderr=err, norm_def=norm_def,
+                               k=k, twist=twist, per_stratum=per)
 
 
 # ----------------------------------------------------------------------
-# the descent map as a matrix, with the boundedness probe
-
-
-def map_matrix(action, k, twist="plain", probe=None):
-    """Matrix of the descent map in matched monomial bases (the identity).
-
-    `probe`, when given, is a dict {'samples': .., 'seed': .., 'k_grid': [..]}
-    driving the boundedness sanity check of the modified-isomorphism proof:
-    the smallest k in the grid is reported for which d/dt |r|^2(e^{i t xi} y)
-    <= 0 on all sampled rays with t >= 1.
-    """
-    exps = sections.invariant_exponents(action, k, twist)
-    out = {"matrix": np.eye(exps.shape[0]), "k0": None, "dims": (exps.shape[0], exps.shape[0])}
-    if probe:
-        out["k0"] = boundedness_probe(action, **probe)
-    return out
+# the boundedness probe of the modified-isomorphism proof
 
 
 def boundedness_probe(action, samples=24, seed=0, k_grid=(1, 2, 4, 8, 16, 32, 64), t_grid=(1.0, 1.5, 2.5, 4.0)):

@@ -20,11 +20,12 @@ import numpy as np
 from . import actions as ta
 from . import models
 from . import strata
+from .errors import QuantredError
 from .integrate import TWO_PI, as_quad, rng_for
 from .models import as_coords
 
 
-class SectionError(ValueError):
+class SectionError(QuantredError, ValueError):
     pass
 
 
@@ -185,16 +186,18 @@ def halfform_factor(model, z):
     return out[0] if zin.ndim == 1 else out
 
 
-def section_matrix(model, exps, z, twist="plain"):
-    """E[n, a] = s_a(z_n) scaled so that E E^dagger gives pointwise pairs.
+def monomial_norms(model, exps, z, twist="plain"):
+    """Pointwise norm squares |s_a(z_n)|^2 of the monomials, shape (N, dim).
 
     Rows are points (unit-normalized per factor), columns the monomial
-    exponent rows; the half-form twist folds sqrt of the frame factor in.
+    exponent rows; |z^alpha|^2 is the mass monomial p^alpha, times the
+    half-form frame for the half-form twist.
     """
-    E = evaluate_monomials(exps, np.atleast_2d(z))
+    p = np.abs(np.atleast_2d(z)) ** 2
+    vals = np.prod(p[:, None, :] ** exps[None, :, :], axis=-1)
     if twist == "halfform":
-        E = E * np.sqrt(halfform_frame(model))
-    return E
+        vals = vals * halfform_frame(model)
+    return vals
 
 
 def pointwise_norm(section, point):
@@ -276,33 +279,56 @@ def _holomorphic_divergence(action, xi, w0, charts, fd_step):
 
 @dataclass
 class GramMatrix:
+    """Gram matrix of an invariant monomial basis, up- or downstairs.
+
+    Distinct monomials are torus-orthogonal, so the Gram is diagonal under
+    both norm definitions and on both sides; `diagonal` holds its entries
+    and `stderr` their standard errors (0 on the exact routes; Monte Carlo
+    routes estimate the diagonal only).  `matrix` and `errors` are the
+    square forms.  `per_stratum` (downstairs only) maps each stratum key to
+    its contribution to the diagonal.
+    """
+
     basis_ids: list
-    matrix: np.ndarray
-    errors: np.ndarray
+    diagonal: np.ndarray
+    stderr: np.ndarray
     norm_def: int
     k: int
     twist: str
-    flags: list = field(default_factory=list)
+    per_stratum: dict = None
+    flags: list = field(init=False)
+
+    def __post_init__(self):
+        rel = self.stderr / np.maximum(np.abs(self.diagonal), 1e-300)
+        over = (rel > 0.2) & (np.abs(self.diagonal) > 1e-14)
+        self.flags = ["entry_error_over_20_percent"] if np.any(over) else []
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return len(self.diagonal)
+
+    @property
+    def matrix(self):
+        return np.diag(self.diagonal).astype(complex)
+
+    @property
+    def errors(self):
+        return np.diag(self.stderr)
 
     def to_json_dict(self):
-        return {
+        out = {
             "k": self.k,
             "twist": self.twist,
             "norm_def": self.norm_def,
             "basis": [list(map(int, b)) for b in self.basis_ids],
-            "matrix_re": np.real(self.matrix).tolist(),
-            "matrix_im": np.imag(self.matrix).tolist(),
+            "matrix_re": np.diag(self.diagonal).tolist(),
+            "matrix_im": np.zeros((self.dim, self.dim)).tolist(),
             "stderr": self.errors.tolist(),
             "flags": self.flags,
         }
-
-
-def hermitize(mat):
-    return 0.5 * (mat + np.conj(mat.T))
+        if self.per_stratum is not None:
+            out["per_stratum"] = {str(i): np.diag(d).tolist() for i, d in enumerate(self.per_stratum.values())}
+        return out
 
 
 def monomial_integral_on_pattern(model, pattern, alpha):
@@ -331,11 +357,12 @@ def _full_pattern(model):
 
 
 def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
-    """Monte Carlo Gram of pointwise pairs over a closed pattern subvariety.
+    """Monte Carlo Gram diagonal over a closed pattern subvariety.
 
     Uniform sphere samples on the support coordinates are Fubini-Study
-    uniform on the subvariety; Gram blocks are accumulated chunk-wise and
-    the block spread gives the per-entry standard error.
+    uniform on the subvariety; per-block means of the pointwise norm
+    squares are accumulated chunk-wise and the block spread gives the
+    per-entry standard error.  Returns (diagonal, stderr).
     """
     model = action.model
     rng = rng_for(quad.seed, "gram", tag)
@@ -345,18 +372,16 @@ def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
     for sup, l in zip(pattern, model.bundle_degrees):
         nR = len(sup) - 1
         vol *= (l * TWO_PI) ** nR / math.factorial(nR)
-    grams = np.empty((nblk, exps.shape[0], exps.shape[0]), dtype=complex)
+    means = np.empty((nblk, exps.shape[0]))
     for b in range(nblk):
         z = np.zeros((per, model.ncoords), dtype=complex)
         for sup in pattern:
             dim = len(sup)
             blk = rng.standard_normal((per, dim)) + 1j * rng.standard_normal((per, dim))
             z[:, list(sup)] = blk / np.linalg.norm(blk, axis=1, keepdims=True)
-        E = section_matrix(model, exps, z, twist)
-        grams[b] = (E.conj().T @ E).T / per
-    mean = grams.mean(axis=0)
-    err = grams.std(axis=0, ddof=1) / np.sqrt(nblk)
-    return vol * mean, vol * np.abs(err)
+        means[b] = monomial_norms(model, exps, z, twist).mean(axis=0)
+    err = means.std(axis=0, ddof=1) / np.sqrt(nblk)
+    return vol * means.mean(axis=0), vol * err
 
 
 def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
@@ -373,20 +398,19 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
     quad = as_quad(quad)
     model = action.model
     exps = invariant_exponents(action, k, twist)
-    dim = exps.shape[0]
     ids = [tuple(map(int, row)) for row in exps]
-    if dim == 0:
-        return GramMatrix(basis_ids=ids, matrix=np.zeros((0, 0), dtype=complex),
-                          errors=np.zeros((0, 0)), norm_def=norm_def, k=k, twist=twist)
-    n = model.n_total
-    pref = (k / TWO_PI) ** (n / 2.0)
-    if quad.method == "mc":
-        mat, err = _pattern_gram_mc(action, exps, twist, _full_pattern(model), quad, (k, twist, "ambient"))
-    else:
-        mat, err = _gram_exact_on_pattern(action, exps, twist, _full_pattern(model))
-    mat = pref * mat
-    err = pref * err
-    flags = []
+    if not ids:
+        return GramMatrix(basis_ids=ids, diagonal=np.zeros(0), stderr=np.zeros(0), norm_def=norm_def,
+                          k=k, twist=twist)
+
+    def on_pattern(pattern, tag):
+        if quad.method == "mc":
+            return _pattern_gram_mc(action, exps, twist, pattern, quad, (k, twist) + tag)
+        return _gram_exact_on_pattern(action, exps, twist, pattern)
+
+    pref = (k / TWO_PI) ** (model.n_total / 2.0)
+    diag, err = on_pattern(_full_pattern(model), ("ambient",))
+    diag, err = pref * diag, pref * err
     if norm_def == 2:
         strat = strat or strata.analyze(action)
         open_key = strat.open_stratum().key
@@ -400,35 +424,21 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
             prefp = (k / TWO_PI) ** (dim_piece / 2.0)
             if dim_piece == 0:
                 z0 = models.normalize(model, _pattern_point(model, pattern))
-                E = section_matrix(model, exps, z0, twist)[0]
-                mat = mat + prefp * (E[:, None] * np.conj(E[None, :]))
+                diag = diag + prefp * monomial_norms(model, exps, z0, twist)[0]
                 continue
-            if quad.method == "mc":
-                sub, suberr = _pattern_gram_mc(action, exps, twist, pattern, quad, (k, twist) + tag)
-            else:
-                sub, suberr = _gram_exact_on_pattern(action, exps, twist, pattern)
-            mat = mat + prefp * sub
+            sub, suberr = on_pattern(pattern, tag)
+            diag = diag + prefp * sub
             err = np.sqrt(err**2 + (prefp * suberr) ** 2)
-    mat = hermitize(mat)
-    rel = np.abs(err) / np.maximum(np.abs(mat), 1e-300)
-    if np.any((rel > 0.2) & (np.abs(mat) > 1e-14)):
-        flags.append("entry_error_over_20_percent")
-    eig = np.linalg.eigvalsh(mat)
-    if eig.min() < -1e-9 * max(1.0, eig.max()):
-        flags.append("not_psd_within_tolerance")
-    return GramMatrix(basis_ids=ids, matrix=mat, errors=np.abs(err), norm_def=norm_def,
-                      k=k, twist=twist, flags=flags)
+    return GramMatrix(basis_ids=ids, diagonal=diag, stderr=err, norm_def=norm_def, k=k, twist=twist)
 
 
 def _gram_exact_on_pattern(action, exps, twist, pattern):
-    """Exact Gram over a closed pattern subvariety: Dirichlet moments on the
-    diagonal, zero elsewhere (the rows of exps are distinct monomials, which
-    are torus-orthogonal)."""
+    """Exact Gram diagonal over a closed pattern subvariety: Dirichlet
+    moments, with zero error.  Returns (diagonal, stderr)."""
     model = action.model
     frame = halfform_frame(model) if twist == "halfform" else 1.0
-    dim = exps.shape[0]
     diag = [frame * monomial_integral_on_pattern(model, pattern, row) for row in exps]
-    return np.diag(np.asarray(diag, dtype=complex)), np.zeros((dim, dim))
+    return np.asarray(diag, dtype=float), np.zeros(exps.shape[0])
 
 
 def _pattern_point(model, pattern):

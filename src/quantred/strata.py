@@ -21,13 +21,14 @@ from scipy.optimize import linprog
 
 from . import actions as ta
 from . import models
+from .errors import QuantredError
 from .integrate import gauss_segment
 from .models import TWO_PI, as_coords, masses
 
 ZERO_TOL = 1e-9
 
 
-class StrataError(RuntimeError):
+class StrataError(QuantredError, RuntimeError):
     pass
 
 

@@ -139,11 +139,21 @@ def test_residual_decreasing(e2, st2):
     assert all(v > 0 for v in vals.values())
 
 
-def test_defect_scalar_case(e1, st1):
-    gu = sections.gram_upstairs(e1, 2, "plain", 2, {"method": "exact"}, strat=st1)
-    gd = reduction.reduced_gram(e1, 2, "plain", 2, {"method": "grid"}, strat=st1)
-    d, _ = asymptotics.unitarity_defect(e1, 2, "plain", 2, grams=(gu, gd))
-    assert abs(d - abs(gd.matrix[0, 0].real / gu.matrix[0, 0].real - 1.0)) < 1e-12
+def test_defect_scalar_case(e1, st1, e2, st2):
+    """Both Grams are diagonal, so the defect is max_a |d_a/u_a - 1| and its
+    error sqrt(sd_a^2 + lambda_a^2 su_a^2)/u_a at the worst entry a: on the
+    exact E1 pair and on an MC pair at E2 k = 4."""
+    mc = {"method": "mc", "samples": 20000, "seed": 1}
+    for action, strat, k, up_quad, down_quad in ((e1, st1, 2, {"method": "exact"}, {"method": "grid"}),
+                                                 (e2, st2, 4, mc, mc)):
+        gu = sections.gram_upstairs(action, k, "plain", 2, up_quad, strat=strat)
+        gd = reduction.reduced_gram(action, k, "plain", 2, down_quad, strat=strat)
+        d, sigma = asymptotics.unitarity_defect(action, k, "plain", 2, grams=(gu, gd))
+        u, su = np.diag(gu.matrix).real, np.diag(gu.errors)
+        lam, sd = np.diag(gd.matrix).real / u, np.diag(gd.errors)
+        a = int(np.argmax(np.abs(lam - 1.0)))
+        assert abs(d - abs(lam[a] - 1.0)) < 1e-12 * max(d, 1.0)
+        assert abs(sigma - np.sqrt(sd[a] ** 2 + lam[a] ** 2 * su[a] ** 2) / u[a]) <= 1e-12 * sigma
 
 
 def test_defect_halfform_decreases_plain_floors(e3, st3):

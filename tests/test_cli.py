@@ -42,11 +42,16 @@ def test_validate_quad_fields(tmp_path):
         ({"blocks": 2.5}, "quad.blocks"),
         ({"grid_order": -8}, "quad.grid_order"),
         ([1], "quad: must be an object"),
+        ({"stderr_target": 0.01}, "quad.stderr_target: unknown config key"),
+        ({"method": "mc", "sample": 100}, "quad.sample: unknown config key"),
     ]
     for quad, name in bad:
         with pytest.raises(cli.ConfigError) as err:
             cli.validate({"preset": "E1", "k_list": [2], "quad": quad})
         assert name in str(err.value)
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate({"preset": "E1", "k_list": [2], "sed": 3, "norm_def": [1]})
+    assert "sed: unknown config key" in str(err.value) and "norm_def: unknown config key" in str(err.value)
     cfg = tmp_path / "mc.json"
     cfg.write_text(json.dumps({"preset": "E1", "k_list": [2], "quad": {"method": "MC"}}))
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -113,7 +118,9 @@ def test_run_deterministic_and_flags(tmp_path):
         "quantities": ["strata", "gram", "unitarity", "density"],
         "out": str(tmp_path / "a"),
     }
-    m1 = cli.run(cli.validate(cfg))
+    scn = cli.validate(cfg)
+    m1 = cli.run(scn)
+    assert scn.quad == cli.validate(cfg).quad  # the run seeds a copy, not the scenario
     cfg2 = dict(cfg)
     cfg2["out"] = str(tmp_path / "b")
     m2 = cli.run(cli.validate(cfg2))
@@ -146,7 +153,9 @@ def test_run_full_smoke_e2(tmp_path):
     assert all(np.isfinite(float(r.split(",")[3])) for r in rows[1:])
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
+    from quantred import QuantredError, actions, asymptotics, models, reduction, sections, strata
+
     rc = cli.main(["describe", "--preset", "E1", "--k", "2"])
     assert rc == 0
     rc = cli.main(["describe", "--preset", "NOPE"])
@@ -155,6 +164,25 @@ def test_cli_exit_codes(tmp_path):
     badcfg.write_text(json.dumps({"preset": "E2", "k_list": [4], "twist": "halfform"}))
     rc = cli.main(["describe", "--config", str(badcfg)])
     assert rc == 2
+    # exit 3 is for the errors quantred raises on purpose; a programming
+    # error keeps its traceback instead of passing for a numerical failure
+    for cls, builtin in ((sections.SectionError, ValueError), (reduction.ReductionError, ValueError),
+                         (strata.StrataError, RuntimeError), (asymptotics.AsymptoticsError, RuntimeError),
+                         (actions.ActionError, ValueError), (models.ModelError, ValueError),
+                         (cli.ConfigError, ValueError)):
+        assert issubclass(cls, QuantredError) and issubclass(cls, builtin)
+    argv = ["gram", "--preset", "E1", "--k", "2", "--out", str(tmp_path / "g")]
+
+    def raising(exc):
+        def reduced_gram(*args, **kwargs):
+            raise exc
+        return reduced_gram
+
+    monkeypatch.setattr(reduction, "reduced_gram", raising(reduction.ReductionError("stratum slice infeasible")))
+    assert cli.main(argv) == 3
+    monkeypatch.setattr(reduction, "reduced_gram", raising(TypeError("a bug")))
+    with pytest.raises(TypeError):
+        cli.main(argv)
 
 
 def test_cli_run_via_main(tmp_path):
@@ -165,3 +193,4 @@ def test_cli_run_via_main(tmp_path):
     assert rc == 0
     assert (tmp_path / "u" / "defects.csv").exists()
     assert not (tmp_path / "u" / "curves.csv").exists()
+

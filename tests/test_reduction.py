@@ -13,7 +13,7 @@ def test_descent_pointwise_identity(e2, st2, rng):
     pts, _ = strata.sample_stratum(e2, lab, 8, seed=3)
     for z in pts:
         up = sections.pointwise_norm(s, z)
-        down = reduction.pointwise_descended_norm(e2, rs, z)
+        down = rs.norm_squared_at(e2, z)
         assert down == up  # plain descent is the same arithmetic
 
 
@@ -27,7 +27,7 @@ def test_zero_section_descends_to_zero(e1):
     s = sections.SectionPoly(e1.model, 2, "plain", {(1, 1): 0.0})
     rs = reduction.descend(e1, s)
     z = models.normalize(e1.model, np.array([1, 1], dtype=complex))
-    assert reduction.pointwise_descended_norm(e1, rs, z) == 0.0
+    assert rs.norm_squared_at(e1, z) == 0.0
 
 
 def test_descent_injective_on_basis(e2, st2):
@@ -113,7 +113,7 @@ def test_open_stratum_quadrature_matches_quotient_chart_oracle(e2, st2):
     """
     k = 4
     exps = sections.invariant_exponents(e2, k, "plain")
-    mat, _ = reduction.stratum_gram(e2, st2.open_stratum(), exps, "plain", {"method": "grid"})
+    got, _ = reduction.stratum_gram(e2, st2.open_stratum(), exps, "plain", {"method": "grid"})
     # oracle: theta-exact Dirichlet-style integral in the (t, theta') chart;
     # eps_hat = (reduced symplectic measure) with total mass pi
     from quantred.integrate import gauss_segment
@@ -124,7 +124,7 @@ def test_open_stratum_quadrature_matches_quotient_chart_oracle(e2, st2):
         p = np.array([(1 - t) / 2.0, (1 - t) / 2.0, t])
         vals = np.prod(p[None, :] ** exps, axis=1)
         diag += w * np.pi * vals  # d(eps_hat) = pi dt x (dtheta'/2pi)
-    assert np.allclose(np.diag(mat).real, diag, rtol=2e-3)
+    assert np.allclose(got, diag, rtol=2e-3)
 
 
 def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
@@ -152,15 +152,31 @@ def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
     assert calls == []
 
 
-def test_map_matrix_identity_and_probe(e3, st3):
-    out = reduction.map_matrix(e3, 6, "halfform", probe={"samples": 10, "seed": 4, "k_grid": (1, 2, 4, 8, 16, 32, 64)})
-    assert np.allclose(out["matrix"], np.eye(out["dims"][0]))
-    assert out["dims"][0] == sections.invariant_exponents(e3, 6, "halfform").shape[0]
-    assert out["k0"] is not None and out["k0"] <= 64
+def test_boundedness_probe_finds_k0(e3):
+    assert sections.invariant_exponents(e3, 6, "halfform").shape[0] == 3
+    k0 = reduction.boundedness_probe(e3, samples=10, seed=4, k_grid=(1, 2, 4, 8, 16, 32, 64))
+    assert k0 is not None and k0 <= 64
 
 
-def test_dim_match_up_down(e3):
+def test_dim_match_up_down(e3, st3):
+    # descent is basis-preserving: both Grams live on the invariant monomials
     for k in (2, 4, 8):
-        up = sections.invariant_exponents(e3, k, "halfform").shape[0]
-        down = reduction.map_matrix(e3, k, "halfform")["dims"][1]
-        assert up == down
+        up = sections.gram_upstairs(e3, k, "halfform", 1, {"method": "exact"})
+        down = reduction.reduced_gram(e3, k, "halfform", 1, {"method": "grid"}, strat=st3)
+        assert up.dim == down.dim == sections.invariant_exponents(e3, k, "halfform").shape[0]
+        assert up.basis_ids == down.basis_ids
+
+
+def test_mc_grams_are_diagonal_without_false_flags(e2, st2, e3, st3):
+    """Monte Carlo routes estimate the diagonal only: off-diagonal entries
+    and their errors are exactly 0, so sampling noise there cannot raise the
+    20% error flag (the diagonal errors are a few percent at this budget)."""
+    mc = {"method": "mc", "samples": 20000, "seed": 1}
+    for action, strat, k, twist, norm_defs in ((e2, st2, 4, "plain", (1, 2)), (e3, st3, 8, "halfform", (1,))):
+        for nd in norm_defs:
+            for g in (sections.gram_upstairs(action, k, twist, nd, mc, strat=strat),
+                      reduction.reduced_gram(action, k, twist, nd, mc, strat=strat)):
+                off = ~np.eye(g.dim, dtype=bool)
+                assert g.dim >= 3
+                assert np.all(g.matrix[off] == 0) and np.all(g.errors[off] == 0)
+                assert "entry_error_over_20_percent" not in g.flags

@@ -217,10 +217,10 @@ def test_slice_level_choice_immaterial(e2, st2):
     _, sl0 = piece.slices[0]
     k = 6
     exps = sections.invariant_exponents(e2, k, "plain")
-    base, _ = asymptotics._slice_residual(e2, sl0, exps, k, "plain", None)
+    base = asymptotics._slice_residual(e2, sl0, exps, k, "plain", None)
     other = strata.make_level_slice(e2, piece.pattern, 0.4 * sl0.value)
-    alt, _ = asymptotics._slice_residual(e2, other, exps, k, "plain", None)
-    assert np.allclose(np.diag(base), np.diag(alt), rtol=1e-7, atol=1e-12)
+    alt = asymptotics._slice_residual(e2, other, exps, k, "plain", None)
+    assert np.allclose(base, alt, rtol=1e-7, atol=1e-12)
 
 
 def test_stratification_report_json(e2, st2):
@@ -362,3 +362,40 @@ def test_reduced_mc_gram_raises_without_accepted_sample(cp_open, monkeypatch):
     monkeypatch.setattr(strata, "_slice_box", lambda sl: tuple(b + 10.0 for b in box(sl)))
     with pytest.raises(reduction.ReductionError):
         reduction.reduced_gram(action, 2, quad=QuadConfig(method="mc", samples=2560, seed=1))
+
+
+def test_point_slices_carry_at_most_one_invariant_monomial(e1, st1, e2, st2, r2):
+    """On a q = 0 level slice, and on a zero-dimensional preimage piece, the
+    level equations have a unique solution on the support pattern, so at
+    most one invariant monomial is nonzero there: the point terms of the
+    Grams and residuals are diagonal.  Checked on every such point the Gram
+    routes evaluate, k = 1..12, both twists where the model allows them."""
+    from quantred import sections
+
+    envs = [(e1, st1), (e2, st2), r2]
+    for degrees in ([1, 1], [2, 3]):
+        action = cp1_cp2(degrees)
+        envs.append((action, strata.analyze(action)))
+    for action, st in envs:
+        model = action.model
+        pts = []
+        for lab in st.strata:
+            sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
+            if sl.q == 0:
+                pts.append(strata.slice_quadrature(action, sl, 8)[0][0])
+            if lab.dim_upstairs == 0:
+                pts += [lab.representative, sections._pattern_point(model, lab.top_pattern)]
+            for piece in st.pieces.get(lab.key, ()):
+                if piece.dim_piece == 0:
+                    pts.append(sections._pattern_point(model, piece.pattern))
+                pts += [strata.slice_quadrature(action, s, 8)[0][0] for _, s in piece.slices if s.q == 0]
+        assert pts
+        z = models.normalize(model, np.asarray(pts))
+        for twist in ("plain", "halfform") if model.metaplectic_allowed else ("plain",):
+            for k in range(1, 13):
+                try:
+                    exps = sections.invariant_exponents(action, k, twist)
+                except sections.SectionError:
+                    continue  # k too small for the half-form twist
+                nonzero = np.count_nonzero(sections.monomial_norms(model, exps, z, twist), axis=1)
+                assert np.max(nonzero, initial=0) <= 1
