@@ -133,22 +133,24 @@ def invariant_basis(action, k, twist="plain"):
 # evaluation
 
 
-def evaluate_monomials(exponents, z):
-    """Values prod_i z_i^{alpha_i} for a batch of points, shape (..., nbasis).
+def _monomial_powers(base, exponents):
+    """prod_i base_i^{e_i} for each exponent row e, shape (..., nrows).
 
-    Uses complex logs for speed; coordinates that vanish are handled by
-    masking (a zero base with positive exponent kills the monomial).
+    Uses logs for speed; bases that vanish are handled by masking (a zero
+    base with positive exponent kills the monomial).
     """
-    z = np.asarray(z, dtype=complex)
     expo = np.asarray(exponents, dtype=float)
-    zero = np.abs(z) < 1e-300
-    safe = np.where(zero, 1.0, z)
-    logs = np.log(safe)
-    out = np.exp(logs @ expo.T)
+    zero = np.abs(base) < 1e-300
+    out = np.exp(np.log(np.where(zero, 1.0, base)) @ expo.T)
     if np.any(zero):
         dead = (np.asarray(zero, dtype=float) @ (expo.T > 0)) > 0
         out = np.where(dead, 0.0, out)
     return out
+
+
+def evaluate_monomials(exponents, z):
+    """Values prod_i z_i^{alpha_i} for a batch of points, shape (..., nbasis)."""
+    return _monomial_powers(np.asarray(z, dtype=complex), exponents)
 
 
 def halfform_frame(model):
@@ -190,11 +192,11 @@ def monomial_norms(model, exps, z, twist="plain"):
     """Pointwise norm squares |s_a(z_n)|^2 of the monomials, shape (N, dim).
 
     Rows are points (unit-normalized per factor), columns the monomial
-    exponent rows; |z^alpha|^2 is the mass monomial p^alpha, times the
+    exponent rows; |z^alpha|^2 = prod_i |z_i|^{2 alpha_i}, by the same
+    log evaluation as `evaluate_monomials` but in real arithmetic, times the
     half-form frame for the half-form twist.
     """
-    p = np.abs(np.atleast_2d(z)) ** 2
-    vals = np.prod(p[:, None, :] ** exps[None, :, :], axis=-1)
+    vals = _monomial_powers(np.abs(np.atleast_2d(z)), 2 * np.asarray(exps, dtype=float))
     if twist == "halfform":
         vals = vals * halfform_frame(model)
     return vals
