@@ -32,6 +32,7 @@ from scipy.special import logsumexp
 from . import models
 from ._lattice import rational_nullspace, stabilizer_component_order
 from .errors import QuantredError
+from .integrate import gauss_legendre
 from .models import TWO_PI, as_coords, masses
 
 SUPPORT_TOL = 1e-9
@@ -457,7 +458,7 @@ def potential(action, xi, point_or_masses, from_masses=False):
 
 def potential_quadrature(action, xi, point, order=64):
     """f by Gauss-Legendre quadrature of the defining integrand (reference route)."""
-    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes, wts = gauss_legendre(order)
     ts = 0.5 * (nodes + 1.0)
     pts = imaginary_flow(action, np.asarray(xi, dtype=float), ts, point)
     vals = moment_map(action, pts) @ np.asarray(xi, dtype=float)

@@ -221,6 +221,13 @@ def _write_csv(path, header, rows):
     return _hash_bytes(data)
 
 
+def _finite(value, quantity, where, k):
+    """A NaN or inf is a numerical failure upstream, never a reportable number."""
+    if not np.isfinite(value):
+        raise asymptotics.AsymptoticsError(f"{quantity} on {where} at k={k} is not finite: {value!r}")
+    return value
+
+
 def run(scn):
     """Execute the scenario; returns the manifest dict (also written to disk)."""
     os.makedirs(scn.out, exist_ok=True)
@@ -261,7 +268,7 @@ def run(scn):
                 curve_ii = asymptotics.DensityCurve(quantity="II", stratum=f"stratum_{i}")
                 for k in scn.k_list:
                     val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat)
-                    curve_ii.points.append((k, val, 0.0))
+                    curve_ii.points.append((k, _finite(val, "II", curve_ii.stratum, k), 0.0))
                 rows.extend([(r["quantity"], r["stratum"], r["k"], repr(r["value"]), repr(r["stderr"])) for r in curve_ii.rows()])
                 if all(p[1] > 0 for p in curve_ii.points):
                     fits.append({"quantity": "II", "stratum": i, "fit_power": curve_ii.fit()})
@@ -272,7 +279,7 @@ def run(scn):
             curve = asymptotics.DensityCurve(quantity=name, stratum=f"stratum_{i}")
             for k in scn.k_list:
                 fn = asymptotics.density_J if scn.twist == "halfform" else asymptotics.density_I
-                curve.points.append((k, fn(scn.action, lab, x, k), 0.0))
+                curve.points.append((k, _finite(fn(scn.action, lab, x, k), name, curve.stratum, k), 0.0))
             m = scn.action.rank - lab.isotropy.dim
             limit = 1.0 if scn.twist == "halfform" else 2.0 ** (-m / 2.0) * ta.geometric_orbit_volume(scn.action, x, lab.isotropy)
             fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": curve.fit(limit=limit)})
@@ -289,7 +296,9 @@ def run(scn):
                 defect, err = asymptotics.unitarity_defect(
                     scn.action, k, scn.twist, nd, quad, strat=strat, grams=grams
                 )
-                rows.append((k, scn.twist, nd, repr(defect), repr(err)))
+                where = f"norm definition {nd}"
+                rows.append((k, scn.twist, nd, repr(_finite(defect, "defect", where, k)),
+                             repr(_finite(err, "defect stderr", where, k))))
         record("defects.csv", _write_csv(os.path.join(scn.out, "defects.csv"),
                                          ("k", "twist", "norm_def", "defect", "stderr"), rows))
 

@@ -8,6 +8,7 @@ tie the two together; production defaults use the cheaper exact route and
 acceptance checks quote combined errors from the MC side.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -49,8 +50,17 @@ def rng_for(seed, *keys):
     return np.random.default_rng(np.random.SeedSequence(material))
 
 
-def gauss_segment(lo, hi, order):
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(order):
+    """Gauss-Legendre rule on [-1, 1], built once per order; shared, so read-only."""
     nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    wts.flags.writeable = False
+    return nodes, wts
+
+
+def gauss_segment(lo, hi, order):
+    nodes, wts = gauss_legendre(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * nodes, half * wts
 

@@ -492,73 +492,45 @@ def analyze(action):
 
     pieces = {s.key: [] for s in strata}
     for info in boundary:
-        piece = _build_piece(action, info, strata)
+        piece = _build_piece(action, info, carriers, strata)
         pieces[piece.parent_key].append(piece)
     return Stratification(
         action=action, strata=strata, pieces=pieces, unsemistable=unsemi, pattern_infos=infos
     )
 
 
-def _farthest_vertex(verts):
-    i = int(np.argmax(np.linalg.norm(np.asarray(verts), axis=1)))
-    return np.asarray(verts[i], dtype=float)
+def _build_piece(action, info, carriers, strata):
+    """Slice data for one boundary pattern, attached to its parent stratum.
 
-
-def _build_piece(action, info, strata):
-    """Slice data for one boundary pattern: faces through 0, one slice per face."""
-    d = action.rank
-    flags = []
+    A point's flow limit is supported on the face of its pattern hull with 0
+    in its relative interior (Atiyah 1982; Kirwan 1984).  Every carrier inside
+    the pattern lies in that face, so it is the largest such carrier.
+    """
     verts = np.asarray(info.verts, dtype=float)
-    if d == 1:
-        far = _farthest_vertex(verts)
-        a = far / 2.0
-        face_ids = (0,)
-        slices = []
-        sl = make_level_slice(action, info.pattern, a)
-        if sl is None:
-            raise StrataError("piece slice level infeasible (face search inconsistent)")
-        slices.append((1, sl))
+    if action.rank == 1:
+        level = verts[np.argmax(np.linalg.norm(verts, axis=1))] / 2.0
+        flags = ()
     else:
         # single representative slice through the image centroid; the exact
         # face decomposition is only needed for rank >= 2 multi-face pieces
-        a = verts.mean(axis=0) / 2.0
-        sl = make_level_slice(action, info.pattern, a)
-        if sl is None:
-            raise StrataError("piece slice level infeasible (face search inconsistent)")
-        face_ids = (0,)
-        slices = [(1, sl)]
-        flags.append("faces_unresolved_rank_ge_2")
-    # identify the parent stratum by flowing a slice point
-    rng = np.random.default_rng(977)
-    theta = np.zeros(action.model.ncoords)
-    theta[list(slices[0][1].theta_idx)] = rng.uniform(0, TWO_PI, size=slices[0][1].n_theta)
-    probe = models.normalize(action.model, slices[0][1].point(theta=theta))
-    res = kirwan_flow(action, probe, tol=1e-18, max_steps=40000)
-    if res.status != "converged":
-        raise StrataError("extra piece failed to flow to the zero level (stratification mismatch)")
-    limit_support = ta.support_of(action.model, res.limit, tol=1e-6)
-    parent = None
-    for s in strata:
-        if any(tuple(limit_support) == pat for pat in s.patterns):
-            parent = s
-            break
-    if parent is None:
-        for s in strata:
-            if any(pattern_contains(pat, limit_support) for pat in s.patterns):
-                parent = s
-                break
-    if parent is None:
-        raise StrataError("flow limit of extra piece not in any enumerated stratum")
-    if info.iso.dim >= parent.isotropy.dim and not parent.isotropy.is_full and info.iso.dim > 0:
-        flags.append("isotropy_dimension_anomaly")
+        level = verts.mean(axis=0) / 2.0
+        flags = ("faces_unresolved_rank_ge_2",)
+    sl = make_level_slice(action, info.pattern, level)
+    if sl is None:
+        raise StrataError("piece slice level infeasible (numerical inconsistency)")
+    face = max(
+        (c.pattern for c in carriers if pattern_contains(info.pattern, c.pattern)),
+        key=lambda pat: sum(map(len, pat)),
+    )
+    parent = next(s for s in strata if face in s.patterns)
     return ExtraPiece(
         parent_key=parent.key,
         isotropy_prime=info.iso,
         pattern=info.pattern,
-        face_ids=face_ids,
-        slices=tuple(slices),
+        face_ids=(0,),
+        slices=((1, sl),),
         dim_piece=info.dim_complex,
-        flags=tuple(flags),
+        flags=flags,
     )
 
 
@@ -652,24 +624,23 @@ def enumerate_strata(action, sampler=None):
 
     `sampler` is a quadrature dict ({'samples': N, 'seed': s}); when given,
     random points are flowed and their limits are required to land in an
-    enumerated stratum.
+    enumerated stratum.  Unsemistable samples are skipped; a flow that runs
+    out of steps is an error, since its limit was never checked.
     """
     strat = analyze(action)
     if sampler:
         rng = np.random.default_rng(sampler.get("seed", 0))
         count = int(sampler.get("samples", 32))
         pts = models.random_points(action.model, count, rng)
-        for z in pts:
-            res = kirwan_flow(action, z, tol=1e-16, max_steps=40000)
-            if res.status != "converged":
-                continue
+        flows = [kirwan_flow(action, z, tol=1e-16, max_steps=40000) for z in pts]
+        inconclusive = sum(res.status == "inconclusive" for res in flows)
+        if inconclusive:
+            raise StrataError(f"{inconclusive} of {count} sampled flows ran out of steps; their limits are unchecked")
+        for res in flows:
+            if not res.converged:
+                continue  # unsemistable: no limit on the zero level
             sup = ta.support_of(action.model, res.limit, tol=1e-6)
-            hit = any(
-                tuple(sup) == pat or pattern_contains(pat, sup)
-                for s in strat.strata
-                for pat in s.patterns
-            )
-            if not hit:
+            if not any(pattern_contains(pat, sup) for s in strat.strata for pat in s.patterns):
                 raise StrataError("sampled flow limit missed the combinatorial strata")
     return strat.strata
 

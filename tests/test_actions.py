@@ -3,7 +3,7 @@ import pytest
 
 from quantred import actions as ta
 from quantred import models, strata
-from quantred.integrate import gauss_segment
+from quantred.integrate import gauss_legendre, gauss_segment
 
 TWO_PI = 2.0 * np.pi
 
@@ -185,6 +185,17 @@ def test_potential_closed_form_vs_quadrature(e2, rng):
         lse = float(ta.potential(e2, xi, z))
         qd = ta.potential_quadrature(e2, xi, z)
         assert abs(lse - qd) < 1e-10 * (1 + abs(lse))
+
+
+def test_gauss_legendre_built_once_and_read_only():
+    nodes, wts = gauss_legendre(48)
+    ref_nodes, ref_wts = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(wts, ref_wts)
+    assert gauss_legendre(48)[0] is nodes
+    with pytest.raises(ValueError):
+        wts[0] = 0.0
+    x, w = gauss_segment(-1.0, 1.0, 48)
+    assert np.array_equal(x, ref_nodes) and np.array_equal(w, ref_wts)
 
 
 def test_potential_linear_growth(e2, st2):

@@ -183,6 +183,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setattr(reduction, "reduced_gram", raising(TypeError("a bug")))
     with pytest.raises(TypeError):
         cli.main(argv)
+    # a NaN is a numerical failure, not a number to write to curves.csv
+    monkeypatch.setattr(asymptotics, "residual_II", lambda *args, **kwargs: float("nan"))
+    out = tmp_path / "d"
+    assert cli.main(["density", "--preset", "E2", "--k", "2", "--out", str(out)]) == 3
+    assert not (out / "curves.csv").exists() and not (out / "run_manifest.json").exists()
 
 
 def test_cli_run_via_main(tmp_path):

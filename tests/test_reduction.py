@@ -128,8 +128,9 @@ def test_open_stratum_quadrature_matches_quotient_chart_oracle(e2, st2):
 
 
 def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
-    """The FD slice Jacobian and the chart half-form factor are test oracles:
-    reduced Grams, the norm-split check and the residuals never call them."""
+    """The FD slice Jacobian, the chart half-form factor and the Kirwan flow
+    are test oracles: the stratification, reduced Grams, the norm-split check
+    and the residuals never call them."""
     from quantred import asymptotics
 
     calls = []
@@ -142,6 +143,10 @@ def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
 
     monkeypatch.setattr(strata, "slice_embedding_jacobian", counted(strata.slice_embedding_jacobian))
     monkeypatch.setattr(sections, "halfform_factor", counted(sections.halfform_factor))
+    monkeypatch.setattr(strata, "kirwan_flow", counted(strata.kirwan_flow))
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    for action in (e2, rank2):
+        strata.analyze(action)
     mc = {"method": "mc", "samples": 4000, "seed": 1}
     for action, strat, twist in ((e2, st2, "plain"), (e3, st3, "halfform")):
         for quad in ({"method": "grid"}, mc):

@@ -126,9 +126,52 @@ def test_flow_retraction(e2, rng):
     assert again.steps == 0
 
 
-def test_sampled_limits_land_in_strata(e2):
+def test_sampled_limits_land_in_strata(e2, monkeypatch):
     # raises internally if a flow limit misses every enumerated stratum
     strata.enumerate_strata(e2, sampler={"samples": 24, "seed": 8})
+    # a flow that ran out of steps checked nothing, so it is not skipped
+    stalled = lambda action, z, **kw: strata.FlowResult(limit=z, steps=40000, residual=1e-3, status="inconclusive")
+    monkeypatch.setattr(strata, "kirwan_flow", stalled)
+    with pytest.raises(strata.StrataError, match="24 of 24"):
+        strata.enumerate_strata(e2, sampler={"samples": 24, "seed": 8})
+
+
+def test_piece_parents_are_flow_limits(e2, st2, r2):
+    """A piece hangs off the stratum of the largest carrier pattern inside
+    it: the Kirwan flow of a phase-randomised point of each piece's slice
+    converges, and the support of its limit is one of the parent's patterns."""
+    envs = [(e2, st2), r2]
+    for degrees in ([1, 1], [2, 3]):
+        action = cp1_cp2(degrees)
+        envs.append((action, strata.analyze(action)))
+    rng = np.random.default_rng(977)
+    flowed = 0
+    for action, st in envs:
+        for key, pieces in st.pieces.items():
+            parent = st.stratum_by_key(key)
+            for piece in pieces:
+                sl = piece.slices[0][1]
+                theta = np.zeros(action.model.ncoords)
+                theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=sl.n_theta)
+                z = models.normalize(action.model, sl.point(theta=theta))
+                res = strata.kirwan_flow(action, z, tol=1e-18, max_steps=40000)
+                assert res.converged
+                assert tuple(ta.support_of(action.model, res.limit, tol=1e-6)) in parent.patterns
+                flowed += 1
+    assert flowed == 26
+
+
+def test_rank2_pieces_attach_where_the_flow_stalls():
+    """CP^2 x CP^1 under T^2 weights [[2,1,-1,0,0],[-2,-2,1,0,-1]]: near its
+    rank-2 polystable limits |phi|^2 decays only algebraically, so a flow to
+    1e-18 runs out of steps; the parent pick needs no flow."""
+    action = ta.make_action(models.make_model([2, 1], [1, 1]), [[2, 1, -1, 0, 0], [-2, -2, 1, 0, -1]])
+    st = strata.analyze(action)
+    assert len(st.strata) == 1
+    lab = st.strata[0]
+    assert lab.top_pattern == ((0, 2), (3,))
+    pats = sorted(p.pattern for p in st.pieces[lab.key])
+    assert pats == [((0, 1, 2), (3,)), ((0, 1, 2), (3, 4)), ((0, 2), (3, 4))]
 
 
 def test_decompose_preimage_e2(e2, st2):
