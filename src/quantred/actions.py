@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import models
 from ._lattice import rational_nullspace, stabilizer_component_order
@@ -431,28 +430,104 @@ def jacobian_tau_batch(action, xis, point, s_basis=None, fd_step=1e-6):
     return taus
 
 
+def coarea_tau(action, p, xis):
+    """Closed-form coarea Jacobian tau(xi, x) at points x of one support pattern.
+
+    p has shape (N, ncoords): the masses of N points with a common support;
+    xis has shape (N, K, d): K Lie-algebra points per base point.  Returns
+    tau, shape (N, K).
+
+    In the free mass coordinates x = l p of the support (one reference index
+    r dropped per factor) the Kähler metric is the Hessian of Guillemin's
+    symplectic potential, G(x) = 1/2 (diag(1/x) + 1 1^T / x_r) per factor,
+    and G^{-1} on the angles (Guillemin, J. Diff. Geom. 40, 1994).  The flow
+    e^{i xi} moves the masses only, p -> q = p a / N with a = e^{-4 pi W^T xi},
+    so the angle block drops out and
+
+        tau = sqrt(det G(x)) |det[JX_1 ... JX_m, D_xi V]|
+
+    with JX_a = 4 pi l q (u_a - <u_a>_q), u_a = W^T m_a, D_xi = dq/dp and V
+    a G(x)-orthonormal basis of the kernel of d phi, whose rows are
+    W_{a i} - W_{a r}.  `jacobian_tau_batch` is the finite-difference
+    reference.
+    """
+    model = action.model
+    p = np.asarray(p, dtype=float)
+    on = p[0] > SUPPORT_TOL
+    if np.any((p > SUPPORT_TOL) != on):
+        raise ActionError("coarea_tau needs points of one support pattern")
+    support = tuple(tuple(int(i) for i in np.flatnonzero(on[sl]) + sl.start) for sl in model.slices)
+    mb = m_basis(action, isotropy_of_support(action, support))
+    m = mb.shape[0]
+    # free coordinates with their factor, reference index and degree; the
+    # reference is the factor's heaviest coordinate, which keeps G well scaled
+    free, fac, ref, deg = [], [], [], []
+    for j, (sup, l) in enumerate(zip(support, model.bundle_degrees)):
+        r = max(sup, key=lambda i: p[:, i].sum())
+        rest = [i for i in sup if i != r]
+        free += rest
+        fac += [j] * len(rest)
+        ref += [r] * len(rest)
+        deg += [float(l)] * len(rest)
+    free, fac, ref, deg = map(np.asarray, (free, fac, ref, deg))
+    nf = len(free)
+    same = (fac[:, None] == fac[None, :]).astype(float)
+    # V = N L^{-T} with L L^T = N^T G N, N a basis of ker d phi; its
+    # determinant factor is det(N^T G N)^{-1/2}
+    null = np.linalg.svd(action.W[:, free] - action.W[:, ref])[2][m:].T
+    x = deg * p[:, free]
+    G = 0.5 * (np.eye(nf) / x[:, None, :] + same / (deg * p[:, ref])[:, :, None])
+    scale = np.sqrt(np.linalg.det(G) / np.linalg.det(null.T @ G @ null))
+    # flowed masses q and rho = q / p = a / N, per factor
+    u = xis @ action.W
+    log_n = np.stack(_log_flow_sums(model, _log_masses(p)[:, None, :], u), axis=-1)
+    factor_of = np.repeat(np.arange(len(model.factors)), [n + 1 for n in model.factors])
+    rho = np.exp(-2.0 * TWO_PI * u - log_n[..., factor_of])
+    q = p[:, None, :] * rho
+    qf, rho_f = q[..., free], rho[..., free]
+    D = np.eye(nf) * rho_f[..., None, :] - same * qf[..., :, None] * (rho_f - rho[..., ref])[..., None, :]
+    U = mb @ action.W
+    mean = np.stack([q[..., sl] @ U[:, sl].T for sl in model.slices], axis=-2)[..., fac, :]
+    JX = 2.0 * TWO_PI * (deg * qf)[..., None] * (U[:, free].T - mean)
+    return scale[:, None] * np.abs(np.linalg.det(np.concatenate([JX, D @ null], axis=-1)))
+
+
 # ----------------------------------------------------------------------
 # norm-transport potential
+
+
+def _logsumexp(a):
+    """log sum exp over the last axis, shifted by its maximum (entries may be -inf)."""
+    shift = np.max(a, axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    return np.log(np.sum(np.exp(a - shift), axis=-1)) + shift[..., 0]
+
+
+def _log_masses(p):
+    return np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
+
+
+def _log_flow_sums(model, logp, u):
+    """log N_j = log sum_{i in j} p_i e^{-4 pi u_i} for each factor j."""
+    e = logp - 2.0 * TWO_PI * u
+    return [_logsumexp(e[..., sl]) for sl in model.slices]
 
 
 def potential(action, xi, point_or_masses, from_masses=False):
     """f(xi, x) = 2 int_0^1 phi_xi(e^{i t xi} x) dt in closed log-sum-exp form.
 
-    Broadcasts over an (..., d) array of xi.
+    Broadcasts over an (..., d) array of xi, and over leading axes of the masses.
     """
     model = action.model
     p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, as_coords(model, point_or_masses))
     xi = np.asarray(xi, dtype=float)
-    u = xi @ action.W  # (..., ncoords)
+    logp = _log_masses(p)
     out = -2.0 * TWO_PI * (xi @ action.shift_float)
-    logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
-    for sl, l in zip(model.slices, model.bundle_degrees):
-        # subtracting the xi = 0 value makes f(0, x) exactly zero and removes
-        # any drift from imperfect mass normalization
-        out = out + l * (
-            logsumexp(logp[..., sl] - 2.0 * TWO_PI * u[..., sl], axis=-1)
-            - logsumexp(logp[..., sl], axis=-1)
-        )
+    # subtracting the xi = 0 value makes f(0, x) exactly zero and removes
+    # any drift from imperfect mass normalization
+    flowed = _log_flow_sums(model, logp, xi @ action.W)
+    for l, log_n, log_n0 in zip(model.bundle_degrees, flowed, _log_flow_sums(model, logp, 0.0)):
+        out = out + l * (log_n - log_n0)
     return out
 
 
@@ -473,13 +548,10 @@ def divergence_factor(action, xi, point_or_masses, from_masses=False):
     """
     model = action.model
     p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, as_coords(model, point_or_masses))
-    xi = np.asarray(xi, dtype=float)
-    u = xi @ action.W
-    logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
+    u = np.asarray(xi, dtype=float) @ action.W
     logv = 0.0
-    for sl, nj in zip(model.slices, model.factors):
-        logN = logsumexp(logp[..., sl] - 2.0 * TWO_PI * u[..., sl], axis=-1)
-        logv = logv - 2.0 * TWO_PI * np.sum(u[..., sl], axis=-1) - (nj + 1) * logN
+    for sl, nj, log_n in zip(model.slices, model.factors, _log_flow_sums(model, _log_masses(p), u)):
+        logv = logv - 2.0 * TWO_PI * np.sum(u[..., sl], axis=-1) - (nj + 1) * log_n
     return np.exp(-0.5 * logv)
 
 

@@ -260,6 +260,13 @@ def run(scn):
                 record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
                 record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
 
+    residuals = {}  # (stratum index, k) -> residual diagonal, shared by the II rows and the consistency check
+
+    def residual(i, k):
+        if (i, k) not in residuals:
+            residuals[(i, k)] = asymptotics.residual_diagonal(scn.action, strat.strata[i], k, scn.twist, quad, strat=strat)
+        return residuals[(i, k)]
+
     if "density" in scn.quantities:
         rows = []
         fits = []
@@ -267,7 +274,7 @@ def run(scn):
             if lab.isotropy.is_full:
                 curve_ii = asymptotics.DensityCurve(quantity="II", stratum=f"stratum_{i}")
                 for k in scn.k_list:
-                    val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat)
+                    val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat, diagonal=residual(i, k))
                     curve_ii.points.append((k, _finite(val, "II", curve_ii.stratum, k), 0.0))
                 rows.extend([(r["quantity"], r["stratum"], r["k"], repr(r["value"]), repr(r["stderr"])) for r in curve_ii.rows()])
                 if all(p[1] > 0 for p in curve_ii.points):
@@ -305,8 +312,10 @@ def run(scn):
     if "consistency" in scn.quantities:
         reports = []
         for k in scn.k_list:
-            mcq = QuadConfig(samples=quad.samples, seed=scn.seed + k, method="mc", blocks=quad.blocks)
-            reports.append(asymptotics.norm_split_consistency(scn.action, k, scn.twist, mcq, strat=strat))
+            mcq = replace(quad, method="mc", seed=scn.seed + k)
+            reports.append(asymptotics.norm_split_consistency(
+                scn.action, k, scn.twist, mcq, strat=strat,
+                residuals=[residual(i, k) for i in range(len(strat.strata))]))
         record("consistency.json", _write_json(os.path.join(scn.out, "consistency.json"), {
             "reports": reports,
             "note": "zero-dimensional strata contribute point values with (k/2pi)^0 = 1",

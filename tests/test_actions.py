@@ -240,6 +240,33 @@ def test_jacobian_tau_g_invariance(e2):
     assert abs(v1 - v2) < 1e-8 * v1
 
 
+def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
+    """The closed-form tau against the finite-difference jacobian_tau_batch
+    at stratum and extra-piece points of E1, E2, E3, CP^1 x CP^2 with
+    l = (2, 3) and the rank-2 (CP^1)^3 model (whose open-stratum draw with
+    seed 1 is the dense-grid reference point).  The central differences lose
+    digits as tau falls, so only tau > 1e-8 max is compared."""
+    cp = ta.make_action(models.make_model([1, 2], [2, 3]), [[1, 0, -1, 0, 1]])
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    rng = np.random.default_rng(5)
+    compared = 0
+    for action in (e1, e2, e3, cp, rank2):
+        st = strata.analyze(action)
+        targets = [lab for lab in st.strata if not lab.isotropy.is_full]
+        targets += [piece for pieces in st.pieces.values() for piece in pieces]
+        for target in targets:
+            pts, _ = strata.sample_stratum(action, target, 2, seed=1)
+            for z in pts:
+                mb = ta.m_basis(action, ta.isotropy(action, z))
+                xis = 0.2 * rng.standard_normal((12, mb.shape[0])) @ mb
+                fd = ta.jacobian_tau_batch(action, xis, z)
+                closed = ta.coarea_tau(action, models.masses(action.model, z)[None], xis[None])[0]
+                live = fd > 1e-8 * fd.max()
+                assert np.all(np.abs(closed[live] / fd[live] - 1.0) < 1e-8)
+                compared += int(np.sum(live))
+    assert compared > 500
+
+
 def test_coarea_consistency_toy(e1, rng):
     """Direct MC integral over the flowed tube equals the iterated tau integral.
 

@@ -3,7 +3,8 @@ import pytest
 from scipy.special import gammaln
 
 from quantred import actions as ta
-from quantred import asymptotics, models, reduction, sections, strata
+from quantred import asymptotics, cli, models, reduction, sections, strata
+from quantred.integrate import adaptive_line_quadrature
 
 
 def e1_density_I_exact(k):
@@ -29,6 +30,69 @@ def test_density_J_e1_frozen_law(e1, st1):
     for k in (2, 10, 40, 100):
         val = asymptotics.density_J(e1, lab, x, k)
         assert abs(val - e1_density_J_exact(k)) < 1e-8 * e1_density_J_exact(k)
+
+
+def test_density_I_rank2_matches_dense_grid_reference():
+    """m = 2: density_I at the open-stratum draw (seed 1) of the rank-2
+    (CP^1)^3 model against a dense-grid reference whose own error is about
+    5e-11 (perfbench/rank2_reference.json, nodes_per_axis 201 and 401)."""
+    action = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    lab = strata.analyze(action).open_stratum()
+    pts, _ = strata.sample_stratum(action, lab, 1, seed=1)
+    for k, ref in ((10, 14.636332768529169), (40, 16.40090512430607), (100, 16.804855739898073)):
+        assert abs(asymptotics.density_I(action, lab, pts[0], k) - ref) < 1e-9 * ref
+
+
+def test_transverse_rule_at_slice_ends(e2, st2):
+    """Next to the ends of E2's order-32 open slice f is flat far beyond the
+    scale of its Hessian at 0, so a fixed whitened step is not enough at
+    k = 2; each node's refinement must still meet the finite-difference
+    integrand under adaptive_line_quadrature, with and without the
+    divergence factor."""
+    sl = strata.make_level_slice(e2, st2.open_stratum().top_pattern, np.zeros(1))
+    z, p, _ = strata.slice_quadrature(e2, sl, 32)
+    ends = [0, 1, 30, 31]
+    k = 2
+    for halfform in (False, True):
+        T, est = asymptotics._transverse_integral(e2, z[ends], k, halfform)
+        for zn, pn, t, e in zip(z[ends], p[ends], T, est):
+            mb = ta.m_basis(e2, ta.isotropy(e2, zn))
+            s_basis, _, _ = ta.level_tangent_basis(e2, zn)
+
+            def integrand(ts):
+                xis = np.atleast_1d(ts)[:, None] * mb[0]
+                vals = ta.jacobian_tau_batch(e2, xis, zn, s_basis=s_basis)
+                vals = vals * np.exp(-k * ta.potential(e2, xis, pn, from_masses=True))
+                if halfform:
+                    vals = vals * ta.divergence_factor(e2, xis, pn, from_masses=True)
+                return vals
+
+            oracle = adaptive_line_quadrature(integrand)
+            assert abs(t - oracle) < 1e-9 * oracle
+            assert e <= asymptotics.TRANSVERSE_RTOL * t
+
+
+def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypatch):
+    """A node that needs more refinements (or widenings) than the caps allow,
+    or whose integrand overflows, raises, naming the point and k; the
+    command line reports exit 3."""
+    lab = st2.open_stratum()
+    monkeypatch.setattr(asymptotics, "MAX_HALVINGS", 1)
+    with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*k=4 after 1 halvings"):
+        asymptotics.density_I(e2, lab, lab.representative, 4)
+    assert cli.main(["run", "--preset", "E2", "--k", "2", "--only", "density", "--out", str(tmp_path / "d")]) == 3
+    assert not (tmp_path / "d" / "curves.csv").exists()
+    monkeypatch.setattr(asymptotics, "MAX_HALVINGS", 10)
+    monkeypatch.setattr(asymptotics, "MAX_WIDENINGS", 0)
+    with pytest.raises(asymptotics.AsymptoticsError, match="k=2 after 0 widenings"):
+        asymptotics.density_I(e1, st1.strata[0], st1.strata[0].representative, 2)
+    # on E2's extra pieces e^{-k f} grows like 2^k and overflows near k = 1024:
+    # no refinement can settle that, so the rule raises at once
+    monkeypatch.setattr(asymptotics, "MAX_WIDENINGS", 8)
+    full = [s for s in st2.strata if s.isotropy.is_full][0]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(asymptotics.AsymptoticsError, match="is not finite at k=1100"):
+        asymptotics.residual_II(e2, full, 1100, "plain", strat=st2)
 
 
 def test_density_h_equals_g_is_one(e2, st2):

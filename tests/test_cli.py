@@ -199,3 +199,53 @@ def test_cli_run_via_main(tmp_path):
     assert (tmp_path / "u" / "defects.csv").exists()
     assert not (tmp_path / "u" / "curves.csv").exists()
 
+
+
+def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch):
+    """The consistency step's quad is the run's quad with method 'mc', so its
+    residuals use grid_order // 2 like the II rows, and each slice residual
+    is computed once per k for both."""
+    from quantred import asymptotics
+
+    seen = []
+    original = asymptotics._slice_residual
+
+    def counted(action, sl, exps, k, twist, quad):
+        seen.append((sl.pattern, k, asymptotics.as_quad(quad).grid_order))
+        return original(action, sl, exps, k, twist, quad)
+
+    monkeypatch.setattr(asymptotics, "_slice_residual", counted)
+    cfg = {"preset": "E2", "k_list": [2, 4], "quantities": ["density", "consistency"],
+           "quad": {"grid_order": 128, "samples": 4000}, "out": str(tmp_path / "c")}
+    cli.run(cli.validate(cfg))
+    slices = {pattern for pattern, _, _ in seen}
+    assert len(slices) == 2  # E2's two extra pieces, one slice each
+    assert sorted((pattern, k) for pattern, k, _ in seen) == sorted((s, k) for s in slices for k in (2, 4))
+    assert {order for _, _, order in seen} == {128}
+
+
+def test_flagged_rank2_residuals_are_refused(tmp_path, capsys):
+    """The rank-2 (CP^1)^3 model's extra pieces carry faces_unresolved_rank_ge_2:
+    no oracle checks their one centroid slice, so their residuals are refused."""
+    cfg = {"model": {"factors": [1, 1, 1], "bundle_degrees": [1, 1, 1]},
+           "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]},
+           "k_list": [10, 40]}
+    path = tmp_path / "rank2.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(path), "--only", "density", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "residual of extra piece [[" in err and "faces_unresolved_rank_ge_2" in err
+    assert not (out / "curves.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "quantred", "describe", "--preset", "E1"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "dim H^G = 1" in res.stdout

@@ -128,10 +128,12 @@ def test_open_stratum_quadrature_matches_quotient_chart_oracle(e2, st2):
 
 
 def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
-    """The FD slice Jacobian, the chart half-form factor and the Kirwan flow
-    are test oracles: the stratification, reduced Grams, the norm-split check
-    and the residuals never call them."""
-    from quantred import asymptotics
+    """The FD slice Jacobian, the chart half-form factor, the Kirwan flow, the
+    FD coarea Jacobian with its level tangent basis, and the adaptive line
+    and ball quadratures are test oracles: the stratification, reduced
+    Grams, densities, the norm-split check and the residuals never call
+    them."""
+    from quantred import asymptotics, integrate
 
     calls = []
 
@@ -144,9 +146,22 @@ def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
     monkeypatch.setattr(strata, "slice_embedding_jacobian", counted(strata.slice_embedding_jacobian))
     monkeypatch.setattr(sections, "halfform_factor", counted(sections.halfform_factor))
     monkeypatch.setattr(strata, "kirwan_flow", counted(strata.kirwan_flow))
+    monkeypatch.setattr(ta, "jacobian_tau_batch", counted(ta.jacobian_tau_batch))
+    monkeypatch.setattr(ta, "level_tangent_basis", counted(ta.level_tangent_basis))
+    for module in (integrate, asymptotics):
+        for name in ("adaptive_line_quadrature", "ball_quadrature_nodes"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     for action in (e2, rank2):
         strata.analyze(action)
+    for action, strat, densities in ((e2, st2, (asymptotics.density_I,)),
+                                     (e3, st3, (asymptotics.density_I, asymptotics.density_J)),
+                                     (rank2, strata.analyze(rank2), (asymptotics.density_I,))):
+        lab = strat.open_stratum()
+        pts, _ = strata.sample_stratum(action, lab, 1, seed=1)
+        for density in densities:
+            density(action, lab, pts[0], 10)
     mc = {"method": "mc", "samples": 4000, "seed": 1}
     for action, strat, twist in ((e2, st2, "plain"), (e3, st3, "halfform")):
         for quad in ({"method": "grid"}, mc):
