@@ -29,7 +29,6 @@ from .actions import (
     imaginary_flow,
     isotropy,
     orbit_volume,
-    jacobian_tau,
     flow_potential,
     norm_transport,
 )
@@ -40,7 +39,6 @@ from .strata import (
     kirwan_flow,
     is_semistable,
     enumerate_strata,
-    decompose_preimage,
     sample_stratum,
 )
 from .sections import (
@@ -58,11 +56,8 @@ from .reduction import (
 )
 from .asymptotics import (
     DensityCurve,
-    TailCertificate,
     density_I,
     density_J,
-    truncated_density,
-    tail_certificate,
     residual_II,
     unitarity_defect,
     norm_split_consistency,
@@ -74,15 +69,12 @@ __all__ = [
     "liouville_volume", "check_prequantum", "divergence_liouville",
     "WeightAction", "IsotropyDescriptor", "FlowPotentialReport",
     "make_action", "moment_map", "fundamental_fields", "imaginary_flow",
-    "isotropy", "orbit_volume", "jacobian_tau", "flow_potential",
-    "norm_transport",
+    "isotropy", "orbit_volume", "flow_potential", "norm_transport",
     "StratumLabel", "ExtraPiece", "FlowResult", "kirwan_flow",
-    "is_semistable", "enumerate_strata", "decompose_preimage",
-    "sample_stratum",
+    "is_semistable", "enumerate_strata", "sample_stratum",
     "SectionPoly", "GramMatrix", "basis_sections", "invariant_basis",
     "pointwise_norm", "gram_upstairs",
     "ReducedSection", "descend", "reduced_gram",
-    "DensityCurve", "TailCertificate", "density_I", "density_J",
-    "truncated_density", "tail_certificate", "residual_II",
+    "DensityCurve", "density_I", "density_J", "residual_II",
     "unitarity_defect", "norm_split_consistency",
 ]

@@ -152,17 +152,17 @@ def field_pairing(action, p):
 def imaginary_flow(action, xi, t, point):
     """Closed-form e^{i t xi} . z, renormalized.
 
-    `t` may be a scalar (result broadcasts over a batch of points) or a 1-d
-    array paired with a single point (result has shape (len(t), ncoords)).
-    Exponents are shifted by the per-factor maximum over the support before
-    exponentiation so the flow stays finite arbitrarily far along a ray.
+    With a scalar `t`, the result broadcasts over a batch of points or over
+    an (N, d) batch of xi (shape (N, ncoords)); a 1-d `t` is paired with a
+    single xi and point (shape (len(t), ncoords)).  Exponents are shifted by
+    the per-factor maximum over the support before exponentiation so the
+    flow stays finite arbitrarily far along a ray.
     """
     z = as_coords(action.model, point)
     u = np.asarray(xi, dtype=float) @ action.W
-    t = np.asarray(t, dtype=float)
-    if t.ndim:
-        z = np.broadcast_to(z, t.shape + z.shape)
-    expo = np.broadcast_to(-TWO_PI * np.multiply.outer(t, u), z.shape)
+    expo = -TWO_PI * np.multiply.outer(np.asarray(t, dtype=float), u)
+    shape = np.broadcast_shapes(expo.shape, z.shape)
+    z, expo = np.broadcast_to(z, shape), np.broadcast_to(expo, shape)
     zz = np.empty(z.shape, dtype=complex)
     for sl in action.model.slices:
         e = expo[..., sl]
@@ -346,31 +346,6 @@ def level_tangent_basis(action, point, fd_step=1e-6):
     return np.asarray(basis), charts, w0
 
 
-def jacobian_tau(action, xi, point, s_basis=None, fd_step=1e-6):
-    """Numeric coarea Jacobian tau(xi, u) of Lambda(xi, u) = e^{i xi} . u.
-
-    Builds the pushforwards of an orthonormal basis of m (as JX fields at the
-    flowed point) and of a B-orthonormal tangent basis of the slice through u,
-    and returns the square root of their Gram determinant at the target.
-    """
-    taus = jacobian_tau_batch(action, np.atleast_2d(np.asarray(xi, dtype=float)), point, s_basis, fd_step)
-    return float(taus[0]) if np.ndim(xi) == 1 else taus
-
-
-def flow_batch(action, xis, z):
-    """e^{i xi} . z for an (N, d) array of xi; z a single point.  Shape (N, nc)."""
-    z = as_coords(action.model, z)
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    expo = -TWO_PI * (xis @ action.W)
-    out = np.empty(expo.shape, dtype=complex)
-    for sl in action.model.slices:
-        e = expo[:, sl]
-        on = np.abs(z[sl]) > 0
-        shift = np.max(np.where(on[None, :], e, -np.inf), axis=1, keepdims=True)
-        out[:, sl] = z[sl][None, :] * np.exp(e - shift)
-    return models.normalize(action.model, out)
-
-
 def jacobian_tau_batch(action, xis, point, s_basis=None, fd_step=1e-6):
     """Vectorized tau over an (N, d) array of Lie-algebra points.
 
@@ -392,12 +367,12 @@ def jacobian_tau_batch(action, xis, point, s_basis=None, fd_step=1e-6):
     N = xis.shape[0]
     nb = len(s_basis)
     npush = m + nb
-    ys = flow_batch(action, xis, z)
+    ys = imaginary_flow(action, xis, 1.0, z)
     ends = []
     for v in s_basis:
         zp = models.from_chart(model, w0 + fd_step * v, charts0)
         zm = models.from_chart(model, w0 - fd_step * v, charts0)
-        ends.append((flow_batch(action, xis, zp), flow_batch(action, xis, zm)))
+        ends.append((imaginary_flow(action, xis, 1.0, zp), imaginary_flow(action, xis, 1.0, zm)))
     # group rows by chart tuple of the flowed base point
     charts_rows = np.empty((N, len(model.factors)), dtype=int)
     for jj, sl in enumerate(model.slices):

@@ -1,5 +1,5 @@
-"""Density functions, truncated versions, tail bounds, residual terms, and
-unitarity defects: the quantitative relations between the two quantum norms.
+"""Density functions, residual terms, and unitarity defects: the
+quantitative relations between the two quantum norms.
 
 Per stratum point x with stabilizer H != G and m = dim(G/H), the densities
 
@@ -12,7 +12,6 @@ are 1 identically on H = G strata.  Residual terms collect the preimage
 pieces that miss the zero level; they vanish as k grows.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,14 +21,7 @@ from . import reduction
 from . import sections
 from . import strata
 from .errors import QuantredError
-from .integrate import (
-    TWO_PI,
-    as_quad,
-    ball_quadrature_nodes,
-    fit_power,
-    gauss_segment,
-    rng_for,
-)
+from .integrate import TWO_PI, as_quad, fit_power, rng_for
 from .models import as_coords, masses
 
 
@@ -138,31 +130,6 @@ def _transverse_integral(action, z, k, halfform=False):
     return value, error
 
 
-def _m_integral(action, point, k, radius, weight=None, order=48):
-    """int over the ball B_radius in m of tau(xi, x) e^{-k f(xi, x)} w(xi).
-
-    The finite-difference route (`jacobian_tau_batch`), kept for the
-    ball-truncated densities and as the reference for `_transverse_integral`.
-    weight(xis) is an optional extra factor (the divergence correction for
-    the J-density).  m = 1 uses a Gauss segment; m >= 2 radial Gauss times a
-    seeded direction set.
-    """
-    z = as_coords(action.model, point)
-    mb = ta.m_basis(action, ta.isotropy(action, z))
-    m = mb.shape[0]
-    if m == 0:
-        return 1.0
-    s_basis, _, _ = ta.level_tangent_basis(action, z)
-    p = masses(action.model, z)
-    nodes, wts = ball_quadrature_nodes(m, radius, radial_order=2 * order if m == 1 else order, sphere_count=64)
-    xis = nodes @ mb
-    vals = ta.jacobian_tau_batch(action, xis, z, s_basis=s_basis)
-    vals = vals * np.exp(-k * ta.potential(action, xis, p, from_masses=True))
-    if weight is not None:
-        vals = vals * weight(xis)
-    return float(np.sum(wts * vals))
-
-
 def _densities(action, iso, z, k, halfform):
     """I_k (plain) or J_k (half-form) at points z of one support pattern with isotropy iso."""
     m = action.rank - iso.dim
@@ -173,107 +140,28 @@ def _densities(action, iso, z, k, halfform):
     return ta.geometric_orbit_volume(action, z, iso) * pref * T
 
 
-def density_I(action, label, point, k, quad=None):
+def _density(action, label, point, k, halfform):
+    iso = label.isotropy if isinstance(label, strata.StratumLabel) else ta.isotropy(action, point)
+    if iso.is_full:
+        return 1.0
+    return float(_densities(action, iso, as_coords(action.model, point)[None], k, halfform)[0])
+
+
+def density_I(action, label, point, k):
     """The plain norm density on a stratum; 1 when H = G.
 
     Limit 2^{-m/2} vol(G.x) as k grows, with vol the geometric orbit volume.
     """
-    iso = label.isotropy if isinstance(label, strata.StratumLabel) else ta.isotropy(action, point)
-    if iso.is_full:
-        return 1.0
-    return float(_densities(action, iso, as_coords(action.model, point)[None], k, False)[0])
+    return _density(action, label, point, k, False)
 
 
-def density_J(action, label, point, k, quad=None):
+def density_J(action, label, point, k):
     """The half-form norm density on a stratum; 1 when H = G, limit 1."""
-    iso = label.isotropy if isinstance(label, strata.StratumLabel) else ta.isotropy(action, point)
-    if iso.is_full:
-        return 1.0
-    return float(_densities(action, iso, as_coords(action.model, point)[None], k, True)[0])
-
-
-def truncated_density(action, label, point, k, radius):
-    """(I_{k,R}, J_{k,R}): the ball-truncated normalized densities.
-
-    I_{k,R} carries no orbit-volume prefactor and tends to 2^{-m/2};
-    J_{k,R} tends to 1.
-    """
-    if radius <= 0:
-        raise AsymptoticsError("radius must be positive")
-    iso = label.isotropy if isinstance(label, strata.StratumLabel) else ta.isotropy(action, point)
-    if iso.is_full:
-        return 1.0, 1.0
-    m = action.rank - iso.dim
-    z = as_coords(action.model, point)
-    p = masses(action.model, z)
-    base = _m_integral(action, point, k, radius=radius)
-    div = _m_integral(
-        action, point, k,
-        weight=lambda xis: ta.divergence_factor(action, xis, p, from_masses=True),
-        radius=radius,
-    )
-    pref = (k / TWO_PI) ** (m / 2.0)
-    return float(pref * base), float(pref * 2.0 ** (m / 2.0) * div)
-
-
-def select_radius(action, point, rel_err=0.25, r_grid=None, directions=8, seed=3):
-    """Largest radius on which the quadratic model of f stays within rel_err.
-
-    The Morse neighborhood proxy of the design decisions: compare f(t xi)
-    against its Hessian quadratic along sampled unit directions of m.
-    """
-    z = as_coords(action.model, point)
-    iso = ta.isotropy(action, z)
-    mb = ta.m_basis(action, iso)
-    m = mb.shape[0]
-    if m == 0:
-        return 1.0
-    p = masses(action.model, z)
-    rng = rng_for(seed, "radius")
-    if m == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        dirs = rng.standard_normal((directions, m))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rep = ta.flow_potential(action, np.zeros(action.rank), z)
-    H = rep.hessian_at_zero
-    r_grid = r_grid if r_grid is not None else np.linspace(0.05, 3.0, 60)
-    best = r_grid[0]
-    for r in r_grid:
-        ok = True
-        for u in dirs:
-            ts = np.linspace(0.2 * r, r, 5)
-            xis = ts[:, None] * (u @ mb)[None, :]
-            f = ta.potential(action, xis, p, from_masses=True)
-            q = 0.5 * (u @ H @ u) * ts**2
-            if np.any(np.abs(f - q) > rel_err * np.maximum(q, 1e-12)):
-                ok = False
-                break
-        if ok:
-            best = r
-        else:
-            break
-    return float(best)
+    return _density(action, label, point, k, True)
 
 
 # ----------------------------------------------------------------------
-# tail bounds
-
-
-@dataclass
-class TailCertificate:
-    R: float
-    D: float
-    b: float
-    k_min: int
-    C: float
-    tau_a: float
-    tau_b: float
-    validated: bool
-    checks: list = field(default_factory=list)
-
-    def bound(self, k):
-        return self.b * np.exp(-self.R * self.D * np.asarray(k, dtype=float))
+# growth of the transport potential
 
 
 def growth_constant(action, point, t_grid=(1.0, 2.0, 4.0, 8.0), directions=16, seed=9):
@@ -301,86 +189,6 @@ def growth_constant(action, point, t_grid=(1.0, 2.0, 4.0, 8.0), directions=16, s
             f = float(ta.potential(action, t * (u @ mb), p, from_masses=True))
             best = min(best, f / t)
     return best
-
-
-def tail_certificate(action, label, point, radius, k_grid, t0=1.0):
-    """Exponential tail certificate for the m-integral outside B_radius.
-
-    Assembles tail(k) <= b_hat e^{-R D k} from the transport-potential growth
-    constant and an empirical Jacobian growth bound, then validates against
-    direct tail quadrature on the requested k grid.
-    """
-    if radius <= 0:
-        raise AsymptoticsError("radius must be positive")
-    z = as_coords(action.model, point)
-    iso = ta.isotropy(action, z)
-    mb = ta.m_basis(action, iso)
-    m = mb.shape[0]
-    # f is convex with f(0) = 0, so f(t)/t is nondecreasing and the minimum
-    # over t >= R bounds the whole tail region
-    C = growth_constant(action, point, t_grid=(radius, max(1.0, radius), 2.0, 4.0, 8.0))
-    if C <= 0:
-        raise AsymptoticsError("nonpositive growth constant: point not on a zero-level stratum")
-    s_basis, _, _ = ta.level_tangent_basis(action, z)
-    # tau(t u, x) <= tau_b t^{-m} e^{tau_a t} fitted on rays from the
-    # truncation radius outward (the near-R region dominates the bound)
-    ts = np.linspace(max(0.05, 0.8 * radius), max(6.0, 2 * radius), 32)
-    if m == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        rng = rng_for(11, "taufit")
-        dirs = rng.standard_normal((12, m))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    tau_a = 0.0
-    tau_b = 0.0
-    ray_taus = []
-    for u in dirs:
-        xis = ts[:, None] * (u @ mb)[None, :]
-        taus = ta.jacobian_tau_batch(action, xis, z, s_basis=s_basis)
-        ray_taus.append(taus)
-        live = taus > 1e-200  # beyond this the Jacobian has underflowed to 0
-        if np.sum(live) >= 2:
-            y = np.log(taus[live] * ts[live] ** m)
-            slopes = np.diff(y) / np.diff(ts[live])
-            tau_a = max(tau_a, float(np.max(slopes)), 0.0)
-    for taus in ray_taus:
-        tau_b = max(tau_b, float(np.max(taus * ts**m * np.exp(-tau_a * ts))))
-    k_min = int(min(k_grid))
-    D = C - tau_a / k_min
-    if D <= 0:
-        raise AsymptoticsError("tail rate not positive at the smallest k; enlarge k_min")
-    sphere = 2.0 if m == 1 else 2.0 * np.pi ** (m / 2) / math.gamma(m / 2)
-    b_hat = tau_b * sphere / (radius * k_min * D)
-    cert = TailCertificate(R=radius, D=D, b=b_hat, k_min=k_min, C=C, tau_a=tau_a, tau_b=tau_b, validated=True)
-    far = max(4.0 * radius, 12.0)
-    for k in k_grid:
-        direct = _tail_direct(action, z, k, mb, s_basis, radius, far)
-        bound = float(cert.bound(k))
-        cert.checks.append({"k": int(k), "direct": direct, "bound": bound})
-        if direct > bound * (1.0 + 1e-9):
-            cert.validated = False
-    return cert
-
-
-def _tail_direct(action, z, k, mb, s_basis, radius, far):
-    p = masses(action.model, z)
-    m = mb.shape[0]
-    if m == 1:
-        total = 0.0
-        for sgn in (+1.0, -1.0):
-            x, w = gauss_segment(radius, far, 96)
-            xis = sgn * x[:, None] * mb[0][None, :]
-            taus = ta.jacobian_tau_batch(action, xis, z, s_basis=s_basis)
-            f = ta.potential(action, xis, p, from_masses=True)
-            total += float(np.sum(w * taus * np.exp(-k * f)))
-        return total
-    nodes, wts = ball_quadrature_nodes(m, far, radial_order=96, sphere_count=64)
-    r = np.linalg.norm(nodes, axis=1)
-    keep = r > radius
-    xis = nodes[keep] @ mb
-    taus = ta.jacobian_tau_batch(action, xis, z, s_basis=s_basis)
-    f = ta.potential(action, xis, p, from_masses=True)
-    return float(np.sum(wts[keep] * taus * np.exp(-k * f)))
 
 
 # ----------------------------------------------------------------------

@@ -81,6 +81,15 @@ def _parse_weights(model, spec):
     return w
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(values, ok):
+    """True when values is a list of integers (not bools or floats) that all pass ok."""
+    return isinstance(values, (list, tuple)) and all(_is_int(v) and ok(v) for v in values)
+
+
 def validate(config):
     """Resolve a config dict into a Scenario, or raise with every violation."""
     if isinstance(config, str):
@@ -114,8 +123,11 @@ def validate(config):
             errors.append("action: missing")
         except Exception as exc:
             errors.append(f"action: {exc}")
-    k_list = tuple(int(k) for k in cfg.get("k_list", ()))
-    if not k_list:
+    k_list = cfg.get("k_list", ())
+    if not _int_list(k_list, lambda k: k >= 1):
+        errors.append(f"k_list: must be a list of integers >= 1, got {k_list!r}")
+        k_list = ()
+    elif not k_list:
         errors.append("k_list: must be nonempty")
     elif any(b <= a for a, b in zip(k_list, k_list[1:])):
         errors.append("k_list: must be strictly increasing")
@@ -128,9 +140,9 @@ def validate(config):
         bad = [k for k in k_list if not action.lift_integral(k)]
         if bad:
             errors.append(f"k_list: lift integrality fails (k * shift not integral) at k={bad}")
-    norm_defs = tuple(int(v) for v in cfg.get("norm_defs", (1, 2)))
-    if any(v not in (1, 2) for v in norm_defs):
-        errors.append("norm_defs: entries must be 1 or 2")
+    norm_defs = cfg.get("norm_defs", (1, 2))
+    if not _int_list(norm_defs, lambda v: v in (1, 2)):
+        errors.append(f"norm_defs: entries must be the integers 1 or 2, got {norm_defs!r}")
     quantities = tuple(cfg.get("quantities", QUANTITIES))
     unknown = [q for q in quantities if q not in QUANTITIES]
     if unknown:
@@ -145,18 +157,23 @@ def validate(config):
         errors.append(f"quad.method: unknown value {quad.method!r} (use one of {list(QUAD_METHODS)})")
     for name in ("samples", "blocks", "grid_order"):
         value = getattr(quad, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             errors.append(f"quad.{name}: must be a positive integer, got {value!r}")
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
+    for name, value in (("seed", seed), ("quad.seed", quad.seed)):
+        if not _is_int(value) or value < 0:
+            errors.append(f"{name}: must be a nonnegative integer, got {value!r}")
     out = cfg.get("out", "quantred_out")
+    if not isinstance(out, str) or not out:
+        errors.append(f"out: must be a nonempty path, got {out!r}")
     if errors:
         raise ConfigError("; ".join(errors))
     return Scenario(
         model=model,
         action=action,
-        k_list=k_list,
+        k_list=tuple(k_list),
         twist=twist,
-        norm_defs=norm_defs,
+        norm_defs=tuple(norm_defs),
         quad=quad,
         seed=seed,
         out=out,
@@ -341,7 +358,10 @@ def _load_config(args):
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.k:
-        cfg["k_list"] = [int(v) for v in args.k.split(",")]
+        try:
+            cfg["k_list"] = [int(v) for v in args.k.split(",")]
+        except ValueError:
+            raise ConfigError(f"k_list: --k must be comma-separated integers, got {args.k!r}") from None
     if args.only:
         cfg["quantities"] = tuple(args.only.split(","))
     if args.twist:

@@ -10,7 +10,6 @@ acceptance checks quote combined errors from the MC side.
 
 import functools
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,27 +105,6 @@ def adaptive_line_quadrature(f, rel_tol=1e-10, order=48, scan_halfwidth=4.0, max
             if abs(part) <= rel_tol * max(abs(total), 1e-300):
                 break
     return total
-
-
-def ball_quadrature_nodes(m, radius, radial_order=64, sphere_count=32, rng=None):
-    """Nodes and weights for integration over the ball B_radius(0) in R^m.
-
-    m = 1 uses a Gauss segment; m >= 2 uses radial Gauss-Legendre times a
-    fixed equal-weight direction set (uniform sphere sample, seeded).
-    """
-    if m == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    if m == 1:
-        x, w = gauss_segment(-radius, radius, radial_order)
-        return x[:, None], w
-    rng = rng or np.random.default_rng(1234)
-    dirs = rng.standard_normal((sphere_count, m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    sphere_area = 2.0 * np.pi ** (m / 2) / math.gamma(m / 2)
-    r, wr = gauss_segment(0.0, radius, radial_order)
-    nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, m)
-    wts = (wr * r ** (m - 1))[:, None] * (sphere_area / sphere_count)
-    return nodes, np.broadcast_to(wts, (len(r), sphere_count)).reshape(-1)
 
 
 def fit_power(ks, values, limit=0.0):

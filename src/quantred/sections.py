@@ -57,9 +57,6 @@ class SectionPoly:
         c = np.asarray(list(self.coeffs.values()), dtype=complex)
         return vals @ c
 
-    def is_monomial(self):
-        return len(self.coeffs) == 1
-
 
 def section_degrees(model, k, twist):
     if twist == "plain":

@@ -347,10 +347,6 @@ class StratumLabel:
     def key(self):
         return (self.isotropy.key(), self.component_id)
 
-    @property
-    def m_dim(self):
-        return self.dim_upstairs - self.dim_S
-
     def to_json_dict(self):
         return {
             "isotropy": self.isotropy.to_json_dict(),
@@ -643,17 +639,6 @@ def enumerate_strata(action, sampler=None):
             if not any(pattern_contains(pat, sup) for s in strat.strata for pat in s.patterns):
                 raise StrataError("sampled flow limit missed the combinatorial strata")
     return strat.strata
-
-
-def decompose_preimage(action, label, strat=None):
-    """Main-piece descriptor and extra pieces of F_inf^{-1}(Z_(H)) for a label."""
-    strat = strat or analyze(action)
-    main = {
-        "stratum": label.key,
-        "pattern": label.top_pattern,
-        "dim_upstairs": label.dim_upstairs,
-    }
-    return main, list(strat.pieces.get(label.key, ()))
 
 
 def sample_stratum(action, target, count, seed):

@@ -210,12 +210,12 @@ def test_potential_linear_growth(e2, st2):
 
 def test_jacobian_tau_at_zero_is_orbit_volume(e1, e2):
     z1 = models.normalize(e1.model, np.array([1.0, 1.0], dtype=complex))
-    tau0 = ta.jacobian_tau(e1, np.array([0.0]), z1)
+    tau0 = ta.jacobian_tau_batch(e1, np.zeros((1, 1)), z1)[0]
     vol, _ = ta.orbit_volume(e1, z1)
     assert abs(tau0 - vol) < 1e-8 * vol
     pts, _ = strata.sample_stratum(e2, strata.analyze(e2).open_stratum(), 2, seed=3)
     for z in pts:
-        tau0 = ta.jacobian_tau(e2, np.array([0.0]), z)
+        tau0 = ta.jacobian_tau_batch(e2, np.zeros((1, 1)), z)[0]
         vol, _ = ta.orbit_volume(e2, z)
         assert abs(tau0 - vol) < 1e-7 * vol
 
@@ -226,7 +226,7 @@ def test_jacobian_tau_analytic_curve(e1):
     for xi in (0.02, 0.05, -0.07):
         r2 = np.exp(8.0 * np.pi * xi)
         ref = 8.0 * np.sqrt(2.0) * np.pi * r2 / (1.0 + r2) ** 2
-        val = ta.jacobian_tau(e1, np.array([xi]), z1)
+        val = ta.jacobian_tau_batch(e1, np.array([[xi]]), z1)[0]
         assert abs(val - ref) < 1e-7 * ref
 
 
@@ -234,9 +234,9 @@ def test_jacobian_tau_g_invariance(e2):
     pts, _ = strata.sample_stratum(e2, strata.analyze(e2).open_stratum(), 1, seed=12)
     z = pts[0]
     xi = np.array([0.08])
-    v1 = ta.jacobian_tau(e2, xi, z)
+    v1 = ta.jacobian_tau_batch(e2, xi[None], z)[0]
     gz = ta.real_flow(e2, np.array([0.41]), z)
-    v2 = ta.jacobian_tau(e2, xi, gz)
+    v2 = ta.jacobian_tau_batch(e2, xi[None], gz)[0]
     assert abs(v1 - v2) < 1e-8 * v1
 
 
@@ -279,7 +279,7 @@ def test_coarea_consistency_toy(e1, rng):
     # G-invariant and Z is a single orbit of geometric length sqrt(2) pi)
     xis, wts = gauss_segment(-T, T, 64)
     taus = ta.jacobian_tau_batch(e1, xis[:, None], z0)
-    pts = ta.flow_batch(e1, xis[:, None], z0)
+    pts = ta.imaginary_flow(e1, xis[:, None], 1.0, z0)
     hvals = np.abs(pts[:, 0] * pts[:, 1]) ** 2
     vol_z = np.sqrt(2.0) * np.pi
     iterated = vol_z * float(np.sum(wts * taus * hvals))

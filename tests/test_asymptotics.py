@@ -130,55 +130,20 @@ def test_gaussian_sanity_of_density(e2, st2):
 
 
 def test_truncated_density_limits(e2, st2):
+    """At one open-stratum point of E2, |I_k/vol - 2^{-1/2}| and |J_k - 1|
+    shrink along k = 10, 30, 90 and end below 0.02 (the J-limit of E2)."""
     lab = st2.open_stratum()
     pts, _ = strata.sample_stratum(e2, lab, 1, seed=31)
     x = pts[0]
-    R = asymptotics.select_radius(e2, x)
+    vol = ta.geometric_orbit_volume(e2, x)
     i_prev = j_prev = None
     for k in (10, 30, 90):
-        i_kr, j_kr = asymptotics.truncated_density(e2, lab, x, k, R)
-        di, dj = abs(i_kr - 2.0 ** (-0.5)), abs(j_kr - 1.0)
+        di = abs(asymptotics.density_I(e2, lab, x, k) / vol - 2.0 ** (-0.5))
+        dj = abs(asymptotics.density_J(e2, lab, x, k) - 1.0)
         if i_prev is not None:
             assert di < i_prev and dj < j_prev
         i_prev, j_prev = di, dj
     assert i_prev < 0.02 and j_prev < 0.02
-
-
-def test_truncation_radius_stability(e2, st2):
-    # two admissible radii change the truncated value by less than the
-    # certified tail bound
-    lab = st2.open_stratum()
-    pts, _ = strata.sample_stratum(e2, lab, 1, seed=41)
-    x = pts[0]
-    R1 = asymptotics.select_radius(e2, x)
-    R2 = 1.5 * R1
-    k = 30
-    i1, _ = asymptotics.truncated_density(e2, lab, x, k, R1)
-    i2, _ = asymptotics.truncated_density(e2, lab, x, k, R2)
-    cert = asymptotics.tail_certificate(e2, lab, x, R1, [k])
-    pref = (k / (2 * np.pi)) ** 0.5
-    assert abs(i2 - i1) <= pref * float(cert.bound(k)) + 1e-12
-
-
-def test_tail_certificate_properties(e2, st2):
-    lab = st2.open_stratum()
-    pts, _ = strata.sample_stratum(e2, lab, 3, seed=51)
-    for x in pts:
-        R = asymptotics.select_radius(e2, x)
-        cert = asymptotics.tail_certificate(e2, lab, x, R, [10, 30, 50])
-        assert cert.C > 0
-        assert cert.validated
-        bounds = cert.bound(np.array([10, 30, 50]))
-        assert np.all(np.diff(bounds) < 0)
-
-
-def test_tail_certificate_rejects_offstratum_point(e2, st2):
-    full = [s for s in st2.strata if s.isotropy.is_full][0]
-    piece = st2.pieces[full.key][0]
-    _, sl = piece.slices[0]
-    u = models.normalize(e2.model, sl.point(theta=np.zeros(e2.model.ncoords)))
-    with pytest.raises(asymptotics.AsymptoticsError):
-        asymptotics.tail_certificate(e2, full, u, 0.5, [10])
 
 
 def test_residual_e2_exact_law(e2, st2):
@@ -250,22 +215,23 @@ def test_norm_split_budget_scaling(e2, st2):
     assert np.max(np.abs(lb - rhs) / rhs) <= np.max(np.abs(la - rhs) / rhs) + 0.02
 
 
-def test_truncated_plus_tail_decomposition(e2, st2):
-    # density_I = vol * I_{k,R} + vol * (k/2pi)^{m/2} * tail, within quadrature error
+def test_density_I_matches_fd_oracle(e2, st2):
+    """density_I = vol (k/2pi)^{1/2} int tau e^{-k f} dxi with the
+    finite-difference tau under adaptive_line_quadrature."""
     lab = st2.open_stratum()
     pts, _ = strata.sample_stratum(e2, lab, 1, seed=71)
     x = pts[0]
-    R = asymptotics.select_radius(e2, x)
     k = 24
-    vol = ta.geometric_orbit_volume(e2, x)
-    full = asymptotics.density_I(e2, lab, x, k)
-    ikr, _ = asymptotics.truncated_density(e2, lab, x, k, R)
-    iso = ta.isotropy(e2, x)
-    mb = ta.m_basis(e2, iso)
+    mb = ta.m_basis(e2, ta.isotropy(e2, x))
     s_basis, _, _ = ta.level_tangent_basis(e2, x)
-    tail = asymptotics._tail_direct(e2, models.as_coords(e2.model, x), k, mb, s_basis, R, max(6.0, 4 * R))
-    recon = vol * ikr + vol * (k / (2 * np.pi)) ** 0.5 * tail
-    assert abs(full - recon) < 1e-8 * full
+    p = models.masses(e2.model, x)
+
+    def integrand(ts):
+        xis = np.atleast_1d(ts)[:, None] * mb[0]
+        return ta.jacobian_tau_batch(e2, xis, x, s_basis=s_basis) * np.exp(-k * ta.potential(e2, xis, p, from_masses=True))
+
+    oracle = ta.geometric_orbit_volume(e2, x) * (k / (2 * np.pi)) ** 0.5 * adaptive_line_quadrature(integrand)
+    assert abs(asymptotics.density_I(e2, lab, x, k) - oracle) < 1e-8 * oracle
 
 
 def test_pushdown_degeneration_limit():

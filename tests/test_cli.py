@@ -26,6 +26,19 @@ def test_validate_collects_errors():
     msg = str(err.value)
     assert "metaplectic parity" in msg
     assert "lift integrality" in msg
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate({"preset": "E1", "k_list": ["a"], "norm_defs": ["x"], "seed": "x"})
+    msg = str(err.value)
+    assert "k_list" in msg and "norm_defs" in msg and "seed" in msg
+    # integer fields take ints only (no strings, bools or floats, so 2.5 is not
+    # truncated to 2), and the message starts with the field
+    for field, value in (("k_list", 2), ("k_list", [0, 2]), ("k_list", [-2, 2]), ("k_list", [True]),
+                         ("k_list", [2.5]), ("norm_defs", [True]), ("norm_defs", [1.0]), ("norm_defs", 1),
+                         ("seed", -1), ("seed", 1.0), ("seed", True), ("out", 5), ("out", "")):
+        cfg = {"preset": "E1", "k_list": [2], field: value}
+        with pytest.raises(cli.ConfigError) as err:
+            cli.validate(cfg)
+        assert str(err.value).startswith(f"{field}:")
 
 
 def test_validate_empty_k():
@@ -41,6 +54,9 @@ def test_validate_quad_fields(tmp_path):
         ({"samples": 0}, "quad.samples"),
         ({"blocks": 2.5}, "quad.blocks"),
         ({"grid_order": -8}, "quad.grid_order"),
+        ({"seed": "x"}, "quad.seed"),
+        ({"seed": -1}, "quad.seed"),
+        ({"seed": 2.0}, "quad.seed"),
         ([1], "quad: must be an object"),
         ({"stderr_target": 0.01}, "quad.stderr_target: unknown config key"),
         ({"method": "mc", "sample": 100}, "quad.sample: unknown config key"),
@@ -153,7 +169,7 @@ def test_run_full_smoke_e2(tmp_path):
     assert all(np.isfinite(float(r.split(",")[3])) for r in rows[1:])
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     from quantred import QuantredError, actions, asymptotics, models, reduction, sections, strata
 
     rc = cli.main(["describe", "--preset", "E1", "--k", "2"])
@@ -164,6 +180,17 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     badcfg.write_text(json.dumps({"preset": "E2", "k_list": [4], "twist": "halfform"}))
     rc = cli.main(["describe", "--config", str(badcfg)])
     assert rc == 2
+    # malformed values exit 2 naming the field, before any output is written
+    for field, value in (("k_list", ["a"]), ("k_list", 2), ("k_list", [0, 2]), ("k_list", [-2, 2]),
+                         ("k_list", [True]), ("k_list", [2.5]), ("norm_defs", ["x"]), ("seed", "x"),
+                         ("quad", {"seed": "x"})):
+        badcfg.write_text(json.dumps({"preset": "E1", "k_list": [2], field: value}))
+        out = tmp_path / "malformed"
+        assert cli.main(["run", "--config", str(badcfg), "--out", str(out)]) == 2
+        assert ("quad.seed:" if field == "quad" else f"{field}:") in capsys.readouterr().err
+        assert not out.exists()
+    assert cli.main(["run", "--preset", "E1", "--k", "2,x", "--out", str(tmp_path / "kx")]) == 2
+    assert not (tmp_path / "kx").exists()
     # exit 3 is for the errors quantred raises on purpose; a programming
     # error keeps its traceback instead of passing for a numerical failure
     for cls, builtin in ((sections.SectionError, ValueError), (reduction.ReductionError, ValueError),

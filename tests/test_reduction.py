@@ -130,7 +130,7 @@ def test_open_stratum_quadrature_matches_quotient_chart_oracle(e2, st2):
 def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
     """The FD slice Jacobian, the chart half-form factor, the Kirwan flow, the
     FD coarea Jacobian with its level tangent basis, and the adaptive line
-    and ball quadratures are test oracles: the stratification, reduced
+    quadrature are test oracles: the stratification, reduced
     Grams, densities, the norm-split check and the residuals never call
     them."""
     from quantred import asymptotics, integrate
@@ -149,9 +149,8 @@ def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
     monkeypatch.setattr(ta, "jacobian_tau_batch", counted(ta.jacobian_tau_batch))
     monkeypatch.setattr(ta, "level_tangent_basis", counted(ta.level_tangent_basis))
     for module in (integrate, asymptotics):
-        for name in ("adaptive_line_quadrature", "ball_quadrature_nodes"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        if hasattr(module, "adaptive_line_quadrature"):
+            monkeypatch.setattr(module, "adaptive_line_quadrature", counted(module.adaptive_line_quadrature))
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     for action in (e2, rank2):
         strata.analyze(action)

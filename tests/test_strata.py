@@ -175,11 +175,9 @@ def test_rank2_pieces_attach_where_the_flow_stalls():
 
 
 def test_decompose_preimage_e2(e2, st2):
-    free = st2.open_stratum()
-    main, pieces = strata.decompose_preimage(e2, free, strat=st2)
-    assert pieces == []
+    assert st2.pieces[st2.open_stratum().key] == []
     full = [s for s in st2.strata if s.isotropy.is_full][0]
-    main, pieces = strata.decompose_preimage(e2, full, strat=st2)
+    pieces = st2.pieces[full.key]
     assert len(pieces) == 2
     pats = sorted(p.pattern for p in pieces)
     assert pats == [((0, 2),), ((1, 2),)]
