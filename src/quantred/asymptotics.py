@@ -40,6 +40,7 @@ TRANSVERSE_BLOCK = 4096  # (node, transverse point) pairs evaluated at once, to 
 TRANSVERSE_R0, TRANSVERSE_H0 = 10.0, 1.0  # first grid, in whitened units
 MAX_WIDENINGS = 8        # R doubles at most this often per node
 MAX_HALVINGS = 10        # h halves at most this often per node
+DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
 
 
 def _on_grid(integrand, nodes, R, h, m):
@@ -291,7 +292,7 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
     return float(abs(lam[a] - 1.0)), float(sigma)
 
 
-def _stratum_density_integral(action, lab, exps, k, twist, quad, order=32):
+def _stratum_density_integral(action, lab, exps, k, twist):
     """(k/2pi)^{d_S/2} int_S (desc_a, desc_a) density_k eps_hat, diagonal vector.
 
     Gauss nodes of the reduced measure on the zero-level slice; at each node
@@ -302,8 +303,7 @@ def _stratum_density_integral(action, lab, exps, k, twist, quad, order=32):
     pref_s = (k / TWO_PI) ** (lab.dim_S / 2.0)
     if lab.isotropy.is_full:
         return sections.monomial_norms(model, exps, lab.representative, twist)[0]  # density 1, a point
-    sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
-    z, _, w = strata.slice_quadrature(action, sl, order)
+    z, _, w = strata.slice_quadrature(action, lab.level_slice, DENSITY_ORDER)
     w = w * _densities(action, lab.isotropy, z, k, twist == "halfform")
     if twist == "halfform":
         w = w * reduction.descent_norm_factor(action, z, lab.isotropy)
@@ -350,7 +350,7 @@ def norm_split_consistency(action, k, twist="plain", quad=None, strat=None, resi
             lhs = lhs + prefp * sub
             lhs_err = np.sqrt(lhs_err**2 + (prefp * suberr) ** 2)
         # ---- stratum-density route (deterministic quadrature)
-        rhs = _stratum_density_integral(action, lab, exps, k, twist, quad)
+        rhs = _stratum_density_integral(action, lab, exps, k, twist)
         rhs = rhs + (residual_diagonal(action, lab, k, twist, quad, strat) if residuals is None else residuals[si])
         nsig = np.abs(lhs - rhs) / np.maximum(lhs_err, 1e-12)
         entry = {

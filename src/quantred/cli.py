@@ -204,6 +204,8 @@ def describe(scn, stream=None):
         npieces = len(strat.pieces.get(lab.key, ()))
         if iso.is_full:
             lim = "density 1"
+        elif scn.twist == "halfform":
+            lim = "J_k limit 1"
         else:
             m = scn.action.rank - iso.dim
             pts, _ = strata.sample_stratum(scn.action, lab, 16, seed=scn.seed + i)

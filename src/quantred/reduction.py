@@ -173,9 +173,7 @@ def stratum_gram(action, lab, exps, twist, quad, tag="down"):
     """
     quad = as_quad(quad)
     model = action.model
-    sl = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
-    if sl is None:
-        raise ReductionError("stratum slice infeasible")
+    sl = lab.level_slice
 
     if quad.method == "mc":
         rng = rng_for(quad.seed, "reduced", tag)

@@ -67,26 +67,21 @@ def section_degrees(model, k, twist):
 
 
 def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Compositions of total into parts nonnegative parts, lexicographic (stars and bars)."""
+    bars = np.array(list(itertools.combinations(range(total + parts - 1), parts - 1)), dtype=int)
+    return np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, total + parts - 1)), axis=1) - 1
 
 
 def basis_exponents(model, k, twist):
-    """Exponent matrix of the monomial basis, shape (dim, ncoords)."""
+    """Exponent matrix of the monomial basis, shape (dim, ncoords): lexicographic, first factor slowest."""
     degs = section_degrees(model, k, twist)
-    per_factor = []
+    rows = np.zeros((1, 0), dtype=int)
     for sl, d in zip(model.slices, degs):
         if d < 0:
             raise SectionError("negative twisted degree: k too small for this twist")
-        per_factor.append(list(_compositions(d, sl.stop - sl.start)))
-    rows = []
-    for combo in itertools.product(*per_factor):
-        rows.append(tuple(itertools.chain.from_iterable(combo)))
-    return np.asarray(rows, dtype=int)
+        block = _compositions(d, sl.stop - sl.start)
+        rows = np.hstack([np.repeat(rows, len(block), axis=0), np.tile(block, (len(rows), 1))])
+    return rows
 
 
 def basis_sections(model, k, twist="plain"):

@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import actions as ta
 from . import models
@@ -30,6 +29,13 @@ ZERO_TOL = 1e-9
 
 class StrataError(QuantredError, RuntimeError):
     pass
+
+
+def _linprog(c, **constraints):
+    """scipy's HiGHS linear program; scipy loads on the first call, not on import."""
+    from scipy.optimize import linprog
+
+    return linprog(c, method="highs", **constraints)
 
 
 # ----------------------------------------------------------------------
@@ -78,14 +84,13 @@ def locate_zero(verts, tol=1e-9):
     a_ub = np.zeros((nv, nv + 1))
     a_ub[:, :nv] = -np.eye(nv)
     a_ub[:, -1] = 1.0
-    res = linprog(
+    res = _linprog(
         c,
         A_ub=a_ub,
         b_ub=np.zeros(nv),
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=[(0, None)] * nv + [(0, 1.0)],
-        method="highs",
     )
     if not res.success:
         return "outside"
@@ -167,14 +172,13 @@ def _interior_level_masses(action, pattern, value):
     c = np.zeros(nsup + 1)
     c[-1] = -1.0
     a_ub = np.hstack([-np.eye(nsup), np.ones((nsup, 1))])
-    res = linprog(
+    res = _linprog(
         c,
         A_ub=a_ub,
         b_ub=np.zeros(nsup),
         A_eq=np.hstack([A, np.zeros((A.shape[0], 1))]),
         b_eq=b,
         bounds=[(0, None)] * nsup + [(0, 1.0)],
-        method="highs",
     )
     if not res.success or -res.fun <= 1e-9:
         return None, None
@@ -194,7 +198,7 @@ def make_level_slice(action, pattern, value, shrink=1e-6):
     if p0 is None:
         return None
     model = action.model
-    segment = None
+    segment = None  # q >= 2 slices are sampled by rejection
     if basis.shape[0] == 1:
         b = basis[0]
         t_hi = np.inf
@@ -208,8 +212,6 @@ def make_level_slice(action, pattern, value, shrink=1e-6):
                     t_hi = min(t_hi, t)
         span = t_hi - t_lo
         segment = (t_lo + shrink * span, t_hi - shrink * span)
-    elif basis.shape[0] > 1:
-        segment = None  # sampled by rejection
     gauge = []
     theta = []
     for fac, sl in zip(pattern, model.slices):
@@ -319,7 +321,7 @@ def _slice_box(sl):
         c[a] = 1.0
         bounds = []
         for sign in (1.0, -1.0):
-            res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * sl.q, method="highs")
+            res = _linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * sl.q)
             if not res.success:
                 raise StrataError("slice polytope is unbounded or empty")
             bounds.append(res.x[a])
@@ -342,6 +344,7 @@ class StratumLabel:
     patterns: tuple          # all carrier patterns merged into this label
     top_pattern: tuple       # the one of maximal dimension (carries the measure)
     representative: np.ndarray
+    level_slice: LevelSlice  # the zero-level slice of top_pattern
 
     @property
     def key(self):
@@ -483,6 +486,7 @@ def analyze(action):
                 patterns=tuple(info.pattern for info in group),
                 top_pattern=top.pattern,
                 representative=rep,
+                level_slice=sl,
             )
         )
 
@@ -657,7 +661,7 @@ def sample_stratum(action, target, count, seed):
     rng = np.random.default_rng(seed)
     model = action.model
     if isinstance(target, StratumLabel):
-        sl = make_level_slice(action, target.top_pattern, np.zeros(action.rank))
+        sl = target.level_slice
     else:
         sl = target.slices[0][1] if isinstance(target, ExtraPiece) else target
     # one row of uniforms per draw, slice coordinates first, then the phases

@@ -125,6 +125,36 @@ def test_describe_warns_on_empty_space(e1, capsys):
     assert "Z_2" in out
 
 
+def test_describe_halfform_limit_is_one(capsys):
+    """Under the half-form twist the density is J_k, whose limit is 1 on every stratum."""
+    cli.describe(cli.validate({"preset": "E3", "k_list": [2], "twist": "halfform"}))
+    out = capsys.readouterr().out
+    assert "J_k limit 1" in out and "I_k limit" not in out
+    cli.describe(cli.validate({"preset": "E3", "k_list": [2]}))
+    assert "I_k limit in [" in capsys.readouterr().out
+
+
+def test_run_builds_each_level_slice_once(tmp_path, monkeypatch):
+    """A run builds one level slice per stratum and per extra piece, all inside
+    strata.analyze; the Gram, density and sampling routes read lab.level_slice."""
+    import sys
+
+    from quantred import strata
+
+    st = strata.analyze(cli.validate({"preset": "E2", "k_list": [2]}).action)
+    callers = []
+    original = strata.make_level_slice
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(strata, "make_level_slice", counted)
+    assert cli.main(["run", "--preset", "E2", "--k", "2,4,8", "--out", str(tmp_path / "e2")]) == 0
+    assert len(callers) == len(st.strata) + sum(map(len, st.pieces.values())) == 5
+    assert set(callers) <= {"analyze", "_build_piece"}
+
+
 def test_run_deterministic_and_flags(tmp_path):
     cfg = {
         "preset": "E1",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,44 @@ def test_basis_examples():
     assert sorted(map(tuple, exps)) == [(0, 2), (1, 1), (2, 0)]
     exps_h = sections.basis_exponents(m, 2, "halfform")
     assert sorted(map(tuple, exps_h)) == [(0, 1), (1, 0)]
+
+
+def _compositions_oracle(total, parts):
+    """The recursive enumeration: lexicographic, first part slowest."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions_oracle(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _basis_oracle(model, k, twist):
+    degs = sections.section_degrees(model, k, twist)
+    per_factor = [list(_compositions_oracle(d, sl.stop - sl.start)) for sl, d in zip(model.slices, degs)]
+    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*per_factor)]
+
+
+def test_basis_order_matches_recursive_oracle():
+    """The array enumeration gives the oracle's rows in the oracle's order:
+    that order fixes the basis lists in the JSON outputs."""
+    for factors, degrees in (([1], [1]), ([2], [1]), ([1, 1], [1, 1]), ([1, 2], [2, 3]), ([2, 2], [1, 1]),
+                             ([1, 1, 1], [1, 1, 1])):
+        model = models.make_model(factors, degrees)
+        for twist in ("plain", "halfform") if model.metaplectic_allowed else ("plain",):
+            for k in range(1, 9):
+                if min(sections.section_degrees(model, k, twist)) < 0:
+                    continue
+                exps = sections.basis_exponents(model, k, twist)
+                assert exps.dtype.kind == "i"
+                assert list(map(tuple, exps.tolist())) == _basis_oracle(model, k, twist)
+
+
+def test_negative_twisted_degree_error():
+    m = models.make_model([3], [1])  # half-form degree k - 2
+    with pytest.raises(SectionError):
+        sections.basis_exponents(m, 1, "halfform")
+    assert sections.basis_exponents(m, 2, "halfform").tolist() == [[0, 0, 0, 0]]
 
 
 def test_halfform_parity_error():

@@ -310,6 +310,24 @@ def test_slice_constant_matches_fd_jacobian(e2, st2, e3, st3, r2, cp_open):
     assert abs(consts[1] - np.pi) < 1e-12
 
 
+def test_labels_keep_their_zero_level_slice(e1, st1, e2, st2, e3, st3, r2):
+    """Each label's level_slice is the zero-level slice of its top pattern,
+    field for field as a fresh make_level_slice builds it."""
+    envs = [(e1, st1), (e2, st2), (e3, st3), r2]
+    for degrees in ([1, 1], [2, 3]):
+        action = cp1_cp2(degrees)
+        envs.append((action, strata.analyze(action)))
+    for action, st in envs:
+        for lab in st.strata:
+            kept = lab.level_slice
+            fresh = strata.make_level_slice(action, lab.top_pattern, np.zeros(action.rank))
+            assert kept.pattern == fresh.pattern == lab.top_pattern
+            assert np.array_equal(kept.value, np.zeros(action.rank))
+            assert np.array_equal(kept.p0, fresh.p0) and np.array_equal(kept.basis, fresh.basis)
+            assert kept.segment == fresh.segment
+            assert kept.theta_idx == fresh.theta_idx and kept.gauge_idx == fresh.gauge_idx
+
+
 def _reference_points(action, sl, count, seed):
     """The per-draw loop of the q <= 1 sampler: slice coordinate, then phases."""
     model = action.model
