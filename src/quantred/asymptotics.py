@@ -199,24 +199,17 @@ def growth_constant(action, point, t_grid=(1.0, 2.0, 4.0, 8.0), directions=16, s
 def residual_diagonal(action, label, k, twist="plain", quad=None, strat=None):
     """Gram-diagonal contributions of the extra preimage pieces of one label.
 
-    Per piece and slice: (k/2pi)^{n/2} sum_i sign int_{S_i} |s_a|^2(u)
-    T_k(u) dvol(S_i), with T_k the transverse integral of tau e^{-k f}
-    (times the divergence correction for the half-form twist).
+    Per piece: (k/2pi)^{n/2} int_{S_i} |s_a|^2(u) T_k(u) dvol(S_i), with S_i
+    the piece's level slice and T_k the transverse integral of tau e^{-k f}
+    (times the divergence correction for the half-form twist).  The slice
+    meets every orbit of the piece once, at any torus rank.
     """
     strat = strat or strata.analyze(action)
     exps = sections.invariant_exponents(action, k, twist)
     out = np.zeros(exps.shape[0])
     for piece in strat.pieces.get(label.key, ()):
-        if "faces_unresolved_rank_ge_2" in piece.flags:
-            # one centroid slice need not parametrize a rank >= 2 piece; no
-            # oracle checks that, so the residual is refused, not guessed
-            raise AsymptoticsError(
-                f"residual of extra piece {[list(f) for f in piece.pattern]} is refused: "
-                "it is flagged faces_unresolved_rank_ge_2"
-            )
         pref = (k / TWO_PI) ** (piece.dim_piece / 2.0)
-        for sign, sl in piece.slices:
-            out = out + sign * pref * _slice_residual(action, sl, exps, k, twist, quad)
+        out = out + pref * _slice_residual(action, piece.level_slice, exps, k, twist, quad)
     return out
 
 

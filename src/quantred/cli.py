@@ -66,7 +66,7 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
 
-def _parse_weights(model, spec):
+def _parse_weights(spec):
     w = spec
     if isinstance(w[0][0], list):
         # per-factor blocks: weights[j][a][i]
@@ -114,7 +114,7 @@ def validate(config):
     if model is not None:
         try:
             aspec = cfg["action"]
-            rows = _parse_weights(model, aspec["weights"])
+            rows = _parse_weights(aspec["weights"])
             shift = [Fraction(str(c)) for c in aspec.get("shift", [0] * len(rows))]
             action = ta.make_action(model, rows, shift)
             if int(aspec.get("rank", len(rows))) != action.rank:
@@ -385,7 +385,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         if args.command not in ("describe", "run"):
-            cfg["quantities"] = (args.command,) if args.command != "gram" else ("gram",)
+            cfg["quantities"] = (args.command,)
         scn = validate(cfg)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -131,7 +131,7 @@ class LevelSlice:
     value: np.ndarray
     p0: np.ndarray          # (ncoords,) interior masses
     basis: np.ndarray       # (q, ncoords) directions inside the slice
-    segment: tuple          # for q == 1: (t_lo, t_hi); else None
+    box: tuple              # (lo, hi), each (q,): a box around the slice polytope
     theta_idx: tuple        # coordinate indices with free phase
     gauge_idx: tuple        # per-factor phase-fixed coordinate
 
@@ -194,11 +194,15 @@ def _interior_level_masses(action, pattern, value):
 
 
 def make_level_slice(action, pattern, value, shrink=1e-6):
+    """The level slice of a pattern at `value`, or None if the level misses it.
+
+    Its box is the segment shrunk by `shrink` of its length at each end for
+    q = 1, and the LP bounds of the slice polytope otherwise (no LP for q = 0).
+    """
     p0, basis = _interior_level_masses(action, pattern, np.asarray(value, dtype=float))
     if p0 is None:
         return None
     model = action.model
-    segment = None  # q >= 2 slices are sampled by rejection
     if basis.shape[0] == 1:
         b = basis[0]
         t_hi = np.inf
@@ -211,7 +215,9 @@ def make_level_slice(action, pattern, value, shrink=1e-6):
                 else:
                     t_hi = min(t_hi, t)
         span = t_hi - t_lo
-        segment = (t_lo + shrink * span, t_hi - shrink * span)
+        box = (np.array([t_lo + shrink * span]), np.array([t_hi - shrink * span]))
+    else:
+        box = _slice_box(p0, basis)
     gauge = []
     theta = []
     for fac, sl in zip(pattern, model.slices):
@@ -224,7 +230,7 @@ def make_level_slice(action, pattern, value, shrink=1e-6):
         value=np.asarray(value, dtype=float),
         p0=p0,
         basis=basis,
-        segment=segment,
+        box=box,
         theta_idx=tuple(theta),
         gauge_idx=tuple(gauge),
     )
@@ -302,7 +308,7 @@ def slice_quadrature(action, sl, order):
     if sl.q == 0:
         s, gw = np.zeros((1, 0)), np.ones(1)
     elif sl.q == 1:
-        t, gw = gauss_segment(sl.segment[0], sl.segment[1], order)
+        t, gw = gauss_segment(sl.box[0][0], sl.box[1][0], order)
         s = t[:, None]
     else:
         raise StrataError("slice quadrature supports slice dimension <= 1; use mc")
@@ -311,17 +317,18 @@ def slice_quadrature(action, sl, order):
     return z, masses(action.model, z), C * gw
 
 
-def _slice_box(sl):
+def _slice_box(p0, basis):
     """Per-coordinate bounds of the slice polytope {s : p0 + s basis >= 0}."""
-    sup = np.flatnonzero(sl.p0 > 0)
-    a_ub, b_ub = -sl.basis[:, sup].T, sl.p0[sup]
-    lo, hi = np.empty(sl.q), np.empty(sl.q)
-    for a in range(sl.q):
-        c = np.zeros(sl.q)
+    q = basis.shape[0]
+    sup = np.flatnonzero(p0 > 0)
+    a_ub, b_ub = -basis[:, sup].T, p0[sup]
+    lo, hi = np.empty(q), np.empty(q)
+    for a in range(q):
+        c = np.zeros(q)
         c[a] = 1.0
         bounds = []
         for sign in (1.0, -1.0):
-            res = _linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * sl.q)
+            res = _linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * q)
             if not res.success:
                 raise StrataError("slice polytope is unbounded or empty")
             bounds.append(res.x[a])
@@ -368,20 +375,15 @@ class ExtraPiece:
     parent_key: tuple
     isotropy_prime: ta.IsotropyDescriptor
     pattern: tuple
-    face_ids: tuple
-    slices: tuple            # ((sign, LevelSlice), ...)
+    level_slice: LevelSlice  # one slice at a relative-interior level of the pattern's image
     dim_piece: int
-    flags: tuple = ()
 
     def to_json_dict(self):
         return {
             "isotropy_prime": self.isotropy_prime.to_json_dict(),
             "pattern": [list(f) for f in self.pattern],
-            "face_ids": list(self.face_ids),
-            "levels": [[float(v) for v in sl.value] for _, sl in self.slices],
-            "signs": [sign for sign, _ in self.slices],
+            "level": [float(v) for v in self.level_slice.value],
             "dim_piece": self.dim_piece,
-            "flags": list(self.flags),
         }
 
 
@@ -391,7 +393,6 @@ class Stratification:
     strata: list
     pieces: dict            # stratum key -> list of ExtraPiece
     unsemistable: list      # PatternInfo
-    pattern_infos: list
 
     def stratum_by_key(self, key):
         for s in self.strata:
@@ -494,27 +495,22 @@ def analyze(action):
     for info in boundary:
         piece = _build_piece(action, info, carriers, strata)
         pieces[piece.parent_key].append(piece)
-    return Stratification(
-        action=action, strata=strata, pieces=pieces, unsemistable=unsemi, pattern_infos=infos
-    )
+    return Stratification(action=action, strata=strata, pieces=pieces, unsemistable=unsemi)
 
 
 def _build_piece(action, info, carriers, strata):
     """Slice data for one boundary pattern, attached to its parent stratum.
 
+    Every complexified torus orbit in the pattern has the open hull of the
+    pattern's vertices as its moment image (Atiyah 1982), so one level in
+    its relative interior meets every orbit of the piece.  Half the vertex
+    centroid is such a level at every torus rank: the midpoint of a
+    relative-interior point and the boundary point 0.
     A point's flow limit is supported on the face of its pattern hull with 0
     in its relative interior (Atiyah 1982; Kirwan 1984).  Every carrier inside
     the pattern lies in that face, so it is the largest such carrier.
     """
-    verts = np.asarray(info.verts, dtype=float)
-    if action.rank == 1:
-        level = verts[np.argmax(np.linalg.norm(verts, axis=1))] / 2.0
-        flags = ()
-    else:
-        # single representative slice through the image centroid; the exact
-        # face decomposition is only needed for rank >= 2 multi-face pieces
-        level = verts.mean(axis=0) / 2.0
-        flags = ("faces_unresolved_rank_ge_2",)
+    level = np.asarray(info.verts, dtype=float).mean(axis=0) / 2.0
     sl = make_level_slice(action, info.pattern, level)
     if sl is None:
         raise StrataError("piece slice level infeasible (numerical inconsistency)")
@@ -527,10 +523,8 @@ def _build_piece(action, info, carriers, strata):
         parent_key=parent.key,
         isotropy_prime=info.iso,
         pattern=info.pattern,
-        face_ids=(0,),
-        slices=((1, sl),),
+        level_slice=sl,
         dim_piece=info.dim_complex,
-        flags=flags,
     )
 
 
@@ -651,37 +645,28 @@ def sample_stratum(action, target, count, seed):
     For a stratum label the weights realize integrals against the reduced
     volume: sum_i w_i f(x_i) estimates int_S f eps_hat (one representative
     per orbit, finite-part corrected).  For an ExtraPiece slice the weights
-    realize the induced Riemannian measure of S_i itself.  Slices with q >= 2
-    are sampled by rejection from a box around the slice polytope: a
-    rejected draw keeps weight 0 and the slice's interior point, so every
-    returned point lies on the slice even when no draw is accepted.
+    realize the induced Riemannian measure of S_i itself.  Draws are uniform
+    in the slice's box and kept when they land in the slice polytope, which
+    a q <= 1 box lies inside: a rejected draw keeps weight 0 and the slice's
+    interior point, so every returned point lies on the slice even when no
+    draw is accepted.
     """
     if count <= 0:
         raise StrataError("count must be positive")
     rng = np.random.default_rng(seed)
     model = action.model
-    if isinstance(target, StratumLabel):
-        sl = target.level_slice
-    else:
-        sl = target.slices[0][1] if isinstance(target, ExtraPiece) else target
+    sl = target.level_slice
     # one row of uniforms per draw, slice coordinates first, then the phases
     u = rng.random((count, sl.q + sl.n_theta))
-    accepted = np.ones(count, dtype=bool)
-    if sl.q == 0:
-        s, meas = np.zeros((count, 0)), 1.0
-    elif sl.q == 1:
-        t_lo, t_hi = sl.segment
-        s, meas = t_lo + (t_hi - t_lo) * u[:, :1], t_hi - t_lo
-    else:
-        lo, hi = _slice_box(sl)
-        s, meas = lo + (hi - lo) * u[:, : sl.q], float(np.prod(hi - lo))
-        accepted = np.all(sl.p0 + s @ sl.basis >= 0, axis=1)
-        s[~accepted] = 0.0
+    lo, hi = sl.box
+    s, meas = lo + (hi - lo) * u[:, : sl.q], float(np.prod(hi - lo))
+    accepted = np.all(sl.p0 + s @ sl.basis >= 0, axis=1)
+    s[~accepted] = 0.0
     theta = np.zeros((count, model.ncoords))
     theta[:, list(sl.theta_idx)] = TWO_PI * u[:, sl.q :]
     z = models.normalize(model, models.normalize(model, sl.point(s)) * np.exp(1j * theta))
     iso = ta.isotropy_of_support(action, sl.pattern)
     w = np.where(accepted, slice_constant(action, sl, iso) * meas / count, 0.0)
-    if not isinstance(target, StratumLabel):
+    if isinstance(target, ExtraPiece):
         w = w * ta.geometric_orbit_volume(action, z, iso)
     return z, w

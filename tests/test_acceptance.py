@@ -86,8 +86,7 @@ def test_criterion_4_residual_decay(e2, st2):
     positive = bool(np.all(vals > 0))
     slope, _, r2 = fit_loglinear(ks, vals)
     piece = st2.pieces[full.key][0]
-    _, sl = piece.slices[0]
-    u = models.normalize(e2.model, sl.point(theta=np.zeros(e2.model.ncoords)))
+    u = models.normalize(e2.model, piece.level_slice.point(theta=np.zeros(e2.model.ncoords)))
     c_est = asymptotics.growth_constant(e2, u)  # the 2C of the exponent bound
     slope_ok = abs(slope) >= 0.5 * c_est
     ok = positive and slope < 0 and r2 > 0.95 and slope_ok

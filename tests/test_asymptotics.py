@@ -4,7 +4,7 @@ from scipy.special import gammaln
 
 from quantred import actions as ta
 from quantred import asymptotics, cli, models, reduction, sections, strata
-from quantred.integrate import adaptive_line_quadrature
+from quantred.integrate import QuadConfig, adaptive_line_quadrature
 
 
 def e1_density_I_exact(k):
@@ -86,13 +86,16 @@ def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypa
     monkeypatch.setattr(asymptotics, "MAX_WIDENINGS", 0)
     with pytest.raises(asymptotics.AsymptoticsError, match="k=2 after 0 widenings"):
         asymptotics.density_I(e1, st1.strata[0], st1.strata[0].representative, 2)
-    # on E2's extra pieces e^{-k f} grows like 2^k and overflows near k = 1024:
-    # no refinement can settle that, so the rule raises at once
+    # on E2's extra pieces e^{-k f} grows exponentially in k and overflows
+    # between k = 2100 and 3000 at the slice level pi/2: no refinement can
+    # settle that, so the rule raises at once (called on the piece's slice
+    # nodes directly, since the k = 3000 basis of residual_II costs seconds)
     monkeypatch.setattr(asymptotics, "MAX_WIDENINGS", 8)
     full = [s for s in st2.strata if s.isotropy.is_full][0]
+    z, _, _ = strata.slice_quadrature(e2, st2.pieces[full.key][0].level_slice, 24)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(asymptotics.AsymptoticsError, match="is not finite at k=1100"):
-        asymptotics.residual_II(e2, full, 1100, "plain", strat=st2)
+            pytest.raises(asymptotics.AsymptoticsError, match="is not finite at k=3000"):
+        asymptotics._transverse_integral(e2, z, 3000)
 
 
 def test_density_h_equals_g_is_one(e2, st2):
@@ -150,10 +153,29 @@ def test_residual_e2_exact_law(e2, st2):
     # both preimage pieces of the H = G label are lines; the direct integral
     # of the surviving monomial gives II_k = 2 sqrt(2 pi k)/(k+1) exactly
     full = [s for s in st2.strata if s.isotropy.is_full][0]
-    for k in (4, 10, 30, 60):
+    for k in (4, 10, 30, 60, 1100):
         val = asymptotics.residual_II(e2, full, k, "plain", strat=st2)
         ref = 2.0 * np.sqrt(2 * np.pi * k) / (k + 1)
         assert abs(val - ref) < 1e-9 * ref
+
+
+def test_rank2_piece_residuals_match_direct_mc():
+    """One level slice parametrises a rank-2 extra piece: on the six pieces
+    of one (CP^1)^3 stratum at k = 2, the slice residual int_S |s_a|^2 T_k
+    dvol(S) matches the direct Monte Carlo integral of |s_a|^2 over the
+    piece's support pattern within 5 standard errors."""
+    action = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]),
+                            [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    pieces = next(ps for ps in strata.analyze(action).pieces.values() if ps)
+    assert len(pieces) == 6
+    k = 2
+    exps = sections.invariant_exponents(action, k, "plain")
+    quad = QuadConfig(method="mc", samples=100000, seed=3)
+    for piece in pieces:
+        res = asymptotics._slice_residual(action, piece.level_slice, exps, k, "plain", None)
+        mc, err = sections._pattern_gram_mc(action, exps, "plain", piece.pattern, quad, ("oracle", piece.pattern))
+        assert np.any(res > 0)
+        assert np.all(np.abs(res - mc) <= 5.0 * err)
 
 
 def test_residual_zero_when_dphi_surjective(e2, st2):

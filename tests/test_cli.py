@@ -155,6 +155,33 @@ def test_run_builds_each_level_slice_once(tmp_path, monkeypatch):
     assert set(callers) <= {"analyze", "_build_piece"}
 
 
+def test_run_solves_each_slice_box_once(tmp_path, monkeypatch):
+    """An MC Gram run on CP^1 x CP^2, whose open stratum has a q = 2 slice,
+    builds the box of each q != 1 slice once, inside strata.analyze (LPs only
+    for q >= 2); the reduced Grams at every k and norm definition sample
+    from the kept box."""
+    from quantred import strata
+
+    cfg = {"model": {"factors": [1, 2], "bundle_degrees": [1, 1]},
+           "action": {"rank": 1, "weights": [[1, 0, -1, 0, 1]]},
+           "k_list": [2, 4, 8], "quantities": ["gram"], "quad": {"method": "mc", "samples": 2560},
+           "out": str(tmp_path / "g")}
+    scn = cli.validate(cfg)
+    st = strata.analyze(scn.action)
+    slices = [lab.level_slice for lab in st.strata] + [p.level_slice for ps in st.pieces.values() for p in ps]
+    calls = []
+    original = strata._slice_box
+
+    def counted(p0, basis):
+        calls.append(basis.shape[0])
+        return original(p0, basis)
+
+    monkeypatch.setattr(strata, "_slice_box", counted)
+    cli.run(scn)
+    assert sorted(calls) == sorted(sl.q for sl in slices if sl.q != 1)
+    assert calls.count(2) == 1
+
+
 def test_run_deterministic_and_flags(tmp_path):
     cfg = {
         "preset": "E1",
@@ -279,21 +306,6 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
     assert len(slices) == 2  # E2's two extra pieces, one slice each
     assert sorted((pattern, k) for pattern, k, _ in seen) == sorted((s, k) for s in slices for k in (2, 4))
     assert {order for _, _, order in seen} == {128}
-
-
-def test_flagged_rank2_residuals_are_refused(tmp_path, capsys):
-    """The rank-2 (CP^1)^3 model's extra pieces carry faces_unresolved_rank_ge_2:
-    no oracle checks their one centroid slice, so their residuals are refused."""
-    cfg = {"model": {"factors": [1, 1, 1], "bundle_degrees": [1, 1, 1]},
-           "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]},
-           "k_list": [10, 40]}
-    path = tmp_path / "rank2.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "r"
-    assert cli.main(["run", "--config", str(path), "--only", "density", "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "residual of extra piece [[" in err and "faces_unresolved_rank_ge_2" in err
-    assert not (out / "curves.csv").exists()
 
 
 def test_python_dash_m_runs_the_cli():

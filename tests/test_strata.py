@@ -150,7 +150,7 @@ def test_piece_parents_are_flow_limits(e2, st2, r2):
         for key, pieces in st.pieces.items():
             parent = st.stratum_by_key(key)
             for piece in pieces:
-                sl = piece.slices[0][1]
+                sl = piece.level_slice
                 theta = np.zeros(action.model.ncoords)
                 theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=sl.n_theta)
                 z = models.normalize(action.model, sl.point(theta=theta))
@@ -186,14 +186,12 @@ def test_decompose_preimage_e2(e2, st2):
         assert p.isotropy_prime.dim == 0
         assert p.isotropy_prime.dim < full.isotropy.dim
         # phi stays away from zero on the piece slice
-        _, sl = p.slices[0]
-        assert np.linalg.norm(sl.value) > 1e-6
+        assert np.linalg.norm(p.level_slice.value) > 1e-6
 
 
 def test_extra_piece_levels_bounded_away(e2, st2):
     full = [s for s in st2.strata if s.isotropy.is_full][0]
     for piece in st2.pieces[full.key]:
-        _, sl = piece.slices[0]
         pts, _ = strata.sample_stratum(e2, piece, 10, seed=1)
         phis = np.linalg.norm(ta.moment_map(e2, pts), axis=-1)
         assert np.min(phis) > 1e-3
@@ -248,20 +246,27 @@ def test_sample_stratum_reduced_volume_dh_oracle(e2, st2, rng):
     assert abs(direct - kernel) < 3.0 * err + 0.02 * direct
 
 
-def test_slice_level_choice_immaterial(e2, st2):
-    """Lemma-level invariance: two admissible slice levels give the same
-    piece integral (tested through the transverse tau e^{-kf} machinery)."""
+def test_slice_level_choice_immaterial(e2, st2, r2):
+    """Lemma-level invariance: two levels in the relative interior of a
+    piece's moment image give the same piece integral (tested through the
+    transverse tau e^{-kf} machinery), on E2's q = 1 piece and on four
+    rank-2 (CP^1)^3 pieces, three of dimension 1 and one of dimension 2."""
     from quantred import asymptotics, sections
 
     full = [s for s in st2.strata if s.isotropy.is_full][0]
-    piece = st2.pieces[full.key][0]
-    _, sl0 = piece.slices[0]
-    k = 6
-    exps = sections.invariant_exponents(e2, k, "plain")
-    base = asymptotics._slice_residual(e2, sl0, exps, k, "plain", None)
-    other = strata.make_level_slice(e2, piece.pattern, 0.4 * sl0.value)
-    alt = asymptotics._slice_residual(e2, other, exps, k, "plain", None)
-    assert np.allclose(base, alt, rtol=1e-7, atol=1e-12)
+    cases = [(e2, st2.pieces[full.key][0], 6, 0.4, 1e-7)]
+    action, st = r2
+    for piece in next(ps for ps in st.pieces.values() if ps):
+        if piece.dim_piece == 1 or piece.pattern == ((0, 1), (2, 3), (4,)):
+            cases.append((action, piece, 2, 0.6, 1e-10))
+    assert len(cases) == 5
+    for action, piece, k, scale, rtol in cases:
+        exps = sections.invariant_exponents(action, k, "plain")
+        base = asymptotics._slice_residual(action, piece.level_slice, exps, k, "plain", None)
+        other = strata.make_level_slice(action, piece.pattern, scale * piece.level_slice.value)
+        alt = asymptotics._slice_residual(action, other, exps, k, "plain", None)
+        assert np.any(base > 0)
+        assert np.allclose(base, alt, rtol=rtol, atol=1e-12)
 
 
 def test_stratification_report_json(e2, st2):
@@ -284,13 +289,13 @@ def test_slice_constant_matches_fd_jacobian(e2, st2, e3, st3, r2, cp_open):
         (e2, zero_slice(e2, st2.open_stratum().top_pattern), True),
         (e3, zero_slice(e3, st3.open_stratum().top_pattern), True),
         (r2[0], zero_slice(r2[0], r2[1].open_stratum().top_pattern), True),
-        (cp, piece.slices[0][1], False),
+        (cp, piece.level_slice, False),
         (cp_open[0], zero_slice(cp_open[0], cp_open[1].top_pattern), True),
     ]
     consts = []
     for action, sl, quotient in cases:
         if sl.q == 1:
-            points = gauss_segment(sl.segment[0], sl.segment[1], 24)[0][:, None]
+            points = gauss_segment(sl.box[0][0], sl.box[1][0], 24)[0][:, None]
         else:
             assert sl.q == 2
             verts = _polygon_vertices(sl)
@@ -324,7 +329,7 @@ def test_labels_keep_their_zero_level_slice(e1, st1, e2, st2, e3, st3, r2):
             assert kept.pattern == fresh.pattern == lab.top_pattern
             assert np.array_equal(kept.value, np.zeros(action.rank))
             assert np.array_equal(kept.p0, fresh.p0) and np.array_equal(kept.basis, fresh.basis)
-            assert kept.segment == fresh.segment
+            assert all(np.array_equal(a, b) for a, b in zip(kept.box, fresh.box))
             assert kept.theta_idx == fresh.theta_idx and kept.gauge_idx == fresh.gauge_idx
 
 
@@ -334,7 +339,7 @@ def _reference_points(action, sl, count, seed):
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(count):
-        s = None if sl.q == 0 else np.array([rng.uniform(*sl.segment)])
+        s = None if sl.q == 0 else np.array([rng.uniform(sl.box[0][0], sl.box[1][0])])
         theta = np.zeros(model.ncoords)
         theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=sl.n_theta)
         z = models.normalize(model, sl.point(s))
@@ -418,7 +423,7 @@ def test_reduced_mc_gram_raises_without_accepted_sample(cp_open, monkeypatch):
 
     action, _ = cp_open
     box = strata._slice_box
-    monkeypatch.setattr(strata, "_slice_box", lambda sl: tuple(b + 10.0 for b in box(sl)))
+    monkeypatch.setattr(strata, "_slice_box", lambda p0, basis: tuple(b + 10.0 for b in box(p0, basis)))
     with pytest.raises(reduction.ReductionError):
         reduction.reduced_gram(action, 2, quad=QuadConfig(method="mc", samples=2560, seed=1))
 
@@ -447,7 +452,8 @@ def test_point_slices_carry_at_most_one_invariant_monomial(e1, st1, e2, st2, r2)
             for piece in st.pieces.get(lab.key, ()):
                 if piece.dim_piece == 0:
                     pts.append(sections._pattern_point(model, piece.pattern))
-                pts += [strata.slice_quadrature(action, s, 8)[0][0] for _, s in piece.slices if s.q == 0]
+                if piece.level_slice.q == 0:
+                    pts.append(strata.slice_quadrature(action, piece.level_slice, 8)[0][0])
         assert pts
         z = models.normalize(model, np.asarray(pts))
         for twist in ("plain", "halfform") if model.metaplectic_allowed else ("plain",):
