@@ -207,9 +207,8 @@ def describe(scn, stream=None):
         elif scn.twist == "halfform":
             lim = "J_k limit 1"
         else:
-            m = scn.action.rank - iso.dim
             pts, _ = strata.sample_stratum(scn.action, lab, 16, seed=scn.seed + i)
-            vols = [2.0 ** (-m / 2.0) * ta.geometric_orbit_volume(scn.action, z, iso) for z in pts]
+            vols = reduction.descent_norm_factor(scn.action, pts, iso)
             lim = f"I_k limit in [{min(vols):.4f}, {max(vols):.4f}]"
         print(
             f"  [{i}] {kind}, dim_S={lab.dim_S}, dim_up={lab.dim_upstairs}, extra_pieces={npieces}, {lim}",
@@ -306,8 +305,7 @@ def run(scn):
             for k in scn.k_list:
                 fn = asymptotics.density_J if scn.twist == "halfform" else asymptotics.density_I
                 curve.points.append((k, _finite(fn(scn.action, lab, x, k), name, curve.stratum, k), 0.0))
-            m = scn.action.rank - lab.isotropy.dim
-            limit = 1.0 if scn.twist == "halfform" else 2.0 ** (-m / 2.0) * ta.geometric_orbit_volume(scn.action, x, lab.isotropy)
+            limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
             fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": curve.fit(limit=limit)})
             rows.extend([(r["quantity"], r["stratum"], r["k"], repr(r["value"]), repr(r["stderr"])) for r in curve.rows()])
         record("curves.csv", _write_csv(os.path.join(scn.out, "curves.csv"),
@@ -331,7 +329,7 @@ def run(scn):
     if "consistency" in scn.quantities:
         reports = []
         for k in scn.k_list:
-            mcq = replace(quad, method="mc", seed=scn.seed + k)
+            mcq = replace(quad, seed=scn.seed + k)
             reports.append(asymptotics.norm_split_consistency(
                 scn.action, k, scn.twist, mcq, strat=strat,
                 residuals=[residual(i, k) for i in range(len(strat.strata))]))

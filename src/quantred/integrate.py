@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import QuantredError
+
 TWO_PI = 2.0 * np.pi
+
+
+class IntegrationError(QuantredError, RuntimeError):
+    pass
 
 
 @dataclass
@@ -70,7 +76,8 @@ def adaptive_line_quadrature(f, rel_tol=1e-10, order=48, scan_halfwidth=4.0, max
     The integrand is first scanned on a widening grid to locate its peak and
     effective width (it may be sharply concentrated, and not at the origin);
     Gauss panels then cover the core at the resolved width and extend
-    outward until the tails are negligible.  f is vectorized.
+    outward until the tails are negligible.  f is vectorized.  Hitting the
+    scan cap or the max_pan panel cap raises IntegrationError.
     """
     L = scan_halfwidth
     for _ in range(12):
@@ -82,6 +89,8 @@ def adaptive_line_quadrature(f, rel_tol=1e-10, order=48, scan_halfwidth=4.0, max
         if vals[0] < 1e-13 * mx and vals[-1] < 1e-13 * mx:
             break
         L *= 2.0
+    else:
+        raise IntegrationError(f"integrand does not decay within the scan half-width {L / 2.0:g} (12 doublings)")
     ipk = int(np.argmax(vals))
     peak = float(grid[ipk])
     above = grid[vals > mx * np.exp(-1.0)]
@@ -104,6 +113,8 @@ def adaptive_line_quadrature(f, rel_tol=1e-10, order=48, scan_halfwidth=4.0, max
             width *= 1.6
             if abs(part) <= rel_tol * max(abs(total), 1e-300):
                 break
+        else:
+            raise IntegrationError(f"tail panels still above rel_tol={rel_tol:g} after max_pan={max_pan} panels")
     return total
 
 

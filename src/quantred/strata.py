@@ -6,7 +6,9 @@ nonzero.  A pattern R has a constant isotropy descriptor, and the closure of
 its moment image is the convex hull of the per-factor weight vertices.  The
 zero level meets the open pattern iff 0 lies in the relative interior of
 that hull; patterns whose hull only touches 0 on the boundary flow out of
-themselves and form the extra pieces of the preimage decomposition.
+themselves and form the extra pieces of the preimage decomposition.  One
+LP over masses decides this: vertex weights lam_c > 0 give masses p_i = sum
+of lam_c over c through i, and masses p > 0 give lam_c = prod_j p_(c_j).
 
 The numeric gradient flow is exact on rays: the trajectory through x stays
 in the imaginary-orbit {e^{i xi} x}, so the ODE is integrated on xi in R^d
@@ -25,6 +27,7 @@ from .integrate import gauss_segment
 from .models import TWO_PI, as_coords, masses
 
 ZERO_TOL = 1e-9
+SEGMENT_SHRINK = 1e-6  # a q = 1 slice box stops this fraction of its length short of each end
 
 
 class StrataError(QuantredError, RuntimeError):
@@ -53,57 +56,11 @@ def all_support_patterns(model):
     return [tuple(combo) for combo in itertools.product(*per_factor)]
 
 
-def pattern_vertices(action, pattern):
-    """Moment-map values of the coordinate vertices of a pattern, shape (nv, d).
-
-    Vertices are the one-hot mass assignments per factor, so the closure of
-    the pattern's moment image is their convex hull.
-    """
-    Wl = action.scaled_weights()
-    shift = action.shift_float
-    choices = list(itertools.product(*pattern))
-    verts = np.empty((len(choices), action.rank))
-    for r, choice in enumerate(choices):
-        verts[r] = -TWO_PI * (Wl[:, list(choice)].sum(axis=1) + shift)
-    return verts
-
-
-def locate_zero(verts, tol=1e-9):
-    """Position of the origin relative to conv(verts): 'inside' (relative
-    interior), 'boundary', or 'outside'."""
-    nv, d = verts.shape
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    # max eps s.t. sum lam = 1, V^T lam = 0, lam_i >= eps
-    c = np.zeros(nv + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((d + 1, nv + 1))
-    a_eq[:d, :nv] = verts.T / scale
-    a_eq[d, :nv] = 1.0
-    b_eq = np.zeros(d + 1)
-    b_eq[d] = 1.0
-    a_ub = np.zeros((nv, nv + 1))
-    a_ub[:, :nv] = -np.eye(nv)
-    a_ub[:, -1] = 1.0
-    res = _linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(nv),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * nv + [(0, 1.0)],
-    )
-    if not res.success:
-        return "outside"
-    eps = -res.fun
-    return "inside" if eps > tol else "boundary"
-
-
 @dataclass(frozen=True)
 class PatternInfo:
     pattern: tuple
     iso: ta.IsotropyDescriptor
     location: str
-    verts: tuple  # vertex tuples, for reporting
 
     @property
     def dim_complex(self):
@@ -151,8 +108,11 @@ class LevelSlice:
         return z
 
 
-def _interior_level_masses(action, pattern, value):
-    """Strictly interior solution p of the level equations on a pattern, or None."""
+def _level_masses(action, pattern, value):
+    """(location, p0, basis) of the level phi = value on a pattern: the LP
+    maximises the smallest mass under the level equations; 'outside' if it is
+    infeasible, 'boundary' if that mass is zero, else 'inside' with those
+    masses p0 and the equations' null directions (both None unless inside)."""
     model = action.model
     sup = [i for fac in pattern for i in fac]
     nsup = len(sup)
@@ -180,8 +140,12 @@ def _interior_level_masses(action, pattern, value):
         b_eq=b,
         bounds=[(0, None)] * nsup + [(0, 1.0)],
     )
-    if not res.success or -res.fun <= 1e-9:
-        return None, None
+    if res.status == 2:
+        return "outside", None, None
+    if res.status != 0:
+        raise StrataError(f"level linear program on pattern {pattern} failed: {res.message}")
+    if -res.fun <= ZERO_TOL:
+        return "boundary", None, None
     p = np.zeros(model.ncoords)
     p[sup] = res.x[:nsup]
     # null directions of the constraints, embedded in full coordinates
@@ -190,19 +154,18 @@ def _interior_level_masses(action, pattern, value):
     q = nsup - rank
     basis = np.zeros((q, model.ncoords))
     basis[:, sup] = vt[rank:]
-    return p, basis
+    return "inside", p, basis
 
 
-def make_level_slice(action, pattern, value, shrink=1e-6):
-    """The level slice of a pattern at `value`, or None if the level misses it.
+def make_level_slice(action, pattern, value):
+    """The level slice of a pattern at `value`; StrataError if the level misses it.
 
-    Its box is the segment shrunk by `shrink` of its length at each end for
-    q = 1, and the LP bounds of the slice polytope otherwise (no LP for q = 0).
+    Its box is the segment shrunk by SEGMENT_SHRINK of its length at each end
+    for q = 1, and the LP bounds of the slice polytope otherwise (no LP for q = 0).
     """
-    p0, basis = _interior_level_masses(action, pattern, np.asarray(value, dtype=float))
+    location, p0, basis = _level_masses(action, pattern, np.asarray(value, dtype=float))
     if p0 is None:
-        return None
-    model = action.model
+        raise StrataError(f"the level {value} misses the open pattern {pattern} ({location})")
     if basis.shape[0] == 1:
         b = basis[0]
         t_hi = np.inf
@@ -215,12 +178,12 @@ def make_level_slice(action, pattern, value, shrink=1e-6):
                 else:
                     t_hi = min(t_hi, t)
         span = t_hi - t_lo
-        box = (np.array([t_lo + shrink * span]), np.array([t_hi - shrink * span]))
+        box = (np.array([t_lo + SEGMENT_SHRINK * span]), np.array([t_hi - SEGMENT_SHRINK * span]))
     else:
         box = _slice_box(p0, basis)
     gauge = []
     theta = []
-    for fac, sl in zip(pattern, model.slices):
+    for fac in pattern:
         # gauge the phase of the most robustly positive coordinate
         best = max(fac, key=lambda i: p0[i])
         gauge.append(best)
@@ -415,18 +378,15 @@ class Stratification:
 
 
 def _pattern_infos(action):
-    infos = []
-    for pattern in all_support_patterns(action.model):
-        verts = pattern_vertices(action, pattern)
-        infos.append(
-            PatternInfo(
-                pattern=pattern,
-                iso=ta.isotropy_of_support(action, pattern),
-                location=locate_zero(verts),
-                verts=tuple(map(tuple, verts)),
-            )
+    zero = np.zeros(action.rank)
+    return [
+        PatternInfo(
+            pattern=pattern,
+            iso=ta.isotropy_of_support(action, pattern),
+            location=_level_masses(action, pattern, zero)[0],
         )
-    return infos
+        for pattern in all_support_patterns(action.model)
+    ]
 
 
 def _merge_carriers(action, carriers):
@@ -473,8 +433,6 @@ def analyze(action):
         m = action.rank - iso.dim
         dim_S = top.dim_complex - m
         sl = make_level_slice(action, top.pattern, np.zeros(action.rank))
-        if sl is None:
-            raise StrataError("carrier pattern lost its zero level (numerical inconsistency)")
         theta = np.zeros(action.model.ncoords)
         theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=len(sl.theta_idx))
         rep = models.normalize(action.model, sl.point(theta=theta))
@@ -504,16 +462,16 @@ def _build_piece(action, info, carriers, strata):
     Every complexified torus orbit in the pattern has the open hull of the
     pattern's vertices as its moment image (Atiyah 1982), so one level in
     its relative interior meets every orbit of the piece.  Half the vertex
-    centroid is such a level at every torus rank: the midpoint of a
-    relative-interior point and the boundary point 0.
+    centroid (phi at uniform masses) is such a level at every torus rank: the
+    midpoint of a relative-interior point and the boundary point 0.
     A point's flow limit is supported on the face of its pattern hull with 0
     in its relative interior (Atiyah 1982; Kirwan 1984).  Every carrier inside
     the pattern lies in that face, so it is the largest such carrier.
     """
-    level = np.asarray(info.verts, dtype=float).mean(axis=0) / 2.0
-    sl = make_level_slice(action, info.pattern, level)
-    if sl is None:
-        raise StrataError("piece slice level infeasible (numerical inconsistency)")
+    uniform = np.zeros(action.model.ncoords)
+    for fac in info.pattern:
+        uniform[list(fac)] = 1.0 / len(fac)
+    sl = make_level_slice(action, info.pattern, ta.moment_from_masses(action, uniform) / 2.0)
     face = max(
         (c.pattern for c in carriers if pattern_contains(info.pattern, c.pattern)),
         key=lambda pat: sum(map(len, pat)),

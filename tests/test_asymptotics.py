@@ -4,7 +4,7 @@ from scipy.special import gammaln
 
 from quantred import actions as ta
 from quantred import asymptotics, cli, models, reduction, sections, strata
-from quantred.integrate import QuadConfig, adaptive_line_quadrature
+from quantred.integrate import IntegrationError, QuadConfig, adaptive_line_quadrature
 
 
 def e1_density_I_exact(k):
@@ -292,3 +292,15 @@ def test_density_curve_fit(e2, st2):
     lim = 2.0 ** (-0.5) * ta.geometric_orbit_volume(e2, x)
     C, p, r2 = curve.fit(limit=lim)
     assert p > 0.8 and r2 > 0.99
+
+
+def test_adaptive_line_quadrature_raises_at_either_cap():
+    """Neither loop returns its capped sum: a constant never decays within
+    the 12-doubling scan, and a Cauchy tail 1/(1e-12 + x^2), which passes
+    the scan, needs about 20 outer panels per side, not 3."""
+    with pytest.raises(IntegrationError, match="scan"):
+        adaptive_line_quadrature(lambda x: np.ones_like(x))
+    cauchy = lambda x: 1.0 / (1e-12 + x**2)  # noqa: E731
+    with pytest.raises(IntegrationError, match="max_pan=3"):
+        adaptive_line_quadrature(cauchy, max_pan=3)
+    assert np.isfinite(adaptive_line_quadrature(cauchy))

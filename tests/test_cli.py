@@ -1,6 +1,7 @@
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,3 +319,15 @@ def test_python_dash_m_runs_the_cli():
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert "dim H^G = 1" in res.stdout
+
+
+def test_run_exits_3_when_a_linear_program_fails(tmp_path, monkeypatch, capsys):
+    """A failed HiGHS solve is a numerical failure (exit 3) that names the
+    linear program, not an 'empty zero level set'."""
+    from quantred import strata
+
+    failed = SimpleNamespace(status=4, success=False, message="Numerical difficulties encountered.")
+    monkeypatch.setattr(strata, "_linprog", lambda c, **constraints: failed)
+    assert cli.main(["run", "--preset", "E2", "--k", "2", "--out", str(tmp_path / "e2")]) == 3
+    err = capsys.readouterr().err
+    assert "linear program on pattern" in err and "empty zero level" not in err

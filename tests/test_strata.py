@@ -1,3 +1,6 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,19 @@ from quantred import models, strata
 from quantred.integrate import TWO_PI, gauss_segment
 
 RANK2_WEIGHTS = [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]
+# (factors, degrees, weights, shift): E1-E3 and the other models the docs and tests name
+NAMED_MODELS = {
+    "E1": ([1], [1], [[1, -1]], None),
+    "E2": ([2], [1], [[1, -1, 0]], None),
+    "E3": ([1, 1], [1, 1], [[1, 0, -1, 0]], ["1/2"]),
+    "CP1xCP2": ([1, 2], [1, 1], [[1, 0, -1, 0, 1]], None),
+    "CP1xCP2 l=(2,3)": ([1, 2], [2, 3], [[1, 0, -1, 0, 1]], None),
+    "(CP1)^3": ([1, 1, 1], [1, 1, 1], RANK2_WEIGHTS, None),
+    "CP2xCP2 a": ([2, 2], [1, 1], [[-1, 0, 2, -1, 0, 0]], None),
+    "CP2xCP2 b": ([2, 2], [1, 1], [[2, 2, 1, -1, 0, 0]], None),
+    "CP2xCP2 rank 2": ([2, 2], [1, 1], [[-1, -2, 1, 1, 1, -2], [-2, 0, -1, 0, 2, -1]], None),
+    "CP2xCP1 rank 2": ([2, 1], [1, 1], [[2, 1, -1, 0, 0], [-2, -2, 1, 0, -1]], None),
+}
 
 
 def cp1_cp2(degrees):
@@ -464,3 +480,100 @@ def test_point_slices_carry_at_most_one_invariant_monomial(e1, st1, e2, st2, r2)
                     continue  # k too small for the half-form twist
                 nonzero = np.count_nonzero(sections.monomial_norms(model, exps, z, twist), axis=1)
                 assert np.max(nonzero, initial=0) <= 1
+
+
+def _random_models(count, max_patterns=49):
+    """The first `count` models of a seeded draw (1-3 factors of CP^1 or CP^2,
+    degrees 1, rank 1-3, weights in [-2, 2], no shift) with at most
+    `max_patterns` support patterns, which keeps the oracle loop short."""
+    rng = np.random.default_rng(11)
+    out = []
+    while len(out) < count:
+        nf = rng.integers(1, 4)
+        factors = rng.integers(1, 3, nf)
+        d = rng.integers(1, 4)
+        weights = rng.integers(-2, 3, (d, int(np.sum(factors + 1))))
+        if np.prod(2 ** (factors + 1) - 1) <= max_patterns:
+            out.append(ta.make_action(models.make_model(factors.tolist(), [1] * int(nf)), weights.tolist()))
+    return out
+
+
+@pytest.fixture(scope="module")
+def named():
+    out = {}
+    for name, (factors, degrees, weights, shift) in NAMED_MODELS.items():
+        action = ta.make_action(models.make_model(factors, degrees), weights, shift=shift)
+        out[name] = (action, strata.analyze(action))
+    return out
+
+
+def _vertex_moments(action, pattern):
+    """Moments of a pattern's vertices, the one-hot masses per factor, shape (nv, d)."""
+    Wl = action.scaled_weights()
+    return np.array([-TWO_PI * (Wl[:, list(c)].sum(axis=1) + action.shift_float) for c in itertools.product(*pattern)])
+
+
+def _hull_location(verts, tol=1e-9):
+    """Where 0 sits in conv(verts), by a linear program over vertex weights:
+    the largest eps with sum lam = 1, verts^T lam = 0 and every lam >= eps."""
+    from scipy.optimize import linprog
+
+    nv, d = verts.shape
+    a_eq = np.zeros((d + 1, nv + 1))
+    a_eq[:d, :nv] = verts.T / max(1.0, float(np.max(np.abs(verts))))
+    a_eq[d, :nv] = 1.0
+    a_ub = np.hstack([-np.eye(nv), np.ones((nv, 1))])
+    c = np.zeros(nv + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(nv), A_eq=a_eq, b_eq=np.eye(d + 1)[d],
+                  bounds=[(0, None)] * nv + [(0, 1.0)], method="highs")
+    if res.status == 2:
+        return "outside"
+    assert res.status == 0, res.message
+    return "inside" if -res.fun > tol else "boundary"
+
+
+def test_mass_lp_classifies_patterns_like_the_vertex_hull(named):
+    """Every support pattern lands where a vertex-weight LP over its moment
+    hull puts 0: carriers inside, extra pieces on the boundary, unsemistable
+    patterns outside; on the named models and 20 random ones, about half of
+    which have an empty zero level."""
+    cases = [(action, st) for action, st in named.values()] + [(action, None) for action in _random_models(20)]
+    empty = 0
+    for action, st in cases:
+        where = {"inside": set(), "boundary": set(), "outside": set()}
+        for pattern in strata.all_support_patterns(action.model):
+            where[_hull_location(_vertex_moments(action, pattern))].add(pattern)
+        if not where["inside"]:
+            empty += 1
+            with pytest.raises(strata.StrataError, match="empty zero level set"):
+                strata.analyze(action)
+            continue
+        st = st or strata.analyze(action)
+        assert {pat for lab in st.strata for pat in lab.patterns} == where["inside"]
+        assert {p.pattern for ps in st.pieces.values() for p in ps} == where["boundary"]
+        assert {info.pattern for info in st.unsemistable} == where["outside"]
+    assert 5 <= empty <= 15
+
+
+def test_piece_level_is_half_the_vertex_centroid(named):
+    """Each extra piece's slice level, phi at uniform masses over 2, is half
+    the mean of its explicitly enumerated vertex moments, on rank-2 models."""
+    count = 0
+    for name in ("(CP1)^3", "CP2xCP2 rank 2"):
+        action, st = named[name]
+        for piece in (p for ps in st.pieces.values() for p in ps):
+            centroid = _vertex_moments(action, piece.pattern).mean(axis=0)
+            assert np.max(np.abs(piece.level_slice.value - centroid / 2.0)) <= 1e-14
+            count += 1
+    assert count >= 10
+
+
+def test_failed_linear_program_raises_instead_of_reading_outside(e2, monkeypatch):
+    """A solver status other than success or infeasible (here 4, numerical
+    difficulties) is an error naming the pattern; it never makes a pattern
+    'outside' and so never reports an empty zero level."""
+    failed = SimpleNamespace(status=4, success=False, message="Numerical difficulties encountered.")
+    monkeypatch.setattr(strata, "_linprog", lambda c, **constraints: failed)
+    with pytest.raises(strata.StrataError, match=r"linear program on pattern \(\(0,\),\) failed: Numerical difficulties"):
+        strata.analyze(e2)
