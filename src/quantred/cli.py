@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -220,8 +221,43 @@ def _hash_bytes(data):
     return hashlib.sha256(data).hexdigest()
 
 
+@dataclass
+class _Diagonal:
+    """A square matrix that is zero off its diagonal, written from the diagonal alone."""
+    values: np.ndarray
+
+
+def _gram_json(g):
+    """A Gram file entry: square matrix_re, matrix_im and stderr (and per_stratum downstairs)."""
+    out = {"k": g.k, "twist": g.twist, "norm_def": g.norm_def, "flags": g.flags,
+           "basis": [list(map(int, b)) for b in g.basis_ids], "matrix_re": _Diagonal(g.diagonal),
+           "matrix_im": _Diagonal(np.zeros(g.dim)), "stderr": _Diagonal(g.stderr)}
+    if g.per_stratum is not None:
+        out["per_stratum"] = {str(i): _Diagonal(d) for i, d in enumerate(g.per_stratum.values())}
+    return out
+
+
+def _json_text(obj, indent=""):
+    """json.dumps(obj, sort_keys=True, indent=1), with each _Diagonal as its square
+    nested list built in O(n) string operations from its n values."""
+    inner = indent + " "
+    if isinstance(obj, dict):
+        brackets, items = "{}", [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+                                 for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [inner + _json_text(v, inner) for v in obj]
+    elif isinstance(obj, _Diagonal):
+        brackets, cell, n = "[]", inner + " ", len(obj.values)
+        before, after = cell + "0.0,\n", ",\n" + cell + "0.0"  # the zeros left and right of the diagonal
+        items = [f"{inner}[\n{before * i}{cell}{_json_text(v)}{after * (n - 1 - i)}\n{inner}]"
+                 for i, v in enumerate(obj.values.tolist())]
+    else:  # json.dumps writes an int or a finite float as its repr, but costs far more
+        return repr(obj) if type(obj) is int or type(obj) is float and math.isfinite(obj) else json.dumps(obj)
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1] if items else brackets
+
+
 def _write_json(path, obj):
-    data = json.dumps(obj, sort_keys=True, indent=1).encode()
+    data = _json_text(obj).encode()
     with open(path, "wb") as fh:
         fh.write(data)
     return _hash_bytes(data)
@@ -249,6 +285,9 @@ def _finite(value, quantity, where, k):
 def run(scn):
     """Execute the scenario; returns the manifest dict (also written to disk)."""
     os.makedirs(scn.out, exist_ok=True)
+    manifest_path = os.path.join(scn.out, "run_manifest.json")
+    if os.path.exists(manifest_path):  # a failed run must not leave an earlier run's hashes
+        os.remove(manifest_path)
     strat = strata.analyze(scn.action)
     hashed_cfg = {k: v for k, v in scn.raw.items() if k != "out"}
     manifest = {
@@ -273,8 +312,8 @@ def run(scn):
                 gram_cache[(k, nd)] = (gu, gd)
         if "gram" in scn.quantities:
             for k in scn.k_list:
-                up = {str(nd): gram_cache[(k, nd)][0].to_json_dict() for nd in scn.norm_defs}
-                down = {str(nd): gram_cache[(k, nd)][1].to_json_dict() for nd in scn.norm_defs}
+                up = {str(nd): _gram_json(gram_cache[(k, nd)][0]) for nd in scn.norm_defs}
+                down = {str(nd): _gram_json(gram_cache[(k, nd)][1]) for nd in scn.norm_defs}
                 record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
                 record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
 
@@ -338,7 +377,7 @@ def run(scn):
             "note": "zero-dimensional strata contribute point values with (k/2pi)^0 = 1",
         }))
 
-    _write_json(os.path.join(scn.out, "run_manifest.json"), manifest)
+    _write_json(manifest_path, manifest)
     return manifest
 
 

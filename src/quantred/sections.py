@@ -279,8 +279,8 @@ class GramMatrix:
     both norm definitions and on both sides; `diagonal` holds its entries
     and `stderr` their standard errors (0 on the exact routes; Monte Carlo
     routes estimate the diagonal only).  `matrix` and `errors` are the
-    square forms.  `per_stratum` (downstairs only) maps each stratum key to
-    its contribution to the diagonal.
+    square forms; `cli` writes their JSON from the vectors.  `per_stratum`
+    (downstairs only) maps each stratum key to its contribution to the diagonal.
     """
 
     basis_ids: list
@@ -308,21 +308,6 @@ class GramMatrix:
     @property
     def errors(self):
         return np.diag(self.stderr)
-
-    def to_json_dict(self):
-        out = {
-            "k": self.k,
-            "twist": self.twist,
-            "norm_def": self.norm_def,
-            "basis": [list(map(int, b)) for b in self.basis_ids],
-            "matrix_re": np.diag(self.diagonal).tolist(),
-            "matrix_im": np.zeros((self.dim, self.dim)).tolist(),
-            "stderr": self.errors.tolist(),
-            "flags": self.flags,
-        }
-        if self.per_stratum is not None:
-            out["per_stratum"] = {str(i): np.diag(d).tolist() for i, d in enumerate(self.per_stratum.values())}
-        return out
 
 
 def monomial_integral_on_pattern(model, pattern, alpha):

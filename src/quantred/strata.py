@@ -16,7 +16,7 @@ and points are recovered by the closed-form imaginary flow.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class PatternInfo:
     pattern: tuple
     iso: ta.IsotropyDescriptor
     location: str
+    masses: tuple = field(default=None, compare=False, repr=False)  # (p0, basis) at level 0, None unless inside
 
     @property
     def dim_complex(self):
@@ -157,13 +158,15 @@ def _level_masses(action, pattern, value):
     return "inside", p, basis
 
 
-def make_level_slice(action, pattern, value):
+def make_level_slice(action, pattern, value, masses=None):
     """The level slice of a pattern at `value`; StrataError if the level misses it.
 
     Its box is the segment shrunk by SEGMENT_SHRINK of its length at each end
     for q = 1, and the LP bounds of the slice polytope otherwise (no LP for q = 0).
+    `masses`, when given, is the (p0, basis) `_level_masses` found at `value`.
     """
-    location, p0, basis = _level_masses(action, pattern, np.asarray(value, dtype=float))
+    value = np.asarray(value, dtype=float)
+    location, p0, basis = ("inside", *masses) if masses else _level_masses(action, pattern, value)
     if p0 is None:
         raise StrataError(f"the level {value} misses the open pattern {pattern} ({location})")
     if basis.shape[0] == 1:
@@ -190,7 +193,7 @@ def make_level_slice(action, pattern, value):
         theta.extend(i for i in fac if i != best)
     return LevelSlice(
         pattern=pattern,
-        value=np.asarray(value, dtype=float),
+        value=value,
         p0=p0,
         basis=basis,
         box=box,
@@ -379,14 +382,12 @@ class Stratification:
 
 def _pattern_infos(action):
     zero = np.zeros(action.rank)
-    return [
-        PatternInfo(
-            pattern=pattern,
-            iso=ta.isotropy_of_support(action, pattern),
-            location=_level_masses(action, pattern, zero)[0],
-        )
-        for pattern in all_support_patterns(action.model)
-    ]
+    infos = []
+    for pattern in all_support_patterns(action.model):
+        location, p0, basis = _level_masses(action, pattern, zero)
+        masses = None if p0 is None else (p0, basis)
+        infos.append(PatternInfo(pattern, ta.isotropy_of_support(action, pattern), location, masses))
+    return infos
 
 
 def _merge_carriers(action, carriers):
@@ -432,7 +433,7 @@ def analyze(action):
         iso = top.iso
         m = action.rank - iso.dim
         dim_S = top.dim_complex - m
-        sl = make_level_slice(action, top.pattern, np.zeros(action.rank))
+        sl = make_level_slice(action, top.pattern, np.zeros(action.rank), top.masses)
         theta = np.zeros(action.model.ncoords)
         theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=len(sl.theta_idx))
         rep = models.normalize(action.model, sl.point(theta=theta))

@@ -331,3 +331,90 @@ def test_run_exits_3_when_a_linear_program_fails(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", "--preset", "E2", "--k", "2", "--out", str(tmp_path / "e2")]) == 3
     err = capsys.readouterr().err
     assert "linear program on pattern" in err and "empty zero level" not in err
+
+
+def _square(obj):
+    """The object json.dumps sees for a Gram file: each diagonal block as np.diag(...).tolist()."""
+    if isinstance(obj, cli._Diagonal):
+        return np.diag(obj.values).tolist()
+    if isinstance(obj, dict):
+        return {key: _square(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_square(v) for v in obj]
+    return obj
+
+
+def test_json_text_matches_json_dumps():
+    """The writer's text equals json.dumps(sort_keys=True, indent=1) of the square
+    layout, byte for byte: Gram blocks of dimension 0 and 1, extreme and
+    non-finite diagonal entries, numpy scalars, bools next to ints, non-ASCII
+    strings, non-string keys and nested empty containers."""
+    from quantred import sections
+
+    edge = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.0, 1.5])
+    grams = [sections.GramMatrix(basis_ids=[(i, 2 - i) for i in range(n)], diagonal=d, stderr=e,
+                                 norm_def=nd, k=3, twist="plain", per_stratum=per)
+             for n, d, e in ((0, np.zeros(0), np.zeros(0)), (1, np.array([2.5]), np.array([1e-17])),
+                             (len(edge), edge, np.abs(edge[::-1])))
+             for nd, per in ((1, None), (2, {}), (2, {(0,): d, (1, 2): -d}))]
+    cases = [{str(nd): cli._gram_json(g) for nd, g in enumerate(grams)}]
+    cases += [cli._gram_json(g) for g in grams]
+    cases += [
+        {"b": np.float64(0.1), "a": True, "c": 1, "d": [False, 0, 1.0, None], "é": "ü ∑ \"q\"\n"},
+        {"x": {}, "y": [], "z": [{}, [[]], {"w": {"v": []}}], "": ()},
+        {2: "two", 1.5: [], 0: {}}, {True: 1, False: 0}, {None: float("-inf")},
+        [], {}, 3, -0.0, float("nan"), "text", None,
+        {"m": cli._Diagonal(np.array([np.float64(7.0)])), "e": cli._Diagonal(np.zeros(0))},
+    ]
+    for obj in cases:
+        assert cli._json_text(obj) == json.dumps(_square(obj), sort_keys=True, indent=1)
+
+
+def test_run_files_keep_the_square_gram_layout(tmp_path, monkeypatch):
+    """Every JSON file a run writes is json.dumps(sort_keys=True, indent=1) of
+    its content, and each Gram file holds np.diag of the GramMatrix vectors in
+    matrix_re, matrix_im, stderr and per_stratum (the layout readers parse)."""
+    from quantred import reduction, sections
+
+    grams = {}
+
+    def recording(fn, side):
+        def wrapped(action, k, twist, nd, quad, strat=None):
+            grams[side, k, nd] = g = fn(action, k, twist, nd, quad, strat=strat)
+            return g
+        return wrapped
+
+    monkeypatch.setattr(sections, "gram_upstairs", recording(sections.gram_upstairs, "up"))
+    monkeypatch.setattr(reduction, "reduced_gram", recording(reduction.reduced_gram, "down"))
+    for preset, twist in (("E1", "plain"), ("E2", "plain"), ("E3", "plain"), ("E3", "halfform")):
+        for method in ("exact", "mc"):
+            out = tmp_path / f"{preset}-{twist}-{method}"
+            grams.clear()
+            cli.run(cli.validate({"preset": preset, "twist": twist, "k_list": [2, 4], "out": str(out),
+                                  "quad": {"method": method, "samples": 1000, "grid_order": 16}}))
+            for name in sorted(os.listdir(out)):
+                if name.endswith(".json"):
+                    data = (out / name).read_bytes()
+                    assert data == json.dumps(json.loads(data), sort_keys=True, indent=1).encode(), name
+            for (side, k, nd), g in grams.items():
+                block = json.loads((out / f"gram_{side}_{k}.json").read_text())[str(nd)]
+                assert block["matrix_re"] == np.diag(g.diagonal).tolist()
+                assert block["matrix_im"] == np.zeros((g.dim, g.dim)).tolist()
+                assert block["stderr"] == np.diag(g.stderr).tolist()
+                assert ("per_stratum" in block) == (side == "down")
+                if side == "down":
+                    assert block["per_stratum"] == {str(i): np.diag(d).tolist()
+                                                    for i, d in enumerate(g.per_stratum.values())}
+            assert len(grams) == 8
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
+    """A run that fails into a directory holding an earlier run's files
+    removes that run's manifest before writing anything, so no manifest is
+    left whose hashes disagree with the files."""
+    out = str(tmp_path / "d")
+    assert cli.main(["run", "--preset", "E1", "--k", "2,4", "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, "run_manifest.json"))
+    assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "2,4", "--out", out]) == 3
+    assert "empty invariant space at k=2" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "run_manifest.json"))

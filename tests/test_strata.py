@@ -577,3 +577,23 @@ def test_failed_linear_program_raises_instead_of_reading_outside(e2, monkeypatch
     monkeypatch.setattr(strata, "_linprog", lambda c, **constraints: failed)
     with pytest.raises(strata.StrataError, match=r"linear program on pattern \(\(0,\),\) failed: Numerical difficulties"):
         strata.analyze(e2)
+
+
+def test_analyze_solves_each_level_zero_program_once(e1, e2, e3, r2, monkeypatch):
+    """analyze builds each stratum's zero-level slice from the masses found
+    when its top pattern was classified: one mass LP per support pattern,
+    plus each piece's LP at its own level and the box LPs of q >= 2 slices."""
+    calls = []
+    original = strata._linprog
+
+    def counted(c, **constraints):
+        calls.append(1)
+        return original(c, **constraints)
+
+    monkeypatch.setattr(strata, "_linprog", counted)
+    counts = []
+    for action in (e1, e2, e3, r2[0]):
+        calls.clear()
+        strata.analyze(action)
+        counts.append(len(calls))
+    assert counts == [3, 9, 9, 39]
