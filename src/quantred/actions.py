@@ -23,6 +23,7 @@ and the volume distortion of the time-one imaginary flow is
 with u = W^T xi and N_j the per-factor mass sum after the flow.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,6 +226,7 @@ def _relative_weight_rows(action, support):
     return rows
 
 
+@functools.cache
 def isotropy_of_support(action, support):
     rows = _relative_weight_rows(action, support)
     d = action.rank
@@ -259,19 +261,6 @@ def m_basis(action, iso):
 # orbit volume and the coarea Jacobian
 
 
-def orbit_volume_from_masses(action, p, iso):
-    """Orbit volume at mass vectors, Gram-determinant closed form.
-
-    Broadcasts over leading axes of p; a single mass vector gives a float.
-    """
-    if iso.is_full:
-        return 1.0, True
-    mb = m_basis(action, iso)
-    det = np.linalg.det(mb @ field_pairing(action, p) @ mb.T)
-    vol = np.sqrt(np.clip(det, 0.0, None))
-    return (float(vol) if vol.ndim == 0 else vol), False
-
-
 def orbit_volume(action, point, iso=None):
     """sqrt det B(X^{xi_a}, X^{xi_b}) over an orthonormal basis of m.
 
@@ -282,7 +271,11 @@ def orbit_volume(action, point, iso=None):
     z = as_coords(action.model, point)
     if iso is None:
         iso = isotropy(action, z)
-    return orbit_volume_from_masses(action, masses(action.model, z), iso)
+    if iso.is_full:
+        return 1.0, True
+    mb = m_basis(action, iso)
+    vol = np.sqrt(np.clip(np.linalg.det(mb @ field_pairing(action, masses(action.model, z)) @ mb.T), 0.0, None))
+    return (float(vol) if vol.ndim == 0 else vol), False
 
 
 def geometric_orbit_volume(action, point, iso=None):
@@ -423,8 +416,21 @@ def coarea_tau(action, p, xis):
 
     with JX_a = 4 pi l q (u_a - <u_a>_q), u_a = W^T m_a, D_xi = dq/dp and V
     a G(x)-orthonormal basis of the kernel of d phi, whose rows are
-    W_{a i} - W_{a r}.  `jacobian_tau_batch` is the finite-difference
+    W_{a i} - W_{a r}.  This wraps `coarea_setup`, which callers with many
+    xi per point use directly; `jacobian_tau_batch` is the finite-difference
     reference.
+    """
+    p = np.asarray(p, dtype=float)
+    u = xis @ action.W
+    log_n = _log_flow_sums(action.model, _log_masses(p)[:, None, :], u)
+    return coarea_setup(action, p)(np.arange(p.shape[0]), u, log_n)
+
+
+def coarea_setup(action, p):
+    """The xi-independent part of `coarea_tau` at the masses p of one support pattern.
+
+    Returns tau(nodes, u, log_n): tau at the points p[nodes] for u = W^T xi,
+    shape (len(nodes), K, ncoords), given its `_log_flow_sums` log_n.
     """
     model = action.model
     p = np.asarray(p, dtype=float)
@@ -434,37 +440,41 @@ def coarea_tau(action, p, xis):
     support = tuple(tuple(int(i) for i in np.flatnonzero(on[sl]) + sl.start) for sl in model.slices)
     mb = m_basis(action, isotropy_of_support(action, support))
     m = mb.shape[0]
-    # free coordinates with their factor, reference index and degree; the
-    # reference is the factor's heaviest coordinate, which keeps G well scaled
-    free, fac, ref, deg = [], [], [], []
-    for j, (sup, l) in enumerate(zip(support, model.bundle_degrees)):
-        r = max(sup, key=lambda i: p[:, i].sum())
-        rest = [i for i in sup if i != r]
-        free += rest
-        fac += [j] * len(rest)
-        ref += [r] * len(rest)
-        deg += [float(l)] * len(rest)
-    free, fac, ref, deg = map(np.asarray, (free, fac, ref, deg))
-    nf = len(free)
+    # per point, the free coordinates with their reference index, and per free
+    # coordinate its factor and degree; the reference is the factor's heaviest
+    # coordinate at that point, which keeps G well scaled near slice ends
+    free, ref, fac = [], [], []
+    for j, sup in enumerate(map(np.asarray, support)):
+        r = sup[np.argmax(p[:, sup], axis=1)]
+        free.append(np.broadcast_to(sup, (p.shape[0], sup.size))[sup != r[:, None]].reshape(p.shape[0], -1))
+        ref.append(np.repeat(r[:, None], sup.size - 1, axis=1))
+        fac += [j] * (sup.size - 1)
+    free, ref, fac = np.concatenate(free, axis=1), np.concatenate(ref, axis=1), np.asarray(fac, dtype=int)
+    deg = np.asarray(model.bundle_degrees, dtype=float)[fac]
+    nf = free.shape[1]
     same = (fac[:, None] == fac[None, :]).astype(float)
     # V = N L^{-T} with L L^T = N^T G N, N a basis of ker d phi; its
     # determinant factor is det(N^T G N)^{-1/2}
-    null = np.linalg.svd(action.W[:, free] - action.W[:, ref])[2][m:].T
-    x = deg * p[:, free]
-    G = 0.5 * (np.eye(nf) / x[:, None, :] + same / (deg * p[:, ref])[:, :, None])
-    scale = np.sqrt(np.linalg.det(G) / np.linalg.det(null.T @ G @ null))
-    # flowed masses q and rho = q / p = a / N, per factor
-    u = xis @ action.W
-    log_n = np.stack(_log_flow_sums(model, _log_masses(p)[:, None, :], u), axis=-1)
+    null = np.swapaxes(np.linalg.svd(np.swapaxes(action.W[:, free] - action.W[:, ref], 0, 1))[2][:, m:], 1, 2)
+    pf, pr = np.take_along_axis(p, free, axis=1), np.take_along_axis(p, ref, axis=1)
+    G = 0.5 * (np.eye(nf) / (deg * pf)[:, None, :] + same / (deg * pr)[:, :, None])
+    scale = np.sqrt(np.linalg.det(G) / np.linalg.det(np.swapaxes(null, 1, 2) @ G @ null))
     factor_of = np.repeat(np.arange(len(model.factors)), [n + 1 for n in model.factors])
-    rho = np.exp(-2.0 * TWO_PI * u - log_n[..., factor_of])
-    q = p[:, None, :] * rho
-    qf, rho_f = q[..., free], rho[..., free]
-    D = np.eye(nf) * rho_f[..., None, :] - same * qf[..., :, None] * (rho_f - rho[..., ref])[..., None, :]
     U = mb @ action.W
-    mean = np.stack([q[..., sl] @ U[:, sl].T for sl in model.slices], axis=-2)[..., fac, :]
-    JX = 2.0 * TWO_PI * (deg * qf)[..., None] * (U[:, free].T - mean)
-    return scale[:, None] * np.abs(np.linalg.det(np.concatenate([JX, D @ null], axis=-1)))
+
+    def tau(nodes, u, log_n):
+        # flowed masses q and rho = q / p = a / N, per factor
+        rho = np.exp(-2.0 * TWO_PI * u - log_n[..., factor_of])
+        q = p[nodes][:, None, :] * rho
+        fi = free[nodes][:, None, :]
+        qf, rho_f = np.take_along_axis(q, fi, axis=-1), np.take_along_axis(rho, fi, axis=-1)
+        rho_r = np.take_along_axis(rho, ref[nodes][:, None, :], axis=-1)
+        D = np.eye(nf) * rho_f[..., None, :] - same * qf[..., :, None] * (rho_f - rho_r)[..., None, :]
+        mean = np.stack([q[..., sl] @ U[:, sl].T for sl in model.slices], axis=-2)[..., fac, :]
+        JX = 2.0 * TWO_PI * (deg * qf)[..., None] * (U.T[fi] - mean)
+        return scale[nodes][:, None] * np.abs(np.linalg.det(np.concatenate([JX, D @ null[nodes][:, None]], axis=-1)))
+
+    return tau
 
 
 # ----------------------------------------------------------------------
@@ -472,10 +482,10 @@ def coarea_tau(action, p, xis):
 
 
 def _logsumexp(a):
-    """log sum exp over the last axis, shifted by its maximum (entries may be -inf)."""
-    shift = np.max(a, axis=-1, keepdims=True)
+    """log sum exp over the first axis, shifted by its maximum (entries may be -inf)."""
+    shift = np.max(a, axis=0)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    return np.log(np.sum(np.exp(a - shift), axis=-1)) + shift[..., 0]
+    return np.log(np.sum(np.exp(a - shift), axis=0)) + shift
 
 
 def _log_masses(p):
@@ -483,9 +493,10 @@ def _log_masses(p):
 
 
 def _log_flow_sums(model, logp, u):
-    """log N_j = log sum_{i in j} p_i e^{-4 pi u_i} for each factor j."""
-    e = logp - 2.0 * TWO_PI * u
-    return [_logsumexp(e[..., sl]) for sl in model.slices]
+    """log N_j = log sum_{i in j} p_i e^{-4 pi u_i}, factor j on the last axis."""
+    # coordinates first, in memory too: numpy reduces slowly along a short last axis
+    e = np.ascontiguousarray(np.moveaxis(logp - 2.0 * TWO_PI * u, -1, 0))
+    return np.stack([_logsumexp(e[sl]) for sl in model.slices], axis=-1)
 
 
 def potential(action, xi, point_or_masses, from_masses=False):
@@ -497,12 +508,15 @@ def potential(action, xi, point_or_masses, from_masses=False):
     p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, as_coords(model, point_or_masses))
     xi = np.asarray(xi, dtype=float)
     logp = _log_masses(p)
+    flowed, at_zero = _log_flow_sums(model, logp, xi @ action.W), _log_flow_sums(model, logp, 0.0)
+    return _potential_from_sums(action, xi, flowed, at_zero)
+
+
+def _potential_from_sums(action, xi, log_n, log_n0):
+    """f from the `_log_flow_sums` at xi and at 0; subtracting the latter makes f(0, x) exactly 0."""
     out = -2.0 * TWO_PI * (xi @ action.shift_float)
-    # subtracting the xi = 0 value makes f(0, x) exactly zero and removes
-    # any drift from imperfect mass normalization
-    flowed = _log_flow_sums(model, logp, xi @ action.W)
-    for l, log_n, log_n0 in zip(model.bundle_degrees, flowed, _log_flow_sums(model, logp, 0.0)):
-        out = out + l * (log_n - log_n0)
+    for j, l in enumerate(action.model.bundle_degrees):
+        out = out + l * (log_n[..., j] - log_n0[..., j])
     return out
 
 
@@ -524,9 +538,14 @@ def divergence_factor(action, xi, point_or_masses, from_masses=False):
     model = action.model
     p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, as_coords(model, point_or_masses))
     u = np.asarray(xi, dtype=float) @ action.W
+    return _divergence_from_sums(model, u, _log_flow_sums(model, _log_masses(p), u))
+
+
+def _divergence_from_sums(model, u, log_n):
+    """The divergence factor from u = W^T xi and its `_log_flow_sums`."""
     logv = 0.0
-    for sl, nj, log_n in zip(model.slices, model.factors, _log_flow_sums(model, _log_masses(p), u)):
-        logv = logv - 2.0 * TWO_PI * np.sum(u[..., sl], axis=-1) - (nj + 1) * log_n
+    for j, (sl, nj) in enumerate(zip(model.slices, model.factors)):
+        logv = logv - 2.0 * TWO_PI * np.sum(u[..., sl], axis=-1) - (nj + 1) * log_n[..., j]
     return np.exp(-0.5 * logv)
 
 
@@ -554,43 +573,20 @@ class FlowPotentialReport:
 
 
 def flow_potential(action, xi, point, fd_step=1e-4):
-    model = action.model
-    z = as_coords(model, point)
-    p = masses(model, z)
-    iso = isotropy(action, z)
-    mb = m_basis(action, iso)
-    m = mb.shape[0]
+    """f at xi, its central-difference gradient there along m, and its m-Hessian at 0."""
+    z = as_coords(action.model, point)
+    p = masses(action.model, z)
+    e = fd_step * m_basis(action, isotropy(action, z))  # rows: fd_step times a basis of m
     xi = np.asarray(xi, dtype=float)
-    value = float(potential(action, xi, p, from_masses=True))
 
-    def f_m(s):
-        return float(potential(action, xi + s @ mb, p, from_masses=True))
+    def f(v):
+        return float(potential(action, v, p, from_masses=True))
 
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
-    for a in range(m):
-        ea = np.zeros(m)
-        ea[a] = fd_step
-        grad[a] = (f_m(ea) - f_m(-ea)) / (2 * fd_step)
-    zero = np.zeros(m)
-    for a in range(m):
-        for b in range(a, m):
-            ea, eb = np.zeros(m), np.zeros(m)
-            ea[a] = fd_step
-            eb[b] = fd_step
-            # Hessian at xi = 0 regardless of the requested evaluation point
-            val = (
-                _pot_at(action, p, zero + ea + eb, mb)
-                - _pot_at(action, p, zero + ea - eb, mb)
-                - _pot_at(action, p, zero - ea + eb, mb)
-                + _pot_at(action, p, zero - ea - eb, mb)
-            ) / (4 * fd_step**2)
-            hess[a, b] = hess[b, a] = val
-    return FlowPotentialReport(value=value, gradient=grad, hessian_at_zero=hess)
-
-
-def _pot_at(action, p, s, mb):
-    return float(potential(action, s @ mb, p, from_masses=True))
+    grad = np.array([(f(xi + a) - f(xi - a)) / (2 * fd_step) for a in e])
+    # the Hessian at xi = 0 regardless of the requested evaluation point
+    hess = np.reshape([(f(a + b) + f(-a - b) - f(a - b) - f(b - a)) / (4 * fd_step**2) for a in e for b in e],
+                      (len(e), len(e)))
+    return FlowPotentialReport(value=f(xi), gradient=grad, hessian_at_zero=hess)
 
 
 def norm_transport(action, kind, k, xi, point, pointwise_norm_at_point):

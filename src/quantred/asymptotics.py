@@ -43,20 +43,34 @@ MAX_HALVINGS = 10        # h halves at most this often per node
 DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
 
 
-def _on_grid(integrand, nodes, R, h, m):
+def _on_grid(integrand, nodes, R, h, m, grids):
     """integrand at every (node, y) pair of the grid h Z^m on [-R, R]^m.
 
-    Evaluated TRANSVERSE_BLOCK pairs at a time; shape (len(nodes), 2J+1, ..., 2J+1), J = R/h.
+    grids[node] = (1 after R doubled or 2 after h halved, its last grid) is popped and kept as the
+    centre block or at the even indices; only the points new to a node are evaluated,
+    TRANSVERSE_BLOCK pairs at a time.  Shape (len(nodes), 2J+1, ..., 2J+1), J = R/h.
     """
     J = int(round(R / h))
     axis = h * np.arange(-J, J + 1)
     ys = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
-    g = np.empty((nodes.size, ys.shape[0]))
-    per = max(1, TRANSVERSE_BLOCK // ys.shape[0])
-    for a in range(0, nodes.size, per):
-        for b in range(0, ys.shape[0], TRANSVERSE_BLOCK):
-            g[a:a + per, b:b + TRANSVERSE_BLOCK] = integrand(nodes[a:a + per], ys[b:b + TRANSVERSE_BLOCK])
-    return g.reshape((nodes.size,) + (2 * J + 1,) * m)
+    g = np.empty((nodes.size,) + (2 * J + 1,) * m)
+    kept = [(), (slice(J // 2, 3 * J // 2 + 1),) * m, (slice(None, None, 2),) * m]
+    came = np.zeros(nodes.size, dtype=int)  # 0 on a node's first grid
+    for i, node in enumerate(nodes):
+        if node in grids:
+            came[i], vals = grids.pop(node)
+            g[i][kept[came[i]]] = vals
+    flat = g.reshape(nodes.size, -1)
+    for c in np.unique(came):
+        new = np.ones(g.shape[1:], dtype=bool)
+        new[kept[c]] = c == 0
+        rows, cols = np.flatnonzero(came == c), np.flatnonzero(new)
+        per = max(1, TRANSVERSE_BLOCK // cols.size)
+        for a in range(0, rows.size, per):
+            for b in range(0, cols.size, TRANSVERSE_BLOCK):
+                r, q = rows[a:a + per], cols[b:b + TRANSVERSE_BLOCK]
+                flat[np.ix_(r, q)] = integrand(nodes[r], ys[q])
+    return g
 
 
 def _transverse_integral(action, z, k, halfform=False):
@@ -66,15 +80,19 @@ def _transverse_integral(action, z, k, halfform=False):
     nodes of a level slice.  D is the divergence factor, included for the
     half-form twist.  Returns (T, estimates |I_h - I_2h|), each shape (N,).
 
-    tau is the closed form `actions.coarea_tau`.  Each node's transverse
-    variable is whitened, xi = C^{-T} y / sqrt(k) with C C^T the Hessian of f
-    at 0, which is twice the field pairing on m.  A tensor trapezoid grid of
-    step h on [-R, R]^m in y is widened (R doubles) until the boundary values
-    fall below TRANSVERSE_EDGE of the maximum, and then refined (h halves)
-    until the sums at steps h and 2h agree to TRANSVERSE_RTOL; the trapezoid
-    rule converges exponentially for analytic integrands that decay at both
-    ends (Trefethen & Weideman, SIAM Review 56, 2014).  A node that needs
-    more than MAX_WIDENINGS or MAX_HALVINGS raises AsymptoticsError.
+    tau is the closed form `actions.coarea_tau`, its set-up
+    (`actions.coarea_setup`) built once per call; the log-flow sums log N_j
+    are computed once per (node, xi) pair and shared by tau, f and D.  Each
+    node's transverse variable is whitened, xi = C^{-T} y / sqrt(k) with
+    C C^T the Hessian of f at 0, which is twice the field pairing on m.  A
+    tensor trapezoid grid of step h on [-R, R]^m in y is widened (R doubles)
+    until the boundary values fall below TRANSVERSE_EDGE of the maximum, and
+    then refined (h halves) until the sums at steps h and 2h agree to
+    TRANSVERSE_RTOL; the trapezoid rule converges exponentially for analytic
+    integrands that decay at both ends (Trefethen & Weideman, SIAM Review 56,
+    2014).  The grids are nested: each refinement evaluates only the points
+    new to it.  A node that needs more than MAX_WIDENINGS or MAX_HALVINGS
+    raises AsymptoticsError.
     """
     z = np.atleast_2d(z)
     p = masses(action.model, z)
@@ -83,13 +101,17 @@ def _transverse_integral(action, z, k, halfform=False):
     chol = np.linalg.cholesky(2.0 * mb @ ta.field_pairing(action, p) @ mb.T)
     maps = np.linalg.inv(chol) @ mb / np.sqrt(k)  # xi = y @ maps[n]
     jac = 1.0 / (k ** (m / 2.0) * np.linalg.det(chol))
+    tau = ta.coarea_setup(action, p)
+    logp = ta._log_masses(p)[:, None, :]
+    log_n0 = ta._log_flow_sums(action.model, logp, 0.0)
 
     def integrand(nodes, ys):
         xis = ys @ maps[nodes]
-        pn = p[nodes][:, None, :]
-        vals = ta.coarea_tau(action, p[nodes], xis) * np.exp(-k * ta.potential(action, xis, pn, from_masses=True))
+        u = xis @ action.W
+        log_n = ta._log_flow_sums(action.model, logp[nodes], u)
+        vals = tau(nodes, u, log_n) * np.exp(-k * ta._potential_from_sums(action, xis, log_n, log_n0[nodes]))
         if halfform:
-            vals = vals * ta.divergence_factor(action, xis, pn, from_masses=True)
+            vals = vals * ta._divergence_from_sums(action.model, u, log_n)
         return vals
 
     n = z.shape[0]
@@ -97,12 +119,13 @@ def _transverse_integral(action, z, k, halfform=False):
     widened, halved = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     value, error = np.empty(n), np.empty(n)
     done = np.zeros(n, dtype=bool)
+    grids = {}  # node -> (how its grid grows, its values) for `_on_grid`, until the node settles
     axes = tuple(range(1, m + 1))
     while not done.all():
         todo = np.flatnonzero(~done)
         for Rg, hg in sorted(set(zip(R[todo], h[todo]))):
             group = todo[(R[todo] == Rg) & (h[todo] == hg)]
-            g = _on_grid(integrand, group, Rg, hg, m)
+            g = _on_grid(integrand, group, Rg, hg, m, grids)
             I_h = hg**m * g.sum(axis=axes)
             I_2h = (2.0 * hg) ** m * g[(slice(None),) + (slice(None, None, 2),) * m].sum(axis=axes)
             value[group], error[group] = jac[group] * I_h, jac[group] * np.abs(I_h - I_2h)
@@ -128,6 +151,7 @@ def _transverse_integral(action, z, k, halfform=False):
                 count[more] += 1
             R[group[~wide]] *= 2.0
             h[group[wide & ~settled]] /= 2.0
+            grids.update(zip(group[~settled], zip(1 + wide[~settled], g[~settled])))  # 2: h halves
     return value, error
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quantred import actions as ta
-from quantred import models, strata
+from quantred import cli, models, strata
 from quantred.integrate import gauss_legendre, gauss_segment
 
 TWO_PI = 2.0 * np.pi
@@ -265,6 +265,18 @@ def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
                 assert np.all(np.abs(closed[live] / fd[live] - 1.0) < 1e-8)
                 compared += int(np.sum(live))
     assert compared > 500
+
+
+def test_isotropy_is_computed_once_per_support(tmp_path, monkeypatch):
+    """`isotropy_of_support` is memoized: a full E2 run computes the exact
+    rational nullspace at most once per distinct support."""
+    supports, nullspaces = set(), []
+    rows_of, nullspace = ta._relative_weight_rows, ta.rational_nullspace
+    monkeypatch.setattr(ta, "_relative_weight_rows", lambda a, s: supports.add((a, s)) or rows_of(a, s))
+    monkeypatch.setattr(ta, "rational_nullspace", lambda rows: nullspaces.append(rows) or nullspace(rows))
+    ta.isotropy_of_support.cache_clear()
+    assert cli.main(["run", "--preset", "E2", "--k", "2,4,8", "--out", str(tmp_path / "e2")]) == 0
+    assert 0 < len(nullspaces) <= len(supports)
 
 
 def test_coarea_consistency_toy(e1, rng):

@@ -98,6 +98,59 @@ def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypa
         asymptotics._transverse_integral(e2, z, 3000)
 
 
+@pytest.fixture(scope="module")
+def transverse_tau_calls(e2, st2):
+    """The tau evaluations of single `_transverse_integral` calls, recorded.
+
+    The inputs: all 32 nodes of E2's order-32 open slice at k = 2, both
+    twists (the end nodes halve h up to 7 times), and the rank-2 (CP^1)^3
+    perfbench point at k = 10, 40, 100 (one of which widens R).  Per call,
+    a list of evaluations, each an array of (masses, u = W^T xi) rows, one
+    row per (node, transverse point) pair; W has full rank, so u fixes xi.
+    """
+    setup = ta.coarea_setup
+    calls = []
+
+    def recording_setup(action, p):
+        tau = setup(action, p)
+
+        def recording_tau(nodes, u, log_n):
+            pn = np.broadcast_to(p[nodes][:, None, :], u.shape)
+            calls[-1].append(np.concatenate([pn, u], axis=-1).reshape(-1, 2 * u.shape[-1]))
+            return tau(nodes, u, log_n)
+
+        return recording_tau
+
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    lab = strata.analyze(rank2).open_stratum()
+    x, _ = strata.sample_stratum(rank2, lab, 1, seed=1)
+    z, _, _ = strata.slice_quadrature(e2, strata.make_level_slice(e2, st2.open_stratum().top_pattern, np.zeros(1)), 32)
+    runs = [(e2, z, 2, False), (e2, z, 2, True)] + [(rank2, x[:1], k, False) for k in (10, 40, 100)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ta, "coarea_setup", recording_setup)
+        for action, points, k, halfform in runs:
+            calls.append([])
+            asymptotics._transverse_integral(action, points, k, halfform)
+    return calls
+
+
+def test_transverse_rule_evaluates_each_point_once(transverse_tau_calls):
+    """Nested grids: a halving of h or a doubling of R evaluates only the
+    points new to a node's grid, so no (node, xi) pair is evaluated twice
+    within one call."""
+    for evaluations in transverse_tau_calls:
+        rows = np.concatenate(evaluations)
+        assert len({row.tobytes() for row in rows}) == len(rows)
+
+
+def test_transverse_evaluations_stay_within_the_block(transverse_tau_calls):
+    """No tau evaluation receives more than TRANSVERSE_BLOCK (node, point)
+    pairs, the documented memory bound, though the rank-2 grids outgrow it."""
+    sizes = [[len(rows) for rows in evaluations] for evaluations in transverse_tau_calls]
+    assert max(max(call) for call in sizes) <= asymptotics.TRANSVERSE_BLOCK
+    assert max(sum(call) for call in sizes) > asymptotics.TRANSVERSE_BLOCK
+
+
 def test_density_h_equals_g_is_one(e2, st2):
     full = [s for s in st2.strata if s.isotropy.is_full][0]
     assert asymptotics.density_I(e2, full, full.representative, 7) == 1.0
