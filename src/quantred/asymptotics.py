@@ -40,6 +40,7 @@ TRANSVERSE_BLOCK = 4096  # (node, transverse point) pairs evaluated at once, to 
 TRANSVERSE_R0, TRANSVERSE_H0 = 10.0, 1.0  # first grid, in whitened units
 MAX_WIDENINGS = 8        # R doubles at most this often per node
 MAX_HALVINGS = 10        # h halves at most this often per node
+MAX_GRID_POINTS = 2**23  # (node, transverse point) pairs of one node group's grid, to bound memory
 DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
 
 
@@ -91,8 +92,9 @@ def _transverse_integral(action, z, k, halfform=False):
     TRANSVERSE_RTOL; the trapezoid rule converges exponentially for analytic
     integrands that decay at both ends (Trefethen & Weideman, SIAM Review 56,
     2014).  The grids are nested: each refinement evaluates only the points
-    new to it.  A node that needs more than MAX_WIDENINGS or MAX_HALVINGS
-    raises AsymptoticsError.
+    new to it.  A node that needs more than MAX_WIDENINGS or MAX_HALVINGS,
+    or a node group whose grid exceeds MAX_GRID_POINTS, raises
+    AsymptoticsError.
     """
     z = np.atleast_2d(z)
     p = masses(action.model, z)
@@ -125,6 +127,10 @@ def _transverse_integral(action, z, k, halfform=False):
         todo = np.flatnonzero(~done)
         for Rg, hg in sorted(set(zip(R[todo], h[todo]))):
             group = todo[(R[todo] == Rg) & (h[todo] == hg)]
+            size = group.size * (2 * int(round(Rg / hg)) + 1) ** m
+            if size > MAX_GRID_POINTS:
+                raise AsymptoticsError(f"transverse integral at the point {np.round(z[group[0]], 12).tolist()} needs "
+                                       f"{size} grid points at k={k} (R={Rg:g}, h={hg:g}), over {MAX_GRID_POINTS}")
             g = _on_grid(integrand, group, Rg, hg, m, grids)
             I_h = hg**m * g.sum(axis=axes)
             I_2h = (2.0 * hg) ** m * g[(slice(None),) + (slice(None, None, 2),) * m].sum(axis=axes)

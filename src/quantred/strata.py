@@ -7,8 +7,9 @@ its moment image is the convex hull of the per-factor weight vertices.  The
 zero level meets the open pattern iff 0 lies in the relative interior of
 that hull; patterns whose hull only touches 0 on the boundary flow out of
 themselves and form the extra pieces of the preimage decomposition.  One
-LP over masses decides this: vertex weights lam_c > 0 give masses p_i = sum
-of lam_c over c through i, and masses p > 0 give lam_c = prod_j p_(c_j).
+max-min over masses decides this (`_level_masses`): vertex weights lam_c > 0
+give masses p_i = sum of lam_c over c through i, and masses p > 0 give
+lam_c = prod_j p_(c_j).
 
 The numeric gradient flow is exact on rays: the trajectory through x stays
 in the imaginary-orbit {e^{i xi} x}, so the ODE is integrated on xi in R^d
@@ -27,6 +28,8 @@ from .integrate import gauss_segment
 from .models import TWO_PI, as_coords, masses
 
 ZERO_TOL = 1e-9
+FEAS_TOL = 1e-7  # a level misses a pattern beyond this residual or negative mass, HiGHS's primal tolerance
+MOVE_TOL = 1e-14  # a unit slice direction moves the masses where it exceeds this
 SEGMENT_SHRINK = 1e-6  # a q = 1 slice box stops this fraction of its length short of each end
 
 
@@ -35,7 +38,7 @@ class StrataError(QuantredError, RuntimeError):
 
 
 def _linprog(c, **constraints):
-    """scipy's HiGHS linear program; scipy loads on the first call, not on import."""
+    """scipy's HiGHS linear program, for slices with q >= 2 only; scipy loads on the first call."""
     from scipy.optimize import linprog
 
     return linprog(c, method="highs", **constraints)
@@ -110,10 +113,16 @@ class LevelSlice:
 
 
 def _level_masses(action, pattern, value):
-    """(location, p0, basis) of the level phi = value on a pattern: the LP
-    maximises the smallest mass under the level equations; 'outside' if it is
-    infeasible, 'boundary' if that mass is zero, else 'inside' with those
-    masses p0 and the equations' null directions (both None unless inside)."""
+    """(location, p, basis) of the level phi = value on a pattern.
+
+    p maximises the smallest mass under the level equations A p = b and basis
+    spans their q = nsup - rank A null directions.  'outside' if no p >= 0
+    solves them (p and basis None), 'boundary' if that mass is at most
+    ZERO_TOL, else 'inside'.  For q = 0 the equations fix p; for q = 1 p is
+    the midpoint of the optimal interval on the line of solutions (a point
+    unless the smallest mass is constant along it); only q >= 2 solves a
+    linear program.
+    """
     model = action.model
     sup = [i for fac in pattern for i in fac]
     nsup = len(sup)
@@ -129,33 +138,52 @@ def _level_masses(action, pattern, value):
         rhs.append(1.0)
     A = np.vstack(rows)
     b = np.asarray(rhs)
-    # max eps with p_i >= eps
-    c = np.zeros(nsup + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-np.eye(nsup), np.ones((nsup, 1))])
-    res = _linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(nsup),
-        A_eq=np.hstack([A, np.zeros((A.shape[0], 1))]),
-        b_eq=b,
-        bounds=[(0, None)] * nsup + [(0, 1.0)],
-    )
-    if res.status == 2:
-        return "outside", None, None
-    if res.status != 0:
-        raise StrataError(f"level linear program on pattern {pattern} failed: {res.message}")
-    if -res.fun <= ZERO_TOL:
-        return "boundary", None, None
-    p = np.zeros(model.ncoords)
-    p[sup] = res.x[:nsup]
-    # null directions of the constraints, embedded in full coordinates
-    _, s, vt = np.linalg.svd(A)
+    u, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
     q = nsup - rank
     basis = np.zeros((q, model.ncoords))
     basis[:, sup] = vt[rank:]
-    return "inside", p, basis
+    if q <= 1:
+        x = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])
+        if q == 1:
+            # the smallest mass is concave along x + t v: its maximum is the best crossing of a
+            # rising and a falling mass, kept on the interval where every moving mass reaches it
+            v = vt[rank]
+            up, down = v > MOVE_TOL, v < -MOVE_TOL
+            t = ((x[None, down] - x[up, None]) / (v[up, None] - v[None, down])).ravel()
+            best = np.max(np.min(x[:, None] + v[:, None] * t, axis=0))
+            x = x + np.mean(_segment(x, v, best)) * v
+        if np.linalg.norm(A @ x - b) > FEAS_TOL or x.min() < -FEAS_TOL:
+            return "outside", None, None
+        eps = x.min()
+    else:
+        # max eps with p_i >= eps
+        c = np.zeros(nsup + 1)
+        c[-1] = -1.0
+        a_ub = np.hstack([-np.eye(nsup), np.ones((nsup, 1))])
+        res = _linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=np.zeros(nsup),
+            A_eq=np.hstack([A, np.zeros((A.shape[0], 1))]),
+            b_eq=b,
+            bounds=[(0, None)] * nsup + [(0, 1.0)],
+        )
+        if res.status == 2:
+            return "outside", None, None
+        if res.status != 0:
+            raise StrataError(f"level linear program on pattern {pattern} failed: {res.message}")
+        x, eps = res.x[:nsup], -res.fun
+    p = np.zeros(model.ncoords)
+    p[sup] = x
+    return ("inside" if eps > ZERO_TOL else "boundary"), p, basis
+
+
+def _segment(p, v, floor=0.0):
+    """(t_lo, t_hi): the interval of t where p + t v >= floor on the coordinates that move along v."""
+    move = np.abs(v) > MOVE_TOL
+    t = (floor - p[move]) / v[move]
+    return np.max(t[v[move] > 0]), np.min(t[v[move] < 0])
 
 
 def make_level_slice(action, pattern, value, masses=None):
@@ -167,19 +195,10 @@ def make_level_slice(action, pattern, value, masses=None):
     """
     value = np.asarray(value, dtype=float)
     location, p0, basis = ("inside", *masses) if masses else _level_masses(action, pattern, value)
-    if p0 is None:
+    if location != "inside":
         raise StrataError(f"the level {value} misses the open pattern {pattern} ({location})")
     if basis.shape[0] == 1:
-        b = basis[0]
-        t_hi = np.inf
-        t_lo = -np.inf
-        for i, bi in enumerate(b):
-            if abs(bi) > 1e-14:
-                t = -p0[i] / bi
-                if bi > 0:
-                    t_lo = max(t_lo, t)
-                else:
-                    t_hi = min(t_hi, t)
+        t_lo, t_hi = _segment(p0, basis[0])
         span = t_hi - t_lo
         box = (np.array([t_lo + SEGMENT_SHRINK * span]), np.array([t_hi - SEGMENT_SHRINK * span]))
     else:
@@ -187,8 +206,10 @@ def make_level_slice(action, pattern, value, masses=None):
     gauge = []
     theta = []
     for fac in pattern:
-        # gauge the phase of the most robustly positive coordinate
-        best = max(fac, key=lambda i: p0[i])
+        # gauge the phase of the most robustly positive coordinate, the first
+        # within 1e-12 of the largest mass so that rounding cannot move it
+        top = max(p0[i] for i in fac)
+        best = next(i for i in fac if p0[i] >= top - 1e-12)
         gauge.append(best)
         theta.extend(i for i in fac if i != best)
     return LevelSlice(
@@ -385,7 +406,7 @@ def _pattern_infos(action):
     infos = []
     for pattern in all_support_patterns(action.model):
         location, p0, basis = _level_masses(action, pattern, zero)
-        masses = None if p0 is None else (p0, basis)
+        masses = (p0, basis) if location == "inside" else None
         infos.append(PatternInfo(pattern, ta.isotropy_of_support(action, pattern), location, masses))
     return infos
 

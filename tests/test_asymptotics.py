@@ -98,6 +98,15 @@ def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypa
         asymptotics._transverse_integral(e2, z, 3000)
 
 
+def test_transverse_grid_over_its_cap_raises(e2, st2, monkeypatch):
+    """A node group whose grid would exceed MAX_GRID_POINTS raises before the
+    grid is allocated, naming the point, k and the grid's size."""
+    lab = st2.open_stratum()
+    monkeypatch.setattr(asymptotics, "MAX_GRID_POINTS", 40)  # the first grid has 21 points, the first halving 41
+    with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*needs 41 grid points at k=4 .*over 40"):
+        asymptotics.density_I(e2, lab, lab.representative, 4)
+
+
 @pytest.fixture(scope="module")
 def transverse_tau_calls(e2, st2):
     """The tau evaluations of single `_transverse_integral` calls, recorded.

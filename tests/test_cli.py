@@ -323,12 +323,16 @@ def test_python_dash_m_runs_the_cli():
 
 def test_run_exits_3_when_a_linear_program_fails(tmp_path, monkeypatch, capsys):
     """A failed HiGHS solve is a numerical failure (exit 3) that names the
-    linear program, not an 'empty zero level set'."""
+    linear program, not an 'empty zero level set'; on CP^1 x CP^2, whose open
+    stratum has a q = 2 slice and so still solves a program."""
     from quantred import strata
 
     failed = SimpleNamespace(status=4, success=False, message="Numerical difficulties encountered.")
     monkeypatch.setattr(strata, "_linprog", lambda c, **constraints: failed)
-    assert cli.main(["run", "--preset", "E2", "--k", "2", "--out", str(tmp_path / "e2")]) == 3
+    cfg = tmp_path / "cp.json"
+    cfg.write_text(json.dumps({"model": {"factors": [1, 2], "bundle_degrees": [1, 1]},
+                               "action": {"rank": 1, "weights": [[1, 0, -1, 0, 1]]}}))
+    assert cli.main(["run", "--config", str(cfg), "--k", "2", "--out", str(tmp_path / "cp")]) == 3
     err = capsys.readouterr().err
     assert "linear program on pattern" in err and "empty zero level" not in err
 

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -47,3 +48,36 @@ def test_import_and_validate_do_not_load_scipy():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_runs_with_point_and_segment_slices_do_not_load_scipy(tmp_path):
+    """scipy serves only level slices with q >= 2: `quantred run` at k = 2 on
+    E1, E2, E3 and the rank-2 (CP^1)^3, whose slices are all points or
+    segments, ends without it, and a CP^1 x CP^2 strata run, whose open
+    stratum has q = 2, loads it.  The (CP^1)^3 run leaves out the consistency
+    check, whose residuals take seconds there and build no slice."""
+    models = {
+        "rank2": {"model": {"factors": [1, 1, 1], "bundle_degrees": [1, 1, 1]},
+                  "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]}},
+        "cp1xcp2": {"model": {"factors": [1, 2], "bundle_degrees": [1, 1]},
+                    "action": {"rank": 1, "weights": [[1, 0, -1, 0, 1]]}},
+    }
+    for name, cfg in models.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    code = (
+        "import sys\n"
+        "from quantred import cli\n"
+        "out = sys.argv[1]\n"
+        "runs = [['--preset', 'E1'], ['--preset', 'E2'], ['--preset', 'E3'],\n"
+        "        ['--config', out + '/rank2.json', '--only', 'strata,gram,density,unitarity'],\n"
+        "        ['--config', out + '/cp1xcp2.json', '--only', 'strata']]\n"
+        "for i, args in enumerate(runs):\n"
+        "    assert cli.main(['run', *args, '--k', '2', '--out', f'{out}/run{i}']) == 0\n"
+        "    print('scipy loaded:', 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    loaded = [line.split(": ")[1] for line in res.stdout.splitlines() if line.startswith("scipy loaded:")]
+    assert loaded == ["False"] * 4 + ["True"]
