@@ -12,7 +12,7 @@ are 1 identically on H = G strata.  Residual terms collect the preimage
 pieces that miss the zero level; they vanish as k grows.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,7 @@ MAX_WIDENINGS = 8        # R doubles at most this often per node
 MAX_HALVINGS = 10        # h halves at most this often per node
 MAX_GRID_POINTS = 2**23  # (node, transverse point) pairs of one node group's grid, to bound memory
 DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
+CONSISTENCY_FLOOR = 1e-13  # the norm-split check's stated error is at least this share of a stratum's largest |lhs|
 
 
 def _on_grid(integrand, nodes, R, h, m, grids):
@@ -161,21 +162,18 @@ def _transverse_integral(action, z, k, halfform=False):
     return value, error
 
 
-def _densities(action, iso, z, k, halfform):
-    """I_k (plain) or J_k (half-form) at points z of one support pattern with isotropy iso."""
+def _density_weight(action, iso, z, k, halfform):
+    """The factor of T_k in I_k (plain) or J_k (half-form) at points z of one support pattern with isotropy iso."""
     m = action.rank - iso.dim
-    T, _ = _transverse_integral(action, z, k, halfform)
-    pref = (k / TWO_PI) ** (m / 2.0)
-    if halfform:
-        return 2.0 ** (m / 2.0) * pref * T
-    return ta.geometric_orbit_volume(action, z, iso) * pref * T
+    return (k / TWO_PI) ** (m / 2.0) * (2.0 ** (m / 2.0) if halfform else ta.geometric_orbit_volume(action, z, iso))
 
 
 def _density(action, label, point, k, halfform):
     iso = label.isotropy if isinstance(label, strata.StratumLabel) else ta.isotropy(action, point)
     if iso.is_full:
         return 1.0
-    return float(_densities(action, iso, as_coords(action.model, point)[None], k, halfform)[0])
+    z = as_coords(action.model, point)[None]
+    return float((_density_weight(action, iso, z, k, halfform) * _transverse_integral(action, z, k, halfform)[0])[0])
 
 
 def density_I(action, label, point, k):
@@ -226,8 +224,8 @@ def growth_constant(action, point, t_grid=(1.0, 2.0, 4.0, 8.0), directions=16, s
 # residual pieces
 
 
-def residual_diagonal(action, label, k, twist="plain", quad=None, strat=None):
-    """Gram-diagonal contributions of the extra preimage pieces of one label.
+def residual_with_error(action, label, k, twist="plain", quad=None, strat=None):
+    """(diagonal, error): Gram-diagonal contributions of the extra preimage pieces of one label, and their error.
 
     Per piece: (k/2pi)^{n/2} int_{S_i} |s_a|^2(u) T_k(u) dvol(S_i), with S_i
     the piece's level slice and T_k the transverse integral of tau e^{-k f}
@@ -236,20 +234,43 @@ def residual_diagonal(action, label, k, twist="plain", quad=None, strat=None):
     """
     strat = strat or strata.analyze(action)
     exps = sections.invariant_exponents(action, k, twist)
-    out = np.zeros(exps.shape[0])
+    out = np.zeros((2, exps.shape[0]))  # diagonal, error
     for piece in strat.pieces.get(label.key, ()):
-        pref = (k / TWO_PI) ** (piece.dim_piece / 2.0)
-        out = out + pref * _slice_residual(action, piece.level_slice, exps, k, twist, quad)
-    return out
+        out = out + (k / TWO_PI) ** (piece.dim_piece / 2.0) * np.array(_slice_residual(
+            action, piece.level_slice, exps, k, twist, quad))
+    return out[0], out[1]
+
+
+def residual_diagonal(action, label, k, twist="plain", quad=None, strat=None):
+    """The diagonal of `residual_with_error`."""
+    return residual_with_error(action, label, k, twist, quad, strat)[0]
+
+
+def _slice_integral(action, sl, exps, k, twist, order, weight):
+    """(int_S |s_a|^2 weight T_k eps_hat, its error) over a level slice with q <= 1, per basis monomial.
+
+    weight(z) is the factor of T_k at the nodes z.  A q = 1 slice puts the Gauss nodes of orders n and n/2
+    into one `_transverse_integral` call; its error is |Q_n - Q_{n/2}| plus the order-n nodes' transverse
+    estimates |I_h - I_2h|.  A q = 0 slice, one node, has the transverse estimate only.
+    """
+    rules = [strata.slice_quadrature(action, sl, n) for n in (order, order // 2)[: 1 + sl.q]]
+    z = np.concatenate([r[0] for r in rules])
+    w = np.concatenate([r[2] for r in rules]) * weight(z)
+    T, T_err = _transverse_integral(action, z, k, twist == "halfform")
+    norms = sections.monomial_norms(action.model, exps, z, twist)
+    n = rules[0][0].shape[0]
+    value, error = (w[:n] * T[:n]) @ norms[:n], (np.abs(w[:n]) * T_err[:n]) @ norms[:n]
+    if sl.q:  # the order n/2 rule
+        error = error + np.abs(value - (w[n:] * T[n:]) @ norms[n:])
+    return value, error
 
 
 def _slice_residual(action, sl, exps, k, twist, quad):
-    """int_{S_i} |s_a|^2(u) T_k(u) dvol(S_i) over one slice, per basis monomial."""
-    z, _, w = strata.slice_quadrature(action, sl, max(24, as_quad(quad).grid_order // 2))
+    """(int_{S_i} |s_a|^2(u) T_k(u) dvol(S_i), its error) over one slice, per basis monomial."""
+    iso = ta.isotropy_of_support(action, sl.pattern)
     # the Riemannian measure of S_i: the reduced measure times the orbit volume
-    w = w * ta.geometric_orbit_volume(action, z, ta.isotropy_of_support(action, sl.pattern))
-    T, _ = _transverse_integral(action, z, k, twist == "halfform")
-    return (w * T) @ sections.monomial_norms(action.model, exps, z, twist)
+    return _slice_integral(action, sl, exps, k, twist, max(24, as_quad(quad).grid_order // 2),
+                           lambda z: ta.geometric_orbit_volume(action, z, iso))
 
 
 def residual_II(action, label, k, twist="plain", quad=None, strat=None, diagonal=None):
@@ -316,74 +337,54 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
 
 
 def _stratum_density_integral(action, lab, exps, k, twist):
-    """(k/2pi)^{d_S/2} int_S (desc_a, desc_a) density_k eps_hat, diagonal vector.
+    """(k/2pi)^{d_S/2} int_S (desc_a, desc_a) density_k eps_hat and its error, diagonal vectors.
 
     Gauss nodes of the reduced measure on the zero-level slice; at each node
     the descended pair is weighted by the density I_k (plain) or J_k
     (half-form) evaluated through the transverse integral.
     """
-    model = action.model
+    if lab.isotropy.is_full:  # density 1, a point
+        return sections.monomial_norms(action.model, exps, lab.representative, twist)[0], np.zeros(exps.shape[0])
+    halfform = twist == "halfform"
+
+    def weight(z):  # the density, times the descent norm factor for the half-form twist
+        w = _density_weight(action, lab.isotropy, z, k, halfform)
+        return w * reduction.descent_norm_factor(action, z, lab.isotropy) if halfform else w
+
+    value, error = _slice_integral(action, lab.level_slice, exps, k, twist, DENSITY_ORDER, weight)
     pref_s = (k / TWO_PI) ** (lab.dim_S / 2.0)
-    if lab.isotropy.is_full:
-        return sections.monomial_norms(model, exps, lab.representative, twist)[0]  # density 1, a point
-    z, _, w = strata.slice_quadrature(action, lab.level_slice, DENSITY_ORDER)
-    w = w * _densities(action, lab.isotropy, z, k, twist == "halfform")
-    if twist == "halfform":
-        w = w * reduction.descent_norm_factor(action, z, lab.isotropy)
-    return pref_s * (w @ sections.monomial_norms(model, exps, z, twist))
+    return pref_s * value, pref_s * error
 
 
 def norm_split_consistency(action, k, twist="plain", quad=None, strat=None, residuals=None):
     """Per-stratum comparison of the direct piece integrals with the
     stratum-density route; returns a report with per-section discrepancies.
 
-    The left side integrates |s|^2 over each preimage piece directly (Monte
-    Carlo over the piece's support pattern); the right side combines the
-    reduced-space integral of the descended norm against the density I_k or
-    J_k with the residual terms.  `residuals`, if given, holds each
-    stratum's `residual_diagonal` at k, already computed with this quad's
-    grid order.
+    The left side is exact: Dirichlet moments of |s|^2 on the stratum's top
+    pattern and on each extra piece's, each with its (k/2pi)^{dim/2}.  The
+    right side, the reduced-space integral of the descended norm against
+    I_k or J_k plus the residual terms, carries their quadrature error;
+    `stderr` is that error plus CONSISTENCY_FLOOR times the stratum's
+    largest |lhs|, and nsigma = |lhs - rhs| / stderr.  `quad` sets the
+    residuals' grid order; `residuals`, if given, holds each stratum's
+    `residual_with_error` at k for this quad.
     """
-    quad = as_quad(quad)
     strat = strat or strata.analyze(action)
-    model = action.model
     exps = sections.invariant_exponents(action, k, twist)
     dim = exps.shape[0]
     report = {"k": int(k), "twist": twist, "strata": [], "max_nsigma": 0.0, "dim": int(dim)}
     if dim == 0:
         report["note"] = "empty invariant space"
         return report
-    mc_quad = replace(quad, method="mc")
     for si, lab in enumerate(strat.strata):
-        # ---- direct route
-        pref_gz = (k / TWO_PI) ** (lab.dim_upstairs / 2.0)
-        if lab.dim_upstairs == 0:
-            lhs = pref_gz * sections.monomial_norms(model, exps, lab.representative, twist)[0]
-            lhs_err = np.zeros(dim)
-        else:
-            lhs, lhs_err = sections._pattern_gram_mc(
-                action, exps, twist, lab.top_pattern, mc_quad, ("normsplit", k, twist, si)
-            )
-            lhs, lhs_err = pref_gz * lhs, pref_gz * lhs_err
-        for piece in strat.pieces.get(lab.key, ()):
-            prefp = (k / TWO_PI) ** (piece.dim_piece / 2.0)
-            sub, suberr = sections._pattern_gram_mc(
-                action, exps, twist, piece.pattern, mc_quad, ("normsplit-piece", k, twist, si, piece.pattern)
-            )
-            lhs = lhs + prefp * sub
-            lhs_err = np.sqrt(lhs_err**2 + (prefp * suberr) ** 2)
-        # ---- stratum-density route (deterministic quadrature)
-        rhs = _stratum_density_integral(action, lab, exps, k, twist)
-        rhs = rhs + (residual_diagonal(action, lab, k, twist, quad, strat) if residuals is None else residuals[si])
-        nsig = np.abs(lhs - rhs) / np.maximum(lhs_err, 1e-12)
-        entry = {
-            "stratum": si,
-            "dim_S": lab.dim_S,
-            "lhs": lhs.tolist(),
-            "rhs": rhs.tolist(),
-            "stderr": lhs_err.tolist(),
-            "nsigma": nsig.tolist(),
-        }
-        report["strata"].append(entry)
+        terms = [(lab.dim_upstairs, lab.top_pattern)] + [(p.dim_piece, p.pattern) for p in strat.pieces[lab.key]]
+        lhs = sum((k / TWO_PI) ** (d / 2.0) * sections._gram_exact_on_pattern(action, exps, twist, pattern)[0]
+                  for d, pattern in terms)
+        rhs, err = _stratum_density_integral(action, lab, exps, k, twist)
+        res, res_err = residual_with_error(action, lab, k, twist, quad, strat) if residuals is None else residuals[si]
+        rhs, err = rhs + res, err + res_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))
+        nsig = np.abs(lhs - rhs) / np.maximum(err, 1e-300)
+        report["strata"].append({"stratum": si, "dim_S": lab.dim_S, "lhs": lhs.tolist(), "rhs": rhs.tolist(),
+                                 "stderr": err.tolist(), "nsigma": nsig.tolist()})
         report["max_nsigma"] = max(report["max_nsigma"], float(np.max(nsig)))
     return report

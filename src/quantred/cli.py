@@ -317,11 +317,12 @@ def run(scn):
                 record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
                 record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
 
-    residuals = {}  # (stratum index, k) -> residual diagonal, shared by the II rows and the consistency check
+    residuals = {}  # (stratum index, k) -> (residual diagonal, error), shared by the II rows and the consistency check
 
     def residual(i, k):
         if (i, k) not in residuals:
-            residuals[(i, k)] = asymptotics.residual_diagonal(scn.action, strat.strata[i], k, scn.twist, quad, strat=strat)
+            residuals[(i, k)] = asymptotics.residual_with_error(scn.action, strat.strata[i], k, scn.twist, quad,
+                                                                strat=strat)
         return residuals[(i, k)]
 
     if "density" in scn.quantities:
@@ -329,24 +330,25 @@ def run(scn):
         fits = []
         for i, lab in enumerate(strat.strata):
             if lab.isotropy.is_full:
-                curve_ii = asymptotics.DensityCurve(quantity="II", stratum=f"stratum_{i}")
+                curve = asymptotics.DensityCurve(quantity="II", stratum=f"stratum_{i}")
                 for k in scn.k_list:
-                    val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat, diagonal=residual(i, k))
-                    curve_ii.points.append((k, _finite(val, "II", curve_ii.stratum, k), 0.0))
-                rows.extend([(r["quantity"], r["stratum"], r["k"], repr(r["value"]), repr(r["stderr"])) for r in curve_ii.rows()])
-                if all(p[1] > 0 for p in curve_ii.points):
-                    fits.append({"quantity": "II", "stratum": i, "fit_power": curve_ii.fit()})
-                continue
-            pts, _ = strata.sample_stratum(scn.action, lab, 1, seed=scn.seed + 17 * i)
-            x = pts[0]
-            name = "J" if scn.twist == "halfform" else "I"
-            curve = asymptotics.DensityCurve(quantity=name, stratum=f"stratum_{i}")
-            for k in scn.k_list:
+                    diagonal, error = residual(i, k)
+                    val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat, diagonal=diagonal)
+                    curve.points.append((k, _finite(val, "II", curve.stratum, k),
+                                         _finite(float(np.sum(error)), "II stderr", curve.stratum, k)))
+                if all(p[1] > 0 for p in curve.points):
+                    fits.append({"quantity": "II", "stratum": i, "fit_power": curve.fit()})
+            else:
+                x = strata.sample_stratum(scn.action, lab, 1, seed=scn.seed + 17 * i)[0][0]
+                name = "J" if scn.twist == "halfform" else "I"
                 fn = asymptotics.density_J if scn.twist == "halfform" else asymptotics.density_I
-                curve.points.append((k, _finite(fn(scn.action, lab, x, k), name, curve.stratum, k), 0.0))
-            limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
-            fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": curve.fit(limit=limit)})
-            rows.extend([(r["quantity"], r["stratum"], r["k"], repr(r["value"]), repr(r["stderr"])) for r in curve.rows()])
+                curve = asymptotics.DensityCurve(quantity=name, stratum=f"stratum_{i}")
+                for k in scn.k_list:
+                    curve.points.append((k, _finite(fn(scn.action, lab, x, k), name, curve.stratum, k), 0.0))
+                limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
+                fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": curve.fit(limit=limit)})
+            rows.extend((r["quantity"], r["stratum"], r["k"], repr(r["value"]), repr(r["stderr"]))
+                        for r in curve.rows())
         record("curves.csv", _write_csv(os.path.join(scn.out, "curves.csv"),
                                         ("quantity", "stratum", "k", "value", "stderr"), rows))
         record("curve_fits.json", _write_json(os.path.join(scn.out, "curve_fits.json"), fits))
@@ -368,9 +370,8 @@ def run(scn):
     if "consistency" in scn.quantities:
         reports = []
         for k in scn.k_list:
-            mcq = replace(quad, seed=scn.seed + k)
             reports.append(asymptotics.norm_split_consistency(
-                scn.action, k, scn.twist, mcq, strat=strat,
+                scn.action, k, scn.twist, quad, strat=strat,
                 residuals=[residual(i, k) for i in range(len(strat.strata))]))
         record("consistency.json", _write_json(os.path.join(scn.out, "consistency.json"), {
             "reports": reports,

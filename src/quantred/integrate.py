@@ -4,8 +4,8 @@ Two routes are kept deliberately separate throughout the package: a Monte
 Carlo route (sphere / slice sampling with block standard errors) that makes
 no structural assumptions, and an 'exact' route that evaluates the same
 integrals through Dirichlet moments and low-dimensional quadrature.  Tests
-tie the two together; production defaults use the cheaper exact route and
-acceptance checks quote combined errors from the MC side.
+tie the two together; production defaults use the cheaper exact route, and
+the norm-split check quotes the exact route's own error estimates.
 """
 
 import functools

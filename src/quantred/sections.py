@@ -401,11 +401,8 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
                 terms.append((piece.dim_piece, piece.pattern, ("piece", lab.key, piece.pattern)))
         for dim_piece, pattern, tag in terms:
             prefp = (k / TWO_PI) ** (dim_piece / 2.0)
-            if dim_piece == 0:
-                z0 = models.normalize(model, _pattern_point(model, pattern))
-                diag = diag + prefp * monomial_norms(model, exps, z0, twist)[0]
-                continue
-            sub, suberr = on_pattern(pattern, tag)
+            point = dim_piece == 0  # on a point the Dirichlet moment is the point value, whatever the route
+            sub, suberr = _gram_exact_on_pattern(action, exps, twist, pattern) if point else on_pattern(pattern, tag)
             diag = diag + prefp * sub
             err = np.sqrt(err**2 + (prefp * suberr) ** 2)
     return GramMatrix(basis_ids=ids, diagonal=diag, stderr=err, norm_def=norm_def, k=k, twist=twist)

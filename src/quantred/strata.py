@@ -30,7 +30,7 @@ from .models import TWO_PI, as_coords, masses
 ZERO_TOL = 1e-9
 FEAS_TOL = 1e-7  # a level misses a pattern beyond this residual or negative mass, HiGHS's primal tolerance
 MOVE_TOL = 1e-14  # a unit slice direction moves the masses where it exceeds this
-SEGMENT_SHRINK = 1e-6  # a q = 1 slice box stops this fraction of its length short of each end
+SEGMENT_SHRINK = 1e-6  # the sampling box of a q = 1 slice stops this fraction of its length short of each end
 
 
 class StrataError(QuantredError, RuntimeError):
@@ -289,13 +289,14 @@ def slice_quadrature(action, sl, order):
     """Gauss nodes of the reduced measure on a level slice with q <= 1.
 
     Returns (z, p, w): unit points with zero free phases, shape (N, ncoords),
-    their masses, and weights with sum_n w_n f(p_n) = int f eps_hat up to
-    the Gauss error of f.  A q = 0 slice gives its one point with weight C.
+    their masses, and weights with sum_n w_n f(p_n) = int f eps_hat up to the Gauss
+    error of f: Gauss nodes on the whole segment for q = 1 (not on its shrunk
+    box), and for q = 0 the slice's one point with weight C.
     """
     if sl.q == 0:
         s, gw = np.zeros((1, 0)), np.ones(1)
     elif sl.q == 1:
-        t, gw = gauss_segment(sl.box[0][0], sl.box[1][0], order)
+        t, gw = gauss_segment(*_segment(sl.p0, sl.basis[0]), order)
         s = t[:, None]
     else:
         raise StrataError("slice quadrature supports slice dimension <= 1; use mc")

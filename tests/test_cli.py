@@ -227,6 +227,21 @@ def test_run_full_smoke_e2(tmp_path):
     assert all(np.isfinite(float(r.split(",")[3])) for r in rows[1:])
 
 
+def test_run_ii_rows_state_their_error(tmp_path):
+    """The II rows of curves.csv carry the residuals' quadrature error, which
+    covers their distance from E2's closed form 2 sqrt(2 pi k) / (k + 1) up
+    to rounding."""
+    cfg = {"preset": "E2", "k_list": [2, 8, 32], "quantities": ["density"], "out": str(tmp_path / "ii")}
+    cli.run(cli.validate(cfg))
+    with open(tmp_path / "ii" / "curves.csv") as fh:
+        rows = [r.split(",") for r in fh.read().strip().splitlines()[1:] if r.startswith("II,")]
+    assert [int(r[2]) for r in rows] == [2, 8, 32]
+    for _, _, k, value, stderr in rows:
+        k, value, stderr = int(k), float(value), float(stderr)
+        assert 0.0 < stderr < 1e-6 * value
+        assert abs(value - 2.0 * np.sqrt(2.0 * np.pi * k) / (k + 1)) <= stderr + 1e-13 * value
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     from quantred import QuantredError, actions, asymptotics, models, reduction, sections, strata
 
@@ -287,9 +302,10 @@ def test_cli_run_via_main(tmp_path):
 
 
 def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch):
-    """The consistency step's quad is the run's quad with method 'mc', so its
-    residuals use grid_order // 2 like the II rows, and each slice residual
-    is computed once per k for both."""
+    """The consistency step gets the run's quad, which sets only its
+    residuals' grid order: grid_order // 2 like the II rows, and each slice
+    residual, its half-order error nodes included, is computed once per k
+    for both."""
     from quantred import asymptotics
 
     seen = []
