@@ -80,7 +80,8 @@ def _transverse_integral(action, z, k, halfform=False):
 
     z has shape (N, ncoords): points of one support pattern, such as the
     nodes of a level slice.  D is the divergence factor, included for the
-    half-form twist.  Returns (T, estimates |I_h - I_2h|), each shape (N,).
+    half-form twist.  Returns (T, estimates |I_h - I_2h|), each shape (N,);
+    T = 1 with error 0 where m = 0.
 
     tau is the closed form `actions.coarea_tau`, its set-up
     (`actions.coarea_setup`) built once per call; the log-flow sums log N_j
@@ -101,6 +102,8 @@ def _transverse_integral(action, z, k, halfform=False):
     p = masses(action.model, z)
     mb = ta.m_basis(action, ta.isotropy(action, z[0]))
     m = mb.shape[0]
+    if m == 0:  # an H = G point: no transverse directions
+        return np.ones(z.shape[0]), np.zeros(z.shape[0])
     chol = np.linalg.cholesky(2.0 * mb @ ta.field_pairing(action, p) @ mb.T)
     maps = np.linalg.inv(chol) @ mb / np.sqrt(k)  # xi = y @ maps[n]
     jac = 1.0 / (k ** (m / 2.0) * np.linalg.det(chol))
@@ -162,18 +165,14 @@ def _transverse_integral(action, z, k, halfform=False):
     return value, error
 
 
-def _density_weight(action, iso, z, k, halfform):
-    """The factor of T_k in I_k (plain) or J_k (half-form) at points z of one support pattern with isotropy iso."""
-    m = action.rank - iso.dim
-    return (k / TWO_PI) ** (m / 2.0) * (2.0 ** (m / 2.0) if halfform else ta.geometric_orbit_volume(action, z, iso))
-
-
 def _density(action, label, point, k, halfform):
+    """(I_k or J_k, its error) at one point: the density's factor of T_k times T_k and its |I_h - I_2h|."""
     iso = label.isotropy if isinstance(label, strata.StratumLabel) else ta.isotropy(action, point)
-    if iso.is_full:
-        return 1.0
     z = as_coords(action.model, point)[None]
-    return float((_density_weight(action, iso, z, k, halfform) * _transverse_integral(action, z, k, halfform)[0])[0])
+    m = action.rank - iso.dim
+    w = (k / TWO_PI) ** (m / 2.0) * (2.0 ** (m / 2.0) if halfform else ta.geometric_orbit_volume(action, z, iso))
+    value, error = w * np.array(_transverse_integral(action, z, k, halfform))
+    return float(value[0]), float(error[0])
 
 
 def density_I(action, label, point, k):
@@ -181,12 +180,12 @@ def density_I(action, label, point, k):
 
     Limit 2^{-m/2} vol(G.x) as k grows, with vol the geometric orbit volume.
     """
-    return _density(action, label, point, k, False)
+    return _density(action, label, point, k, False)[0]
 
 
 def density_J(action, label, point, k):
     """The half-form norm density on a stratum; 1 when H = G, limit 1."""
-    return _density(action, label, point, k, True)
+    return _density(action, label, point, k, True)[0]
 
 
 # ----------------------------------------------------------------------
@@ -227,59 +226,54 @@ def growth_constant(action, point, t_grid=(1.0, 2.0, 4.0, 8.0), directions=16, s
 def residual_with_error(action, label, k, twist="plain", quad=None, strat=None):
     """(diagonal, error): Gram-diagonal contributions of the extra preimage pieces of one label, and their error.
 
-    Per piece: (k/2pi)^{n/2} int_{S_i} |s_a|^2(u) T_k(u) dvol(S_i), with S_i
-    the piece's level slice and T_k the transverse integral of tau e^{-k f}
-    (times the divergence correction for the half-form twist).  The slice
-    meets every orbit of the piece once, at any torus rank.
+    The sum of `_piece_integral` over `Stratification.preimage(label)` after
+    its first entry, the label's own complexification.  Each piece's level
+    slice meets every orbit of the piece once, at any torus rank.  `quad`
+    sets the Gauss order, max(24, grid_order // 2).
     """
     strat = strat or strata.analyze(action)
     exps = sections.invariant_exponents(action, k, twist)
+    order = max(24, as_quad(quad).grid_order // 2)
     out = np.zeros((2, exps.shape[0]))  # diagonal, error
-    for piece in strat.pieces.get(label.key, ()):
-        out = out + (k / TWO_PI) ** (piece.dim_piece / 2.0) * np.array(_slice_residual(
-            action, piece.level_slice, exps, k, twist, quad))
+    for dim, _, sl in strat.preimage(label)[1:]:
+        out = out + _piece_integral(action, dim, sl, exps, k, twist, order)
     return out[0], out[1]
 
 
-def residual_diagonal(action, label, k, twist="plain", quad=None, strat=None):
-    """The diagonal of `residual_with_error`."""
-    return residual_with_error(action, label, k, twist, quad, strat)[0]
+def _piece_integral(action, dim, sl, exps, k, twist, order):
+    """(k/2pi)^{dim/2} int_S |s_a|^2 vol(G.x)/|Gamma| T_k eps_hat over a level slice with q <= 1, and its error.
 
-
-def _slice_integral(action, sl, exps, k, twist, order, weight):
-    """(int_S |s_a|^2 weight T_k eps_hat, its error) over a level slice with q <= 1, per basis monomial.
-
-    weight(z) is the factor of T_k at the nodes z.  A q = 1 slice puts the Gauss nodes of orders n and n/2
-    into one `_transverse_integral` call; its error is |Q_n - Q_{n/2}| plus the order-n nodes' transverse
-    estimates |I_h - I_2h|.  A q = 0 slice, one node, has the transverse estimate only.
+    Per basis monomial.  dim is the complex dimension of the preimage piece,
+    vol(G.x)/|Gamma| the geometric orbit volume on the slice's pattern and
+    T_k the transverse integral, with the divergence factor for the
+    half-form twist.  On a stratum's own zero-level slice this weight is
+    the density I_k, or J_k times the half-form descent factor.  A q = 1
+    slice puts the Gauss nodes of orders n and n/2 into one
+    `_transverse_integral` call; its error is |Q_n - Q_{n/2}| plus the
+    order-n nodes' transverse estimates |I_h - I_2h|.  A q = 0 slice, one
+    node, has the transverse estimate only.
     """
+    iso = ta.isotropy_of_support(action, sl.pattern)
     rules = [strata.slice_quadrature(action, sl, n) for n in (order, order // 2)[: 1 + sl.q]]
     z = np.concatenate([r[0] for r in rules])
-    w = np.concatenate([r[2] for r in rules]) * weight(z)
+    w = np.concatenate([r[2] for r in rules]) * ta.geometric_orbit_volume(action, z, iso)
     T, T_err = _transverse_integral(action, z, k, twist == "halfform")
     norms = sections.monomial_norms(action.model, exps, z, twist)
     n = rules[0][0].shape[0]
     value, error = (w[:n] * T[:n]) @ norms[:n], (np.abs(w[:n]) * T_err[:n]) @ norms[:n]
     if sl.q:  # the order n/2 rule
         error = error + np.abs(value - (w[n:] * T[n:]) @ norms[n:])
-    return value, error
-
-
-def _slice_residual(action, sl, exps, k, twist, quad):
-    """(int_{S_i} |s_a|^2(u) T_k(u) dvol(S_i), its error) over one slice, per basis monomial."""
-    iso = ta.isotropy_of_support(action, sl.pattern)
-    # the Riemannian measure of S_i: the reduced measure times the orbit volume
-    return _slice_integral(action, sl, exps, k, twist, max(24, as_quad(quad).grid_order // 2),
-                           lambda z: ta.geometric_orbit_volume(action, z, iso))
+    pref = (k / TWO_PI) ** (dim / 2.0)
+    return pref * value, pref * error
 
 
 def residual_II(action, label, k, twist="plain", quad=None, strat=None, diagonal=None):
     """Trace over the invariant basis of the extra-piece contributions.
 
-    `diagonal` is this label's `residual_diagonal` at k, if already computed.
+    `diagonal` is this label's `residual_with_error` diagonal at k, if already computed.
     """
     if diagonal is None:
-        diagonal = residual_diagonal(action, label, k, twist, quad, strat)
+        diagonal = residual_with_error(action, label, k, twist, quad, strat)[0]
     return float(np.sum(diagonal))
 
 
@@ -336,38 +330,20 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
     return float(abs(lam[a] - 1.0)), float(sigma)
 
 
-def _stratum_density_integral(action, lab, exps, k, twist):
-    """(k/2pi)^{d_S/2} int_S (desc_a, desc_a) density_k eps_hat and its error, diagonal vectors.
-
-    Gauss nodes of the reduced measure on the zero-level slice; at each node
-    the descended pair is weighted by the density I_k (plain) or J_k
-    (half-form) evaluated through the transverse integral.
-    """
-    if lab.isotropy.is_full:  # density 1, a point
-        return sections.monomial_norms(action.model, exps, lab.representative, twist)[0], np.zeros(exps.shape[0])
-    halfform = twist == "halfform"
-
-    def weight(z):  # the density, times the descent norm factor for the half-form twist
-        w = _density_weight(action, lab.isotropy, z, k, halfform)
-        return w * reduction.descent_norm_factor(action, z, lab.isotropy) if halfform else w
-
-    value, error = _slice_integral(action, lab.level_slice, exps, k, twist, DENSITY_ORDER, weight)
-    pref_s = (k / TWO_PI) ** (lab.dim_S / 2.0)
-    return pref_s * value, pref_s * error
-
-
 def norm_split_consistency(action, k, twist="plain", quad=None, strat=None, residuals=None):
     """Per-stratum comparison of the direct piece integrals with the
     stratum-density route; returns a report with per-section discrepancies.
 
-    The left side is exact: Dirichlet moments of |s|^2 on the stratum's top
-    pattern and on each extra piece's, each with its (k/2pi)^{dim/2}.  The
-    right side, the reduced-space integral of the descended norm against
-    I_k or J_k plus the residual terms, carries their quadrature error;
-    `stderr` is that error plus CONSISTENCY_FLOOR times the stratum's
-    largest |lhs|, and nsigma = |lhs - rhs| / stderr.  `quad` sets the
-    residuals' grid order; `residuals`, if given, holds each stratum's
-    `residual_with_error` at k for this quad.
+    Both sides run over the pieces of `Stratification.preimage`.  The left
+    side is exact: Dirichlet moments of |s|^2 on each piece's pattern, each
+    with its (k/2pi)^{dim/2}.  The right side is one `_piece_integral` per
+    piece: on the stratum's own zero-level slice at DENSITY_ORDER (the
+    reduced-space integral of the descended norm against I_k or J_k), on
+    the extra pieces through `residual_with_error`.  It carries their
+    quadrature error; `stderr` is that error plus CONSISTENCY_FLOOR times
+    the stratum's largest |lhs|, and nsigma = |lhs - rhs| / stderr.  `quad`
+    sets the residuals' grid order; `residuals`, if given, holds each
+    stratum's `residual_with_error` at k for this quad.
     """
     strat = strat or strata.analyze(action)
     exps = sections.invariant_exponents(action, k, twist)
@@ -377,10 +353,11 @@ def norm_split_consistency(action, k, twist="plain", quad=None, strat=None, resi
         report["note"] = "empty invariant space"
         return report
     for si, lab in enumerate(strat.strata):
-        terms = [(lab.dim_upstairs, lab.top_pattern)] + [(p.dim_piece, p.pattern) for p in strat.pieces[lab.key]]
+        pieces = strat.preimage(lab)
         lhs = sum((k / TWO_PI) ** (d / 2.0) * sections._gram_exact_on_pattern(action, exps, twist, pattern)[0]
-                  for d, pattern in terms)
-        rhs, err = _stratum_density_integral(action, lab, exps, k, twist)
+                  for d, pattern, _ in pieces)
+        d, _, sl = pieces[0]
+        rhs, err = _piece_integral(action, d, sl, exps, k, twist, DENSITY_ORDER)
         res, res_err = residual_with_error(action, lab, k, twist, quad, strat) if residuals is None else residuals[si]
         rhs, err = rhs + res, err + res_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))
         nsig = np.abs(lhs - rhs) / np.maximum(err, 1e-300)

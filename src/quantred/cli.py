@@ -282,6 +282,12 @@ def _finite(value, quantity, where, k):
     return value
 
 
+def _row(k, value, error, quantity, where):
+    """A curves.csv point (k, value, stderr): the quadrature error plus CONSISTENCY_FLOOR |value| for rounding."""
+    value = _finite(value, quantity, where, k)
+    return k, value, _finite(error + asymptotics.CONSISTENCY_FLOOR * abs(value), f"{quantity} stderr", where, k)
+
+
 def run(scn):
     """Execute the scenario; returns the manifest dict (also written to disk)."""
     os.makedirs(scn.out, exist_ok=True)
@@ -334,17 +340,16 @@ def run(scn):
                 for k in scn.k_list:
                     diagonal, error = residual(i, k)
                     val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat, diagonal=diagonal)
-                    curve.points.append((k, _finite(val, "II", curve.stratum, k),
-                                         _finite(float(np.sum(error)), "II stderr", curve.stratum, k)))
+                    curve.points.append(_row(k, val, float(np.sum(error)), "II", curve.stratum))
                 if all(p[1] > 0 for p in curve.points):
                     fits.append({"quantity": "II", "stratum": i, "fit_power": curve.fit()})
             else:
                 x = strata.sample_stratum(scn.action, lab, 1, seed=scn.seed + 17 * i)[0][0]
                 name = "J" if scn.twist == "halfform" else "I"
-                fn = asymptotics.density_J if scn.twist == "halfform" else asymptotics.density_I
                 curve = asymptotics.DensityCurve(quantity=name, stratum=f"stratum_{i}")
                 for k in scn.k_list:
-                    curve.points.append((k, _finite(fn(scn.action, lab, x, k), name, curve.stratum, k), 0.0))
+                    val, error = asymptotics._density(scn.action, lab, x, k, scn.twist == "halfform")
+                    curve.points.append(_row(k, val, error, name, curve.stratum))
                 limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
                 fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": curve.fit(limit=limit)})
             rows.extend((r["quantity"], r["stratum"], r["k"], repr(r["value"]), repr(r["stderr"]))

@@ -368,11 +368,12 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
 
     Definition (1) integrates over the open dense preimage piece, which has
     full measure, so it is the ambient integral with prefactor
-    (k/2pi)^{n/2}.  Definition (2) adds every lower-dimensional preimage
-    piece with its own dimension prefactor: the complexified-stratum pieces
-    of the non-open strata and all extra pieces, each integrated over the
-    closure of its support pattern; zero-dimensional pieces contribute
-    point values.
+    (k/2pi)^{n/2}.  Definition (2) adds every other piece that
+    `Stratification.preimage` lists for some stratum, with its own
+    dimension prefactor, integrated over the closure of its support
+    pattern; zero-dimensional pieces contribute point values.  The ambient
+    is the open stratum's complexification where 0 is interior to phi(M)
+    and an extra piece where 0 lies on its boundary.
     """
     quad = as_quad(quad)
     model = action.model
@@ -388,17 +389,14 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
         return _gram_exact_on_pattern(action, exps, twist, pattern)
 
     pref = (k / TWO_PI) ** (model.n_total / 2.0)
-    diag, err = on_pattern(_full_pattern(model), ("ambient",))
+    ambient = _full_pattern(model)
+    diag, err = on_pattern(ambient, ("ambient",))
     diag, err = pref * diag, pref * err
     if norm_def == 2:
         strat = strat or strata.analyze(action)
-        open_key = strat.open_stratum().key
-        terms = []
-        for lab in strat.strata:
-            if lab.key != open_key:
-                terms.append((lab.dim_upstairs, lab.top_pattern, ("gz", lab.key)))
-            for piece in strat.pieces.get(lab.key, ()):
-                terms.append((piece.dim_piece, piece.pattern, ("piece", lab.key, piece.pattern)))
+        terms = [(dim_piece, pattern, ("gz", lab.key) if i == 0 else ("piece", lab.key, pattern))
+                 for lab in strat.strata for i, (dim_piece, pattern, _) in enumerate(strat.preimage(lab))
+                 if pattern != ambient]
         for dim_piece, pattern, tag in terms:
             prefp = (k / TWO_PI) ** (dim_piece / 2.0)
             point = dim_piece == 0  # on a point the Dirichlet moment is the point value, whatever the route

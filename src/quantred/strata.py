@@ -391,6 +391,16 @@ class Stratification:
     def open_stratum(self):
         return max(self.strata, key=lambda s: s.dim_S)
 
+    def preimage(self, lab):
+        """[(dim, pattern, level_slice)]: the pieces of the preimage of a stratum under the flow.
+
+        First the stratum's complexification (complex dimension, top pattern,
+        zero-level slice), then its extra pieces (Kirwan 1984).  Where 0 lies
+        on the boundary of phi(M) the whole space is one of the extra pieces.
+        """
+        return [(lab.dim_upstairs, lab.top_pattern, lab.level_slice)] + [
+            (p.dim_piece, p.pattern, p.level_slice) for p in self.pieces[lab.key]]
+
     def to_json_dict(self):
         return {
             "strata": [s.to_json_dict() for s in self.strata],

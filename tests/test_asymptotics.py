@@ -223,9 +223,10 @@ def test_residual_e2_exact_law(e2, st2):
 
 def test_rank2_piece_residuals_match_direct_mc():
     """One level slice parametrises a rank-2 extra piece: on the six pieces
-    of one (CP^1)^3 stratum at k = 2, the slice residual int_S |s_a|^2 T_k
-    dvol(S) matches the direct Monte Carlo integral of |s_a|^2 over the
-    piece's support pattern within 5 standard errors."""
+    of one (CP^1)^3 stratum at k = 2, the piece integral (k/2pi)^{dim/2}
+    int_S |s_a|^2 T_k dvol(S) matches the direct Monte Carlo integral of
+    |s_a|^2 over the piece's support pattern, with the same prefactor,
+    within 5 standard errors."""
     action = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]),
                             [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     pieces = next(ps for ps in strata.analyze(action).pieces.values() if ps)
@@ -234,8 +235,10 @@ def test_rank2_piece_residuals_match_direct_mc():
     exps = sections.invariant_exponents(action, k, "plain")
     quad = QuadConfig(method="mc", samples=100000, seed=3)
     for piece in pieces:
-        res, _ = asymptotics._slice_residual(action, piece.level_slice, exps, k, "plain", None)
+        res, _ = asymptotics._piece_integral(action, piece.dim_piece, piece.level_slice, exps, k, "plain", 48)
         mc, err = sections._pattern_gram_mc(action, exps, "plain", piece.pattern, quad, ("oracle", piece.pattern))
+        pref = (k / (2 * np.pi)) ** (piece.dim_piece / 2.0)
+        mc, err = pref * mc, pref * err
         assert np.any(res > 0)
         assert np.all(np.abs(res - mc) <= 5.0 * err)
 
@@ -432,3 +435,62 @@ def test_adaptive_line_quadrature_raises_at_either_cap():
     with pytest.raises(IntegrationError, match="max_pan=3"):
         adaptive_line_quadrature(cauchy, max_pan=3)
     assert np.isfinite(adaptive_line_quadrature(cauchy))
+
+
+# shift 0 and 0 on the boundary of phi(M): the whole space is an extra piece; on the last two the
+# H = G stratum is a fixed line (a q = 1 zero-level slice)
+BOUNDARY_MODELS = {"CP1 (1,0)": ([1], [[1, 0]]), "CP2 (1,0,0)": ([2], [[1, 0, 0]]),
+                   "CP1xCP1 (1,0,0,0)": ([1, 1], [[1, 0, 0, 0]])}
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", *BOUNDARY_MODELS])
+def test_definition_2_sums_the_preimage_pieces(name, request):
+    """Definition (2) upstairs integrates over every piece of
+    `Stratification.preimage` once: at k in {1, 2, 4, 8} (where the lift is
+    integral and the invariant space is not empty) its diagonal equals the
+    sum over strata of the norm-split lhs to 1e-14 relative, and the check's
+    max_nsigma is below 1."""
+    if name in BOUNDARY_MODELS:
+        factors, weights = BOUNDARY_MODELS[name]
+        action = ta.make_action(models.make_model(factors, [1] * len(factors)), weights)
+        strat = strata.analyze(action)
+    else:
+        action, strat = (request.getfixturevalue(f"{prefix}{name[1]}") for prefix in ("e", "st"))
+    checked = 0
+    for k in (1, 2, 4, 8):
+        if not action.lift_integral(k) or sections.invariant_exponents(action, k).shape[0] == 0:
+            continue
+        checked += 1
+        up = sections.gram_upstairs(action, k, "plain", 2, strat=strat).diagonal
+        rep = asymptotics.norm_split_consistency(action, k, "plain", strat=strat)
+        lhs = sum(np.asarray(entry["lhs"]) for entry in rep["strata"])
+        assert np.all(np.abs(up - lhs) <= 1e-14 * np.abs(lhs))
+        assert rep["max_nsigma"] < 1.0
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 3)])
+def test_cp1_cp2_point_strata_split_per_stratum(degrees):
+    """On CP^1 x CP^2 with weights [1, 0, -1, 0, 1], each stratum whose
+    preimage slices are points or segments (all but the open one, q = 2)
+    satisfies the norm split on its own: the Dirichlet lhs against the
+    summed piece integrals, nsigma < 1 at k = 2 and 4."""
+    action = ta.make_action(models.make_model([1, 2], list(degrees)), [[1, 0, -1, 0, 1]])
+    strat = strata.analyze(action)
+    for k in (2, 4):
+        exps = sections.invariant_exponents(action, k)
+        checked = []
+        for lab in strat.strata:
+            pieces = strat.preimage(lab)
+            if any(sl.q > 1 for _, _, sl in pieces):
+                continue
+            lhs = sum((k / (2 * np.pi)) ** (d / 2.0) * sections._gram_exact_on_pattern(action, exps, "plain", pat)[0]
+                      for d, pat, _ in pieces)
+            rhs, err = np.zeros(exps.shape[0]), asymptotics.CONSISTENCY_FLOOR * np.max(np.abs(lhs))
+            for i, (d, _, sl) in enumerate(pieces):
+                order = asymptotics.DENSITY_ORDER if i == 0 else 48
+                value, error = asymptotics._piece_integral(action, d, sl, exps, k, "plain", order)
+                rhs, err = rhs + value, err + error
+            assert np.all(np.abs(lhs - rhs) < np.maximum(err, 1e-300))
+            checked.append(np.any(lhs > 0))
+        assert len(checked) == 3 and any(checked)

@@ -228,9 +228,9 @@ def test_run_full_smoke_e2(tmp_path):
 
 
 def test_run_ii_rows_state_their_error(tmp_path):
-    """The II rows of curves.csv carry the residuals' quadrature error, which
-    covers their distance from E2's closed form 2 sqrt(2 pi k) / (k + 1) up
-    to rounding."""
+    """The II rows of curves.csv carry the residuals' quadrature error plus
+    a rounding floor, which covers their distance from E2's closed form
+    2 sqrt(2 pi k) / (k + 1)."""
     cfg = {"preset": "E2", "k_list": [2, 8, 32], "quantities": ["density"], "out": str(tmp_path / "ii")}
     cli.run(cli.validate(cfg))
     with open(tmp_path / "ii" / "curves.csv") as fh:
@@ -239,7 +239,40 @@ def test_run_ii_rows_state_their_error(tmp_path):
     for _, _, k, value, stderr in rows:
         k, value, stderr = int(k), float(value), float(stderr)
         assert 0.0 < stderr < 1e-6 * value
-        assert abs(value - 2.0 * np.sqrt(2.0 * np.pi * k) / (k + 1)) <= stderr + 1e-13 * value
+        assert abs(value - 2.0 * np.sqrt(2.0 * np.pi * k) / (k + 1)) <= stderr
+
+
+def test_run_i_rows_state_their_error(tmp_path):
+    """E1's I rows carry the transverse estimate plus a rounding floor,
+    which alone covers their distance from the closed form
+    pi sqrt(k/2) Gamma((k+2)/2) / Gamma((k+3)/2)."""
+    from scipy.special import gammaln
+
+    cfg = {"preset": "E1", "k_list": [2, 4, 8, 16], "quantities": ["density"], "out": str(tmp_path / "i")}
+    cli.run(cli.validate(cfg))
+    with open(tmp_path / "i" / "curves.csv") as fh:
+        rows = [r.split(",") for r in fh.read().strip().splitlines()[1:]]
+    assert [(r[0], int(r[2])) for r in rows] == [("I", k) for k in (2, 4, 8, 16)]
+    for _, _, k, value, stderr in rows:
+        k, value, stderr = int(k), float(value), float(stderr)
+        exact = np.pi * np.sqrt(k / 2.0) * np.exp(gammaln((k + 2) / 2.0) - gammaln((k + 3) / 2.0))
+        assert 0.0 < stderr < 1e-10 * value
+        assert abs(value - exact) <= stderr
+
+
+def test_run_on_a_fixed_line_zero_level(tmp_path):
+    """CP^2 with weights (1, 0, 0): the zero level is a fixed line, and the
+    whole space is an extra piece of the preimage.  `run` exits 0 and the
+    consistency check reads max_nsigma < 1 at every k."""
+    cfg = {"model": {"factors": [2], "bundle_degrees": [1]}, "action": {"rank": 1, "weights": [[1, 0, 0]]},
+           "k_list": [1, 2, 4, 8]}
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "consistency.json") as fh:
+        reports = json.load(fh)["reports"]
+    assert [r["k"] for r in reports] == [1, 2, 4, 8]
+    assert all(r["dim"] > 0 and r["max_nsigma"] < 1.0 for r in reports)
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
@@ -303,26 +336,31 @@ def test_cli_run_via_main(tmp_path):
 
 def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch):
     """The consistency step gets the run's quad, which sets only its
-    residuals' grid order: grid_order // 2 like the II rows, and each slice
-    residual, its half-order error nodes included, is computed once per k
-    for both."""
-    from quantred import asymptotics
+    residuals' grid order: grid_order // 2 like the II rows, and each piece
+    integral, its half-order error nodes included, is computed once per
+    slice and k for both; each stratum's own slice takes DENSITY_ORDER."""
+    from quantred import asymptotics, strata
 
     seen = []
-    original = asymptotics._slice_residual
+    original = asymptotics._piece_integral
 
-    def counted(action, sl, exps, k, twist, quad):
-        seen.append((sl.pattern, k, asymptotics.as_quad(quad).grid_order))
-        return original(action, sl, exps, k, twist, quad)
+    def counted(action, dim, sl, exps, k, twist, order):
+        seen.append((sl.pattern, k, order))
+        return original(action, dim, sl, exps, k, twist, order)
 
-    monkeypatch.setattr(asymptotics, "_slice_residual", counted)
+    monkeypatch.setattr(asymptotics, "_piece_integral", counted)
     cfg = {"preset": "E2", "k_list": [2, 4], "quantities": ["density", "consistency"],
            "quad": {"grid_order": 128, "samples": 4000}, "out": str(tmp_path / "c")}
-    cli.run(cli.validate(cfg))
-    slices = {pattern for pattern, _, _ in seen}
+    scn = cli.validate(cfg)
+    cli.run(scn)
+    st = strata.analyze(scn.action)
+    slices = {p.pattern for ps in st.pieces.values() for p in ps}
     assert len(slices) == 2  # E2's two extra pieces, one slice each
-    assert sorted((pattern, k) for pattern, k, _ in seen) == sorted((s, k) for s in slices for k in (2, 4))
-    assert {order for _, _, order in seen} == {128}
+    pieces = [(pattern, k, order) for pattern, k, order in seen if pattern in slices]
+    assert sorted((pattern, k) for pattern, k, _ in pieces) == sorted((s, k) for s in slices for k in (2, 4))
+    assert {order for _, _, order in pieces} == {128 // 2}
+    own = sorted(call for call in seen if call[0] not in slices)
+    assert own == sorted((lab.top_pattern, k, asymptotics.DENSITY_ORDER) for lab in st.strata for k in (2, 4))
 
 
 def test_python_dash_m_runs_the_cli():

@@ -81,3 +81,20 @@ def test_runs_with_point_and_segment_slices_do_not_load_scipy(tmp_path):
     assert res.returncode == 0, res.stderr
     loaded = [line.split(": ")[1] for line in res.stdout.splitlines() if line.startswith("scipy loaded:")]
     assert loaded == ["False"] * 4 + ["True"]
+
+
+def test_layer_trace_names_resolve():
+    """Every (module, function) that perfbench's per-layer trace wraps
+    exists in quantred, so `perfbench/run.py --trace 1` cannot lose a layer
+    silently when a function moves."""
+    import importlib
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.LAYERS
+    missing = [f"{module}.{name}" for module, name, *_ in layertrace.LAYERS
+               if not callable(getattr(importlib.import_module(f"quantred.{module}"), name, None))]
+    assert missing == []
