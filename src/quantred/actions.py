@@ -32,10 +32,10 @@ import numpy as np
 from . import models
 from ._lattice import rational_nullspace, stabilizer_component_order
 from .errors import QuantredError
-from .integrate import gauss_legendre
-from .models import TWO_PI, as_coords, masses
+from .models import TWO_PI, masses, normalize
 
 SUPPORT_TOL = 1e-9
+FD_STEP = 1e-6  # central-difference step of the finite-difference references, in chart coordinates
 
 
 class ActionError(QuantredError, ValueError):
@@ -102,7 +102,7 @@ def make_action(model, weights, shift=None):
 
 
 # ----------------------------------------------------------------------
-# moment map and fundamental fields
+# moment map and field pairing
 
 
 def moment_from_masses(action, p):
@@ -112,20 +112,7 @@ def moment_from_masses(action, p):
 
 
 def moment_map(action, point):
-    z = np.asarray(point.coords if isinstance(point, models.PointM) else point)
-    return moment_from_masses(action, masses(action.model, z))
-
-
-def fundamental_fields(action, xi, point):
-    """Ambient velocities of X^xi and JX^xi at a point.
-
-    X^xi_i = 2 pi i <W_i, xi> z_i and JX^xi = i X^xi (multiplication by i
-    descends to the projective J).
-    """
-    z = as_coords(action.model, point)
-    u = np.asarray(xi, dtype=float) @ action.W
-    X = TWO_PI * 1j * u * z
-    return X, 1j * X
+    return moment_from_masses(action, masses(action.model, point))
 
 
 def field_pairing(action, p):
@@ -159,7 +146,7 @@ def imaginary_flow(action, xi, t, point):
     the per-factor maximum over the support before exponentiation so the
     flow stays finite arbitrarily far along a ray.
     """
-    z = as_coords(action.model, point)
+    z = normalize(action.model, point)
     u = np.asarray(xi, dtype=float) @ action.W
     expo = -TWO_PI * np.multiply.outer(np.asarray(t, dtype=float), u)
     shape = np.broadcast_shapes(expo.shape, z.shape)
@@ -171,13 +158,6 @@ def imaginary_flow(action, xi, t, point):
         shift = np.max(np.where(on, e, -np.inf), axis=-1, keepdims=True)
         zz[..., sl] = z[..., sl] * np.exp(e - shift)
     return models.normalize(action.model, zz)
-
-
-def real_flow(action, theta, point):
-    """exp(theta) . z for theta in R^d (period lattice Z^d)."""
-    z = as_coords(action.model, point)
-    u = np.asarray(theta, dtype=float) @ action.W
-    return z * np.exp(TWO_PI * 1j * u)
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +220,7 @@ def isotropy_of_support(action, support):
 
 
 def isotropy(action, point, tol=SUPPORT_TOL):
-    z = as_coords(action.model, point)
+    z = normalize(action.model, point)
     return isotropy_of_support(action, support_of(action.model, z, tol))
 
 
@@ -268,7 +248,7 @@ def orbit_volume(action, point, iso=None):
     finite part gamma it counts the geometric orbit gamma times.  Returns
     (value, is_full); the H = G branch returns the empty-product value 1.
     """
-    z = as_coords(action.model, point)
+    z = normalize(action.model, point)
     if iso is None:
         iso = isotropy(action, z)
     if iso.is_full:
@@ -283,7 +263,7 @@ def geometric_orbit_volume(action, point, iso=None):
 
     A batch of points, shape (N, ncoords), needs their common `iso`.
     """
-    z = as_coords(action.model, point)
+    z = normalize(action.model, point)
     if iso is None:
         iso = isotropy(action, z)
     vol, full = orbit_volume(action, z, iso)
@@ -292,7 +272,7 @@ def geometric_orbit_volume(action, point, iso=None):
     return vol / iso.finite_part
 
 
-def level_tangent_basis(action, point, fd_step=1e-6):
+def level_tangent_basis(action, point):
     """B-orthonormal chart basis of ker(d phi) within the point's support stratum.
 
     This is the tangent space at the point of the moment level set inside the
@@ -300,7 +280,7 @@ def level_tangent_basis(action, point, fd_step=1e-6):
     along (Z_(H) at level 0, the S_i at nonzero levels).
     """
     model = action.model
-    z = as_coords(model, point)
+    z = normalize(model, point)
     support = support_of(model, z)
     charts = models.chart_indices(model, z)
     w0 = models.to_chart(model, z, charts)
@@ -316,9 +296,9 @@ def level_tangent_basis(action, point, fd_step=1e-6):
     # dphi on each direction by central differences through the chart
     rows = []
     for e in dirs:
-        zp = models.from_chart(model, w0 + fd_step * e, charts)
-        zm = models.from_chart(model, w0 - fd_step * e, charts)
-        rows.append((moment_map(action, zp) - moment_map(action, zm)) / (2 * fd_step))
+        zp = models.from_chart(model, w0 + FD_STEP * e, charts)
+        zm = models.from_chart(model, w0 - FD_STEP * e, charts)
+        rows.append((moment_map(action, zp) - moment_map(action, zm)) / (2 * FD_STEP))
     A = np.asarray(rows)  # (ndirs, d)
     iso = isotropy_of_support(action, support)
     m = action.rank - iso.dim
@@ -339,7 +319,7 @@ def level_tangent_basis(action, point, fd_step=1e-6):
     return np.asarray(basis), charts, w0
 
 
-def jacobian_tau_batch(action, xis, point, s_basis=None, fd_step=1e-6):
+def jacobian_tau_batch(action, xis, point, s_basis=None):
     """Vectorized tau over an (N, d) array of Lie-algebra points.
 
     All pushforwards are batched: the flowed base point, the JX fields at
@@ -347,7 +327,7 @@ def jacobian_tau_batch(action, xis, point, s_basis=None, fd_step=1e-6):
     target Gram determinants are taken per chart group.
     """
     model = action.model
-    z = as_coords(model, point)
+    z = normalize(model, point)
     if s_basis is None:
         s_basis, charts0, w0 = level_tangent_basis(action, z)
     else:
@@ -363,8 +343,8 @@ def jacobian_tau_batch(action, xis, point, s_basis=None, fd_step=1e-6):
     ys = imaginary_flow(action, xis, 1.0, z)
     ends = []
     for v in s_basis:
-        zp = models.from_chart(model, w0 + fd_step * v, charts0)
-        zm = models.from_chart(model, w0 - fd_step * v, charts0)
+        zp = models.from_chart(model, w0 + FD_STEP * v, charts0)
+        zm = models.from_chart(model, w0 - FD_STEP * v, charts0)
         ends.append((imaginary_flow(action, xis, 1.0, zp), imaginary_flow(action, xis, 1.0, zm)))
     # group rows by chart tuple of the flowed base point
     charts_rows = np.empty((N, len(model.factors)), dtype=int)
@@ -387,7 +367,7 @@ def jacobian_tau_batch(action, xis, point, s_basis=None, fd_step=1e-6):
         for b, (yp, ym) in enumerate(ends):
             wp = models.to_chart(model, yp[rows], cy)
             wm = models.to_chart(model, ym[rows], cy)
-            cols[:, m + b, :] = (wp - wm) / (2 * fd_step)
+            cols[:, m + b, :] = (wp - wm) / (2 * FD_STEP)
         G = 2.0 * np.real(np.einsum("npa,nab,nqb->npq", cols, gy, np.conj(cols)))
         det = np.linalg.det(G)
         # far along a ray the pushforwards underflow; that is tau -> 0, not a bug
@@ -398,12 +378,13 @@ def jacobian_tau_batch(action, xis, point, s_basis=None, fd_step=1e-6):
     return taus
 
 
-def coarea_tau(action, p, xis):
+def coarea_setup(action, p):
     """Closed-form coarea Jacobian tau(xi, x) at points x of one support pattern.
 
-    p has shape (N, ncoords): the masses of N points with a common support;
-    xis has shape (N, K, d): K Lie-algebra points per base point.  Returns
-    tau, shape (N, K).
+    p has shape (N, ncoords): the masses of N points with a common support.
+    Returns tau(nodes, u, log_n), tau at the points p[nodes] for u = W^T xi
+    of shape (len(nodes), K, ncoords), given its `_log_flow_sums` log_n;
+    everything independent of xi is built here, once.
 
     In the free mass coordinates x = l p of the support (one reference index
     r dropped per factor) the Kähler metric is the Hessian of Guillemin's
@@ -416,27 +397,14 @@ def coarea_tau(action, p, xis):
 
     with JX_a = 4 pi l q (u_a - <u_a>_q), u_a = W^T m_a, D_xi = dq/dp and V
     a G(x)-orthonormal basis of the kernel of d phi, whose rows are
-    W_{a i} - W_{a r}.  This wraps `coarea_setup`, which callers with many
-    xi per point use directly; `jacobian_tau_batch` is the finite-difference
+    W_{a i} - W_{a r}.  `jacobian_tau_batch` is the finite-difference
     reference.
-    """
-    p = np.asarray(p, dtype=float)
-    u = xis @ action.W
-    log_n = _log_flow_sums(action.model, _log_masses(p)[:, None, :], u)
-    return coarea_setup(action, p)(np.arange(p.shape[0]), u, log_n)
-
-
-def coarea_setup(action, p):
-    """The xi-independent part of `coarea_tau` at the masses p of one support pattern.
-
-    Returns tau(nodes, u, log_n): tau at the points p[nodes] for u = W^T xi,
-    shape (len(nodes), K, ncoords), given its `_log_flow_sums` log_n.
     """
     model = action.model
     p = np.asarray(p, dtype=float)
     on = p[0] > SUPPORT_TOL
     if np.any((p > SUPPORT_TOL) != on):
-        raise ActionError("coarea_tau needs points of one support pattern")
+        raise ActionError("coarea_setup needs points of one support pattern")
     support = tuple(tuple(int(i) for i in np.flatnonzero(on[sl]) + sl.start) for sl in model.slices)
     mb = m_basis(action, isotropy_of_support(action, support))
     m = mb.shape[0]
@@ -505,7 +473,7 @@ def potential(action, xi, point_or_masses, from_masses=False):
     Broadcasts over an (..., d) array of xi, and over leading axes of the masses.
     """
     model = action.model
-    p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, as_coords(model, point_or_masses))
+    p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, normalize(model, point_or_masses))
     xi = np.asarray(xi, dtype=float)
     logp = _log_masses(p)
     flowed, at_zero = _log_flow_sums(model, logp, xi @ action.W), _log_flow_sums(model, logp, 0.0)
@@ -520,89 +488,13 @@ def _potential_from_sums(action, xi, log_n, log_n0):
     return out
 
 
-def potential_quadrature(action, xi, point, order=64):
-    """f by Gauss-Legendre quadrature of the defining integrand (reference route)."""
-    nodes, wts = gauss_legendre(order)
-    ts = 0.5 * (nodes + 1.0)
-    pts = imaginary_flow(action, np.asarray(xi, dtype=float), ts, point)
-    vals = moment_map(action, pts) @ np.asarray(xi, dtype=float)
-    return float(2.0 * 0.5 * np.sum(wts * vals))
-
-
-def divergence_factor(action, xi, point_or_masses, from_masses=False):
-    """exp{ -int_0^1 (L_{JX^xi} eps)/(2 eps) dt } = v(xi, x)^{-1/2}, closed form.
-
-    v is the Riemannian volume distortion of the time-one imaginary flow,
-    v = prod_j exp(-4 pi sum_{i in j} u_i) N_j^{-(n_j+1)} with u = W^T xi.
-    """
-    model = action.model
-    p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, as_coords(model, point_or_masses))
-    u = np.asarray(xi, dtype=float) @ action.W
-    return _divergence_from_sums(model, u, _log_flow_sums(model, _log_masses(p), u))
-
-
 def _divergence_from_sums(model, u, log_n):
-    """The divergence factor from u = W^T xi and its `_log_flow_sums`."""
+    """The divergence factor exp{ -int_0^1 (L_{JX^xi} eps)/(2 eps) dt } = v(xi, x)^{-1/2}.
+
+    v is the volume distortion of the module docstring, from u = W^T xi and
+    its `_log_flow_sums` log_n.
+    """
     logv = 0.0
     for j, (sl, nj) in enumerate(zip(model.slices, model.factors)):
         logv = logv - 2.0 * TWO_PI * np.sum(u[..., sl], axis=-1) - (nj + 1) * log_n[..., j]
     return np.exp(-0.5 * logv)
-
-
-def pointwise_divergence(action, xi, point):
-    """(L_{JX^xi} eps)/eps at a point, closed form.
-
-    Equals sum_j 4 pi [ (n_j + 1) <u>_{p, j} - sum_{i in j} u_i ] with u = W^T xi.
-    """
-    model = action.model
-    p = masses(model, as_coords(model, point))
-    u = np.asarray(xi, dtype=float) @ action.W
-    out = 0.0
-    for sl, nj in zip(model.slices, model.factors):
-        out += 2.0 * TWO_PI * ((nj + 1) * float(np.sum(u[sl] * p[..., sl])) - float(np.sum(u[sl])))
-    return out
-
-
-@dataclass
-class FlowPotentialReport:
-    """Value, m-gradient and m-Hessian at 0 of the transport potential."""
-
-    value: float
-    gradient: np.ndarray
-    hessian_at_zero: np.ndarray
-
-
-def flow_potential(action, xi, point, fd_step=1e-4):
-    """f at xi, its central-difference gradient there along m, and its m-Hessian at 0."""
-    z = as_coords(action.model, point)
-    p = masses(action.model, z)
-    e = fd_step * m_basis(action, isotropy(action, z))  # rows: fd_step times a basis of m
-    xi = np.asarray(xi, dtype=float)
-
-    def f(v):
-        return float(potential(action, v, p, from_masses=True))
-
-    grad = np.array([(f(xi + a) - f(xi - a)) / (2 * fd_step) for a in e])
-    # the Hessian at xi = 0 regardless of the requested evaluation point
-    hess = np.reshape([(f(a + b) + f(-a - b) - f(a - b) - f(b - a)) / (4 * fd_step**2) for a in e for b in e],
-                      (len(e), len(e)))
-    return FlowPotentialReport(value=f(xi), gradient=grad, hessian_at_zero=hess)
-
-
-def norm_transport(action, kind, k, xi, point, pointwise_norm_at_point):
-    """Transport a pointwise norm square along e^{i xi}.
-
-    kind 'plain' applies exp(-k f); kind 'halfform' multiplies in the
-    Liouville divergence correction along the flow line.
-    """
-    if pointwise_norm_at_point < 0:
-        raise ActionError("pointwise norm must be nonnegative")
-    z = as_coords(action.model, point)
-    p = masses(action.model, z)
-    f = float(potential(action, np.asarray(xi, dtype=float), p, from_masses=True))
-    out = pointwise_norm_at_point * np.exp(-k * f)
-    if kind == "halfform":
-        out *= float(divergence_factor(action, np.asarray(xi, dtype=float), p, from_masses=True))
-    elif kind != "plain":
-        raise ActionError(f"unknown transport kind {kind!r}")
-    return float(out)

@@ -21,8 +21,8 @@ from . import reduction
 from . import sections
 from . import strata
 from .errors import QuantredError
-from .integrate import TWO_PI, as_quad, fit_power, rng_for
-from .models import as_coords, masses
+from .integrate import as_quad, fit_power
+from .models import TWO_PI, masses, normalize
 
 
 class AsymptoticsError(QuantredError, RuntimeError):
@@ -40,7 +40,7 @@ TRANSVERSE_BLOCK = 4096  # (node, transverse point) pairs evaluated at once, to 
 TRANSVERSE_R0, TRANSVERSE_H0 = 10.0, 1.0  # first grid, in whitened units
 MAX_WIDENINGS = 8        # R doubles at most this often per node
 MAX_HALVINGS = 10        # h halves at most this often per node
-MAX_GRID_POINTS = 2**23  # (node, transverse point) pairs of one node group's grid, to bound memory
+MAX_GRID_POINTS = 2**23  # (node, transverse point) pairs of the grids evaluated together, to bound memory
 DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
 CONSISTENCY_FLOOR = 1e-13  # the norm-split check's stated error is at least this share of a stratum's largest |lhs|
 
@@ -83,9 +83,8 @@ def _transverse_integral(action, z, k, halfform=False):
     half-form twist.  Returns (T, estimates |I_h - I_2h|), each shape (N,);
     T = 1 with error 0 where m = 0.
 
-    tau is the closed form `actions.coarea_tau`, its set-up
-    (`actions.coarea_setup`) built once per call; the log-flow sums log N_j
-    are computed once per (node, xi) pair and shared by tau, f and D.  Each
+    tau is the closed form of `actions.coarea_setup`, set up once per
+    call; the log-flow sums log N_j are computed once per (node, xi) pair and shared by tau, f and D.  Each
     node's transverse variable is whitened, xi = C^{-T} y / sqrt(k) with
     C C^T the Hessian of f at 0, which is twice the field pairing on m.  A
     tensor trapezoid grid of step h on [-R, R]^m in y is widened (R doubles)
@@ -94,9 +93,10 @@ def _transverse_integral(action, z, k, halfform=False):
     TRANSVERSE_RTOL; the trapezoid rule converges exponentially for analytic
     integrands that decay at both ends (Trefethen & Weideman, SIAM Review 56,
     2014).  The grids are nested: each refinement evaluates only the points
-    new to it.  A node that needs more than MAX_WIDENINGS or MAX_HALVINGS,
-    or a node group whose grid exceeds MAX_GRID_POINTS, raises
-    AsymptoticsError.
+    new to it.  Nodes on the same grid are evaluated together, in chunks of
+    at most MAX_GRID_POINTS (node, transverse point) pairs.  A node that
+    needs more than MAX_WIDENINGS or MAX_HALVINGS, or whose grid alone
+    exceeds MAX_GRID_POINTS, raises AsymptoticsError.
     """
     z = np.atleast_2d(z)
     p = masses(action.model, z)
@@ -130,45 +130,47 @@ def _transverse_integral(action, z, k, halfform=False):
     while not done.all():
         todo = np.flatnonzero(~done)
         for Rg, hg in sorted(set(zip(R[todo], h[todo]))):
-            group = todo[(R[todo] == Rg) & (h[todo] == hg)]
-            size = group.size * (2 * int(round(Rg / hg)) + 1) ** m
+            same = todo[(R[todo] == Rg) & (h[todo] == hg)]
+            size = (2 * int(round(Rg / hg)) + 1) ** m  # one node's grid
             if size > MAX_GRID_POINTS:
-                raise AsymptoticsError(f"transverse integral at the point {np.round(z[group[0]], 12).tolist()} needs "
+                raise AsymptoticsError(f"transverse integral at the point {np.round(z[same[0]], 12).tolist()} needs "
                                        f"{size} grid points at k={k} (R={Rg:g}, h={hg:g}), over {MAX_GRID_POINTS}")
-            g = _on_grid(integrand, group, Rg, hg, m, grids)
-            I_h = hg**m * g.sum(axis=axes)
-            I_2h = (2.0 * hg) ** m * g[(slice(None),) + (slice(None, None, 2),) * m].sum(axis=axes)
-            value[group], error[group] = jac[group] * I_h, jac[group] * np.abs(I_h - I_2h)
-            overflow = group[~np.isfinite(I_h)]
-            if overflow.size:
-                raise AsymptoticsError(f"transverse integral at the point {np.round(z[overflow[0]], 12).tolist()} "
-                                       f"is not finite at k={k}")
-            edge = np.max([g.take(i, axis=ax).reshape(group.size, -1).max(axis=1) for ax in axes for i in (0, -1)],
-                          axis=0)
-            wide = edge <= TRANSVERSE_EDGE * g.reshape(group.size, -1).max(axis=1)
-            settled = wide & (np.abs(I_h - I_2h) <= TRANSVERSE_RTOL * np.abs(I_h))
-            done[group[settled]] = True
-            for more, count, cap, what in ((group[~wide], widened, MAX_WIDENINGS, "widenings of R"),
-                                           (group[wide & ~settled], halved, MAX_HALVINGS, "halvings of h")):
-                over = more[count[more] >= cap]
-                if over.size:
-                    i = over[0]
-                    raise AsymptoticsError(
-                        f"transverse integral at the point {np.round(z[i], 12).tolist()} did not settle at "
-                        f"k={k} after {cap} {what} (R={R[i]:g}, h={h[i]:g}, |I_h - I_2h| = {error[i]:.3e}, "
-                        f"I_h = {value[i]:.6e})"
-                    )
-                count[more] += 1
-            R[group[~wide]] *= 2.0
-            h[group[wide & ~settled]] /= 2.0
-            grids.update(zip(group[~settled], zip(1 + wide[~settled], g[~settled])))  # 2: h halves
+            per = MAX_GRID_POINTS // size  # nodes whose grids fit under the cap together
+            for group in (same[i:i + per] for i in range(0, same.size, per)):
+                g = _on_grid(integrand, group, Rg, hg, m, grids)
+                I_h = hg**m * g.sum(axis=axes)
+                I_2h = (2.0 * hg) ** m * g[(slice(None),) + (slice(None, None, 2),) * m].sum(axis=axes)
+                value[group], error[group] = jac[group] * I_h, jac[group] * np.abs(I_h - I_2h)
+                overflow = group[~np.isfinite(I_h)]
+                if overflow.size:
+                    raise AsymptoticsError(f"transverse integral at the point {np.round(z[overflow[0]], 12).tolist()} "
+                                           f"is not finite at k={k}")
+                edge = np.max([g.take(i, axis=ax).reshape(group.size, -1).max(axis=1) for ax in axes for i in (0, -1)],
+                              axis=0)
+                wide = edge <= TRANSVERSE_EDGE * g.reshape(group.size, -1).max(axis=1)
+                settled = wide & (np.abs(I_h - I_2h) <= TRANSVERSE_RTOL * np.abs(I_h))
+                done[group[settled]] = True
+                for more, count, cap, what in ((group[~wide], widened, MAX_WIDENINGS, "widenings of R"),
+                                               (group[wide & ~settled], halved, MAX_HALVINGS, "halvings of h")):
+                    over = more[count[more] >= cap]
+                    if over.size:
+                        i = over[0]
+                        raise AsymptoticsError(
+                            f"transverse integral at the point {np.round(z[i], 12).tolist()} did not settle at "
+                            f"k={k} after {cap} {what} (R={R[i]:g}, h={h[i]:g}, |I_h - I_2h| = {error[i]:.3e}, "
+                            f"I_h = {value[i]:.6e})"
+                        )
+                    count[more] += 1
+                R[group[~wide]] *= 2.0
+                h[group[wide & ~settled]] /= 2.0
+                grids.update(zip(group[~settled], zip(1 + wide[~settled], g[~settled])))  # 2: h halves
     return value, error
 
 
 def _density(action, label, point, k, halfform):
     """(I_k or J_k, its error) at one point: the density's factor of T_k times T_k and its |I_h - I_2h|."""
     iso = label.isotropy if isinstance(label, strata.StratumLabel) else ta.isotropy(action, point)
-    z = as_coords(action.model, point)[None]
+    z = normalize(action.model, point)[None]
     m = action.rank - iso.dim
     w = (k / TWO_PI) ** (m / 2.0) * (2.0 ** (m / 2.0) if halfform else ta.geometric_orbit_volume(action, z, iso))
     value, error = w * np.array(_transverse_integral(action, z, k, halfform))
@@ -186,37 +188,6 @@ def density_I(action, label, point, k):
 def density_J(action, label, point, k):
     """The half-form norm density on a stratum; 1 when H = G, limit 1."""
     return _density(action, label, point, k, True)[0]
-
-
-# ----------------------------------------------------------------------
-# growth of the transport potential
-
-
-def growth_constant(action, point, t_grid=(1.0, 2.0, 4.0, 8.0), directions=16, seed=9):
-    """min over unit directions and t >= t0 of f(t xi, x) / t.
-
-    Positive on zero-level strata (f is convex with minimum 0 at 0); may be
-    nonpositive at points of nonzero moment level.
-    """
-    z = as_coords(action.model, point)
-    iso = ta.isotropy(action, z)
-    mb = ta.m_basis(action, iso)
-    m = mb.shape[0]
-    if m == 0:
-        raise AsymptoticsError("no transverse directions at an H = G point")
-    p = masses(action.model, z)
-    if m == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        rng = rng_for(seed, "growth")
-        dirs = rng.standard_normal((directions, m))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    best = np.inf
-    for u in dirs:
-        for t in t_grid:
-            f = float(ta.potential(action, t * (u @ mb), p, from_masses=True))
-            best = min(best, f / t)
-    return best
 
 
 # ----------------------------------------------------------------------

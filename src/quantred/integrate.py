@@ -16,7 +16,10 @@ import numpy as np
 
 from .errors import QuantredError
 
-TWO_PI = 2.0 * np.pi
+# adaptive_line_quadrature
+LINE_RTOL = 1e-10          # a tail panel below this share of the running total ends its side
+LINE_ORDER = 48            # Gauss nodes per panel
+LINE_SCAN_HALFWIDTH = 4.0  # first half-width of the scan that locates the peak
 
 
 class IntegrationError(QuantredError, RuntimeError):
@@ -70,7 +73,7 @@ def gauss_segment(lo, hi, order):
     return mid + half * nodes, half * wts
 
 
-def adaptive_line_quadrature(f, rel_tol=1e-10, order=48, scan_halfwidth=4.0, max_pan=80):
+def adaptive_line_quadrature(f, max_pan=80):
     """Integral over R of a nonnegative, eventually-decaying integrand.
 
     The integrand is first scanned on a widening grid to locate its peak and
@@ -79,7 +82,7 @@ def adaptive_line_quadrature(f, rel_tol=1e-10, order=48, scan_halfwidth=4.0, max
     outward until the tails are negligible.  f is vectorized.  Hitting the
     scan cap or the max_pan panel cap raises IntegrationError.
     """
-    L = scan_halfwidth
+    L = LINE_SCAN_HALFWIDTH
     for _ in range(12):
         grid = np.linspace(-L, L, 401)
         vals = f(grid)
@@ -98,7 +101,7 @@ def adaptive_line_quadrature(f, rel_tol=1e-10, order=48, scan_halfwidth=4.0, max
     total = 0.0
     core = 6.0 * sigma
     for a, b in zip(np.linspace(peak - core, peak + core, 7)[:-1], np.linspace(peak - core, peak + core, 7)[1:]):
-        x, w = gauss_segment(a, b, order)
+        x, w = gauss_segment(a, b, LINE_ORDER)
         total += float(np.sum(w * f(x)))
     for side in (+1, -1):
         edge = core
@@ -106,15 +109,15 @@ def adaptive_line_quadrature(f, rel_tol=1e-10, order=48, scan_halfwidth=4.0, max
         for _ in range(max_pan):
             a = peak + side * edge
             b = peak + side * (edge + width)
-            x, w = gauss_segment(min(a, b), max(a, b), order)
+            x, w = gauss_segment(min(a, b), max(a, b), LINE_ORDER)
             part = float(np.sum(w * f(x)))
             total += part
             edge += width
             width *= 1.6
-            if abs(part) <= rel_tol * max(abs(total), 1e-300):
+            if abs(part) <= LINE_RTOL * max(abs(total), 1e-300):
                 break
         else:
-            raise IntegrationError(f"tail panels still above rel_tol={rel_tol:g} after max_pan={max_pan} panels")
+            raise IntegrationError(f"tail panels still above {LINE_RTOL:g} of the total after max_pan={max_pan} panels")
     return total
 
 
@@ -126,15 +129,6 @@ def fit_power(ks, values, limit=0.0):
     x, y = np.log(ks[mask]), np.log(resid[mask])
     slope, intercept, r2 = _ols(x, y)
     return float(np.exp(intercept)), float(-slope), r2
-
-
-def fit_loglinear(ks, values):
-    """Least-squares fit ln v ~ a + slope k; returns (slope, a, r_squared)."""
-    ks = np.asarray(ks, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    mask = vals > 0
-    slope, intercept, r2 = _ols(ks[mask], np.log(vals[mask]))
-    return float(slope), float(intercept), r2
 
 
 def _ols(x, y):

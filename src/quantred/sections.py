@@ -2,9 +2,10 @@
 pointwise norms, and Gram matrices under both inner-product definitions.
 
 Sections of L^k are multi-homogeneous polynomials of per-factor degree
-k*l_j; the half-form twist shifts the degrees to k*l_j - (n_j+1)/2.  On
-unit-normalized coordinates the plain pointwise norm square of a polynomial
-is simply |P(z)|^2; the twisted norm carries the half-form frame factor
+k*l_j; the half-form twist shifts the degrees to k*l_j - (n_j+1)/2.  The
+package works in the monomial basis, one exponent row per section.  On
+unit-normalized coordinates the plain pointwise norm square of a monomial
+is simply |z^alpha|^2; the twisted norm carries the half-form frame factor
 (mu, mu), which is the constant prod_j l_j^{-n_j/2} (`halfform_frame`).
 The chart evaluation from mu^2 wedge conj(mu^2) against the Liouville form
 (`halfform_factor`) is kept as its reference.
@@ -17,45 +18,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import actions as ta
 from . import models
 from . import strata
 from .errors import QuantredError
-from .integrate import TWO_PI, as_quad, rng_for
-from .models import as_coords
+from .integrate import as_quad, rng_for
+from .models import TWO_PI
 
 
 class SectionError(QuantredError, ValueError):
     pass
-
-
-@dataclass
-class SectionPoly:
-    """Multi-homogeneous polynomial section with a sparse coefficient map."""
-
-    model: models.Model
-    k: int
-    twist: str                    # 'plain' | 'halfform'
-    coeffs: dict                  # exponent tuple -> complex
-
-    def __post_init__(self):
-        degs = section_degrees(self.model, self.k, self.twist)
-        for expo in self.coeffs:
-            if len(expo) != self.model.ncoords or any(e < 0 for e in expo):
-                raise SectionError("bad exponent tuple")
-            for sl, d in zip(self.model.slices, degs):
-                if sum(expo[sl.start : sl.stop]) != d:
-                    raise SectionError("exponent tuple has wrong multidegree")
-
-    @property
-    def exponents(self):
-        return np.asarray(list(self.coeffs.keys()), dtype=int)
-
-    def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        vals = evaluate_monomials(self.exponents, z)
-        c = np.asarray(list(self.coeffs.values()), dtype=complex)
-        return vals @ c
 
 
 def section_degrees(model, k, twist):
@@ -84,15 +55,6 @@ def basis_exponents(model, k, twist):
     return rows
 
 
-def basis_sections(model, k, twist="plain"):
-    if k < 1:
-        raise SectionError("k must be >= 1")
-    return [
-        SectionPoly(model=model, k=k, twist=twist, coeffs={tuple(row): 1.0 + 0.0j})
-        for row in basis_exponents(model, k, twist)
-    ]
-
-
 def invariant_exponents(action, k, twist="plain"):
     """Monomial exponents of the G-invariant subspace.
 
@@ -112,13 +74,6 @@ def invariant_exponents(action, k, twist="plain"):
     W = np.asarray(action.weights, dtype=int)
     keep = np.all(exps @ W.T == tgt, axis=1)
     return exps[keep]
-
-
-def invariant_basis(action, k, twist="plain"):
-    return [
-        SectionPoly(model=action.model, k=k, twist=twist, coeffs={tuple(row): 1.0 + 0.0j})
-        for row in invariant_exponents(action, k, twist)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -192,79 +147,6 @@ def monomial_norms(model, exps, z, twist="plain"):
     if twist == "halfform":
         vals = vals * halfform_frame(model)
     return vals
-
-
-def pointwise_norm(section, point):
-    """|s|^2 at a point (plain) or |r|^2 including the half-form factor."""
-    z = as_coords(section.model, point)
-    val = abs(section.value(z)) ** 2
-    if section.twist == "halfform":
-        val = val * halfform_frame(section.model)
-    return float(val)
-
-
-# ----------------------------------------------------------------------
-# the quantization operator (numeric invariance check)
-
-
-def quantization_residual(action, section, xi, point, fd_step=1e-6):
-    """|Q_xi s| / scale at a point, Q_xi = nabla_{X^xi} - i k phi_xi.
-
-    The covariant derivative is taken in the chart of the point; for the
-    half-form twist the numeric Lie-derivative weight of the frame is added.
-    """
-    model = action.model
-    z = as_coords(model, point)
-    charts = models.chart_indices(model, z)
-    w0 = models.to_chart(model, z, charts)
-    k = section.k
-    degs = section_degrees(model, k, section.twist)
-
-    def local_rep(w):
-        zz = models.from_chart(model, w, charts)
-        # frame z_c^deg evaluated on the chart representative (z_c = 1)
-        rep = zz.copy()
-        for sl, c in zip(model.slices, charts):
-            rep[sl] = rep[sl] / zz[c]
-        return section.value(rep)
-
-    X, _ = ta.fundamental_fields(action, xi, z)
-    xdot = models.ambient_to_chart(model, z, X, charts)
-    f0 = local_rep(w0)
-    df = (local_rep(w0 + fd_step * xdot) - local_rep(w0 - fd_step * xdot)) / (2 * fd_step)
-    # Chern connection of the L^k chart frame; the half-form part enters
-    # through the Lie derivative of the canonical frame, not a connection
-    conn = 0.0
-    pos = 0
-    for nj, l in zip(model.factors, model.bundle_degrees):
-        wj = w0[pos : pos + nj]
-        conn += -(k * l) * np.sum(np.conj(wj) * xdot[pos : pos + nj]) / (1.0 + np.sum(np.abs(wj) ** 2))
-        pos += nj
-    if section.twist == "halfform":
-        conn += 0.5 * _holomorphic_divergence(action, xi, w0, charts, fd_step)
-    phi_xi = float(ta.moment_map(action, z) @ np.asarray(xi, dtype=float))
-    q = df + f0 * conn - 1j * k * phi_xi * f0
-    scale = max(abs(df), abs(k * phi_xi * f0), 1e-30)
-    return float(abs(q) / scale)
-
-
-def _holomorphic_divergence(action, xi, w0, charts, fd_step):
-    """Trace of the holomorphic Jacobian of the action field in chart coords:
-    the Lie derivative weight L_{X^xi} Omega / Omega of the canonical frame."""
-    model = action.model
-
-    def chart_velocity(w):
-        zz = models.from_chart(model, w, charts)
-        X, _ = ta.fundamental_fields(action, xi, zz)
-        return models.ambient_to_chart(model, zz, X, charts)
-
-    n = model.n_total
-    tr = 0.0 + 0.0j
-    for i in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[i] = 1.0
-        tr += (chart_velocity(w0 + fd_step * e)[i] - chart_velocity(w0 - fd_step * e)[i]) / (2 * fd_step)
-    return tr
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +295,3 @@ def _gram_exact_on_pattern(action, exps, twist, pattern):
     frame = halfform_frame(model) if twist == "halfform" else 1.0
     diag = [frame * monomial_integral_on_pattern(model, pattern, row) for row in exps]
     return np.asarray(diag, dtype=float), np.zeros(exps.shape[0])
-
-
-def _pattern_point(model, pattern):
-    z = np.zeros(model.ncoords, dtype=complex)
-    for sup in pattern:
-        z[sup[0]] = 1.0
-    return z

