@@ -245,17 +245,13 @@ def orbit_volume(action, point, iso=None):
     """sqrt det B(X^{xi_a}, X^{xi_b}) over an orthonormal basis of m.
 
     This is the group-parametrized orbit volume; for a stabilizer with
-    finite part gamma it counts the geometric orbit gamma times.  Returns
-    (value, is_full); the H = G branch returns the empty-product value 1.
+    finite part gamma it counts the geometric orbit gamma times.  On H = G
+    the basis is empty and the value is the empty determinant, 1.  A batch
+    of points, shape (N, ncoords), needs their common `iso`.
     """
-    z = normalize(action.model, point)
-    if iso is None:
-        iso = isotropy(action, z)
-    if iso.is_full:
-        return 1.0, True
-    mb = m_basis(action, iso)
-    vol = np.sqrt(np.clip(np.linalg.det(mb @ field_pairing(action, masses(action.model, z)) @ mb.T), 0.0, None))
-    return (float(vol) if vol.ndim == 0 else vol), False
+    mb = m_basis(action, iso or isotropy(action, point))
+    vol = np.sqrt(np.clip(np.linalg.det(mb @ field_pairing(action, masses(action.model, point)) @ mb.T), 0.0, None))
+    return float(vol) if vol.ndim == 0 else vol
 
 
 def geometric_orbit_volume(action, point, iso=None):
@@ -263,13 +259,8 @@ def geometric_orbit_volume(action, point, iso=None):
 
     A batch of points, shape (N, ncoords), needs their common `iso`.
     """
-    z = normalize(action.model, point)
-    if iso is None:
-        iso = isotropy(action, z)
-    vol, full = orbit_volume(action, z, iso)
-    if full:
-        return 1.0
-    return vol / iso.finite_part
+    iso = iso or isotropy(action, point)
+    return orbit_volume(action, point, iso) / iso.finite_part
 
 
 def level_tangent_basis(action, point):

@@ -169,7 +169,7 @@ def _transverse_integral(action, z, k, halfform=False):
 
 def _density(action, label, point, k, halfform):
     """(I_k or J_k, its error) at one point: the density's factor of T_k times T_k and its |I_h - I_2h|."""
-    iso = label.isotropy if isinstance(label, strata.StratumLabel) else ta.isotropy(action, point)
+    iso = label.isotropy
     z = normalize(action.model, point)[None]
     m = action.rank - iso.dim
     w = (k / TWO_PI) ** (m / 2.0) * (2.0 ** (m / 2.0) if halfform else ta.geometric_orbit_volume(action, z, iso))
@@ -218,22 +218,19 @@ def _piece_integral(action, dim, sl, exps, k, twist, order):
     vol(G.x)/|Gamma| the geometric orbit volume on the slice's pattern and
     T_k the transverse integral, with the divergence factor for the
     half-form twist.  On a stratum's own zero-level slice this weight is
-    the density I_k, or J_k times the half-form descent factor.  A q = 1
-    slice puts the Gauss nodes of orders n and n/2 into one
-    `_transverse_integral` call; its error is |Q_n - Q_{n/2}| plus the
-    order-n nodes' transverse estimates |I_h - I_2h|.  A q = 0 slice, one
-    node, has the transverse estimate only.
+    the density I_k, or J_k times the half-form descent factor.  One
+    `strata.slice_quadrature` call gives the nodes of the Gauss rule and of
+    its error rule, and one `_transverse_integral` call covers them all; the
+    error is the gap |Q_n - Q_{n/2}| between the two rules (0 on a point
+    slice) plus the order-n nodes' transverse estimates |I_h - I_2h|.
     """
-    iso = ta.isotropy_of_support(action, sl.pattern)
-    rules = [strata.slice_quadrature(action, sl, n) for n in (order, order // 2)[: 1 + sl.q]]
-    z = np.concatenate([r[0] for r in rules])
-    w = np.concatenate([r[2] for r in rules]) * ta.geometric_orbit_volume(action, z, iso)
+    z, rules = strata.slice_quadrature(action, sl, order)
+    vol = ta.geometric_orbit_volume(action, z, ta.isotropy_of_support(action, sl.pattern))
     T, T_err = _transverse_integral(action, z, k, twist == "halfform")
     norms = sections.monomial_norms(action.model, exps, z, twist)
-    n = rules[0][0].shape[0]
-    value, error = (w[:n] * T[:n]) @ norms[:n], (np.abs(w[:n]) * T_err[:n]) @ norms[:n]
-    if sl.q:  # the order n/2 rule
-        error = error + np.abs(value - (w[n:] * T[n:]) @ norms[n:])
+    value, half = ((w * vol[rows] * T[rows]) @ norms[rows] for rows, w in rules)
+    rows, w = rules[0]
+    error = (np.abs(w * vol[rows]) * T_err[rows]) @ norms[rows] + np.abs(value - half)
     pref = (k / TWO_PI) ** (dim / 2.0)
     return pref * value, pref * error
 

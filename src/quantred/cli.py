@@ -306,9 +306,6 @@ def run(scn):
     def record(name, digest):
         manifest["files"][name] = digest
 
-    if "strata" in scn.quantities:
-        record("strata.json", _write_json(os.path.join(scn.out, "strata.json"), strat.to_json_dict()))
-
     gram_cache = {}
     if "gram" in scn.quantities or "unitarity" in scn.quantities:
         for k in scn.k_list:
@@ -316,12 +313,19 @@ def run(scn):
                 gu = sections.gram_upstairs(scn.action, k, scn.twist, nd, quad, strat=strat)
                 gd = reduction.reduced_gram(scn.action, k, scn.twist, nd, quad, strat=strat)
                 gram_cache[(k, nd)] = (gu, gd)
-        if "gram" in scn.quantities:
-            for k in scn.k_list:
-                up = {str(nd): _gram_json(gram_cache[(k, nd)][0]) for nd in scn.norm_defs}
-                down = {str(nd): _gram_json(gram_cache[(k, nd)][1]) for nd in scn.norm_defs}
-                record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
-                record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
+    empty = sorted({k for (k, _), (gu, _) in gram_cache.items() if gu.dim == 0})
+    if "unitarity" in scn.quantities and empty:  # a defect needs an invariant section
+        raise ConfigError(f"k_list: empty invariant space at k={', '.join(map(str, empty))}, so no unitarity defect")
+
+    if "strata" in scn.quantities:
+        record("strata.json", _write_json(os.path.join(scn.out, "strata.json"), strat.to_json_dict()))
+
+    if "gram" in scn.quantities:
+        for k in scn.k_list:
+            up = {str(nd): _gram_json(gram_cache[(k, nd)][0]) for nd in scn.norm_defs}
+            down = {str(nd): _gram_json(gram_cache[(k, nd)][1]) for nd in scn.norm_defs}
+            record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
+            record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
 
     residuals = {}  # (stratum index, k) -> (residual diagonal, error), shared by the II rows and the consistency check
 
@@ -421,24 +425,25 @@ def main(argv=None):
     parser.add_argument("--preset", help="built-in example name (E1, E2, E3)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--only", help="comma-separated quantity subset")
+    parser.add_argument("--only", help="comma-separated quantity subset, for run only")
     parser.add_argument("--k", help="comma-separated k list override")
     parser.add_argument("--twist", choices=("plain", "halfform"))
     args = parser.parse_args(argv)
     try:
+        if args.only and args.command != "run":
+            raise ConfigError(f"--only: only the run command takes a quantity subset, not {args.command}")
         cfg = _load_config(args)
         if args.command not in ("describe", "run"):
             cfg["quantities"] = (args.command,)
         scn = validate(cfg)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "describe":
             describe(scn)
         else:
             manifest = run(scn)
             print(json.dumps(manifest, sort_keys=True, indent=1))
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:  # run raises one for an empty invariant space
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (QuantredError, np.linalg.LinAlgError) as exc:  # programming errors keep their traceback
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -22,7 +22,7 @@ from . import strata
 from . import sections
 from .errors import QuantredError
 from .integrate import as_quad, rng_for
-from .models import TWO_PI, normalize
+from .models import TWO_PI
 
 
 class ReductionError(QuantredError, ValueError):
@@ -30,18 +30,14 @@ class ReductionError(QuantredError, ValueError):
 
 
 def descent_norm_factor(action, point, iso=None):
-    """Pointwise descent factor for half-form sections at a zero-level point.
+    """Pointwise descent factor 2^{-m/2} vol(G.x)/|Gamma| for half-form sections at a zero-level point.
+
+    It is 1 on H = G, where m = 0 and the orbit volume is the empty determinant.
 
     A batch of points, shape (N, ncoords), needs their common `iso`.
     """
-    z = normalize(action.model, point)
-    if iso is None:
-        iso = ta.isotropy(action, z)
-    if iso.is_full:
-        return 1.0
-    m = action.rank - iso.dim
-    vol, _ = ta.orbit_volume(action, z, iso)
-    return 2.0 ** (-m / 2.0) * vol / iso.finite_part
+    iso = iso or ta.isotropy(action, point)
+    return 2.0 ** (-(action.rank - iso.dim) / 2.0) * ta.geometric_orbit_volume(action, point, iso)
 
 
 # ----------------------------------------------------------------------
@@ -53,10 +49,11 @@ def stratum_gram(action, lab, exps, twist, quad, tag="down"):
 
     Returns (diagonal, stderr) of int_S |desc_a|^2 eps_hat; the off-diagonal
     pairs integrate to 0 (distinct monomials are torus-orthogonal).  The
-    grid route uses Gauss nodes of the Duistermaat-Heckman measure on the
-    level slice, and a half-order rerun as its error estimate; the mc route
-    samples the slice and the phases, with block standard errors.  A
-    zero-dimensional stratum is its one node.
+    grid route takes one `strata.slice_quadrature` call: the Gauss rule of
+    the Duistermaat-Heckman measure on the level slice, and its gap to the
+    error rule as its error estimate (0 on a zero-dimensional stratum, its
+    one node).  The mc route samples the slice and the phases, with block
+    standard errors.
     """
     quad = as_quad(quad)
     model = action.model
@@ -76,14 +73,11 @@ def stratum_gram(action, lab, exps, twist, quad, tag="down"):
         blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)
         return terms.sum(axis=0), blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
 
-    def diagonal(order):
-        z, _, w = strata.slice_quadrature(action, sl, order)
-        if twist == "halfform":
-            w = w * descent_norm_factor(action, z, lab.isotropy)
-        return w @ sections.monomial_norms(model, exps, z, twist)
-
-    diag = diagonal(quad.grid_order)
-    return diag, np.abs(diag - diagonal(max(8, quad.grid_order // 2)))
+    z, rules = strata.slice_quadrature(action, sl, quad.grid_order)
+    scale = descent_norm_factor(action, z, lab.isotropy) if twist == "halfform" else np.ones(len(z))
+    norms = sections.monomial_norms(model, exps, z, twist)
+    diag, half = ((w * scale[rows]) @ norms[rows] for rows, w in rules)
+    return diag, np.abs(diag - half)
 
 
 def reduced_gram(action, k, twist="plain", norm_def=1, quad=None, strat=None):

@@ -288,23 +288,27 @@ def slice_constant(action, sl, iso):
 
 
 def slice_quadrature(action, sl, order):
-    """Gauss nodes of the reduced measure on a level slice with q <= 1.
+    """The Gauss rule of the reduced measure on a level slice with q <= 1, and its error rule.
 
-    Returns (z, p, w): unit points with zero free phases, shape (N, ncoords),
-    their masses, and weights with sum_n w_n f(p_n) = int f eps_hat up to the Gauss
-    error of f: Gauss nodes on the whole segment for q = 1 (not on its shrunk
-    box), and for q = 0 the slice's one point with weight C.
+    Returns (z, rules): unit points with zero free phases, shape (N,
+    ncoords), and two (rows, weights) rules on them, with
+    sum_n w_n f(z[rows][n]) = int f eps_hat up to the Gauss error of f.  On
+    a segment (q = 1, Gauss nodes on the whole segment, not on its shrunk
+    box) the first rule has order n = `order` and the error rule half that
+    order, at least 8, so |Q_n - Q_{n/2}| estimates the first rule's error.
+    A point slice (q = 0) is its one point with weight C in both rules, so
+    its Gauss error is exactly 0.
     """
-    if sl.q == 0:
-        s, gw = np.zeros((1, 0)), np.ones(1)
-    elif sl.q == 1:
-        t, gw = gauss_segment(*_segment(sl.p0, sl.basis[0]), order)
-        s = t[:, None]
-    else:
+    if sl.q > 1:
         raise StrataError("slice quadrature supports slice dimension <= 1; use mc")
-    z = models.normalize(action.model, sl.point(s))
     C = slice_constant(action, sl, ta.isotropy_of_support(action, sl.pattern))
-    return z, masses(action.model, z), C * gw
+    if sl.q == 0:
+        s, rules = np.zeros((1, 0)), ((slice(0, 1), np.array([C])),) * 2
+    else:
+        ends = _segment(sl.p0, sl.basis[0])
+        t, w = zip(*(gauss_segment(*ends, n) for n in (order, max(8, order // 2))))
+        s, rules = np.concatenate(t)[:, None], ((slice(0, order), C * w[0]), (slice(order, None), C * w[1]))
+    return models.normalize(action.model, sl.point(s)), rules
 
 
 def _slice_box(p0, basis):
@@ -596,14 +600,13 @@ def kirwan_flow(action, point, tol=1e-12, max_steps=20000):
 
 
 def sample_stratum(action, target, count, seed):
-    """Points on Z_(H) (or an S_i) with quotient weights.
+    """Points on the level slice of a stratum label or an ExtraPiece, with quotient weights.
 
-    For a stratum label the weights realize integrals against the reduced
-    volume: sum_i w_i f(x_i) estimates int_S f eps_hat (one representative
-    per orbit, finite-part corrected).  For an ExtraPiece slice the weights
-    realize the induced Riemannian measure of S_i itself.  Draws are uniform
-    in the slice's box and kept when they land in the slice polytope, which
-    a q <= 1 box lies inside: a rejected draw keeps weight 0 and the slice's
+    The weights realize integrals against the slice's reduced measure, for
+    a piece as for a stratum: sum_i w_i f(x_i) estimates int f eps_hat (one
+    representative per orbit, finite-part corrected).  Draws are uniform in
+    the slice's box and kept when they land in the slice polytope, which a
+    q <= 1 box lies inside: a rejected draw keeps weight 0 and the slice's
     interior point, so every returned point lies on the slice even when no
     draw is accepted.
     """
@@ -621,8 +624,5 @@ def sample_stratum(action, target, count, seed):
     theta = np.zeros((count, model.ncoords))
     theta[:, list(sl.theta_idx)] = TWO_PI * u[:, sl.q :]
     z = models.normalize(model, models.normalize(model, sl.point(s)) * np.exp(1j * theta))
-    iso = ta.isotropy_of_support(action, sl.pattern)
-    w = np.where(accepted, slice_constant(action, sl, iso) * meas / count, 0.0)
-    if isinstance(target, ExtraPiece):
-        w = w * ta.geometric_orbit_volume(action, z, iso)
-    return z, w
+    C = slice_constant(action, sl, ta.isotropy_of_support(action, sl.pattern))
+    return z, np.where(accepted, C * meas / count, 0.0)

@@ -52,7 +52,8 @@ def test_transverse_rule_at_slice_ends(e2, st2):
     integrand under adaptive_line_quadrature, with and without the
     divergence factor."""
     sl = strata.make_level_slice(e2, st2.open_stratum().top_pattern, np.zeros(1))
-    z, p, _ = strata.slice_quadrature(e2, sl, 32)
+    z, _ = strata.slice_quadrature(e2, sl, 32)
+    p = models.masses(e2.model, z)
     ends = [0, 1, 30, 31]
     k = 2
     for halfform in (False, True):
@@ -94,7 +95,7 @@ def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypa
     # nodes directly, since the k = 3000 basis of residual_II costs seconds)
     monkeypatch.setattr(asymptotics, "MAX_WIDENINGS", 8)
     full = [s for s in st2.strata if s.isotropy.is_full][0]
-    z, _, _ = strata.slice_quadrature(e2, st2.pieces[full.key][0].level_slice, 24)
+    z, _ = strata.slice_quadrature(e2, st2.pieces[full.key][0].level_slice, 24)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(asymptotics.AsymptoticsError, match="is not finite at k=3000"):
         asymptotics._transverse_integral(e2, z, 3000)
@@ -162,8 +163,9 @@ def transverse_tau_calls(e2, st2):
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     lab = strata.analyze(rank2).open_stratum()
     x, _ = strata.sample_stratum(rank2, lab, 1, seed=1)
-    z, _, _ = strata.slice_quadrature(e2, strata.make_level_slice(e2, st2.open_stratum().top_pattern, np.zeros(1)), 32)
-    runs = [(e2, z, 2, False), (e2, z, 2, True)] + [(rank2, x[:1], k, False) for k in (10, 40, 100)]
+    z, ((rows, _), _) = strata.slice_quadrature(e2, strata.make_level_slice(e2, st2.open_stratum().top_pattern,
+                                                                           np.zeros(1)), 32)
+    runs = [(e2, z[rows], 2, False), (e2, z[rows], 2, True)] + [(rank2, x[:1], k, False) for k in (10, 40, 100)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ta, "coarea_setup", recording_setup)
         for action, points, k, halfform in runs:

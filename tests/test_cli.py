@@ -363,6 +363,25 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
     assert own == sorted((lab.top_pattern, k, asymptotics.DENSITY_ORDER) for lab in st.strata for k in (2, 4))
 
 
+def test_grid_gram_calls_the_slice_rule_once_per_k(tmp_path, monkeypatch):
+    """A grid-route reduced Gram takes its Gauss rule and its error rule
+    from one `strata.slice_quadrature` call: E3 has one stratum, so one
+    call per k under Definition (1)."""
+    from quantred import strata
+
+    seen = []
+    original = strata.slice_quadrature
+
+    def counted(action, sl, order):
+        seen.append(order)
+        return original(action, sl, order)
+
+    monkeypatch.setattr(strata, "slice_quadrature", counted)
+    cfg = {"preset": "E3", "k_list": [2, 4], "quantities": ["gram"], "norm_defs": [1], "out": str(tmp_path / "g")}
+    cli.run(cli.validate(cfg))
+    assert seen == [96, 96]
+
+
 def test_python_dash_m_runs_the_cli():
     import subprocess
     import sys
@@ -473,6 +492,27 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
     out = str(tmp_path / "d")
     assert cli.main(["run", "--preset", "E1", "--k", "2,4", "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "run_manifest.json"))
-    assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "2,4", "--out", out]) == 3
+    assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "2,4", "--out", out]) == 2
     assert "empty invariant space at k=2" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "run_manifest.json"))
+
+
+def test_empty_invariant_space_is_a_config_error(tmp_path, capsys):
+    """With unitarity requested, a k whose invariant space is empty exits 2
+    naming k_list and that k, before any output file is written."""
+    out = tmp_path / "e"
+    assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "2,4,8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "k_list" in err and "k=2, 4, 8" in err
+    assert os.listdir(out) == []
+    assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "3,5,9", "--out", str(out)]) == 0
+
+
+def test_only_is_rejected_outside_run(tmp_path, capsys):
+    """A subcommand fixes the quantities itself, so --only with it exits 2
+    naming --only instead of being dropped."""
+    for command in ("gram", "describe"):
+        out = tmp_path / command
+        assert cli.main([command, "--preset", "E1", "--only", "strata", "--k", "2", "--out", str(out)]) == 2
+        assert "--only" in capsys.readouterr().err
+        assert not out.exists()

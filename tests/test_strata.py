@@ -256,7 +256,7 @@ def test_sample_stratum_reduced_volume_dh_oracle(e2, st2, rng):
             zm = models.from_chart(e2.model, w0 - 1e-6 * e, charts)
             fd.append(float((ta.moment_map(e2, zp) - ta.moment_map(e2, zm))[0]) / 2e-6)
         j_phi = float(np.linalg.norm(fd))
-        vol, _ = ta.orbit_volume(e2, z)
+        vol = ta.orbit_volume(e2, z)
         assert abs(j_phi - vol) < 1e-4 * vol
     vol_m = reference.liouville_volume_exact(e2.model)
     vals = np.where(mask, 1.0, 0.0)
@@ -292,6 +292,42 @@ def test_stratification_report_json(e2, st2):
     data = st2.to_json_dict()
     assert len(data["strata"]) == 3
     assert "extra_pieces" in data and "unsemistable_patterns" in data
+
+
+def test_slice_rules_integrate_mass_powers(e1, st1, e2, st2, r2):
+    """On a segment both rules of `slice_quadrature`, of orders n and
+    max(8, n // 2), integrate p_i^a against the reduced measure C dt exactly
+    for a <= 2 (their order) - 1, with p_i = p0_i + t v_i along the segment.
+    A point slice is one node with weight C in both rules, so the grid
+    route states an error of exactly 0 there."""
+    from quantred import reduction
+
+    for action, st in ((e2, st2), r2):
+        lab = st.open_stratum()
+        sl = lab.level_slice
+        C = strata.slice_constant(action, sl, lab.isotropy)
+        p0, v = sl.p0, sl.basis[0]
+        assert sl.q == 1 and np.all(np.abs(v) > 0.1)
+        ends = strata._segment(p0, v)
+        for order in (1, 8, 96):
+            z, rules = strata.slice_quadrature(action, sl, order)
+            for n, (rows, w) in zip((order, max(8, order // 2)), rules):
+                p = models.masses(action.model, z[rows])
+                assert p.shape[0] == w.size == n
+                for a in range(2 * n):
+                    exact = C * np.diff([(p0 + t * v) ** (a + 1) for t in ends], axis=0)[0] / ((a + 1) * v)
+                    # p^a has condition number a, so past a ~ 28 rounding alone exceeds 1e-13
+                    # (numpy's order-96 Gauss-Legendre rule gives x^190 on [-1, 1] to 3.8e-13)
+                    rtol = max(1e-13, 16 * a * np.finfo(float).eps)
+                    assert np.allclose(w @ p**a, exact, rtol=rtol, atol=0), (order, n, a)
+    sl = st1.strata[0].level_slice
+    assert sl.q == 0
+    z, ((rows, w), (erows, ew)) = strata.slice_quadrature(e1, sl, 8)
+    C = strata.slice_constant(e1, sl, st1.strata[0].isotropy)
+    assert z.shape[0] == 1 and rows == erows and list(w) == list(ew) == [C]
+    assert np.all(reduction.reduced_gram(e1, 2).stderr == 0.0)
+    gram = reduction.reduced_gram(e2, 4, quad={"grid_order": 1})
+    assert np.all(np.isfinite(gram.diagonal)) and np.all(gram.stderr > 0)
 
 
 def test_slice_constant_matches_fd_jacobian(e2, st2, e3, st3, r2, cp_open):
