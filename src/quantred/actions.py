@@ -374,22 +374,28 @@ def coarea_setup(action, p):
 
     p has shape (N, ncoords): the masses of N points with a common support.
     Returns tau(nodes, u, log_n), tau at the points p[nodes] for u = W^T xi
-    of shape (len(nodes), K, ncoords), given its `_log_flow_sums` log_n;
-    everything independent of xi is built here, once.
+    of shape (len(nodes), K, ncoords), given its `_log_flow_sums` log_n.
 
-    In the free mass coordinates x = l p of the support (one reference index
-    r dropped per factor) the Kähler metric is the Hessian of Guillemin's
-    symplectic potential, G(x) = 1/2 (diag(1/x) + 1 1^T / x_r) per factor,
-    and G^{-1} on the angles (Guillemin, J. Diff. Geom. 40, 1994).  The flow
-    e^{i xi} moves the masses only, p -> q = p a / N with a = e^{-4 pi W^T xi},
-    so the angle block drops out and
+    In the free mass coordinates of the support the flow e^{i xi} moves the
+    masses only, p -> q = rho p with rho_i = e^{-4 pi u_i} / N_j for i in
+    factor j, and tau(xi, x) = sqrt(det G(x)) |det[JX(xi), D_xi V]|, with G
+    the Hessian of Guillemin's symplectic potential (J. Diff. Geom. 40,
+    1994), JX_a the imaginary fields of an orthonormal basis m_a of m at q,
+    D_xi = dq/dp and V a G-orthonormal basis of the kernel of d phi.  Then
 
-        tau = sqrt(det G(x)) |det[JX_1 ... JX_m, D_xi V]|
+        tau(xi, x) = tau(0, x) prod_{i in supp x} rho_i(xi, x):
 
-    with JX_a = 4 pi l q (u_a - <u_a>_q), u_a = W^T m_a, D_xi = dq/dp and V
-    a G(x)-orthonormal basis of the kernel of d phi, whose rows are
-    W_{a i} - W_{a r}.  `jacobian_tau_batch` is the finite-difference
-    reference.
+    * the flows commute, F_{xi + eta} = F_xi o F_eta, so JX(xi) = D_xi JX(0)
+      and det[JX(xi), D_xi V] = det D_xi det[JX(0), V];
+    * per factor D_xi = diag(rho) - q (rho - rho_r)^T on the free coordinates
+      (r the dropped one), and as sum q = sum p = 1 over the support the
+      determinant lemma gives det D_xi = prod rho over the support.
+
+    At xi = 0, d phi_xi = g(JX^xi, .) makes JX(0) G-orthogonal to V, and
+    |JX|_G = |X|, so tau(0, x) is the orbit volume sqrt det B(X^{m_a}, X^{m_b}).
+    It is computed once per point; log prod rho = -4 pi sum_supp u_i -
+    sum_j |supp_j| log N_j is one dot product per pair.  `jacobian_tau_batch`
+    is the finite-difference reference.
     """
     model = action.model
     p = np.asarray(p, dtype=float)
@@ -398,40 +404,16 @@ def coarea_setup(action, p):
         raise ActionError("coarea_setup needs points of one support pattern")
     support = tuple(tuple(int(i) for i in np.flatnonzero(on[sl]) + sl.start) for sl in model.slices)
     mb = m_basis(action, isotropy_of_support(action, support))
-    m = mb.shape[0]
-    # per point, the free coordinates with their reference index, and per free
-    # coordinate its factor and degree; the reference is the factor's heaviest
-    # coordinate at that point, which keeps G well scaled near slice ends
-    free, ref, fac = [], [], []
-    for j, sup in enumerate(map(np.asarray, support)):
-        r = sup[np.argmax(p[:, sup], axis=1)]
-        free.append(np.broadcast_to(sup, (p.shape[0], sup.size))[sup != r[:, None]].reshape(p.shape[0], -1))
-        ref.append(np.repeat(r[:, None], sup.size - 1, axis=1))
-        fac += [j] * (sup.size - 1)
-    free, ref, fac = np.concatenate(free, axis=1), np.concatenate(ref, axis=1), np.asarray(fac, dtype=int)
-    deg = np.asarray(model.bundle_degrees, dtype=float)[fac]
-    nf = free.shape[1]
-    same = (fac[:, None] == fac[None, :]).astype(float)
-    # V = N L^{-T} with L L^T = N^T G N, N a basis of ker d phi; its
-    # determinant factor is det(N^T G N)^{-1/2}
-    null = np.swapaxes(np.linalg.svd(np.swapaxes(action.W[:, free] - action.W[:, ref], 0, 1))[2][:, m:], 1, 2)
-    pf, pr = np.take_along_axis(p, free, axis=1), np.take_along_axis(p, ref, axis=1)
-    G = 0.5 * (np.eye(nf) / (deg * pf)[:, None, :] + same / (deg * pr)[:, :, None])
-    scale = np.sqrt(np.linalg.det(G) / np.linalg.det(np.swapaxes(null, 1, 2) @ G @ null))
-    factor_of = np.repeat(np.arange(len(model.factors)), [n + 1 for n in model.factors])
-    U = mb @ action.W
+    vol2 = np.linalg.det(mb @ field_pairing(action, p) @ mb.T)
+    bad = np.flatnonzero(~(np.isfinite(vol2) & (vol2 > 0)))
+    if bad.size:
+        raise ActionError(f"degenerate coarea differential at the point with masses {np.round(p[bad[0]], 12).tolist()}: "
+                          f"tau(0, x)^2 = {vol2[bad[0]]:.3e} (stratification bug)")
+    tau0 = np.sqrt(vol2)
+    on, counts = on.astype(float), np.asarray([len(sup) for sup in support], dtype=float)
 
     def tau(nodes, u, log_n):
-        # flowed masses q and rho = q / p = a / N, per factor
-        rho = np.exp(-2.0 * TWO_PI * u - log_n[..., factor_of])
-        q = p[nodes][:, None, :] * rho
-        fi = free[nodes][:, None, :]
-        qf, rho_f = np.take_along_axis(q, fi, axis=-1), np.take_along_axis(rho, fi, axis=-1)
-        rho_r = np.take_along_axis(rho, ref[nodes][:, None, :], axis=-1)
-        D = np.eye(nf) * rho_f[..., None, :] - same * qf[..., :, None] * (rho_f - rho_r)[..., None, :]
-        mean = np.stack([q[..., sl] @ U[:, sl].T for sl in model.slices], axis=-2)[..., fac, :]
-        JX = 2.0 * TWO_PI * (deg * qf)[..., None] * (U.T[fi] - mean)
-        return scale[nodes][:, None] * np.abs(np.linalg.det(np.concatenate([JX, D @ null[nodes][:, None]], axis=-1)))
+        return tau0[nodes][:, None] * np.exp(-2.0 * TWO_PI * (u @ on) - log_n @ counts)
 
     return tau
 

@@ -83,8 +83,10 @@ def _transverse_integral(action, z, k, halfform=False):
     half-form twist.  Returns (T, estimates |I_h - I_2h|), each shape (N,);
     T = 1 with error 0 where m = 0.
 
-    tau is the closed form of `actions.coarea_setup`, set up once per
-    call; the log-flow sums log N_j are computed once per (node, xi) pair and shared by tau, f and D.  Each
+    tau(xi, x) = tau(0, x) prod_{i in supp x} rho_i(xi, x) is the closed form
+    of `actions.coarea_setup`, set up once per call: per (node, xi) pair it
+    is one dot product on the log-flow sums log N_j, which are computed once
+    per pair and shared by tau, f and D, so no pass does linear algebra.  Each
     node's transverse variable is whitened, xi = C^{-T} y / sqrt(k) with
     C C^T the Hessian of f at 0, which is twice the field pairing on m.  A
     tensor trapezoid grid of step h on [-R, R]^m in y is widened (R doubles)

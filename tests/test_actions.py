@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -247,8 +249,10 @@ def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
     """The closed-form tau against the finite-difference jacobian_tau_batch
     at stratum and extra-piece points of E1, E2, E3, CP^1 x CP^2 with
     l = (2, 3) and the rank-2 (CP^1)^3 model (whose open-stratum draw with
-    seed 1 is the dense-grid reference point).  The central differences lose
-    digits as tau falls, so only tau > 1e-8 max is compared."""
+    seed 1 is the dense-grid reference point), at xi of scale 0.2 and 1.0.
+    The central differences lose digits as tau falls (at tau ~ 1e-11 they
+    are off by up to 3e-5), so only tau > 1e-8 max is compared, the max
+    over a batch that includes xi = 0."""
     cp = ta.make_action(models.make_model([1, 2], [2, 3]), [[1, 0, -1, 0, 1]])
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     rng = np.random.default_rng(5)
@@ -259,9 +263,9 @@ def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
         targets += [piece for pieces in st.pieces.values() for piece in pieces]
         for target in targets:
             pts, _ = strata.sample_stratum(action, target, 2, seed=1)
-            for z in pts:
+            for z, scale in itertools.product(pts, (0.2, 1.0)):
                 mb = ta.m_basis(action, ta.isotropy(action, z))
-                xis = 0.2 * rng.standard_normal((12, mb.shape[0])) @ mb
+                xis = np.vstack([np.zeros(action.rank), scale * rng.standard_normal((12, mb.shape[0])) @ mb])
                 fd = ta.jacobian_tau_batch(action, xis, z)
                 p, u = models.masses(action.model, z)[None], xis[None] @ action.W
                 log_n = ta._log_flow_sums(action.model, ta._log_masses(p)[:, None, :], u)
@@ -270,6 +274,28 @@ def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
                 assert np.all(np.abs(closed[live] / fd[live] - 1.0) < 1e-8)
                 compared += int(np.sum(live))
     assert compared > 500
+
+
+def test_coarea_setup_rejects_a_degenerate_jacobian(e2, monkeypatch):
+    """With m_basis returning a vector of the isotropy algebra the orbit
+    collapses, tau(0, x) = 0, and coarea_setup raises, naming the point:
+    on E2's H = G stratum and on the rank-2 (CP^1)^3 pieces whose isotropy
+    is spanned by a coordinate vector.  (Along (-1, 1)/sqrt(2), the other
+    pieces' isotropy, the computed tau(0, x)^2 is rounding, about +-1e-31,
+    which the guard catches only when it is negative.)"""
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    cases = [(e2, lab) for lab in strata.analyze(e2).strata if lab.isotropy.is_full]
+    for piece in (piece for pieces in strata.analyze(rank2).pieces.values() for piece in pieces):
+        basis = ta.isotropy_of_support(rank2, piece.pattern).algebra_basis
+        if len(basis) == 1 and sorted(map(abs, basis[0])) == [0, 1]:
+            cases.append((rank2, piece))
+    assert len(cases) == 5
+    draws = [(action, strata.sample_stratum(action, target, 3, seed=1)[0]) for action, target in cases]
+    for action, pts in draws:
+        h = np.asarray([[float(v) for v in ta.isotropy(action, pts[0]).algebra_basis[0]]])
+        monkeypatch.setattr(ta, "m_basis", lambda action, iso: h)
+        with pytest.raises(ta.ActionError, match=r"degenerate coarea differential at the point with masses \["):
+            ta.coarea_setup(action, models.masses(action.model, pts))
 
 
 def test_isotropy_is_computed_once_per_support(tmp_path, monkeypatch):

@@ -191,6 +191,30 @@ def test_transverse_evaluations_stay_within_the_block(transverse_tau_calls):
     assert max(sum(call) for call in sizes) > asymptotics.TRANSVERSE_BLOCK
 
 
+def test_transverse_integral_does_no_linear_algebra_per_pass(monkeypatch):
+    """tau is tau(0, x) times a product of flow ratios, so the determinants
+    and SVDs of a transverse integral are set-up work: at the rank-2
+    (CP^1)^3 perfbench point their counts are the same at k = 10 (4 grid
+    passes) and k = 40 (3 passes)."""
+    action = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    x, _ = strata.sample_stratum(action, strata.analyze(action).open_stratum(), 1, seed=1)
+    calls = []
+
+    def count(module, name):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs))
+
+    for module, name in ((np.linalg, "det"), (np.linalg, "svd"), (asymptotics, "_on_grid")):
+        count(module, name)
+    counts = {}
+    for k in (10, 40):
+        calls.clear()
+        asymptotics._transverse_integral(action, x, k)
+        counts[k] = (calls.count("_on_grid"), calls.count("det"), calls.count("svd"))
+    assert (counts[10][0], counts[40][0]) == (4, 3)
+    assert counts[10][1:] == counts[40][1:]
+
+
 def test_density_h_equals_g_is_one(e2, st2):
     full = [s for s in st2.strata if s.isotropy.is_full][0]
     assert asymptotics.density_I(e2, full, full.representative, 7) == 1.0
