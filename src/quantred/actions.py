@@ -369,53 +369,37 @@ def jacobian_tau_batch(action, xis, point, s_basis=None):
     return taus
 
 
-def coarea_setup(action, p):
-    """Closed-form coarea Jacobian tau(xi, x) at points x of one support pattern.
+def transverse_exponent(action, p, k, halfform=False):
+    """(a, b) with tau(xi, x) e^{-k f(xi, x)} [D(xi, x)] = tau(0, x) exp(<a, xi> + sum_j b_j log(N_j / N_j(0))).
 
-    p has shape (N, ncoords): the masses of N points with a common support.
-    Returns tau(nodes, u, log_n), tau at the points p[nodes] for u = W^T xi
-    of shape (len(nodes), K, ncoords), given its `_log_flow_sums` log_n.
+    p has shape (N, ncoords): the masses of N points with a common support,
+    which share (a, b).  N_j is the mass sum of factor j after the flow, D
+    the half-form twist's divergence factor v^{-1/2}, and per factor j
 
-    In the free mass coordinates of the support the flow e^{i xi} moves the
-    masses only, p -> q = rho p with rho_i = e^{-4 pi u_i} / N_j for i in
-    factor j, and tau(xi, x) = sqrt(det G(x)) |det[JX(xi), D_xi V]|, with G
-    the Hessian of Guillemin's symplectic potential (J. Diff. Geom. 40,
-    1994), JX_a the imaginary fields of an orthonormal basis m_a of m at q,
-    D_xi = dq/dp and V a G-orthonormal basis of the kernel of d phi.  Then
+        a = 4 pi (k c - W 1_supp) [+ 2 pi W 1],   b_j = -|supp_j| - k l_j [+ (n_j + 1) / 2],
 
-        tau(xi, x) = tau(0, x) prod_{i in supp x} rho_i(xi, x):
-
-    * the flows commute, F_{xi + eta} = F_xi o F_eta, so JX(xi) = D_xi JX(0)
-      and det[JX(xi), D_xi V] = det D_xi det[JX(0), V];
-    * per factor D_xi = diag(rho) - q (rho - rho_r)^T on the free coordinates
-      (r the dropped one), and as sum q = sum p = 1 over the support the
-      determinant lemma gives det D_xi = prod rho over the support.
-
-    At xi = 0, d phi_xi = g(JX^xi, .) makes JX(0) G-orthogonal to V, and
-    |JX|_G = |X|, so tau(0, x) is the orbit volume sqrt det B(X^{m_a}, X^{m_b}).
-    It is computed once per point; log prod rho = -4 pi sum_supp u_i -
-    sum_j |supp_j| log N_j is one dot product per pair.  `jacobian_tau_batch`
+    the brackets for the half-form twist.  e^{-k f} and D read off the module
+    docstring; the coarea Jacobian is tau(xi, x) = tau(0, x) prod_{i in supp x}
+    e^{-4 pi u_i} / N_j, u = W^T xi.  In the free mass coordinates the flow
+    moves the masses only, and tau = sqrt(det G) |det[JX(xi), D_xi V]| with G
+    the Hessian of Guillemin's symplectic potential (J. Diff. Geom. 40, 1994),
+    D_xi = dq/dp and V a G-orthonormal kernel basis of d phi.  The flows
+    commute, so JX(xi) = D_xi JX(0), and the determinant lemma gives det D_xi
+    = prod e^{-4 pi u_i} / N_j over the support.  At xi = 0, JX(0) is
+    G-orthogonal to V, so tau(0, x) is the orbit volume.  `jacobian_tau_batch`
     is the finite-difference reference.
     """
     model = action.model
     p = np.asarray(p, dtype=float)
     on = p[0] > SUPPORT_TOL
     if np.any((p > SUPPORT_TOL) != on):
-        raise ActionError("coarea_setup needs points of one support pattern")
-    support = tuple(tuple(int(i) for i in np.flatnonzero(on[sl]) + sl.start) for sl in model.slices)
-    mb = m_basis(action, isotropy_of_support(action, support))
-    vol2 = np.linalg.det(mb @ field_pairing(action, p) @ mb.T)
-    bad = np.flatnonzero(~(np.isfinite(vol2) & (vol2 > 0)))
-    if bad.size:
-        raise ActionError(f"degenerate coarea differential at the point with masses {np.round(p[bad[0]], 12).tolist()}: "
-                          f"tau(0, x)^2 = {vol2[bad[0]]:.3e} (stratification bug)")
-    tau0 = np.sqrt(vol2)
-    on, counts = on.astype(float), np.asarray([len(sup) for sup in support], dtype=float)
-
-    def tau(nodes, u, log_n):
-        return tau0[nodes][:, None] * np.exp(-2.0 * TWO_PI * (u @ on) - log_n @ counts)
-
-    return tau
+        raise ActionError("transverse_exponent needs points of one support pattern")
+    a = 2.0 * TWO_PI * (k * action.shift_float - action.W @ on)
+    b = -np.asarray([np.sum(on[sl]) for sl in model.slices], dtype=float) - k * np.asarray(model.bundle_degrees)
+    if halfform:
+        a = a + TWO_PI * action.W.sum(axis=1)
+        b = b + (np.asarray(model.factors) + 1) / 2.0
+    return a, b
 
 
 # ----------------------------------------------------------------------
@@ -449,25 +433,5 @@ def potential(action, xi, point_or_masses, from_masses=False):
     p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, normalize(model, point_or_masses))
     xi = np.asarray(xi, dtype=float)
     logp = _log_masses(p)
-    flowed, at_zero = _log_flow_sums(model, logp, xi @ action.W), _log_flow_sums(model, logp, 0.0)
-    return _potential_from_sums(action, xi, flowed, at_zero)
-
-
-def _potential_from_sums(action, xi, log_n, log_n0):
-    """f from the `_log_flow_sums` at xi and at 0; subtracting the latter makes f(0, x) exactly 0."""
-    out = -2.0 * TWO_PI * (xi @ action.shift_float)
-    for j, l in enumerate(action.model.bundle_degrees):
-        out = out + l * (log_n[..., j] - log_n0[..., j])
-    return out
-
-
-def _divergence_from_sums(model, u, log_n):
-    """The divergence factor exp{ -int_0^1 (L_{JX^xi} eps)/(2 eps) dt } = v(xi, x)^{-1/2}.
-
-    v is the volume distortion of the module docstring, from u = W^T xi and
-    its `_log_flow_sums` log_n.
-    """
-    logv = 0.0
-    for j, (sl, nj) in enumerate(zip(model.slices, model.factors)):
-        logv = logv - 2.0 * TWO_PI * np.sum(u[..., sl], axis=-1) - (nj + 1) * log_n[..., j]
-    return np.exp(-0.5 * logv)
+    log_n = _log_flow_sums(model, logp, xi @ action.W) - _log_flow_sums(model, logp, 0.0)  # f(0, x) is exactly 0
+    return log_n @ np.asarray(model.bundle_degrees, dtype=float) - 2.0 * TWO_PI * (xi @ action.shift_float)

@@ -42,6 +42,7 @@ MAX_WIDENINGS = 8        # R doubles at most this often per node
 MAX_HALVINGS = 10        # h halves at most this often per node
 MAX_GRID_POINTS = 2**23  # (node, transverse point) pairs of the grids evaluated together, to bound memory
 DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
+ORBIT_GRAM_RTOL = 1e-12  # a node raises when lambda_min(S) <= ORBIT_GRAM_RTOL lambda_max(U), see below
 CONSISTENCY_FLOOR = 1e-13  # the norm-split check's stated error is at least this share of a stratum's largest |lhs|
 
 
@@ -83,12 +84,15 @@ def _transverse_integral(action, z, k, halfform=False):
     half-form twist.  Returns (T, estimates |I_h - I_2h|), each shape (N,);
     T = 1 with error 0 where m = 0.
 
-    tau(xi, x) = tau(0, x) prod_{i in supp x} rho_i(xi, x) is the closed form
-    of `actions.coarea_setup`, set up once per call: per (node, xi) pair it
-    is one dot product on the log-flow sums log N_j, which are computed once
-    per pair and shared by tau, f and D, so no pass does linear algebra.  Each
-    node's transverse variable is whitened, xi = C^{-T} y / sqrt(k) with
-    C C^T the Hessian of f at 0, which is twice the field pairing on m.  A
+    The integrand is one exponential, exp(<a, xi> + sum_j b_j log(N_j / N_j(0)))
+    times tau(0, x), with (a, b) from `actions.transverse_exponent`: per
+    (node, xi) pair, the log-flow sums and two dot products.  Each node's
+    transverse variable is whitened, xi = C^{-T} y / sqrt(k) with C C^T = 2 S
+    the Hessian of f at 0, S the field pairing on m.  As det C = 2^{m/2}
+    tau(0, x), tau(0, x) dxi = (2k)^{-m/2} dy.  A node whose S has smallest
+    eigenvalue at most ORBIT_GRAM_RTOL times the largest of the uncentred
+    pairing U = 8 pi^2 sum_j l_j sum_{i in j} p_i W_i W_i^T on m (a collapsed
+    orbit) raises ActionError.  A
     tensor trapezoid grid of step h on [-R, R]^m in y is widened (R doubles)
     until the boundary values fall below TRANSVERSE_EDGE of the maximum, and
     then refined (h halves) until the sums at steps h and 2h agree to
@@ -106,21 +110,23 @@ def _transverse_integral(action, z, k, halfform=False):
     m = mb.shape[0]
     if m == 0:  # an H = G point: no transverse directions
         return np.ones(z.shape[0]), np.zeros(z.shape[0])
-    chol = np.linalg.cholesky(2.0 * mb @ ta.field_pairing(action, p) @ mb.T)
-    maps = np.linalg.inv(chol) @ mb / np.sqrt(k)  # xi = y @ maps[n]
-    jac = 1.0 / (k ** (m / 2.0) * np.linalg.det(chol))
-    tau = ta.coarea_setup(action, p)
+    S = mb @ ta.field_pairing(action, p) @ mb.T
+    U = mb @ (2.0 * TWO_PI**2 * np.einsum("ai,bi,...i->...ab", action.scaled_weights(), action.W, p)) @ mb.T
+    lo, hi = np.linalg.eigvalsh(S)[:, 0], np.linalg.eigvalsh(U)[:, -1]
+    bad = np.flatnonzero(~(lo > ORBIT_GRAM_RTOL * hi))
+    if bad.size:
+        i = bad[0]
+        raise ta.ActionError(f"degenerate coarea differential at the point with masses {np.round(p[i], 12).tolist()}: "
+                             f"lambda_min(S) = {lo[i]:.3e}, lambda_max(U) = {hi[i]:.3e} (stratification bug)")
+    maps = np.linalg.inv(np.linalg.cholesky(2.0 * S)) @ mb / np.sqrt(k)  # xi = y @ maps[n]
+    jac = (2.0 * k) ** (-m / 2.0)  # dxi = jac dy / tau(0, x), as det(2 k S) = (2 k)^m tau(0, x)^2
+    a, b = ta.transverse_exponent(action, p, k, halfform)
     logp = ta._log_masses(p)[:, None, :]
     log_n0 = ta._log_flow_sums(action.model, logp, 0.0)
 
     def integrand(nodes, ys):
         xis = ys @ maps[nodes]
-        u = xis @ action.W
-        log_n = ta._log_flow_sums(action.model, logp[nodes], u)
-        vals = tau(nodes, u, log_n) * np.exp(-k * ta._potential_from_sums(action, xis, log_n, log_n0[nodes]))
-        if halfform:
-            vals = vals * ta._divergence_from_sums(action.model, u, log_n)
-        return vals
+        return np.exp(xis @ a + (ta._log_flow_sums(action.model, logp[nodes], xis @ action.W) - log_n0[nodes]) @ b)
 
     n = z.shape[0]
     R, h = np.full(n, TRANSVERSE_R0), np.full(n, TRANSVERSE_H0)
@@ -142,7 +148,7 @@ def _transverse_integral(action, z, k, halfform=False):
                 g = _on_grid(integrand, group, Rg, hg, m, grids)
                 I_h = hg**m * g.sum(axis=axes)
                 I_2h = (2.0 * hg) ** m * g[(slice(None),) + (slice(None, None, 2),) * m].sum(axis=axes)
-                value[group], error[group] = jac[group] * I_h, jac[group] * np.abs(I_h - I_2h)
+                value[group], error[group] = jac * I_h, jac * np.abs(I_h - I_2h)
                 overflow = group[~np.isfinite(I_h)]
                 if overflow.size:
                     raise AsymptoticsError(f"transverse integral at the point {np.round(z[overflow[0]], 12).tolist()} "

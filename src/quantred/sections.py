@@ -160,8 +160,9 @@ class GramMatrix:
     Distinct monomials are torus-orthogonal, so the Gram is diagonal under
     both norm definitions and on both sides; `diagonal` holds its entries
     and `stderr` their standard errors (0 on the exact routes; Monte Carlo
-    routes estimate the diagonal only).  `matrix` and `errors` are the
-    square forms; `cli` writes their JSON from the vectors.  `per_stratum`
+    routes estimate the diagonal only); `cli` writes the square JSON layout
+    from the vectors.  `matrix`, the square form, stays only because the
+    `perfbench` workload `E3HalfformMC.prepare` reads it.  `per_stratum`
     (downstairs only) maps each stratum key to its contribution to the diagonal.
     """
 
@@ -186,10 +187,6 @@ class GramMatrix:
     @property
     def matrix(self):
         return np.diag(self.diagonal).astype(complex)
-
-    @property
-    def errors(self):
-        return np.diag(self.stderr)
 
 
 def monomial_integral_on_pattern(model, pattern, alpha):

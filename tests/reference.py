@@ -6,7 +6,10 @@ closed form (frames and curvature, the Liouville volume and divergence, the
 transport potential, the contraction oracle of the descent factor, the
 quantization operator), a general polynomial section type, and the paper
 diagnostics that no `quantred run` reports (semistability, the boundedness
-probe, the growth constant).
+probe, the growth constant).  The package folds tau, e^{-k f} and the
+divergence factor into one exponent (`actions.transverse_exponent`); the
+factors one by one are checked against `actions.jacobian_tau_batch`,
+`actions.potential` and `divergence_factor` here.
 
 Some oracles stay in the package because the benchmark's scripts reach them
 by module and name; they move here once those scripts change:
@@ -350,7 +353,11 @@ def divergence_factor(action, xi, point_or_masses, from_masses=False):
     model = action.model
     p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, normalize(model, point_or_masses))
     u = np.asarray(xi, dtype=float) @ action.W
-    return ta._divergence_from_sums(model, u, ta._log_flow_sums(model, ta._log_masses(p), u))
+    log_n = ta._log_flow_sums(model, ta._log_masses(p), u)
+    logv = 0.0
+    for j, (sl, nj) in enumerate(zip(model.slices, model.factors)):
+        logv = logv - 2.0 * TWO_PI * np.sum(u[..., sl], axis=-1) - (nj + 1) * log_n[..., j]
+    return np.exp(-0.5 * logv)
 
 
 def pointwise_divergence(action, xi, point):

@@ -1,10 +1,11 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
 from quantred import actions as ta
-from quantred import cli, models, strata
+from quantred import asymptotics, cli, models, strata
 from quantred.integrate import gauss_legendre, gauss_segment
 
 import reference
@@ -246,17 +247,20 @@ def test_jacobian_tau_g_invariance(e2):
 
 
 def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
-    """The closed-form tau against the finite-difference jacobian_tau_batch
-    at stratum and extra-piece points of E1, E2, E3, CP^1 x CP^2 with
-    l = (2, 3) and the rank-2 (CP^1)^3 model (whose open-stratum draw with
-    seed 1 is the dense-grid reference point), at xi of scale 0.2 and 1.0.
-    The central differences lose digits as tau falls (at tau ~ 1e-11 they
-    are off by up to 3e-5), so only tau > 1e-8 max is compared, the max
-    over a batch that includes xi = 0."""
+    """The closed-form transverse integrand, orbit volume times
+    exp(<a, xi> + sum_j b_j log(N_j / N_j(0))) with (a, b) from
+    transverse_exponent, against the finite-difference jacobian_tau_batch
+    times e^{-k f} (and the divergence factor for the half-form twist), at
+    k = 0 (tau alone) and k = 2, at stratum and extra-piece points of E1,
+    E2, E3, CP^1 x CP^2 with l = (2, 3) and the rank-2 (CP^1)^3 model (whose
+    open-stratum draw with seed 1 is the dense-grid reference point), at xi
+    of scale 0.2 and 1.0.  The central differences lose digits as tau falls
+    (at tau ~ 1e-11 they are off by up to 3e-5), so only tau > 1e-8 max is
+    compared, the max over a batch that includes xi = 0."""
     cp = ta.make_action(models.make_model([1, 2], [2, 3]), [[1, 0, -1, 0, 1]])
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     rng = np.random.default_rng(5)
-    compared = 0
+    compared = collections.Counter()
     for action in (e1, e2, e3, cp, rank2):
         st = strata.analyze(action)
         targets = [lab for lab in st.strata if not lab.isotropy.is_full]
@@ -267,35 +271,41 @@ def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
                 mb = ta.m_basis(action, ta.isotropy(action, z))
                 xis = np.vstack([np.zeros(action.rank), scale * rng.standard_normal((12, mb.shape[0])) @ mb])
                 fd = ta.jacobian_tau_batch(action, xis, z)
-                p, u = models.masses(action.model, z)[None], xis[None] @ action.W
-                log_n = ta._log_flow_sums(action.model, ta._log_masses(p)[:, None, :], u)
-                closed = ta.coarea_setup(action, p)(np.arange(1), u, log_n)[0]
                 live = fd > 1e-8 * fd.max()
-                assert np.all(np.abs(closed[live] / fd[live] - 1.0) < 1e-8)
-                compared += int(np.sum(live))
-    assert compared > 500
+                p = models.masses(action.model, z)
+                logp, u = ta._log_masses(p), xis @ action.W
+                log_n = ta._log_flow_sums(action.model, logp, u) - ta._log_flow_sums(action.model, logp, 0.0)
+                for k, halfform in itertools.product((0, 2), (False, True)):
+                    a, b = ta.transverse_exponent(action, p[None], k, halfform)
+                    closed = ta.orbit_volume(action, z) * np.exp(xis @ a + log_n @ b)
+                    ref = fd * np.exp(-k * ta.potential(action, xis, p, from_masses=True))
+                    if halfform:
+                        ref = ref * reference.divergence_factor(action, xis, p, from_masses=True)
+                    assert np.all(np.abs(closed[live] / ref[live] - 1.0) < 1e-8)
+                    compared[k, halfform] += int(np.sum(live))
+    assert len(compared) == 4 and min(compared.values()) > 500
 
 
 def test_coarea_setup_rejects_a_degenerate_jacobian(e2, monkeypatch):
     """With m_basis returning a vector of the isotropy algebra the orbit
-    collapses, tau(0, x) = 0, and coarea_setup raises, naming the point:
-    on E2's H = G stratum and on the rank-2 (CP^1)^3 pieces whose isotropy
-    is spanned by a coordinate vector.  (Along (-1, 1)/sqrt(2), the other
-    pieces' isotropy, the computed tau(0, x)^2 is rounding, about +-1e-31,
-    which the guard catches only when it is negative.)"""
+    collapses, tau(0, x) = 0, and `asymptotics._transverse_integral` raises,
+    naming the point: on E2's H = G stratum and on the rank-2 (CP^1)^3
+    pieces whose isotropy is one vector, a coordinate vector (exact zeros)
+    or (-1, 1)/sqrt(2), where the orbit Gram's smallest eigenvalue is
+    rounding, about +-1e-31, against O(10-100) for the uncentred pairing."""
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     cases = [(e2, lab) for lab in strata.analyze(e2).strata if lab.isotropy.is_full]
     for piece in (piece for pieces in strata.analyze(rank2).pieces.values() for piece in pieces):
-        basis = ta.isotropy_of_support(rank2, piece.pattern).algebra_basis
-        if len(basis) == 1 and sorted(map(abs, basis[0])) == [0, 1]:
+        if len(ta.isotropy_of_support(rank2, piece.pattern).algebra_basis) == 1:
             cases.append((rank2, piece))
-    assert len(cases) == 5
+    assert len(cases) == 7
+    assert {((0,), (2, 3), (4,)), ((1,), (2, 3), (5,))} <= {target.pattern for _, target in cases[1:]}
     draws = [(action, strata.sample_stratum(action, target, 3, seed=1)[0]) for action, target in cases]
     for action, pts in draws:
         h = np.asarray([[float(v) for v in ta.isotropy(action, pts[0]).algebra_basis[0]]])
         monkeypatch.setattr(ta, "m_basis", lambda action, iso: h)
         with pytest.raises(ta.ActionError, match=r"degenerate coarea differential at the point with masses \["):
-            ta.coarea_setup(action, models.masses(action.model, pts))
+            asymptotics._transverse_integral(action, pts, 2)
 
 
 def test_isotropy_is_computed_once_per_support(tmp_path, monkeypatch):

@@ -139,26 +139,24 @@ def test_transverse_grid_splits_an_oversized_node_group(e2, st2, monkeypatch):
 
 @pytest.fixture(scope="module")
 def transverse_tau_calls(e2, st2):
-    """The tau evaluations of single `_transverse_integral` calls, recorded.
+    """The integrand evaluations of single `_transverse_integral` calls, recorded.
 
     The inputs: all 32 nodes of E2's order-32 open slice at k = 2, both
     twists (the end nodes halve h up to 7 times), and the rank-2 (CP^1)^3
-    perfbench point at k = 10, 40, 100 (one of which widens R).  Per call,
-    a list of evaluations, each an array of (masses, u = W^T xi) rows, one
-    row per (node, transverse point) pair; W has full rank, so u fixes xi.
+    perfbench point at k = 10, 40, 100 (one of which widens R).  Each
+    evaluation computes the log-flow sums once, so `actions._log_flow_sums`
+    records it; its set-up call at u = 0 is skipped.  Per call, a list of
+    evaluations, each an array of (log masses, u = W^T xi) rows, one row per
+    (node, transverse point) pair; W has full rank, so u fixes xi.
     """
-    setup = ta.coarea_setup
+    log_flow_sums = ta._log_flow_sums
     calls = []
 
-    def recording_setup(action, p):
-        tau = setup(action, p)
-
-        def recording_tau(nodes, u, log_n):
-            pn = np.broadcast_to(p[nodes][:, None, :], u.shape)
-            calls[-1].append(np.concatenate([pn, u], axis=-1).reshape(-1, 2 * u.shape[-1]))
-            return tau(nodes, u, log_n)
-
-        return recording_tau
+    def recording(model, logp, u):
+        if np.ndim(u):
+            lp = np.broadcast_to(logp, np.shape(u))
+            calls[-1].append(np.concatenate([lp, u], axis=-1).reshape(-1, 2 * u.shape[-1]))
+        return log_flow_sums(model, logp, u)
 
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     lab = strata.analyze(rank2).open_stratum()
@@ -167,7 +165,7 @@ def transverse_tau_calls(e2, st2):
                                                                            np.zeros(1)), 32)
     runs = [(e2, z[rows], 2, False), (e2, z[rows], 2, True)] + [(rank2, x[:1], k, False) for k in (10, 40, 100)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ta, "coarea_setup", recording_setup)
+        mp.setattr(ta, "_log_flow_sums", recording)
         for action, points, k, halfform in runs:
             calls.append([])
             asymptotics._transverse_integral(action, points, k, halfform)
@@ -192,10 +190,11 @@ def test_transverse_evaluations_stay_within_the_block(transverse_tau_calls):
 
 
 def test_transverse_integral_does_no_linear_algebra_per_pass(monkeypatch):
-    """tau is tau(0, x) times a product of flow ratios, so the determinants
-    and SVDs of a transverse integral are set-up work: at the rank-2
-    (CP^1)^3 perfbench point their counts are the same at k = 10 (4 grid
-    passes) and k = 40 (3 passes)."""
+    """The integrand is one exponential whose exponent (a, b) is set up once
+    per call, and tau(0, x) cancels against the whitening, so a transverse
+    integral computes no determinant at all, and its SVDs are set-up work:
+    at the rank-2 (CP^1)^3 perfbench point their count is the same at
+    k = 10 (4 grid passes) and k = 40 (3 passes)."""
     action = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     x, _ = strata.sample_stratum(action, strata.analyze(action).open_stratum(), 1, seed=1)
     calls = []
@@ -212,7 +211,8 @@ def test_transverse_integral_does_no_linear_algebra_per_pass(monkeypatch):
         asymptotics._transverse_integral(action, x, k)
         counts[k] = (calls.count("_on_grid"), calls.count("det"), calls.count("svd"))
     assert (counts[10][0], counts[40][0]) == (4, 3)
-    assert counts[10][1:] == counts[40][1:]
+    assert counts[10][1] == counts[40][1] == 0
+    assert counts[10][2] == counts[40][2]
 
 
 def test_density_h_equals_g_is_one(e2, st2):
@@ -320,8 +320,8 @@ def test_defect_scalar_case(e1, st1, e2, st2):
         gu = sections.gram_upstairs(action, k, "plain", 2, up_quad, strat=strat)
         gd = reduction.reduced_gram(action, k, "plain", 2, down_quad, strat=strat)
         d, sigma = asymptotics.unitarity_defect(action, k, "plain", 2, grams=(gu, gd))
-        u, su = np.diag(gu.matrix).real, np.diag(gu.errors)
-        lam, sd = np.diag(gd.matrix).real / u, np.diag(gd.errors)
+        u, su = np.diag(gu.matrix).real, gu.stderr
+        lam, sd = np.diag(gd.matrix).real / u, gd.stderr
         a = int(np.argmax(np.abs(lam - 1.0)))
         assert abs(d - abs(lam[a] - 1.0)) < 1e-12 * max(d, 1.0)
         assert abs(sigma - np.sqrt(sd[a] ** 2 + lam[a] ** 2 * su[a] ** 2) / u[a]) <= 1e-12 * sigma

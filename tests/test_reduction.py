@@ -94,14 +94,14 @@ def test_reduced_gram_mc_matches_grid(e2, st2):
     gg = reduction.reduced_gram(e2, 4, "plain", 2, {"method": "grid"}, strat=st2)
     gm = reduction.reduced_gram(e2, 4, "plain", 2, {"method": "mc", "samples": 60000, "seed": 2}, strat=st2)
     diff = np.abs(gm.matrix - gg.matrix)
-    assert np.all(diff < 3.5 * np.maximum(gm.errors, 1e-9))
+    assert np.all(diff < 3.5 * np.maximum(np.diag(gm.stderr), 1e-9))
 
 
 def test_reduced_gram_representative_independent(e2, st2):
     a = reduction.reduced_gram(e2, 4, "plain", 1, {"method": "mc", "samples": 40000, "seed": 5}, strat=st2)
     b = reduction.reduced_gram(e2, 4, "plain", 1, {"method": "mc", "samples": 40000, "seed": 99}, strat=st2)
     diff = np.abs(a.matrix - b.matrix)
-    assert np.all(diff < 3.5 * np.sqrt(a.errors**2 + b.errors**2) + 1e-10)
+    assert np.all(diff < 3.5 * np.diag(np.sqrt(a.stderr**2 + b.stderr**2)) + 1e-10)
 
 
 def test_open_stratum_quadrature_matches_quotient_chart_oracle(e2, st2):
@@ -199,5 +199,5 @@ def test_mc_grams_are_diagonal_without_false_flags(e2, st2, e3, st3):
                       reduction.reduced_gram(action, k, twist, nd, mc, strat=strat)):
                 off = ~np.eye(g.dim, dtype=bool)
                 assert g.dim >= 3
-                assert np.all(g.matrix[off] == 0) and np.all(g.errors[off] == 0)
+                assert np.all(g.matrix[off] == 0) and g.stderr.shape == g.diagonal.shape
                 assert "entry_error_over_20_percent" not in g.flags

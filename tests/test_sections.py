@@ -172,14 +172,14 @@ def test_gram_mc_agrees_with_exact(e2):
     gx = sections.gram_upstairs(e2, 4, "plain", 1, {"method": "exact"})
     gm = sections.gram_upstairs(e2, 4, "plain", 1, {"method": "mc", "samples": 120000, "seed": 5})
     diff = np.abs(gm.matrix - gx.matrix)
-    assert np.all(diff < 3.0 * gm.errors + 1e-9)
+    assert np.all(diff < 3.0 * np.diag(gm.stderr) + 1e-9)
 
 
 def test_gram_mc_error_scaling(e2):
     # standard errors shrink like 1/sqrt(N) over a 4x budget ladder
     g1 = sections.gram_upstairs(e2, 4, "plain", 1, {"method": "mc", "samples": 20000, "seed": 7})
     g2 = sections.gram_upstairs(e2, 4, "plain", 1, {"method": "mc", "samples": 80000, "seed": 9})
-    r = np.median(g1.errors[g1.errors > 0] / g2.errors[g1.errors > 0])
+    r = np.median(g1.stderr[g1.stderr > 0] / g2.stderr[g1.stderr > 0])
     assert 1.4 < r < 2.9
 
 
