@@ -407,10 +407,11 @@ def transverse_exponent(action, p, k, halfform=False):
 
 
 def _logsumexp(a):
-    """log sum exp over the first axis, shifted by its maximum (entries may be -inf)."""
+    """log sum exp over the first axis, shifted by its maximum (entries may be -inf); overwrites a."""
     shift = np.max(a, axis=0)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    return np.log(np.sum(np.exp(a - shift), axis=0)) + shift
+    a -= shift
+    return np.log(np.sum(np.exp(a, out=a), axis=0)) + shift
 
 
 def _log_masses(p):
@@ -419,8 +420,10 @@ def _log_masses(p):
 
 def _log_flow_sums(model, logp, u):
     """log N_j = log sum_{i in j} p_i e^{-4 pi u_i}, factor j on the last axis."""
-    # coordinates first, in memory too: numpy reduces slowly along a short last axis
-    e = np.ascontiguousarray(np.moveaxis(logp - 2.0 * TWO_PI * u, -1, 0))
+    # logp - 4 pi u in one array, coordinates first in memory: numpy reduces slowly along a short last axis
+    *lead, ncoords = np.broadcast_shapes(np.shape(logp), np.shape(u))
+    e = np.empty((ncoords, *lead))
+    np.add(logp, np.multiply(u, -2.0 * TWO_PI, out=np.moveaxis(e, 0, -1)), out=np.moveaxis(e, 0, -1))
     return np.stack([_logsumexp(e[sl]) for sl in model.slices], axis=-1)
 
 

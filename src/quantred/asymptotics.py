@@ -36,80 +36,87 @@ class AsymptoticsError(QuantredError, RuntimeError):
 # the Hessian of f at 0, widened and then refined node by node.
 TRANSVERSE_RTOL = 1e-12  # a node settles when |I_h - I_2h| <= TRANSVERSE_RTOL |I_h|
 TRANSVERSE_EDGE = 1e-17  # widen while a boundary value exceeds this share of the maximum
-TRANSVERSE_BLOCK = 4096  # (node, transverse point) pairs evaluated at once, to bound memory
+TRANSVERSE_BLOCK = 4096  # (node, transverse point) pairs evaluated and reduced at once, to bound memory
 TRANSVERSE_R0, TRANSVERSE_H0 = 10.0, 1.0  # first grid, in whitened units
 MAX_WIDENINGS = 8        # R doubles at most this often per node
 MAX_HALVINGS = 10        # h halves at most this often per node
-MAX_GRID_POINTS = 2**23  # (node, transverse point) pairs of the grids evaluated together, to bound memory
+MAX_GRID_POINTS = 2**23  # points of one node's grid
 DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
 ORBIT_GRAM_RTOL = 1e-12  # a node raises when lambda_min(S) <= ORBIT_GRAM_RTOL lambda_max(U), see below
 CONSISTENCY_FLOOR = 1e-13  # the norm-split check's stated error is at least this share of a stratum's largest |lhs|
 
 
-def _on_grid(integrand, nodes, R, h, m, grids):
-    """integrand at every (node, y) pair of the grid h Z^m on [-R, R]^m.
+def _grid_pass(integrand, nodes, came, J, h, m, sums):
+    """Add the points new to each node's grid h {-J, ..., J}^m to its running sums.
 
-    grids[node] = (1 after R doubled or 2 after h halved, its last grid) is popped and kept as the
-    centre block or at the even indices; only the points new to a node are evaluated,
-    TRANSVERSE_BLOCK pairs at a time.  Shape (len(nodes), 2J+1, ..., 2J+1), J = R/h.
+    sums[:, n] holds node n's grid sum, its sum over the all-even points (the
+    grid at step 2h), its maximum and its boundary maximum.  came[i] is 0 for
+    a new grid, 1 if R doubled (the old grid is the centre block), 2 if h
+    halved (the old grid is the all-even points).  The new points, the boxes
+    old^d x new x all^(m-1-d), are evaluated and reduced in blocks of at most
+    TRANSVERSE_BLOCK (node, point) pairs.
     """
-    J = int(round(R / h))
-    axis = h * np.arange(-J, J + 1)
-    ys = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
-    g = np.empty((nodes.size,) + (2 * J + 1,) * m)
-    kept = [(), (slice(J // 2, 3 * J // 2 + 1),) * m, (slice(None, None, 2),) * m]
-    came = np.zeros(nodes.size, dtype=int)  # 0 on a node's first grid
-    for i, node in enumerate(nodes):
-        if node in grids:
-            came[i], vals = grids.pop(node)
-            g[i][kept[came[i]]] = vals
-    flat = g.reshape(nodes.size, -1)
-    for c in np.unique(came):
-        new = np.ones(g.shape[1:], dtype=bool)
-        new[kept[c]] = c == 0
-        rows, cols = np.flatnonzero(came == c), np.flatnonzero(new)
-        per = max(1, TRANSVERSE_BLOCK // cols.size)
-        for a in range(0, rows.size, per):
-            for b in range(0, cols.size, TRANSVERSE_BLOCK):
-                r, q = rows[a:a + per], cols[b:b + TRANSVERSE_BLOCK]
-                flat[np.ix_(r, q)] = integrand(nodes[r], ys[q])
-    return g
+    full = np.arange(-J, J + 1)
+    for c in set(came.tolist()):
+        rows = nodes[came == c]
+        kept = [full < -J, np.abs(full) <= J // 2, full % 2 == 0][c]  # the old grid's axis: none, centre, even
+        if c < 2:  # a new grid starts from 0; after R doubled, the boundary is all new
+            sums[3 * c:, rows] = 0.0
+        else:  # after h halved, the step-2h grid is the old one
+            sums[1, rows] = sums[0, rows]
+        for box in ((full[kept],) * d + (full[~kept],) + (full,) * (m - 1 - d) for d in range(m if c else 1)):
+            shape = tuple(ax.size for ax in box)
+            size = int(np.prod(shape))
+            q, per = min(size, TRANSVERSE_BLOCK), max(1, TRANSVERSE_BLOCK // size)  # points, nodes per block
+            edges = any(J in (-ax[0], ax[-1]) for ax in box)
+            for s in range(0, size, q):
+                idx = np.stack([ax[i] for ax, i in zip(box, np.unravel_index(np.arange(s, min(s + q, size)), shape))],
+                               axis=-1)
+                even = np.flatnonzero(~np.any(idx & 1, axis=1)) if c < 2 else ()  # after a halving no new point is
+                edge = np.flatnonzero(np.any(np.abs(idx) == J, axis=1)) if edges else ()
+                for r in (rows[a:a + per] for a in range(0, rows.size, per)):
+                    v = integrand(r, h * idx)
+                    sums[0, r] += v.sum(axis=1)
+                    sums[2, r] = np.maximum(sums[2, r], v.max(axis=1))
+                    if len(even):
+                        sums[1, r] += v[:, even].sum(axis=1)
+                    if len(edge):
+                        sums[3, r] = np.maximum(sums[3, r], v[:, edge].max(axis=1))
 
 
-def _transverse_integral(action, z, k, halfform=False):
-    """T_n = int_m tau(xi, x_n) e^{-k f(xi, x_n)} [D(xi, x_n)] dxi at points x_n.
+def _transverse_integral(action, z, ks, halfform=False):
+    """T[i, n] = int_m tau(xi, x_n) e^{-k_i f(xi, x_n)} [D(xi, x_n)] dxi at points x_n, for each k_i in ks.
 
     z has shape (N, ncoords): points of one support pattern, such as the
-    nodes of a level slice.  D is the divergence factor, included for the
-    half-form twist.  Returns (T, estimates |I_h - I_2h|), each shape (N,);
-    T = 1 with error 0 where m = 0.
-
-    The integrand is one exponential, exp(<a, xi> + sum_j b_j log(N_j / N_j(0)))
-    times tau(0, x), with (a, b) from `actions.transverse_exponent`: per
-    (node, xi) pair, the log-flow sums and two dot products.  Each node's
-    transverse variable is whitened, xi = C^{-T} y / sqrt(k) with C C^T = 2 S
-    the Hessian of f at 0, S the field pairing on m.  As det C = 2^{m/2}
-    tau(0, x), tau(0, x) dxi = (2k)^{-m/2} dy.  A node whose S has smallest
-    eigenvalue at most ORBIT_GRAM_RTOL times the largest of the uncentred
-    pairing U = 8 pi^2 sum_j l_j sum_{i in j} p_i W_i W_i^T on m (a collapsed
-    orbit) raises ActionError.  A
-    tensor trapezoid grid of step h on [-R, R]^m in y is widened (R doubles)
-    until the boundary values fall below TRANSVERSE_EDGE of the maximum, and
-    then refined (h halves) until the sums at steps h and 2h agree to
-    TRANSVERSE_RTOL; the trapezoid rule converges exponentially for analytic
-    integrands that decay at both ends (Trefethen & Weideman, SIAM Review 56,
-    2014).  The grids are nested: each refinement evaluates only the points
-    new to it.  Nodes on the same grid are evaluated together, in chunks of
-    at most MAX_GRID_POINTS (node, transverse point) pairs.  A node that
-    needs more than MAX_WIDENINGS or MAX_HALVINGS, or whose grid alone
-    exceeds MAX_GRID_POINTS, raises AsymptoticsError.
+    nodes of a level slice; D, the divergence factor, enters for the
+    half-form twist.  Returns (T, estimates |I_h - I_2h|), each (len(ks), N),
+    with T = 1 and error 0 where m = 0.  Each (k, point) pair is a node of its
+    own, with the integrand exp(<a, xi> + sum_j b_j log(N_j / N_j(0))) times
+    tau(0, x), (a, b) from `actions.transverse_exponent` at its k, and the
+    whitened variable xi = C^{-T} y / sqrt(k), C C^T = 2 S the Hessian of f at
+    0 and S the field pairing on m.  As det C = 2^{m/2} tau(0, x), tau(0, x)
+    dxi = (2k)^{-m/2} dy.  A point whose S has smallest eigenvalue at most
+    ORBIT_GRAM_RTOL times the largest of the uncentred pairing U = 8 pi^2
+    sum_j l_j sum_{i in j} p_i W_i W_i^T on m (a collapsed orbit) raises
+    ActionError.  A tensor trapezoid grid of step h on [-R, R]^m in y is
+    widened (R doubles) until the boundary values fall below TRANSVERSE_EDGE
+    of the maximum, and then refined (h halves) until the sums at steps h and
+    2h agree to TRANSVERSE_RTOL; the trapezoid rule converges exponentially
+    for analytic integrands that decay at both ends (Trefethen & Weideman,
+    SIAM Review 56, 2014).  The grids are nested, so a node keeps four running
+    numbers, not its grid: the sums at steps h and 2h, the maximum and the
+    boundary maximum; a refinement evaluates only the points new to it
+    (`_grid_pass`), and nodes on one grid share its pass.  A node that needs
+    more than MAX_WIDENINGS or MAX_HALVINGS, or whose grid exceeds
+    MAX_GRID_POINTS, raises AsymptoticsError, naming its point and k.
     """
     z = np.atleast_2d(z)
     p = masses(action.model, z)
     mb = ta.m_basis(action, ta.isotropy(action, z[0]))
     m = mb.shape[0]
+    K, N = len(ks), z.shape[0]
     if m == 0:  # an H = G point: no transverse directions
-        return np.ones(z.shape[0]), np.zeros(z.shape[0])
+        return np.ones((K, N)), np.zeros((K, N))
     S = mb @ ta.field_pairing(action, p) @ mb.T
     U = mb @ (2.0 * TWO_PI**2 * np.einsum("ai,bi,...i->...ab", action.scaled_weights(), action.W, p)) @ mb.T
     lo, hi = np.linalg.eigvalsh(S)[:, 0], np.linalg.eigvalsh(U)[:, -1]
@@ -118,138 +125,148 @@ def _transverse_integral(action, z, k, halfform=False):
         i = bad[0]
         raise ta.ActionError(f"degenerate coarea differential at the point with masses {np.round(p[i], 12).tolist()}: "
                              f"lambda_min(S) = {lo[i]:.3e}, lambda_max(U) = {hi[i]:.3e} (stratification bug)")
-    maps = np.linalg.inv(np.linalg.cholesky(2.0 * S)) @ mb / np.sqrt(k)  # xi = y @ maps[n]
+    k_of, x_of = np.repeat(np.arange(K), N), np.tile(np.arange(N), K)  # node n is the pair (ks[k_of[n]], z[x_of[n]])
+    k = np.asarray(ks, dtype=float)[k_of]
+    a, b = map(np.array, zip(*(ta.transverse_exponent(action, p, kk, halfform) for kk in ks)))
+    # xi = y @ maps[n] = C^{-T} y / sqrt(k) at node n, so u = W^T xi and <a, xi> are y @ (maps[n] @ [W, a])
+    maps = (np.linalg.inv(np.linalg.cholesky(2.0 * S)) @ mb)[x_of] / np.sqrt(k)[:, None, None]
+    wa = np.concatenate([np.broadcast_to(action.W, (K,) + action.W.shape), a[:, :, None]], axis=2)
+    maps = np.moveaxis(maps @ wa[k_of], 2, 0)  # (ncoords + 1, n, m)
+    buf = np.empty(TRANSVERSE_BLOCK * maps.shape[0])  # every block's [u, <a, xi>], coordinates first in memory
     jac = (2.0 * k) ** (-m / 2.0)  # dxi = jac dy / tau(0, x), as det(2 k S) = (2 k)^m tau(0, x)^2
-    a, b = ta.transverse_exponent(action, p, k, halfform)
     logp = ta._log_masses(p)[:, None, :]
-    log_n0 = ta._log_flow_sums(action.model, logp, 0.0)
+    log_n0 = ta._log_flow_sums(action.model, logp, 0.0)[x_of]
+    logp, b = logp[x_of], b[k_of][:, :, None]
 
     def integrand(nodes, ys):
-        xis = ys @ maps[nodes]
-        return np.exp(xis @ a + (ta._log_flow_sums(action.model, logp[nodes], xis @ action.W) - log_n0[nodes]) @ b)
+        t = buf[:maps.shape[0] * nodes.size * len(ys)].reshape(maps.shape[0], nodes.size, len(ys))
+        np.matmul(maps[:, nodes].reshape(-1, m), ys.T, out=t.reshape(-1, len(ys)))
+        log_n = ta._log_flow_sums(action.model, logp[nodes], np.moveaxis(t[:-1], 0, -1))
+        return np.exp(t[-1] + ((log_n - log_n0[nodes]) @ b[nodes])[..., 0])
 
-    n = z.shape[0]
+    n = K * N
     R, h = np.full(n, TRANSVERSE_R0), np.full(n, TRANSVERSE_H0)
-    widened, halved = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    came, done = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
     value, error = np.empty(n), np.empty(n)
-    done = np.zeros(n, dtype=bool)
-    grids = {}  # node -> (how its grid grows, its values) for `_on_grid`, until the node settles
-    axes = tuple(range(1, m + 1))
+    sums = np.zeros((4, n))  # per node: grid sum, all-even sum, maximum, boundary maximum
+
+    def at(i):
+        return f"at the point {np.round(z[x_of[i]], 12).tolist()}"
+
     while not done.all():
-        todo = np.flatnonzero(~done)
-        for Rg, hg in sorted(set(zip(R[todo], h[todo]))):
-            same = todo[(R[todo] == Rg) & (h[todo] == hg)]
-            size = (2 * int(round(Rg / hg)) + 1) ** m  # one node's grid
+        groups = {}  # nodes on the same grid (R, h) share its pass
+        for i, grid in zip(np.flatnonzero(~done).tolist(), zip(R[~done].tolist(), h[~done].tolist())):
+            groups.setdefault(grid, []).append(i)
+        for (Rg, hg), group in sorted(groups.items()):
+            group = np.array(group)
+            J = int(round(Rg / hg))
+            size = (2 * J + 1) ** m
             if size > MAX_GRID_POINTS:
-                raise AsymptoticsError(f"transverse integral at the point {np.round(z[same[0]], 12).tolist()} needs "
-                                       f"{size} grid points at k={k} (R={Rg:g}, h={hg:g}), over {MAX_GRID_POINTS}")
-            per = MAX_GRID_POINTS // size  # nodes whose grids fit under the cap together
-            for group in (same[i:i + per] for i in range(0, same.size, per)):
-                g = _on_grid(integrand, group, Rg, hg, m, grids)
-                I_h = hg**m * g.sum(axis=axes)
-                I_2h = (2.0 * hg) ** m * g[(slice(None),) + (slice(None, None, 2),) * m].sum(axis=axes)
-                value[group], error[group] = jac * I_h, jac * np.abs(I_h - I_2h)
-                overflow = group[~np.isfinite(I_h)]
-                if overflow.size:
-                    raise AsymptoticsError(f"transverse integral at the point {np.round(z[overflow[0]], 12).tolist()} "
-                                           f"is not finite at k={k}")
-                edge = np.max([g.take(i, axis=ax).reshape(group.size, -1).max(axis=1) for ax in axes for i in (0, -1)],
-                              axis=0)
-                wide = edge <= TRANSVERSE_EDGE * g.reshape(group.size, -1).max(axis=1)
-                settled = wide & (np.abs(I_h - I_2h) <= TRANSVERSE_RTOL * np.abs(I_h))
-                done[group[settled]] = True
-                for more, count, cap, what in ((group[~wide], widened, MAX_WIDENINGS, "widenings of R"),
-                                               (group[wide & ~settled], halved, MAX_HALVINGS, "halvings of h")):
-                    over = more[count[more] >= cap]
-                    if over.size:
-                        i = over[0]
-                        raise AsymptoticsError(
-                            f"transverse integral at the point {np.round(z[i], 12).tolist()} did not settle at "
-                            f"k={k} after {cap} {what} (R={R[i]:g}, h={h[i]:g}, |I_h - I_2h| = {error[i]:.3e}, "
-                            f"I_h = {value[i]:.6e})"
-                        )
-                    count[more] += 1
-                R[group[~wide]] *= 2.0
-                h[group[wide & ~settled]] /= 2.0
-                grids.update(zip(group[~settled], zip(1 + wide[~settled], g[~settled])))  # 2: h halves
-    return value, error
+                raise AsymptoticsError(f"transverse integral {at(group[0])} needs {size} grid points at "
+                                       f"k={ks[k_of[group[0]]]} (R={Rg:g}, h={hg:g}), over {MAX_GRID_POINTS}")
+            _grid_pass(integrand, group, came[group], J, hg, m, sums)
+            total, even, top, edge = sums[:, group]
+            I_h = hg**m * total
+            gap = np.abs(I_h - (2.0 * hg) ** m * even)  # |I_h - I_2h|
+            value[group], error[group] = jac[group] * I_h, jac[group] * gap
+            if not np.isfinite(I_h).all():
+                i = group[~np.isfinite(I_h)][0]
+                raise AsymptoticsError(f"transverse integral {at(i)} is not finite at k={ks[k_of[i]]}")
+            wide = edge <= TRANSVERSE_EDGE * top
+            settled = wide & (gap <= TRANSVERSE_RTOL * np.abs(I_h))
+            done[group[settled]] = True
+            widen, halve = group[~wide], group[wide & ~settled]
+            capped = ((widen[R[widen] >= TRANSVERSE_R0 * 2.0**MAX_WIDENINGS], MAX_WIDENINGS, "widenings of R"),
+                      (halve[h[halve] <= TRANSVERSE_H0 / 2.0**MAX_HALVINGS], MAX_HALVINGS, "halvings of h"))
+            for over, cap, what in capped:
+                if over.size:
+                    i = over[0]
+                    raise AsymptoticsError(
+                        f"transverse integral {at(i)} did not settle at k={ks[k_of[i]]} after {cap} {what} "
+                        f"(R={R[i]:g}, h={h[i]:g}, |I_h - I_2h| = {error[i]:.3e}, I_h = {value[i]:.6e})"
+                    )
+            R[widen] *= 2.0
+            h[halve] /= 2.0
+            came[group] = 1 + wide  # 2: h halves
+    return value.reshape(K, N), error.reshape(K, N)
 
 
-def _density(action, label, point, k, halfform):
-    """(I_k or J_k, its error) at one point: the density's factor of T_k times T_k and its |I_h - I_2h|."""
+def _density(action, label, point, ks, halfform):
+    """One (I_k or J_k, its error) per k in ks at one point: the density's
+    factor of T_k times T_k, and its |I_h - I_2h|."""
     iso = label.isotropy
     z = normalize(action.model, point)[None]
     m = action.rank - iso.dim
-    w = (k / TWO_PI) ** (m / 2.0) * (2.0 ** (m / 2.0) if halfform else ta.geometric_orbit_volume(action, z, iso))
-    value, error = w * np.array(_transverse_integral(action, z, k, halfform))
-    return float(value[0]), float(error[0])
+    vol = 2.0 ** (m / 2.0) if halfform else ta.geometric_orbit_volume(action, z, iso)[0]
+    T, T_err = _transverse_integral(action, z, ks, halfform)
+    w = [(k / TWO_PI) ** (m / 2.0) * vol for k in ks]
+    return [(float(wk * t), float(wk * e)) for wk, t, e in zip(w, T[:, 0], T_err[:, 0])]
 
 
 def density_I(action, label, point, k):
-    """The plain norm density on a stratum; 1 when H = G.
-
-    Limit 2^{-m/2} vol(G.x) as k grows, with vol the geometric orbit volume.
-    """
-    return _density(action, label, point, k, False)[0]
+    """The plain norm density on a stratum; 1 when H = G, 2^{-m/2} vol(G.x) as k grows (vol: geometric orbit volume)."""
+    return _density(action, label, point, [k], False)[0][0]
 
 
 def density_J(action, label, point, k):
     """The half-form norm density on a stratum; 1 when H = G, limit 1."""
-    return _density(action, label, point, k, True)[0]
+    return _density(action, label, point, [k], True)[0][0]
 
 
 # ----------------------------------------------------------------------
 # residual pieces
 
 
-def residual_with_error(action, label, k, twist="plain", quad=None, strat=None):
-    """(diagonal, error): Gram-diagonal contributions of the extra preimage pieces of one label, and their error.
+def residual_with_error(action, label, ks, twist="plain", quad=None, strat=None, exps=None):
+    """One (diagonal, error) per k in ks: Gram-diagonal contributions of the extra preimage pieces of one label.
 
     The sum of `_piece_integral` over `Stratification.preimage(label)` after
     its first entry, the label's own complexification.  Each piece's level
     slice meets every orbit of the piece once, at any torus rank.  `quad`
-    sets the Gauss order, max(24, grid_order // 2).
+    sets the Gauss order, max(24, grid_order // 2); `exps` holds each k's
+    invariant exponents, if already computed.
     """
     strat = strat or strata.analyze(action)
-    exps = sections.invariant_exponents(action, k, twist)
+    exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
     order = max(24, as_quad(quad).grid_order // 2)
-    out = np.zeros((2, exps.shape[0]))  # diagonal, error
+    out = [np.zeros((2, e.shape[0])) for e in exps]  # diagonal, error
     for dim, _, sl in strat.preimage(label)[1:]:
-        out = out + _piece_integral(action, dim, sl, exps, k, twist, order)
-    return out[0], out[1]
+        out = [o + piece for o, piece in zip(out, _piece_integral(action, dim, sl, exps, ks, twist, order))]
+    return [(o[0], o[1]) for o in out]
 
 
-def _piece_integral(action, dim, sl, exps, k, twist, order):
+def _piece_integral(action, dim, sl, exps, ks, twist, order):
     """(k/2pi)^{dim/2} int_S |s_a|^2 vol(G.x)/|Gamma| T_k eps_hat over a level slice with q <= 1, and its error.
 
-    Per basis monomial.  dim is the complex dimension of the preimage piece,
-    vol(G.x)/|Gamma| the geometric orbit volume on the slice's pattern and
-    T_k the transverse integral, with the divergence factor for the
-    half-form twist.  On a stratum's own zero-level slice this weight is
-    the density I_k, or J_k times the half-form descent factor.  One
+    One pair per k in ks, exps[i] the exponent matrix at ks[i]; per basis
+    monomial.  dim is the complex dimension of the preimage piece,
+    vol(G.x)/|Gamma| the geometric orbit volume on the slice's pattern and T_k
+    the transverse integral, with the divergence factor for the half-form
+    twist.  On a stratum's own zero-level slice this weight is the density
+    I_k, or J_k times the half-form descent factor.  One
     `strata.slice_quadrature` call gives the nodes of the Gauss rule and of
-    its error rule, and one `_transverse_integral` call covers them all; the
-    error is the gap |Q_n - Q_{n/2}| between the two rules (0 on a point
+    its error rule, and one `_transverse_integral` call covers them at every
+    k; the error is the gap |Q_n - Q_{n/2}| between the rules (0 on a point
     slice) plus the order-n nodes' transverse estimates |I_h - I_2h|.
     """
     z, rules = strata.slice_quadrature(action, sl, order)
     vol = ta.geometric_orbit_volume(action, z, ta.isotropy_of_support(action, sl.pattern))
-    T, T_err = _transverse_integral(action, z, k, twist == "halfform")
-    norms = sections.monomial_norms(action.model, exps, z, twist)
-    value, half = ((w * vol[rows] * T[rows]) @ norms[rows] for rows, w in rules)
-    rows, w = rules[0]
-    error = (np.abs(w * vol[rows]) * T_err[rows]) @ norms[rows] + np.abs(value - half)
-    pref = (k / TWO_PI) ** (dim / 2.0)
-    return pref * value, pref * error
+    out = []
+    for k, e, T, T_err in zip(ks, exps, *_transverse_integral(action, z, ks, twist == "halfform")):
+        norms = sections.monomial_norms(action.model, e, z, twist)
+        value, half = ((w * vol[rows] * T[rows]) @ norms[rows] for rows, w in rules)
+        rows, w = rules[0]
+        error = (np.abs(w * vol[rows]) * T_err[rows]) @ norms[rows] + np.abs(value - half)
+        pref = (k / TWO_PI) ** (dim / 2.0)
+        out.append((pref * value, pref * error))
+    return out
 
 
 def residual_II(action, label, k, twist="plain", quad=None, strat=None, diagonal=None):
-    """Trace over the invariant basis of the extra-piece contributions.
-
-    `diagonal` is this label's `residual_with_error` diagonal at k, if already computed.
-    """
+    """Trace over the invariant basis of the extra-piece contributions; `diagonal`
+    is this label's `residual_with_error` diagonal at k, if already computed."""
     if diagonal is None:
-        diagonal = residual_with_error(action, label, k, twist, quad, strat)[0]
+        diagonal = residual_with_error(action, label, [k], twist, quad, strat)[0][0]
     return float(np.sum(diagonal))
 
 
@@ -308,36 +325,44 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
 
 def norm_split_consistency(action, k, twist="plain", quad=None, strat=None, residuals=None):
     """Per-stratum comparison of the direct piece integrals with the
-    stratum-density route; returns a report with per-section discrepancies.
+    stratum-density route at k: the `_norm_split_reports` report, with
+    `residuals`, if given, holding each stratum's `residual_with_error` entry at k."""
+    residuals = None if residuals is None else [[r] for r in residuals]
+    return _norm_split_reports(action, [k], twist, quad, strat, residuals)[0]
+
+
+def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residuals=None, exps=None):
+    """One norm-split report per k in ks, each with per-section discrepancies.
 
     Both sides run over the pieces of `Stratification.preimage`.  The left
     side is exact: Dirichlet moments of |s|^2 on each piece's pattern, each
     with its (k/2pi)^{dim/2}.  The right side is one `_piece_integral` per
-    piece: on the stratum's own zero-level slice at DENSITY_ORDER (the
-    reduced-space integral of the descended norm against I_k or J_k), on
-    the extra pieces through `residual_with_error`.  It carries their
-    quadrature error; `stderr` is that error plus CONSISTENCY_FLOOR times
-    the stratum's largest |lhs|, and nsigma = |lhs - rhs| / stderr.  `quad`
-    sets the residuals' grid order; `residuals`, if given, holds each
-    stratum's `residual_with_error` at k for this quad.
+    piece for all of ks: on the stratum's own zero-level slice at
+    DENSITY_ORDER (the reduced-space integral of the descended norm against
+    I_k or J_k), on the extra pieces through `residual_with_error`, whose
+    grid order `quad` sets.  `stderr` is their quadrature error plus
+    CONSISTENCY_FLOOR times the stratum's largest |lhs|, and nsigma = |lhs -
+    rhs| / stderr.  `residuals` and `exps`, if given, hold each stratum's
+    `residual_with_error` for ks and this quad, and each k's exponents.
     """
     strat = strat or strata.analyze(action)
-    exps = sections.invariant_exponents(action, k, twist)
-    dim = exps.shape[0]
-    report = {"k": int(k), "twist": twist, "strata": [], "max_nsigma": 0.0, "dim": int(dim)}
-    if dim == 0:
-        report["note"] = "empty invariant space"
-        return report
-    for si, lab in enumerate(strat.strata):
+    exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
+    reports = [{"k": int(k), "twist": twist, "strata": [], "max_nsigma": 0.0, "dim": int(e.shape[0])}
+               | ({} if e.shape[0] else {"note": "empty invariant space"}) for k, e in zip(ks, exps)]
+    live = [i for i, e in enumerate(exps) if e.shape[0]]
+    ks, exps = [ks[i] for i in live], [exps[i] for i in live]
+    for si, lab in enumerate(strat.strata if live else ()):
         pieces = strat.preimage(lab)
-        lhs = sum((k / TWO_PI) ** (d / 2.0) * sections._gram_exact_on_pattern(action, exps, twist, pattern)[0]
-                  for d, pattern, _ in pieces)
         d, _, sl = pieces[0]
-        rhs, err = _piece_integral(action, d, sl, exps, k, twist, DENSITY_ORDER)
-        res, res_err = residual_with_error(action, lab, k, twist, quad, strat) if residuals is None else residuals[si]
-        rhs, err = rhs + res, err + res_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))
-        nsig = np.abs(lhs - rhs) / np.maximum(err, 1e-300)
-        report["strata"].append({"stratum": si, "dim_S": lab.dim_S, "lhs": lhs.tolist(), "rhs": rhs.tolist(),
-                                 "stderr": err.tolist(), "nsigma": nsig.tolist()})
-        report["max_nsigma"] = max(report["max_nsigma"], float(np.max(nsig)))
-    return report
+        own = _piece_integral(action, d, sl, exps, ks, twist, DENSITY_ORDER)
+        res = (residual_with_error(action, lab, ks, twist, quad, strat, exps) if residuals is None
+               else [residuals[si][i] for i in live])
+        for i, k, e, (rhs, err), (r, r_err) in zip(live, ks, exps, own, res):
+            lhs = sum((k / TWO_PI) ** (dp / 2.0) * sections._gram_exact_on_pattern(action, e, twist, pattern)[0]
+                      for dp, pattern, _ in pieces)
+            rhs, err = rhs + r, err + r_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))
+            nsig = np.abs(lhs - rhs) / np.maximum(err, 1e-300)
+            reports[i]["strata"].append({"stratum": si, "dim_S": lab.dim_S, "lhs": lhs.tolist(), "rhs": rhs.tolist(),
+                                         "stderr": err.tolist(), "nsigma": nsig.tolist()})
+            reports[i]["max_nsigma"] = max(reports[i]["max_nsigma"], float(np.max(nsig)))
+    return reports

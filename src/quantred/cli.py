@@ -327,13 +327,16 @@ def run(scn):
             record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
             record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
 
-    residuals = {}  # (stratum index, k) -> (residual diagonal, error), shared by the II rows and the consistency check
+    ks = list(scn.k_list)
+    exps = ([sections.invariant_exponents(scn.action, k, scn.twist) for k in ks]
+            if {"density", "consistency"} & set(scn.quantities) else None)
+    residuals = {}  # stratum index -> (residual diagonal, error) per k, shared by the II rows and the consistency check
 
-    def residual(i, k):
-        if (i, k) not in residuals:
-            residuals[(i, k)] = asymptotics.residual_with_error(scn.action, strat.strata[i], k, scn.twist, quad,
-                                                                strat=strat)
-        return residuals[(i, k)]
+    def residual(i):
+        if i not in residuals:
+            residuals[i] = asymptotics.residual_with_error(scn.action, strat.strata[i], ks, scn.twist, quad,
+                                                           strat=strat, exps=exps)
+        return residuals[i]
 
     if "density" in scn.quantities:
         rows = []
@@ -341,8 +344,7 @@ def run(scn):
         for i, lab in enumerate(strat.strata):
             if lab.isotropy.is_full:
                 curve = asymptotics.DensityCurve(quantity="II", stratum=f"stratum_{i}")
-                for k in scn.k_list:
-                    diagonal, error = residual(i, k)
+                for k, (diagonal, error) in zip(ks, residual(i)):
                     val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat, diagonal=diagonal)
                     curve.points.append(_row(k, val, float(np.sum(error)), "II", curve.stratum))
                 if all(p[1] > 0 for p in curve.points):
@@ -351,8 +353,7 @@ def run(scn):
                 x = strata.sample_stratum(scn.action, lab, 1, seed=scn.seed + 17 * i)[0][0]
                 name = "J" if scn.twist == "halfform" else "I"
                 curve = asymptotics.DensityCurve(quantity=name, stratum=f"stratum_{i}")
-                for k in scn.k_list:
-                    val, error = asymptotics._density(scn.action, lab, x, k, scn.twist == "halfform")
+                for k, (val, error) in zip(ks, asymptotics._density(scn.action, lab, x, ks, scn.twist == "halfform")):
                     curve.points.append(_row(k, val, error, name, curve.stratum))
                 limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
                 fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": curve.fit(limit=limit)})
@@ -377,11 +378,8 @@ def run(scn):
                                          ("k", "twist", "norm_def", "defect", "stderr"), rows))
 
     if "consistency" in scn.quantities:
-        reports = []
-        for k in scn.k_list:
-            reports.append(asymptotics.norm_split_consistency(
-                scn.action, k, scn.twist, quad, strat=strat,
-                residuals=[residual(i, k) for i in range(len(strat.strata))]))
+        reports = asymptotics._norm_split_reports(scn.action, ks, scn.twist, quad, strat=strat,
+                                                  residuals=[residual(i) for i in range(len(strat.strata))], exps=exps)
         record("consistency.json", _write_json(os.path.join(scn.out, "consistency.json"), {
             "reports": reports,
             "note": "zero-dimensional strata contribute point values with (k/2pi)^0 = 1",

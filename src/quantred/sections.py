@@ -203,10 +203,8 @@ def monomial_integral_on_pattern(model, pattern, alpha):
             return 0.0
         nR = len(sup) - 1
         asup = [int(alpha[i]) for i in sup]
-        num = 1.0
-        for a in asup:
-            num *= math.factorial(a)
-        out *= (l * TWO_PI) ** nR * num / math.factorial(sum(asup) + nR)
+        num = math.prod(math.factorial(a) for a in asup)  # an int: int / int rounds once and never overflows
+        out *= (l * TWO_PI) ** nR * (num / math.factorial(sum(asup) + nR))
     return out
 
 

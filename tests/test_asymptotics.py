@@ -57,7 +57,7 @@ def test_transverse_rule_at_slice_ends(e2, st2):
     ends = [0, 1, 30, 31]
     k = 2
     for halfform in (False, True):
-        T, est = asymptotics._transverse_integral(e2, z[ends], k, halfform)
+        T, est = (v[0] for v in asymptotics._transverse_integral(e2, z[ends], [k], halfform))
         for zn, pn, t, e in zip(z[ends], p[ends], T, est):
             mb = ta.m_basis(e2, ta.isotropy(e2, zn))
             s_basis, _, _ = ta.level_tangent_basis(e2, zn)
@@ -98,43 +98,55 @@ def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypa
     z, _ = strata.slice_quadrature(e2, st2.pieces[full.key][0].level_slice, 24)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(asymptotics.AsymptoticsError, match="is not finite at k=3000"):
-        asymptotics._transverse_integral(e2, z, 3000)
+        asymptotics._transverse_integral(e2, z, [3000])
 
 
 def test_transverse_grid_over_its_cap_raises(e2, st2, monkeypatch):
-    """A node group whose grid would exceed MAX_GRID_POINTS raises before the
-    grid is allocated, naming the point, k and the grid's size."""
+    """A node whose grid would exceed MAX_GRID_POINTS raises before its pass,
+    naming the point, k and the grid's size."""
     lab = st2.open_stratum()
     monkeypatch.setattr(asymptotics, "MAX_GRID_POINTS", 40)  # the first grid has 21 points, the first halving 41
     with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*needs 41 grid points at k=4 .*over 40"):
         asymptotics.density_I(e2, lab, lab.representative, 4)
 
 
-def test_transverse_grid_splits_an_oversized_node_group(e2, st2, monkeypatch):
-    """Nodes that share a grid are evaluated in chunks that fit under
-    MAX_GRID_POINTS.  E2's extra pieces are points, so the piece integral
-    here is its open stratum's own (the first entry of `preimage`, on the
-    right of the norm-split check), whose 48 Gauss nodes share one call:
-    with the cap below the largest node group's grids but at the largest
-    grid of one node, it returns the uncapped value and error."""
+def test_transverse_sums_do_not_depend_on_the_block(e2, st2, monkeypatch):
+    """Each node's running sums reduce the blocks of TRANSVERSE_BLOCK
+    (node, point) pairs as they come, so the block size moves only the order
+    of summation.  E2's extra pieces are points, so the piece integral here
+    is its open stratum's own (the first entry of `preimage`, on the right of
+    the norm-split check), whose 48 Gauss nodes share one call: with blocks of
+    7 pairs it returns the value of blocks of 4096 within 1e-14, and its
+    error within 1e-14 of the value (an estimate |I_h - I_2h| at rounding
+    level moves with the order of summation)."""
     dim, _, sl = st2.preimage(st2.open_stratum())[0]
     exps = sections.invariant_exponents(e2, 4, "plain")
-    shapes = []  # (nodes, points per node) of each evaluated grid
-    on_grid = asymptotics._on_grid
-
-    def recording(integrand, nodes, R, h, m, grids):
-        g = on_grid(integrand, nodes, R, h, m, grids)
-        shapes.append((nodes.size, g[0].size))
-        return g
-
-    monkeypatch.setattr(asymptotics, "_on_grid", recording)
-    ref = asymptotics._piece_integral(e2, dim, sl, exps, 4, "plain", asymptotics.DENSITY_ORDER)
-    cap = max(per for _, per in shapes)
-    assert cap < max(n * per for n, per in shapes)
-    monkeypatch.setattr(asymptotics, "MAX_GRID_POINTS", cap)
-    got = asymptotics._piece_integral(e2, dim, sl, exps, 4, "plain", asymptotics.DENSITY_ORDER)
+    (ref,) = asymptotics._piece_integral(e2, dim, sl, [exps], [4], "plain", asymptotics.DENSITY_ORDER)
+    monkeypatch.setattr(asymptotics, "TRANSVERSE_BLOCK", 7)
+    (got,) = asymptotics._piece_integral(e2, dim, sl, [exps], [4], "plain", asymptotics.DENSITY_ORDER)
     for a, b in zip(got, ref):
-        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(b))
+        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(ref[0]))
+
+
+def test_transverse_rule_treats_each_k_as_its_own_node(e2, st2, e3, st3):
+    """Row i of one call over a k list is the call at ks[i] alone: T to
+    1e-15 relative and the estimates within 1e-15 of T, on E2's order-32
+    open slice (both twists), on E3's open slice and at the rank-2
+    (CP^1)^3 perfbench point."""
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    x, _ = strata.sample_stratum(rank2, strata.analyze(rank2).open_stratum(), 1, seed=1)
+    runs = [(rank2, x, (10, 40, 100), False)]
+    for action, st in ((e2, st2), (e3, st3)):
+        z, _ = strata.slice_quadrature(action, strata.make_level_slice(action, st.open_stratum().top_pattern,
+                                                                       np.zeros(1)), 32)
+        runs += [(action, z, (2, 8, 32), halfform) for halfform in (False, True)]
+    for action, z, ks, halfform in runs:
+        T, err = asymptotics._transverse_integral(action, z, ks, halfform)
+        assert T.shape == err.shape == (len(ks), len(z))
+        for i, k in enumerate(ks):
+            T1, err1 = (v[0] for v in asymptotics._transverse_integral(action, z, [k], halfform))
+            assert np.all(np.abs(T[i] - T1) <= 1e-15 * T1)
+            assert np.all(np.abs(err[i] - err1) <= 1e-15 * T1)
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +180,7 @@ def transverse_tau_calls(e2, st2):
         mp.setattr(ta, "_log_flow_sums", recording)
         for action, points, k, halfform in runs:
             calls.append([])
-            asymptotics._transverse_integral(action, points, k, halfform)
+            asymptotics._transverse_integral(action, points, [k], halfform)
     return calls
 
 
@@ -203,13 +215,13 @@ def test_transverse_integral_does_no_linear_algebra_per_pass(monkeypatch):
         f = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs))
 
-    for module, name in ((np.linalg, "det"), (np.linalg, "svd"), (asymptotics, "_on_grid")):
+    for module, name in ((np.linalg, "det"), (np.linalg, "svd"), (asymptotics, "_grid_pass")):
         count(module, name)
     counts = {}
     for k in (10, 40):
         calls.clear()
-        asymptotics._transverse_integral(action, x, k)
-        counts[k] = (calls.count("_on_grid"), calls.count("det"), calls.count("svd"))
+        asymptotics._transverse_integral(action, x, [k])
+        counts[k] = (calls.count("_grid_pass"), calls.count("det"), calls.count("svd"))
     assert (counts[10][0], counts[40][0]) == (4, 3)
     assert counts[10][1] == counts[40][1] == 0
     assert counts[10][2] == counts[40][2]
@@ -290,7 +302,7 @@ def test_rank2_piece_residuals_match_direct_mc():
     exps = sections.invariant_exponents(action, k, "plain")
     quad = QuadConfig(method="mc", samples=100000, seed=3)
     for piece in pieces:
-        res, _ = asymptotics._piece_integral(action, piece.dim_piece, piece.level_slice, exps, k, "plain", 48)
+        (res, _), = asymptotics._piece_integral(action, piece.dim_piece, piece.level_slice, [exps], [k], "plain", 48)
         mc, err = sections._pattern_gram_mc(action, exps, "plain", piece.pattern, quad, ("oracle", piece.pattern))
         pref = (k / (2 * np.pi)) ** (piece.dim_piece / 2.0)
         mc, err = pref * mc, pref * err
@@ -544,7 +556,7 @@ def test_cp1_cp2_point_strata_split_per_stratum(degrees):
             rhs, err = np.zeros(exps.shape[0]), asymptotics.CONSISTENCY_FLOOR * np.max(np.abs(lhs))
             for i, (d, _, sl) in enumerate(pieces):
                 order = asymptotics.DENSITY_ORDER if i == 0 else 48
-                value, error = asymptotics._piece_integral(action, d, sl, exps, k, "plain", order)
+                (value, error), = asymptotics._piece_integral(action, d, sl, [exps], [k], "plain", order)
                 rhs, err = rhs + value, err + error
             assert np.all(np.abs(lhs - rhs) < np.maximum(err, 1e-300))
             checked.append(np.any(lhs > 0))

@@ -242,6 +242,38 @@ def test_run_ii_rows_state_their_error(tmp_path):
         assert abs(value - 2.0 * np.sqrt(2.0 * np.pi * k) / (k + 1)) <= stderr
 
 
+def test_run_past_k_168(tmp_path):
+    """Dirichlet moments past k = 168 overflow a float product of
+    factorials; as one division of two ints they do not, so E2 runs at
+    k = 170 and 200 and its II rows keep the closed form 2 sqrt(2 pi k) / (k + 1)."""
+    out = tmp_path / "big"
+    assert cli.main(["run", "--preset", "E2", "--k", "170,200", "--only", "gram,density", "--out", str(out)]) == 0
+    with open(out / "curves.csv") as fh:
+        rows = [r.split(",") for r in fh.read().strip().splitlines()[1:] if r.startswith("II,")]
+    assert [int(r[2]) for r in rows] == [170, 200]
+    for _, _, k, value, _ in rows:
+        k = int(k)
+        assert abs(float(value) - 2.0 * np.sqrt(2.0 * np.pi * k) / (k + 1)) <= 1e-10
+
+
+def test_run_calls_the_transverse_rule_once_per_slice_or_point(tmp_path, monkeypatch):
+    """One `_transverse_integral` call covers the whole k list: on E2 at
+    k = 2, 4, 8 the two extra pieces' slices, the two density points and the
+    three strata's own slices take 7 calls, not 7 per k."""
+    from quantred import asymptotics
+
+    calls = []
+    original = asymptotics._transverse_integral
+
+    def counted(action, z, ks, halfform=False):
+        calls.append(tuple(ks))
+        return original(action, z, ks, halfform)
+
+    monkeypatch.setattr(asymptotics, "_transverse_integral", counted)
+    cli.run(cli.validate({"preset": "E2", "k_list": [2, 4, 8], "out": str(tmp_path / "c")}))
+    assert calls == [(2, 4, 8)] * 7
+
+
 def test_run_i_rows_state_their_error(tmp_path):
     """E1's I rows carry the transverse estimate plus a rounding floor,
     which alone covers their distance from the closed form
@@ -338,15 +370,16 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
     """The consistency step gets the run's quad, which sets only its
     residuals' grid order: grid_order // 2 like the II rows, and each piece
     integral, its half-order error nodes included, is computed once per
-    slice and k for both; each stratum's own slice takes DENSITY_ORDER."""
+    slice for the whole k list, for both; each stratum's own slice takes
+    DENSITY_ORDER."""
     from quantred import asymptotics, strata
 
     seen = []
     original = asymptotics._piece_integral
 
-    def counted(action, dim, sl, exps, k, twist, order):
-        seen.append((sl.pattern, k, order))
-        return original(action, dim, sl, exps, k, twist, order)
+    def counted(action, dim, sl, exps, ks, twist, order):
+        seen.append((sl.pattern, tuple(ks), order))
+        return original(action, dim, sl, exps, ks, twist, order)
 
     monkeypatch.setattr(asymptotics, "_piece_integral", counted)
     cfg = {"preset": "E2", "k_list": [2, 4], "quantities": ["density", "consistency"],
@@ -357,10 +390,10 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
     slices = {p.pattern for ps in st.pieces.values() for p in ps}
     assert len(slices) == 2  # E2's two extra pieces, one slice each
     pieces = [(pattern, k, order) for pattern, k, order in seen if pattern in slices]
-    assert sorted((pattern, k) for pattern, k, _ in pieces) == sorted((s, k) for s in slices for k in (2, 4))
+    assert sorted((pattern, ks) for pattern, ks, _ in pieces) == sorted((s, (2, 4)) for s in slices)
     assert {order for _, _, order in pieces} == {128 // 2}
     own = sorted(call for call in seen if call[0] not in slices)
-    assert own == sorted((lab.top_pattern, k, asymptotics.DENSITY_ORDER) for lab in st.strata for k in (2, 4))
+    assert own == sorted((lab.top_pattern, (2, 4), asymptotics.DENSITY_ORDER) for lab in st.strata)
 
 
 def test_grid_gram_calls_the_slice_rule_once_per_k(tmp_path, monkeypatch):

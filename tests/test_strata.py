@@ -281,9 +281,9 @@ def test_slice_level_choice_immaterial(e2, st2, r2):
     assert len(cases) == 5
     for action, piece, k, scale, rtol in cases:
         exps = sections.invariant_exponents(action, k, "plain")
-        base, _ = asymptotics._piece_integral(action, piece.dim_piece, piece.level_slice, exps, k, "plain", 48)
+        (base, _), = asymptotics._piece_integral(action, piece.dim_piece, piece.level_slice, [exps], [k], "plain", 48)
         other = strata.make_level_slice(action, piece.pattern, scale * piece.level_slice.value)
-        alt, _ = asymptotics._piece_integral(action, piece.dim_piece, other, exps, k, "plain", 48)
+        (alt, _), = asymptotics._piece_integral(action, piece.dim_piece, other, [exps], [k], "plain", 48)
         assert np.any(base > 0)
         assert np.allclose(base, alt, rtol=rtol, atol=1e-12)
 

@@ -1,0 +1,138 @@
+"""Compare `quantred run` outputs of two source trees, scenario by scenario.
+
+    python3 tools/compare_runs.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a repository checkout; every scenario runs as
+`python -m quantred run` in a subprocess with that tree's `src` on
+PYTHONPATH.  Per scenario the tool lists the files that are identical, and
+for every other file each numeric field name with its largest relative
+change |new - old| / max(|old|, |new|) and its largest absolute change.  A `stderr` field is measured
+against the larger of itself and the value it belongs to (`value`, `rhs`,
+`matrix_re` or `defect` in the same record).  `run_manifest.json` is
+skipped: it holds the hashes of the files compared here.  The exit status
+is 1 when a run fails, the two trees write different sets of files, or a
+non-numeric field (a key, a length, a string) differs, and 0 otherwise.
+"""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+RANK2 = {"model": {"factors": [1, 1, 1], "bundle_degrees": [1, 1, 1]},
+         "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]}}
+
+SCENARIOS = [
+    ("E1 --k 2,4,8", ["--preset", "E1", "--k", "2,4,8"]),
+    ("E1 halfform --k 3,5,9", ["--preset", "E1", "--twist", "halfform", "--k", "3,5,9"]),
+    ("E2 --k 2,4,8", ["--preset", "E2", "--k", "2,4,8"]),
+    ("E2 --k 16,32,64,128", ["--preset", "E2", "--k", "16,32,64,128"]),
+    ("E3 --k 2,4,8", ["--preset", "E3", "--k", "2,4,8"]),
+    ("E3 halfform --k 2,4,8", ["--preset", "E3", "--twist", "halfform", "--k", "2,4,8"]),
+    ("(CP^1)^3 --k 2,4,8", ["--config", "{rank2}", "--k", "2,4,8"]),
+]
+VALUE_OF_STDERR = ("value", "rhs", "matrix_re", "defect")
+
+
+def run(root, args, out):
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    proc = subprocess.run([sys.executable, "-m", "quantred", "run", *args, "--out", out], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{root}: quantred run {' '.join(args)} exited {proc.returncode}: {proc.stderr.strip()}")
+
+
+def load(path):
+    with open(path) as fh:
+        if path.endswith(".csv"):
+            return [{key: _number(v) for key, v in row.items()} for row in csv.DictReader(fh)]
+        return json.load(fh)
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _numeric(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare(old, new, changes, mismatches, where="", field=None, scale=None):
+    """Walk both trees; changes[field] = [max relative, max absolute] change; mismatches lists the rest."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            mismatches.append(f"{where}: keys {sorted(old)} != {sorted(new)}")
+            return
+        value = next((key for key in VALUE_OF_STDERR if key in old), None)
+        for key in old:
+            ref = (old[value], new[value], old[key], new[key]) if key == "stderr" and value else None
+            compare(old[key], new[key], changes, mismatches, f"{where}/{key}", key, ref)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            mismatches.append(f"{where}: length {len(old)} != {len(new)}")
+            return
+        for i, (a, b) in enumerate(zip(old, new)):
+            ref = None if scale is None else tuple(x[i] for x in scale)
+            compare(a, b, changes, mismatches, f"{where}[{i}]", field, ref)
+    elif _numeric(old) and _numeric(new):
+        size = max(abs(x) for x in scale or (old, new))
+        delta = abs(new - old)
+        rel = 0.0 if delta == 0 else delta / size if size else float("inf")
+        entry = changes.setdefault(field, [0.0, 0.0])
+        entry[0], entry[1] = max(entry[0], rel), max(entry[1], delta)
+    elif old != new:
+        mismatches.append(f"{where}: {old!r} != {new!r}")
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "rank2.json")
+        with open(config, "w") as fh:
+            json.dump(RANK2, fh)
+        for s, (name, args) in enumerate(SCENARIOS):
+            args = [config if a == "{rank2}" else a for a in args]
+            outs = [os.path.join(tmp, f"{side}{s}") for side in ("parent", "change")]
+            try:
+                for root, out in zip(argv, outs):
+                    run(root, args, out)
+            except RuntimeError as exc:
+                print(f"{name}: {exc}")
+                failed = True
+                continue
+            files = [sorted(f for f in os.listdir(out) if f != "run_manifest.json") for out in outs]
+            if files[0] != files[1]:
+                print(f"{name}: files differ: {files[0]} != {files[1]}")
+                failed = True
+                continue
+            same = []
+            for fname in files[0]:
+                paths = [os.path.join(out, fname) for out in outs]
+                old_bytes, new_bytes = (open(p, "rb").read() for p in paths)
+                if old_bytes == new_bytes:
+                    same.append(fname)
+                    continue
+                changes, mismatches = {}, []
+                compare(*(load(p) for p in paths), changes, mismatches)
+                moved = "; ".join(f"{field} rel {rel:.2g} abs {delta:.2g}"
+                                  for field, (rel, delta) in sorted(changes.items()) if delta)
+                print(f"{name} / {fname}: {moved or 'equal values, different bytes'}")
+                for line in mismatches:
+                    print(f"  differs: {line}")
+                failed = failed or bool(mismatches)
+            if same:
+                print(f"{name}: identical: {', '.join(same)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
