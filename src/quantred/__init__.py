@@ -35,6 +35,7 @@ from .sections import (
 )
 from .reduction import (
     reduced_gram,
+    reduced_grams,
 )
 from .asymptotics import (
     DensityCurve,
@@ -52,7 +53,7 @@ __all__ = [
     "isotropy", "orbit_volume",
     "StratumLabel", "ExtraPiece", "FlowResult", "kirwan_flow", "sample_stratum",
     "GramMatrix", "gram_upstairs",
-    "reduced_gram",
+    "reduced_gram", "reduced_grams",
     "DensityCurve", "density_I", "density_J", "residual_II",
     "unitarity_defect", "norm_split_consistency",
 ]

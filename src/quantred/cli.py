@@ -239,18 +239,22 @@ def _gram_json(g):
 
 def _json_text(obj, indent=""):
     """json.dumps(obj, sort_keys=True, indent=1), with each _Diagonal as its square
-    nested list built in O(n) string operations from its n values."""
+    nested list built in O(n) string operations from its n values.  A list of
+    ints and a diagonal of finite floats are written from the reprs of their
+    entries, which is what json.dumps writes for them, without a call per entry."""
     inner = indent + " "
     if isinstance(obj, dict):
         brackets, items = "{}", [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
                                  for k, v in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
-        brackets, items = "[]", [inner + _json_text(v, inner) for v in obj]
+        leaves = obj and all(type(v) is int for v in obj)
+        brackets, items = "[]", [inner + (repr(v) if leaves else _json_text(v, inner)) for v in obj]
     elif isinstance(obj, _Diagonal):
         brackets, cell, n = "[]", inner + " ", len(obj.values)
         before, after = cell + "0.0,\n", ",\n" + cell + "0.0"  # the zeros left and right of the diagonal
-        items = [f"{inner}[\n{before * i}{cell}{_json_text(v)}{after * (n - 1 - i)}\n{inner}]"
-                 for i, v in enumerate(obj.values.tolist())]
+        values = obj.values.tolist()
+        texts = map(repr, values) if np.isfinite(obj.values).all() else map(_json_text, values)
+        items = [f"{inner}[\n{before * i}{cell}{text}{after * (n - 1 - i)}\n{inner}]" for i, text in enumerate(texts)]
     else:  # json.dumps writes an int or a finite float as its repr, but costs far more
         return repr(obj) if type(obj) is int or type(obj) is float and math.isfinite(obj) else json.dumps(obj)
     return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1] if items else brackets
@@ -306,16 +310,19 @@ def run(scn):
     def record(name, digest):
         manifest["files"][name] = digest
 
+    ks = list(scn.k_list)
+    exps = ([sections.invariant_exponents(scn.action, k, scn.twist) for k in ks]
+            if {"gram", "unitarity", "density", "consistency"} & set(scn.quantities) else None)
+    empty = [k for k, e in zip(ks, exps) if e.shape[0] == 0] if "unitarity" in scn.quantities else []
+    if empty:  # a defect needs an invariant section
+        raise ConfigError(f"k_list: empty invariant space at k={', '.join(map(str, empty))}, so no unitarity defect")
     gram_cache = {}
     if "gram" in scn.quantities or "unitarity" in scn.quantities:
-        for k in scn.k_list:
-            for nd in scn.norm_defs:
-                gu = sections.gram_upstairs(scn.action, k, scn.twist, nd, quad, strat=strat)
-                gd = reduction.reduced_gram(scn.action, k, scn.twist, nd, quad, strat=strat)
+        for nd in scn.norm_defs:
+            downs = reduction.reduced_grams(scn.action, ks, scn.twist, nd, quad, strat, exps)
+            for k, e, gd in zip(ks, exps, downs):
+                gu = sections.gram_upstairs(scn.action, k, scn.twist, nd, quad, strat=strat, exps=e)
                 gram_cache[(k, nd)] = (gu, gd)
-    empty = sorted({k for (k, _), (gu, _) in gram_cache.items() if gu.dim == 0})
-    if "unitarity" in scn.quantities and empty:  # a defect needs an invariant section
-        raise ConfigError(f"k_list: empty invariant space at k={', '.join(map(str, empty))}, so no unitarity defect")
 
     if "strata" in scn.quantities:
         record("strata.json", _write_json(os.path.join(scn.out, "strata.json"), strat.to_json_dict()))
@@ -327,9 +334,6 @@ def run(scn):
             record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
             record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
 
-    ks = list(scn.k_list)
-    exps = ([sections.invariant_exponents(scn.action, k, scn.twist) for k in ks]
-            if {"density", "consistency"} & set(scn.quantities) else None)
     residuals = {}  # stratum index -> (residual diagonal, error) per k, shared by the II rows and the consistency check
 
     def residual(i):

@@ -44,55 +44,77 @@ def descent_norm_factor(action, point, iso=None):
 # reduced Gram matrices
 
 
-def stratum_gram(action, lab, exps, twist, quad, tag="down"):
-    """Integral over the quotient stratum of the descended pointwise norms.
+def stratum_gram(action, lab, exps, ks, twist, quad):
+    """Integrals over the quotient stratum of the descended pointwise norms, one per k in ks.
 
-    Returns (diagonal, stderr) of int_S |desc_a|^2 eps_hat; the off-diagonal
-    pairs integrate to 0 (distinct monomials are torus-orthogonal).  The
-    grid route takes one `strata.slice_quadrature` call: the Gauss rule of
-    the Duistermaat-Heckman measure on the level slice, and its gap to the
-    error rule as its error estimate (0 on a zero-dimensional stratum, its
-    one node).  The mc route samples the slice and the phases, with block
-    standard errors.
+    Returns one (diagonal, stderr) of int_S |desc_a|^2 eps_hat per k,
+    exps[i] the exponent matrix at ks[i]; the off-diagonal pairs integrate
+    to 0 (distinct monomials are torus-orthogonal).  The grid route takes
+    one `strata.slice_quadrature` call and one descent factor for all of
+    ks: the Gauss rule of the Duistermaat-Heckman measure on the level
+    slice, and its gap to the error rule as its error estimate (0 on a
+    zero-dimensional stratum, its one node).  The mc route samples the slice
+    and the phases at each k, from the stream tagged ("down", k, twist,
+    key), with block standard errors.
     """
     quad = as_quad(quad)
     model = action.model
-    sl = lab.level_slice
-
     if quad.method == "mc":
-        rng = rng_for(quad.seed, "reduced", tag)
-        count = max(256, quad.samples // 10)
-        pts, wts = strata.sample_stratum(action, lab, count, rng.integers(2**32))
-        if not np.any(wts > 0):
-            raise ReductionError("no stratum sample landed in the slice polytope")
-        if twist == "halfform":
-            wts = wts * descent_norm_factor(action, pts, lab.isotropy)
-        terms = wts[:, None] * sections.monomial_norms(model, exps, pts, twist)
-        nblk = max(4, quad.blocks)
-        per = count // nblk
-        blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)
-        return terms.sum(axis=0), blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
+        return [_stratum_gram_mc(action, lab, e, twist, quad, ("down", k, twist, lab.key)) for k, e in zip(ks, exps)]
+    z, rules = strata.slice_quadrature(action, lab.level_slice, quad.grid_order)
+    if twist == "halfform":
+        scale = descent_norm_factor(action, z, lab.isotropy)
+        rules = [(rows, w * scale[rows]) for rows, w in rules]
+    out = []
+    for e in exps:
+        norms = sections.monomial_norms(model, e, z, twist)
+        diag, half = (w @ norms[rows] for rows, w in rules)
+        out.append((diag, np.abs(diag - half)))
+    return out
 
-    z, rules = strata.slice_quadrature(action, sl, quad.grid_order)
-    scale = descent_norm_factor(action, z, lab.isotropy) if twist == "halfform" else np.ones(len(z))
-    norms = sections.monomial_norms(model, exps, z, twist)
-    diag, half = ((w * scale[rows]) @ norms[rows] for rows, w in rules)
-    return diag, np.abs(diag - half)
+
+def _stratum_gram_mc(action, lab, exps, twist, quad, tag):
+    """`stratum_gram`'s mc route at one k: stratum samples from the stream tag, block standard errors."""
+    rng = rng_for(quad.seed, "reduced", tag)
+    count = max(256, quad.samples // 10)
+    pts, wts = strata.sample_stratum(action, lab, count, rng.integers(2**32))
+    if not np.any(wts > 0):
+        raise ReductionError("no stratum sample landed in the slice polytope")
+    if twist == "halfform":
+        wts = wts * descent_norm_factor(action, pts, lab.isotropy)
+    terms = wts[:, None] * sections.monomial_norms(action.model, exps, pts, twist)
+    nblk = max(4, quad.blocks)
+    per = count // nblk
+    blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)
+    return terms.sum(axis=0), blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
+
+
+def reduced_grams(action, ks, twist="plain", norm_def=1, quad=None, strat=None, exps=None):
+    """Grams of the descended basis under Definition (1) or (2) downstairs, one per k in ks.
+
+    Each stratum's `stratum_gram` covers all of ks at once; `exps`, if given,
+    holds each k's invariant exponents.
+    """
+    quad = as_quad(quad)
+    exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
+    live = [i for i, e in enumerate(exps) if e.shape[0]]
+    diags = [np.zeros(e.shape[0]) for e in exps]
+    errs = [np.zeros(e.shape[0]) for e in exps]
+    pers = [{} for _ in exps]
+    if live:
+        strat = strat or strata.analyze(action)
+        for lab in [strat.open_stratum()] if norm_def == 1 else strat.strata:
+            subs = stratum_gram(action, lab, [exps[i] for i in live], [ks[i] for i in live], twist, quad)
+            for i, (sub, suberr) in zip(live, subs):
+                pref = (ks[i] / TWO_PI) ** (lab.dim_S / 2.0)
+                pers[i][lab.key] = pref * sub
+                diags[i] = diags[i] + pref * sub
+                errs[i] = np.sqrt(errs[i] ** 2 + (pref * suberr) ** 2)
+    return [sections.GramMatrix(basis_ids=[tuple(map(int, r)) for r in e], diagonal=d, stderr=err,
+                                norm_def=norm_def, k=k, twist=twist, per_stratum=per)
+            for k, e, d, err, per in zip(ks, exps, diags, errs, pers)]
 
 
 def reduced_gram(action, k, twist="plain", norm_def=1, quad=None, strat=None):
     """Gram of the descended basis under Definition (1) or (2) downstairs."""
-    quad = as_quad(quad)
-    exps = sections.invariant_exponents(action, k, twist)
-    ids = [tuple(map(int, r)) for r in exps]
-    diag, err, per = np.zeros(len(ids)), np.zeros(len(ids)), {}
-    if ids:
-        strat = strat or strata.analyze(action)
-        for lab in [strat.open_stratum()] if norm_def == 1 else strat.strata:
-            sub, suberr = stratum_gram(action, lab, exps, twist, quad, tag=("down", k, twist, lab.key))
-            pref = (k / TWO_PI) ** (lab.dim_S / 2.0)
-            per[lab.key] = pref * sub
-            diag = diag + pref * sub
-            err = np.sqrt(err**2 + (pref * suberr) ** 2)
-    return sections.GramMatrix(basis_ids=ids, diagonal=diag, stderr=err, norm_def=norm_def,
-                               k=k, twist=twist, per_stratum=per)
+    return reduced_grams(action, [k], twist, norm_def, quad, strat)[0]

@@ -37,43 +37,69 @@ def section_degrees(model, k, twist):
     raise SectionError(f"unknown twist {twist!r}")
 
 
-def _compositions(total, parts):
-    """Compositions of total into parts nonnegative parts, lexicographic (stars and bars)."""
-    bars = np.array(list(itertools.combinations(range(total + parts - 1), parts - 1)), dtype=int)
-    return np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, total + parts - 1)), axis=1) - 1
-
-
-def basis_exponents(model, k, twist):
-    """Exponent matrix of the monomial basis, shape (dim, ncoords): lexicographic, first factor slowest."""
-    degs = section_degrees(model, k, twist)
+def _partial_exponents(degs, sizes):
+    """Exponent rows on sizes[j] coordinates of each factor j, factor by factor,
+    with per-factor sums at most d_j: the compositions of d_j into sizes[j] + 1
+    parts without their last part, the slack (stars and bars)."""
     rows = np.zeros((1, 0), dtype=int)
-    for sl, d in zip(model.slices, degs):
-        if d < 0:
-            raise SectionError("negative twisted degree: k too small for this twist")
-        block = _compositions(d, sl.stop - sl.start)
-        rows = np.hstack([np.repeat(rows, len(block), axis=0), np.tile(block, (len(rows), 1))])
+    for d, size in zip(degs, sizes):
+        if size:
+            block = np.array(list(itertools.combinations(range(d + size), size)), dtype=int)
+            block[:, 1:] -= block[:, :-1] + 1
+            rows = np.hstack([np.repeat(rows, len(block), axis=0), np.tile(block, (len(rows), 1))])
     return rows
 
 
 def invariant_exponents(action, k, twist="plain"):
-    """Monomial exponents of the G-invariant subspace.
+    """Monomial exponents of the G-invariant subspace, lexicographic, first factor slowest.
 
     A monomial z^alpha is invariant iff W alpha + k c (+ sigma/2 for the
     half-form twist, sigma the per-generator sum of all weights) vanishes.
+    The last coordinate of each factor takes the rest of its degree d_j, so
+    the condition reads W_rel alpha' = t - sum_j d_j W_last(j) on the other
+    coordinates alpha'.  Those split into two halves, each enumerated with
+    per-factor sums <= d_j; the halves meet on their share of W_rel alpha'
+    (sort and searchsorted), and rows whose last coordinates come out
+    negative are dropped.  The cost grows with the halves and the invariant
+    rows, not with the whole basis.
     """
     if not action.lift_integral(k):
         raise SectionError("lift integrality: k * shift is not an integer vector")
+    model = action.model
     target = [-(k * c) for c in action.shift]
     if twist == "halfform":
         sigma = [sum(row) for row in action.weights]
         target = [t - Fraction(s, 2) for t, s in zip(target, sigma)]
     if any(t.denominator != 1 for t in target):
-        return np.zeros((0, action.model.ncoords), dtype=int)
-    tgt = np.asarray([int(t) for t in target])
-    exps = basis_exponents(action.model, k, twist)
+        return np.zeros((0, model.ncoords), dtype=int)
+    degs = section_degrees(model, k, twist)
+    if any(d < 0 for d in degs):
+        raise SectionError("negative twisted degree: k too small for this twist")
     W = np.asarray(action.weights, dtype=int)
-    keep = np.all(exps @ W.T == tgt, axis=1)
-    return exps[keep]
+    last = [sl.stop - 1 for sl in model.slices]
+    owner = [j for j, sl in enumerate(model.slices) for _ in range(sl.start, sl.stop - 1)]
+    cols = [i for sl in model.slices for i in range(sl.start, sl.stop - 1)]
+    W_rel = W[:, cols] - W[:, [last[j] for j in owner]]
+    t_rel = np.asarray([int(t) for t in target]) - W[:, last] @ np.asarray(degs)
+    cut = len(cols) // 2
+    halves = [_partial_exponents(degs, [part.count(j) for j in range(len(degs))]) for part in (owner[:cut], owner[cut:])]
+    keys = np.vstack([t_rel - halves[0] @ W_rel[:, :cut].T, halves[1] @ W_rel[:, cut:].T])
+    by_key = np.lexsort(keys.T)
+    ids = np.empty(len(keys), dtype=int)
+    ids[by_key] = np.concatenate(([0], np.cumsum(np.any(keys[by_key[1:]] != keys[by_key[:-1]], axis=1))))
+    cut_rows = len(halves[0])
+    left, right = ids[:cut_rows], ids[cut_rows:]
+    order = by_key[by_key >= cut_rows] - cut_rows  # the right half's rows, sorted by key
+    lo, hi = np.searchsorted(right[order], left, "left"), np.searchsorted(right[order], left, "right")
+    counts = hi - lo
+    pair_a = np.repeat(np.arange(len(left)), counts)
+    pair_b = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    exps = np.zeros((len(pair_a), model.ncoords), dtype=int)
+    exps[:, cols[:cut]], exps[:, cols[cut:]] = halves[0][pair_a], halves[1][pair_b]
+    for j, sl in enumerate(model.slices):
+        exps[:, last[j]] = degs[j] - exps[:, sl.start : sl.stop - 1].sum(axis=1)
+    exps = exps[np.all(exps[:, last] >= 0, axis=1)]
+    return exps[np.lexsort(exps.T[::-1])]
 
 
 # ----------------------------------------------------------------------
@@ -189,25 +215,6 @@ class GramMatrix:
         return np.diag(self.diagonal).astype(complex)
 
 
-def monomial_integral_on_pattern(model, pattern, alpha):
-    """int over the closed pattern subvariety of prod p_i^{alpha_i} d eps.
-
-    Dirichlet moments of the per-factor sphere measure; the restricted form
-    on a coordinate CP^{|R_j|-1} is l_j times its Fubini-Study form.  Returns
-    0 when alpha charges a coordinate off the pattern.
-    """
-    out = 1.0
-    for sup, sl, l in zip(pattern, model.slices, model.bundle_degrees):
-        aa = [int(alpha[i]) for i in range(sl.start, sl.stop)]
-        if any(a > 0 and i + sl.start not in sup for i, a in enumerate(aa)):
-            return 0.0
-        nR = len(sup) - 1
-        asup = [int(alpha[i]) for i in sup]
-        num = math.prod(math.factorial(a) for a in asup)  # an int: int / int rounds once and never overflows
-        out *= (l * TWO_PI) ** nR * (num / math.factorial(sum(asup) + nR))
-    return out
-
-
 def _full_pattern(model):
     return tuple(tuple(range(sl.start, sl.stop)) for sl in model.slices)
 
@@ -240,7 +247,7 @@ def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
     return vol * means.mean(axis=0), vol * err
 
 
-def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
+def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None, exps=None):
     """Gram matrix of the invariant basis under Definition (1) or (2).
 
     Definition (1) integrates over the open dense preimage piece, which has
@@ -250,11 +257,12 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
     dimension prefactor, integrated over the closure of its support
     pattern; zero-dimensional pieces contribute point values.  The ambient
     is the open stratum's complexification where 0 is interior to phi(M)
-    and an extra piece where 0 lies on its boundary.
+    and an extra piece where 0 lies on its boundary.  `exps`, if given,
+    holds the invariant exponents at k.
     """
     quad = as_quad(quad)
     model = action.model
-    exps = invariant_exponents(action, k, twist)
+    exps = invariant_exponents(action, k, twist) if exps is None else exps
     ids = [tuple(map(int, row)) for row in exps]
     if not ids:
         return GramMatrix(basis_ids=ids, diagonal=np.zeros(0), stderr=np.zeros(0), norm_def=norm_def,
@@ -285,8 +293,27 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None):
 
 def _gram_exact_on_pattern(action, exps, twist, pattern):
     """Exact Gram diagonal over a closed pattern subvariety: Dirichlet
-    moments, with zero error.  Returns (diagonal, stderr)."""
+    moments, with zero error.  Returns (diagonal, stderr).
+
+    The restricted form on a coordinate CP^{|R_j|-1} is l_j times its
+    Fubini-Study form, so factor j contributes (2 pi l_j)^{|R_j|-1} prod_{i in
+    R_j} alpha_i! / (sum_{i in R_j} alpha_i + |R_j| - 1)!, the factorials as
+    ints, so int / int rounds once and never overflows.  A monomial that
+    charges a coordinate off the pattern integrates to 0.
+    """
     model = action.model
     frame = halfform_frame(model) if twist == "halfform" else 1.0
-    diag = [frame * monomial_integral_on_pattern(model, pattern, row) for row in exps]
-    return np.asarray(diag, dtype=float), np.zeros(exps.shape[0])
+    diag = np.zeros(exps.shape[0])
+    off = np.ones(model.ncoords, dtype=bool)
+    off[[i for sup in pattern for i in sup]] = False
+    live = np.flatnonzero(~np.any(exps[:, off] > 0, axis=1))
+    top = int(exps[live].sum(axis=1).max(initial=0)) + model.ncoords
+    fact = list(itertools.accumulate(range(1, top), int.__mul__, initial=1))  # 0!, 1!, ..., (top - 1)!
+    factors = [(sup, (l * TWO_PI) ** (len(sup) - 1), len(sup) - 1) for sup, l in zip(pattern, model.bundle_degrees)]
+    for r, row in zip(live.tolist(), exps[live].tolist()):
+        out = 1.0
+        for sup, scale, nR in factors:
+            asup = [row[i] for i in sup]
+            out *= scale * (math.prod(fact[a] for a in asup) / fact[sum(asup) + nR])
+        diag[r] = frame * out
+    return diag, np.zeros(exps.shape[0])

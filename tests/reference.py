@@ -4,9 +4,12 @@ Nothing in `src/quantred` calls this module.  It holds finite-difference,
 Monte Carlo and flow-based routes to quantities the package computes in
 closed form (frames and curvature, the Liouville volume and divergence, the
 transport potential, the contraction oracle of the descent factor, the
-quantization operator), a general polynomial section type, and the paper
-diagnostics that no `quantred run` reports (semistability, the boundedness
-probe, the growth constant).  The package folds tau, e^{-k f} and the
+quantization operator), the whole monomial basis with its brute-force
+invariant filter and one-monomial Dirichlet moments (the oracles of
+`sections.invariant_exponents` and `sections._gram_exact_on_pattern`), a
+general polynomial section type, and the paper diagnostics that no
+`quantred run` reports (semistability, the boundedness probe, the growth
+constant).  The package folds tau, e^{-k f} and the
 divergence factor into one exponent (`actions.transverse_exponent`); the
 factors one by one are checked against `actions.jacobian_tau_batch`,
 `actions.potential` and `divergence_factor` here.
@@ -30,7 +33,8 @@ by module and name; they move here once those scripts change:
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
@@ -465,6 +469,62 @@ def enumerate_strata(action, sampler=None):
 # polynomial sections and the quantization operator (sections)
 
 
+def _compositions(total, parts):
+    """Compositions of total into parts nonnegative parts, lexicographic (stars and bars)."""
+    bars = np.array(list(combinations(range(total + parts - 1), parts - 1)), dtype=int)
+    return np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, total + parts - 1)), axis=1) - 1
+
+
+def basis_exponents(model, k, twist):
+    """Exponent matrix of the monomial basis, shape (dim, ncoords): lexicographic, first factor slowest."""
+    degs = sections.section_degrees(model, k, twist)
+    rows = np.zeros((1, 0), dtype=int)
+    for sl, d in zip(model.slices, degs):
+        if d < 0:
+            raise sections.SectionError("negative twisted degree: k too small for this twist")
+        block = _compositions(d, sl.stop - sl.start)
+        rows = np.hstack([np.repeat(rows, len(block), axis=0), np.tile(block, (len(rows), 1))])
+    return rows
+
+
+def invariant_exponents_by_filter(action, k, twist="plain"):
+    """The oracle of `sections.invariant_exponents`: the whole basis, filtered
+    row by row on W alpha = -k c (- sigma/2 for the half-form twist), with the
+    same checks in the same order."""
+    if not action.lift_integral(k):
+        raise sections.SectionError("lift integrality: k * shift is not an integer vector")
+    target = [-(k * c) for c in action.shift]
+    if twist == "halfform":
+        sigma = [sum(row) for row in action.weights]
+        target = [t - Fraction(s, 2) for t, s in zip(target, sigma)]
+    if any(t.denominator != 1 for t in target):
+        return np.zeros((0, action.model.ncoords), dtype=int)
+    tgt = np.asarray([int(t) for t in target])
+    exps = basis_exponents(action.model, k, twist)
+    W = np.asarray(action.weights, dtype=int)
+    return exps[np.all(exps @ W.T == tgt, axis=1)]
+
+
+def monomial_integral_on_pattern(model, pattern, alpha):
+    """int over the closed pattern subvariety of prod p_i^{alpha_i} d eps.
+
+    Dirichlet moments of the per-factor sphere measure; the restricted form
+    on a coordinate CP^{|R_j|-1} is l_j times its Fubini-Study form.  Returns
+    0 when alpha charges a coordinate off the pattern.  The oracle of
+    `sections._gram_exact_on_pattern`, one monomial at a time.
+    """
+    out = 1.0
+    for sup, sl, l in zip(pattern, model.slices, model.bundle_degrees):
+        aa = [int(alpha[i]) for i in range(sl.start, sl.stop)]
+        if any(a > 0 and i + sl.start not in sup for i, a in enumerate(aa)):
+            return 0.0
+        nR = len(sup) - 1
+        asup = [int(alpha[i]) for i in sup]
+        num = math.prod(math.factorial(a) for a in asup)  # an int: int / int rounds once and never overflows
+        out *= (l * TWO_PI) ** nR * (num / math.factorial(sum(asup) + nR))
+    return out
+
+
 @dataclass
 class SectionPoly:
     """Multi-homogeneous polynomial section with a sparse coefficient map."""
@@ -499,7 +559,7 @@ def basis_sections(model, k, twist="plain"):
         raise sections.SectionError("k must be >= 1")
     return [
         SectionPoly(model=model, k=k, twist=twist, coeffs={tuple(row): 1.0 + 0.0j})
-        for row in sections.basis_exponents(model, k, twist)
+        for row in basis_exponents(model, k, twist)
     ]
 
 

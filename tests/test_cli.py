@@ -339,13 +339,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     argv = ["gram", "--preset", "E1", "--k", "2", "--out", str(tmp_path / "g")]
 
     def raising(exc):
-        def reduced_gram(*args, **kwargs):
+        def reduced_grams(*args, **kwargs):
             raise exc
-        return reduced_gram
+        return reduced_grams
 
-    monkeypatch.setattr(reduction, "reduced_gram", raising(reduction.ReductionError("stratum slice infeasible")))
+    monkeypatch.setattr(reduction, "reduced_grams", raising(reduction.ReductionError("stratum slice infeasible")))
     assert cli.main(argv) == 3
-    monkeypatch.setattr(reduction, "reduced_gram", raising(TypeError("a bug")))
+    monkeypatch.setattr(reduction, "reduced_grams", raising(TypeError("a bug")))
     with pytest.raises(TypeError):
         cli.main(argv)
     # a NaN is a numerical failure, not a number to write to curves.csv
@@ -396,23 +396,51 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
     assert own == sorted((lab.top_pattern, (2, 4), asymptotics.DENSITY_ORDER) for lab in st.strata)
 
 
-def test_grid_gram_calls_the_slice_rule_once_per_k(tmp_path, monkeypatch):
-    """A grid-route reduced Gram takes its Gauss rule and its error rule
-    from one `strata.slice_quadrature` call: E3 has one stratum, so one
-    call per k under Definition (1)."""
+def test_grid_grams_call_the_slice_rule_once_per_stratum(tmp_path, monkeypatch):
+    """The grid-route reduced Grams take each stratum's Gauss rule and error
+    rule from one `strata.slice_quadrature` call for the whole k list: a
+    gram run makes as many calls for --k 2 as for --k 2,4,8, one per stratum
+    a norm definition integrates over (E3 has one stratum, E2 three)."""
     from quantred import strata
 
     seen = []
     original = strata.slice_quadrature
 
     def counted(action, sl, order):
-        seen.append(order)
+        seen.append((sl.pattern, order))
         return original(action, sl, order)
 
     monkeypatch.setattr(strata, "slice_quadrature", counted)
-    cfg = {"preset": "E3", "k_list": [2, 4], "quantities": ["gram"], "norm_defs": [1], "out": str(tmp_path / "g")}
-    cli.run(cli.validate(cfg))
-    assert seen == [96, 96]
+    for preset in ("E2", "E3"):
+        calls = []
+        for ks in ([2], [2, 4, 8]):
+            seen.clear()
+            cfg = {"preset": preset, "k_list": ks, "quantities": ["gram"], "out": str(tmp_path / preset)}
+            scn = cli.validate(cfg)
+            cli.run(scn)
+            calls.append(sorted(seen))
+        st = strata.analyze(scn.action)
+        expect = [st.open_stratum().level_slice.pattern] + [lab.level_slice.pattern for lab in st.strata]
+        assert calls[0] == calls[1] == sorted((pattern, 96) for pattern in expect)
+        assert len(calls[1]) == {"E2": 4, "E3": 2}[preset]
+
+
+def test_run_enumerates_each_invariant_basis_once(tmp_path, monkeypatch):
+    """`quantred run` computes each k's invariant exponents once and hands
+    the list to both Gram routes, the densities and the consistency check:
+    E2 --k 2,4,8 with every quantity makes 3 calls, one per k."""
+    from quantred import sections
+
+    seen = []
+    original = sections.invariant_exponents
+
+    def counted(action, k, twist="plain"):
+        seen.append(k)
+        return original(action, k, twist)
+
+    monkeypatch.setattr(sections, "invariant_exponents", counted)
+    assert cli.main(["run", "--preset", "E2", "--k", "2,4,8", "--out", str(tmp_path / "r")]) == 0
+    assert seen == [2, 4, 8]
 
 
 def test_python_dash_m_runs_the_cli():
@@ -458,7 +486,10 @@ def test_json_text_matches_json_dumps():
     """The writer's text equals json.dumps(sort_keys=True, indent=1) of the square
     layout, byte for byte: Gram blocks of dimension 0 and 1, extreme and
     non-finite diagonal entries, numpy scalars, bools next to ints, non-ASCII
-    strings, non-string keys and nested empty containers."""
+    strings, non-string keys, nested empty containers, and leaf lists of
+    ints (negative, beyond 64 bits, mixed with bools) and diagonals with one
+    non-finite entry among finite ones, which the writer takes apart from
+    the rest."""
     from quantred import sections
 
     edge = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.0, 1.5])
@@ -475,6 +506,10 @@ def test_json_text_matches_json_dumps():
         {2: "two", 1.5: [], 0: {}}, {True: 1, False: 0}, {None: float("-inf")},
         [], {}, 3, -0.0, float("nan"), "text", None,
         {"m": cli._Diagonal(np.array([np.float64(7.0)])), "e": cli._Diagonal(np.zeros(0))},
+        [-3, 0, 2**70, -(2**70)], [[1, 2], [-1]], [True, 1], [1, False], [1, 1.0], [1, None], [[]], [[], [0]],
+        {"basis": [[0, 3], [-2, 5]], "k": -7},
+        {"d": cli._Diagonal(np.array([1.0, np.nan, -2.5])), "i": cli._Diagonal(np.array([np.inf, 0.5])),
+         "f": cli._Diagonal(np.array([0.1, -0.0, 5e-324]))},
     ]
     for obj in cases:
         assert cli._json_text(obj) == json.dumps(_square(obj), sort_keys=True, indent=1)
@@ -487,15 +522,19 @@ def test_run_files_keep_the_square_gram_layout(tmp_path, monkeypatch):
     from quantred import reduction, sections
 
     grams = {}
+    gram_upstairs, reduced_grams = sections.gram_upstairs, reduction.reduced_grams
 
-    def recording(fn, side):
-        def wrapped(action, k, twist, nd, quad, strat=None):
-            grams[side, k, nd] = g = fn(action, k, twist, nd, quad, strat=strat)
-            return g
-        return wrapped
+    def up(action, k, twist, nd, quad, strat=None, exps=None):
+        grams["up", k, nd] = g = gram_upstairs(action, k, twist, nd, quad, strat=strat, exps=exps)
+        return g
 
-    monkeypatch.setattr(sections, "gram_upstairs", recording(sections.gram_upstairs, "up"))
-    monkeypatch.setattr(reduction, "reduced_gram", recording(reduction.reduced_gram, "down"))
+    def down(action, ks, twist, nd, quad, strat=None, exps=None):
+        out = reduced_grams(action, ks, twist, nd, quad, strat, exps)
+        grams.update((("down", k, nd), g) for k, g in zip(ks, out))
+        return out
+
+    monkeypatch.setattr(sections, "gram_upstairs", up)
+    monkeypatch.setattr(reduction, "reduced_grams", down)
     for preset, twist in (("E1", "plain"), ("E2", "plain"), ("E3", "plain"), ("E3", "halfform")):
         for method in ("exact", "mc"):
             out = tmp_path / f"{preset}-{twist}-{method}"
@@ -539,6 +578,23 @@ def test_empty_invariant_space_is_a_config_error(tmp_path, capsys):
     assert "k_list" in err and "k=2, 4, 8" in err
     assert os.listdir(out) == []
     assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "3,5,9", "--out", str(out)]) == 0
+
+
+def test_empty_invariant_space_is_found_before_any_gram(tmp_path, monkeypatch, capsys):
+    """The empty-space check reads the run's shared exponent list, so it
+    exits 2 naming k_list even when building a Gram would fail."""
+    from quantred import reduction, sections
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a Gram was built")
+
+    monkeypatch.setattr(sections, "gram_upstairs", fail)
+    monkeypatch.setattr(reduction, "reduced_grams", fail)
+    out = tmp_path / "e"
+    assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "2,3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "k_list" in err and "k=2," in err and "k=2, 3" not in err
+    assert os.listdir(out) == []
 
 
 def test_only_is_rejected_outside_run(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_open_stratum_quadrature_matches_quotient_chart_oracle(e2, st2):
     """
     k = 4
     exps = sections.invariant_exponents(e2, k, "plain")
-    got, _ = reduction.stratum_gram(e2, st2.open_stratum(), exps, "plain", {"method": "grid"})
+    (got, _), = reduction.stratum_gram(e2, st2.open_stratum(), [exps], [k], "plain", {"method": "grid"})
     # oracle: theta-exact Dirichlet-style integral in the (t, theta') chart;
     # eps_hat = (reduced symplectic measure) with total mass pi
     from quantred.integrate import gauss_segment

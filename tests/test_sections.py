@@ -18,7 +18,7 @@ def test_basis_dimension_formula():
     # dim H(CP^n, O(k l)) = C(k l + n, n), multiplied across factors
     for factors, degrees, k in ([1], [1], 2), ([2], [1], 3), ([1, 2], [2, 1], 2):
         m = models.make_model(factors, degrees)
-        dim = sections.basis_exponents(m, k, "plain").shape[0]
+        dim = reference.basis_exponents(m, k, "plain").shape[0]
         expect = 1
         for n, l in zip(factors, degrees):
             expect *= binom(k * l + n, n)
@@ -27,9 +27,9 @@ def test_basis_dimension_formula():
 
 def test_basis_examples():
     m = models.make_model([1], [1])
-    exps = sections.basis_exponents(m, 2, "plain")
+    exps = reference.basis_exponents(m, 2, "plain")
     assert sorted(map(tuple, exps)) == [(0, 2), (1, 1), (2, 0)]
-    exps_h = sections.basis_exponents(m, 2, "halfform")
+    exps_h = reference.basis_exponents(m, 2, "halfform")
     assert sorted(map(tuple, exps_h)) == [(0, 1), (1, 0)]
 
 
@@ -59,7 +59,7 @@ def test_basis_order_matches_recursive_oracle():
             for k in range(1, 9):
                 if min(sections.section_degrees(model, k, twist)) < 0:
                     continue
-                exps = sections.basis_exponents(model, k, twist)
+                exps = reference.basis_exponents(model, k, twist)
                 assert exps.dtype.kind == "i"
                 assert list(map(tuple, exps.tolist())) == _basis_oracle(model, k, twist)
 
@@ -67,8 +67,8 @@ def test_basis_order_matches_recursive_oracle():
 def test_negative_twisted_degree_error():
     m = models.make_model([3], [1])  # half-form degree k - 2
     with pytest.raises(SectionError):
-        sections.basis_exponents(m, 1, "halfform")
-    assert sections.basis_exponents(m, 2, "halfform").tolist() == [[0, 0, 0, 0]]
+        reference.basis_exponents(m, 1, "halfform")
+    assert reference.basis_exponents(m, 2, "halfform").tolist() == [[0, 0, 0, 0]]
 
 
 def test_halfform_parity_error():
@@ -93,10 +93,59 @@ def test_invariant_basis_counts(e1, e2, e3):
 def test_invariant_basis_lattice_oracle_brute(e2):
     # recount by brute weight evaluation
     k = 6
-    exps = sections.basis_exponents(e2.model, k, "plain")
+    exps = reference.basis_exponents(e2.model, k, "plain")
     W = np.asarray(e2.weights)
     manual = [tuple(row) for row in exps if (W @ row == 0).all()]
     assert sorted(manual) == sorted(map(tuple, sections.invariant_exponents(e2, k).tolist()))
+
+
+def _action(factors, degrees, weights, shift=None):
+    from quantred import actions
+
+    return actions.make_action(models.make_model(factors, degrees), weights, shift)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tolist()
+
+
+def test_invariant_exponents_match_the_filtered_basis():
+    """The meet-in-the-middle enumeration returns the brute-force filter's
+    rows in its order and dtype, and raises where it raises, with the same
+    message: on E1, E2, E3, CP^1 x CP^2 with l = (1,1) and (2,3), (CP^1)^3
+    and CP^2 x CP^2 under rank-2 tori, both twists, k = 0..24 (lift
+    integrality, odd half-form targets and negative twisted degrees all
+    occur)."""
+    cases = [([1], [1], [[1, -1]], None), ([2], [1], [[1, -1, 0]], None), ([1, 1], [1, 1], [[1, 0, -1, 0]], ["1/2"]),
+             ([1, 2], [1, 1], [[1, 0, -1, 0, 1]], None), ([1, 2], [2, 3], [[1, 0, -1, 0, 1]], None),
+             ([1, 1, 1], [1, 1, 1], [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]], None),
+             ([2, 2], [1, 1], [[-1, -2, 1, 1, 1, -2], [-2, 0, -1, 0, 2, -1]], None)]
+    seen = set()
+    for factors, degrees, weights, shift in cases:
+        action = _action(factors, degrees, weights, shift)
+        for twist in ("plain", "halfform"):
+            for k in range(25):
+                got = _outcome(sections.invariant_exponents, action, k, twist)
+                assert got == _outcome(reference.invariant_exponents_by_filter, action, k, twist), (factors, twist, k)
+                seen.add(got[0] if isinstance(got[0], type) else "rows" if got[1][0] else "empty")
+    assert seen == {SectionError, models.ModelError, "rows", "empty"}
+
+
+def test_invariant_exponents_at_large_k(e2):
+    """E2 at k = 3000 gives the 1501 rows (a, a, 3000 - 2a) in ascending
+    order without enumerating the 4.5 million basis monomials."""
+    import time
+
+    start = time.perf_counter()
+    exps = sections.invariant_exponents(e2, 3000)
+    elapsed = time.perf_counter() - start
+    a = np.arange(1501)
+    assert exps.tolist() == np.stack([a, a, 3000 - 2 * a], axis=1).tolist()
+    assert elapsed < 0.5
 
 
 def test_invariant_basis_lift_error(e3):
@@ -199,9 +248,38 @@ def test_gram_hermitian_psd(e3, st3):
 
 
 def test_monomial_integral_on_point_pattern(e2):
-    val = sections.monomial_integral_on_pattern(e2.model, ((2,),), np.array([0, 0, 4]))
+    val = reference.monomial_integral_on_pattern(e2.model, ((2,),), np.array([0, 0, 4]))
     assert val == 1.0
-    assert sections.monomial_integral_on_pattern(e2.model, ((2,),), np.array([1, 0, 3])) == 0.0
+    assert reference.monomial_integral_on_pattern(e2.model, ((2,),), np.array([1, 0, 3])) == 0.0
+    diag, err = sections._gram_exact_on_pattern(e2, np.array([[0, 0, 4], [1, 0, 3]]), "plain", ((2,),))
+    assert diag.tolist() == [1.0, 0.0] and err.tolist() == [0.0, 0.0]
+
+
+def test_exact_pattern_gram_is_the_monomial_integral_bit_for_bit():
+    """`_gram_exact_on_pattern` equals the frame times the one-monomial
+    Dirichlet moment of the oracle exactly, on every pattern of the
+    preimage pieces of each action, both twists: on every basis monomial at
+    k = 2 and 7 (off-pattern rows give 0.0), and on E1-E3's invariant ones
+    at k = 200, where the factorials outgrow floats."""
+    from quantred import strata
+
+    for action, ks in ((_action([1], [1], [[1, -1]]), (2, 7, 200)), (_action([2], [1], [[1, -1, 0]]), (2, 7, 200)),
+                       (_action([1, 1], [1, 1], [[1, 0, -1, 0]], ["1/2"]), (2, 7, 200)),
+                       (_action([1, 2], [2, 3], [[1, 0, -1, 0, 1]]), (2, 7)),
+                       (_action([1, 1, 1], [1, 1, 1], [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]), (2, 7))):
+        model = action.model
+        st = strata.analyze(action)
+        patterns = {pattern for lab in st.strata for _, pattern, _ in st.preimage(lab)}
+        patterns.add(tuple(tuple(range(sl.start, sl.stop)) for sl in model.slices))
+        for twist in ("plain", "halfform") if model.metaplectic_allowed else ("plain",):
+            frame = sections.halfform_frame(model) if twist == "halfform" else 1.0
+            for k in ks:
+                exps = (reference.basis_exponents(model, k, twist) if k < 200 else
+                        sections.invariant_exponents(action, k, twist))
+                for pattern in patterns:
+                    diag, err = sections._gram_exact_on_pattern(action, exps, twist, pattern)
+                    expect = [frame * reference.monomial_integral_on_pattern(model, pattern, row) for row in exps]
+                    assert diag.tolist() == expect and not err.any()
 
 
 def test_empty_invariant_space_gram(e1):

@@ -21,8 +21,12 @@ import subprocess
 import sys
 import tempfile
 
-RANK2 = {"model": {"factors": [1, 1, 1], "bundle_degrees": [1, 1, 1]},
-         "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]}}
+CONFIGS = {  # written to files and passed as --config {name}
+    "rank2": {"model": {"factors": [1, 1, 1], "bundle_degrees": [1, 1, 1]},
+              "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]}},
+    "e3grid": {"preset": "E3", "quad": {"grid_order": 128}},
+}
+E3_SWEEP = ",".join(str(k) for k in range(12, 85, 8))
 
 SCENARIOS = [
     ("E1 --k 2,4,8", ["--preset", "E1", "--k", "2,4,8"]),
@@ -32,6 +36,10 @@ SCENARIOS = [
     ("E3 --k 2,4,8", ["--preset", "E3", "--k", "2,4,8"]),
     ("E3 halfform --k 2,4,8", ["--preset", "E3", "--twist", "halfform", "--k", "2,4,8"]),
     ("(CP^1)^3 --k 2,4,8", ["--config", "{rank2}", "--k", "2,4,8"]),
+    (f"E3 grid_order 128 --only gram,unitarity --k {E3_SWEEP}",
+     ["--config", "{e3grid}", "--only", "gram,unitarity", "--k", E3_SWEEP]),
+    (f"E3 halfform grid_order 128 --only gram,unitarity --k {E3_SWEEP}",
+     ["--config", "{e3grid}", "--twist", "halfform", "--only", "gram,unitarity", "--k", E3_SWEEP]),
 ]
 VALUE_OF_STDERR = ("value", "rhs", "matrix_re", "defect")
 
@@ -96,11 +104,13 @@ def main(argv=None):
         return 2
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "rank2.json")
-        with open(config, "w") as fh:
-            json.dump(RANK2, fh)
+        config_files = {}
+        for key, cfg in CONFIGS.items():
+            config_files["{" + key + "}"] = path = os.path.join(tmp, f"{key}.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
         for s, (name, args) in enumerate(SCENARIOS):
-            args = [config if a == "{rank2}" else a for a in args]
+            args = [config_files.get(a, a) for a in args]
             outs = [os.path.join(tmp, f"{side}{s}") for side in ("parent", "change")]
             try:
                 for root, out in zip(argv, outs):
