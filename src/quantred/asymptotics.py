@@ -251,9 +251,10 @@ def _piece_integral(action, dim, sl, exps, ks, twist, order):
     """
     z, rules = strata.slice_quadrature(action, sl, order)
     vol = ta.geometric_orbit_volume(action, z, ta.isotropy_of_support(action, sl.pattern))
+    p = masses(action.model, z)
     out = []
     for k, e, T, T_err in zip(ks, exps, *_transverse_integral(action, z, ks, twist == "halfform")):
-        norms = sections.monomial_norms(action.model, e, z, twist)
+        norms = sections.monomial_norms(action.model, e, p, twist)
         value, half = ((w * vol[rows] * T[rows]) @ norms[rows] for rows, w in rules)
         rows, w = rules[0]
         error = (np.abs(w * vol[rows]) * T_err[rows]) @ norms[rows] + np.abs(value - half)

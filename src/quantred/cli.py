@@ -160,6 +160,11 @@ def validate(config):
         value = getattr(quad, name)
         if not _is_int(value) or value < 1:
             errors.append(f"quad.{name}: must be a positive integer, got {value!r}")
+    if quad.method == "mc" and all(_is_int(v) and v >= 1 for v in (quad.samples, quad.blocks)):
+        count = reduction.stratum_sample_count(quad)
+        if quad.blocks > count:
+            errors.append(f"quad.blocks: the mc route splits each stratum's {count} samples "
+                          f"(max(256, samples // 10)) into blocks, so at most {count}, got {quad.blocks}")
     seed = cfg.get("seed", 0)
     for name, value in (("seed", seed), ("quad.seed", quad.seed)):
         if not _is_int(value) or value < 0:

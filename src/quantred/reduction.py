@@ -22,7 +22,7 @@ from . import strata
 from . import sections
 from .errors import QuantredError
 from .integrate import as_quad, rng_for
-from .models import TWO_PI
+from .models import TWO_PI, masses
 
 
 class ReductionError(QuantredError, ValueError):
@@ -65,24 +65,30 @@ def stratum_gram(action, lab, exps, ks, twist, quad):
     if twist == "halfform":
         scale = descent_norm_factor(action, z, lab.isotropy)
         rules = [(rows, w * scale[rows]) for rows, w in rules]
+    p = masses(model, z)
     out = []
     for e in exps:
-        norms = sections.monomial_norms(model, e, z, twist)
+        norms = sections.monomial_norms(model, e, p, twist)
         diag, half = (w @ norms[rows] for rows, w in rules)
         out.append((diag, np.abs(diag - half)))
     return out
 
 
+def stratum_sample_count(quad):
+    """Stratum samples the mc route draws per (k, stratum), split into max(4, quad.blocks) blocks."""
+    return max(256, quad.samples // 10)
+
+
 def _stratum_gram_mc(action, lab, exps, twist, quad, tag):
     """`stratum_gram`'s mc route at one k: stratum samples from the stream tag, block standard errors."""
     rng = rng_for(quad.seed, "reduced", tag)
-    count = max(256, quad.samples // 10)
+    count = stratum_sample_count(quad)
     pts, wts = strata.sample_stratum(action, lab, count, rng.integers(2**32))
     if not np.any(wts > 0):
         raise ReductionError("no stratum sample landed in the slice polytope")
     if twist == "halfform":
         wts = wts * descent_norm_factor(action, pts, lab.isotropy)
-    terms = wts[:, None] * sections.monomial_norms(action.model, exps, pts, twist)
+    terms = wts[:, None] * sections.monomial_norms(action.model, exps, masses(action.model, pts), twist)
     nblk = max(4, quad.blocks)
     per = count // nblk
     blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)

@@ -24,6 +24,8 @@ from .errors import QuantredError
 from .integrate import as_quad, rng_for
 from .models import TWO_PI
 
+MC_CHUNK = 2048  # sphere samples drawn and evaluated at once on the upstairs Monte Carlo route, to bound memory
+
 
 class SectionError(QuantredError, ValueError):
     pass
@@ -109,16 +111,17 @@ def invariant_exponents(action, k, twist="plain"):
 def _monomial_powers(base, exponents):
     """prod_i base_i^{e_i} for each exponent row e, shape (..., nrows).
 
-    Uses logs for speed; bases that vanish are handled by masking (a zero
-    base with positive exponent kills the monomial).
+    Uses logs for speed; bases that vanish (modulus below 1e-300; real bases
+    are masses, nonnegative) are handled by masking (a zero base with
+    positive exponent kills the monomial).
     """
     expo = np.asarray(exponents, dtype=float)
-    zero = np.abs(base) < 1e-300
+    zero = (np.abs(base) if np.iscomplexobj(base) else base) < 1e-300
+    if not np.any(zero):
+        return np.exp(np.log(base) @ expo.T)
     out = np.exp(np.log(np.where(zero, 1.0, base)) @ expo.T)
-    if np.any(zero):
-        dead = (np.asarray(zero, dtype=float) @ (expo.T > 0)) > 0
-        out = np.where(dead, 0.0, out)
-    return out
+    dead = (np.asarray(zero, dtype=float) @ (expo.T > 0)) > 0
+    return np.where(dead, 0.0, out)
 
 
 def evaluate_monomials(exponents, z):
@@ -161,17 +164,19 @@ def halfform_factor(model, z):
     return out[0] if zin.ndim == 1 else out
 
 
-def monomial_norms(model, exps, z, twist="plain"):
-    """Pointwise norm squares |s_a(z_n)|^2 of the monomials, shape (N, dim).
+def monomial_norms(model, exps, p, twist="plain"):
+    """Pointwise norm squares |s_a|^2 of the monomials from coordinate masses, shape (N, dim).
 
-    Rows are points (unit-normalized per factor), columns the monomial
-    exponent rows; |z^alpha|^2 = prod_i |z_i|^{2 alpha_i}, by the same
-    log evaluation as `evaluate_monomials` but in real arithmetic, times the
+    Rows are points given by their per-factor-normalized masses p_i =
+    |z_i|^2 (`models.masses`), shape (N, ncoords) or only the coordinates
+    that exps has columns for; columns of the result are the monomial
+    exponent rows: |z^alpha|^2 = prod_i p_i^{alpha_i}, evaluated in real
+    arithmetic as exp(log p @ alpha) with zero masses masked, times the
     half-form frame for the half-form twist.
     """
-    vals = _monomial_powers(np.abs(np.atleast_2d(z)), 2 * np.asarray(exps, dtype=float))
+    vals = _monomial_powers(np.atleast_2d(p), exps)
     if twist == "halfform":
-        vals = vals * halfform_frame(model)
+        vals *= halfform_frame(model)
     return vals
 
 
@@ -219,13 +224,65 @@ def _full_pattern(model):
     return tuple(tuple(range(sl.start, sl.stop)) for sl in model.slices)
 
 
+def _sphere_masses(rng, dims, per, nblk):
+    """Masses of uniform sphere samples on factors of dims coordinates, at most MC_CHUNK samples at a time.
+
+    The stream is that of nblk blocks of per samples, each block drawing,
+    factor by factor, standard_normal((per, dim)) for the real parts and
+    then for the imaginary parts.  A chunk takes whole blocks as one
+    standard_normal((nb, 2 per sum(dims))) array and carves x and y out of
+    it.  A block larger than MC_CHUNK is drawn twice: once, discarded, to
+    find where each of its (factor, part) runs starts in the stream, then
+    from one generator per run, MC_CHUNK samples at a time; the samples and
+    the stream's end state stay the same.  Yields (b, nb, p) for blocks b to
+    b + nb - 1: p has shape (sum(dims), nb * rows), coordinates first, the
+    samples of each block in order, rows of them per block, and holds each
+    factor's masses (x^2 + y^2) / sum_factor (x^2 + y^2).
+    """
+    step = MC_CHUNK // per
+    if step:
+        for b in range(0, nblk, step):
+            nb = min(step, nblk - b)
+            yield b, nb, _masses_of_draws(rng.standard_normal((nb, 2 * per * sum(dims))), dims, per)
+        return
+    runs = [d for d in dims for _ in "xy"]
+    pieces = [min(MC_CHUNK, per - lo) for lo in range(0, per, MC_CHUNK)]
+    for b in range(nblk):
+        cursors = []
+        for d in runs:
+            cursors.append(np.random.Generator(rng.bit_generator.jumped(0)))  # a copy at the run's start
+            for rows in pieces:
+                rng.standard_normal(rows * d)
+        for rows in pieces:
+            draws = np.concatenate([c.standard_normal(rows * d) for c, d in zip(cursors, runs)])
+            yield b, 1, _masses_of_draws(draws[None], dims, rows)
+
+
+def _masses_of_draws(draws, dims, rows):
+    """Masses, coordinates first, of nb blocks of rows samples: draws[i] holds, per
+    factor, the (rows, dim) real parts and then the imaginary parts of block i."""
+    nb = draws.shape[0]
+    sq = np.square(draws)
+    r = np.empty((sum(dims), nb, rows))
+    at = c = 0
+    for d in dims:
+        xy = sq[:, at : at + 2 * rows * d].reshape(nb, 2, rows, d).transpose(1, 3, 0, 2)
+        np.add(xy[0], xy[1], out=r[c : c + d])
+        r[c : c + d] /= r[c : c + d].sum(axis=0)
+        at, c = at + 2 * rows * d, c + d
+    return r.reshape(len(r), -1)
+
+
 def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
     """Monte Carlo Gram diagonal over a closed pattern subvariety.
 
     Uniform sphere samples on the support coordinates are Fubini-Study
-    uniform on the subvariety; per-block means of the pointwise norm
-    squares are accumulated chunk-wise and the block spread gives the
-    per-entry standard error.  Returns (diagonal, stderr).
+    uniform on the subvariety, and a monomial's norm square needs only
+    their masses (`_sphere_masses`, at most MC_CHUNK samples at a time, in
+    the stream order of per-block draws).  A row that charges a coordinate
+    off the pattern vanishes there: diagonal and error 0.  The other rows'
+    per-block sums accumulate chunk by chunk, and the spread of the block
+    means gives the per-entry standard error.  Returns (diagonal, stderr).
     """
     model = action.model
     rng = rng_for(quad.seed, "gram", tag)
@@ -235,14 +292,16 @@ def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
     for sup, l in zip(pattern, model.bundle_degrees):
         nR = len(sup) - 1
         vol *= (l * TWO_PI) ** nR / math.factorial(nR)
-    means = np.empty((nblk, exps.shape[0]))
-    for b in range(nblk):
-        z = np.zeros((per, model.ncoords), dtype=complex)
-        for sup in pattern:
-            dim = len(sup)
-            blk = rng.standard_normal((per, dim)) + 1j * rng.standard_normal((per, dim))
-            z[:, list(sup)] = blk / np.linalg.norm(blk, axis=1, keepdims=True)
-        means[b] = monomial_norms(model, exps, z, twist).mean(axis=0)
+    cols = [i for sup in pattern for i in sup]
+    off = np.ones(model.ncoords, dtype=bool)
+    off[cols] = False
+    live = ~np.any(exps[:, off] > 0, axis=1)
+    alpha = exps[np.ix_(live, cols)]
+    means = np.zeros((nblk, exps.shape[0]))
+    for b, nb, p in _sphere_masses(rng, [len(sup) for sup in pattern], per, nblk):
+        norms = monomial_norms(model, alpha, p.T, twist)
+        means[b : b + nb, live] += np.einsum("bsa->ba", norms.reshape(nb, -1, alpha.shape[0]))
+    means /= per
     err = means.std(axis=0, ddof=1) / np.sqrt(nblk)
     return vol * means.mean(axis=0), vol * err
 

@@ -6,7 +6,9 @@ closed form (frames and curvature, the Liouville volume and divergence, the
 transport potential, the contraction oracle of the descent factor, the
 quantization operator), the whole monomial basis with its brute-force
 invariant filter and one-monomial Dirichlet moments (the oracles of
-`sections.invariant_exponents` and `sections._gram_exact_on_pattern`), a
+`sections.invariant_exponents` and `sections._gram_exact_on_pattern`), the
+Monte Carlo Grams block by block from complex points (the oracles of
+`sections._pattern_gram_mc` and `reduction._stratum_gram_mc`), a
 general polynomial section type, and the paper diagnostics that no
 `quantred run` reports (semistability, the boundedness probe, the growth
 constant).  The package folds tau, e^{-k f} and the
@@ -40,7 +42,7 @@ import numpy as np
 
 from quantred import actions as ta
 from quantred import asymptotics, models, reduction, sections, strata
-from quantred.integrate import _ols, gauss_legendre, rng_for
+from quantred.integrate import _ols, as_quad, gauss_legendre, rng_for
 from quantred.models import (TWO_PI, ModelError, ambient_to_chart, chart_indices, chart_metric, from_chart, masses,
                              metric_pairing, normalize, to_chart)
 
@@ -523,6 +525,61 @@ def monomial_integral_on_pattern(model, pattern, alpha):
         num = math.prod(math.factorial(a) for a in asup)  # an int: int / int rounds once and never overflows
         out *= (l * TWO_PI) ** nR * (num / math.factorial(sum(asup) + nR))
     return out
+
+
+def monomial_norms_at_points(model, exps, z, twist="plain"):
+    """|z^alpha|^2 = prod_i |z_i|^{2 alpha_i} (times the half-form frame) from
+    unit-normalized points, shape (N, dim): the complex-point evaluation that
+    `sections.monomial_norms` replaced with its masses kernel."""
+    vals = sections._monomial_powers(np.abs(np.atleast_2d(z)), 2 * np.asarray(exps, dtype=float))
+    if twist == "halfform":
+        vals = vals * sections.halfform_frame(model)
+    return vals
+
+
+def pattern_gram_mc_by_block(action, exps, twist, pattern, quad, tag):
+    """The oracle of `sections._pattern_gram_mc`, block by block on complex points.
+
+    Each block draws, per support factor, standard_normal((per, dim)) for the
+    real and then the imaginary parts, normalizes the points and averages
+    their pointwise norms; the same stream and the same draws, one block and
+    one factor at a time.  Returns (diagonal, stderr).
+    """
+    model = action.model
+    quad = as_quad(quad)
+    rng = rng_for(quad.seed, "gram", tag)
+    nblk = max(4, quad.blocks)
+    per = max(64, quad.samples // nblk)
+    vol = 1.0
+    for sup, l in zip(pattern, model.bundle_degrees):
+        nR = len(sup) - 1
+        vol *= (l * TWO_PI) ** nR / math.factorial(nR)
+    means = np.empty((nblk, exps.shape[0]))
+    for b in range(nblk):
+        z = np.zeros((per, model.ncoords), dtype=complex)
+        for sup in pattern:
+            dim = len(sup)
+            blk = rng.standard_normal((per, dim)) + 1j * rng.standard_normal((per, dim))
+            z[:, list(sup)] = blk / np.linalg.norm(blk, axis=1, keepdims=True)
+        means[b] = monomial_norms_at_points(model, exps, z, twist).mean(axis=0)
+    err = means.std(axis=0, ddof=1) / np.sqrt(nblk)
+    return vol * means.mean(axis=0), vol * err
+
+
+def stratum_gram_mc_at_points(action, lab, exps, twist, quad, tag):
+    """The oracle of `reduction._stratum_gram_mc`: the same stratum samples
+    and blocks, the pointwise norms from the complex points."""
+    quad = as_quad(quad)
+    rng = rng_for(quad.seed, "reduced", tag)
+    count = max(256, quad.samples // 10)
+    pts, wts = strata.sample_stratum(action, lab, count, rng.integers(2**32))
+    if twist == "halfform":
+        wts = wts * reduction.descent_norm_factor(action, pts, lab.isotropy)
+    terms = wts[:, None] * monomial_norms_at_points(action.model, exps, pts, twist)
+    nblk = max(4, quad.blocks)
+    per = count // nblk
+    blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)
+    return terms.sum(axis=0), blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
 
 
 @dataclass

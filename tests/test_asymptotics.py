@@ -376,7 +376,7 @@ def test_norm_split_budget_scaling(e2, st2):
             mc, var = 0.0, 0.0
             for dim, pattern in terms:
                 if dim == 0:  # a point: its value, no error
-                    mc = mc + sections.monomial_norms(e2.model, exps, lab.representative)[0]
+                    mc = mc + sections.monomial_norms(e2.model, exps, models.masses(e2.model, lab.representative))[0]
                     continue
                 pref = (k / (2 * np.pi)) ** (dim / 2.0)
                 val, err = sections._pattern_gram_mc(e2, exps, "plain", pattern, quad, ("oracle", si, pattern))

@@ -318,14 +318,19 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     badcfg.write_text(json.dumps({"preset": "E2", "k_list": [4], "twist": "halfform"}))
     rc = cli.main(["describe", "--config", str(badcfg)])
     assert rc == 2
-    # malformed values exit 2 naming the field, before any output is written
-    for field, value in (("k_list", ["a"]), ("k_list", 2), ("k_list", [0, 2]), ("k_list", [-2, 2]),
-                         ("k_list", [True]), ("k_list", [2.5]), ("norm_defs", ["x"]), ("seed", "x"),
-                         ("quad", {"seed": "x"})):
+    # malformed values exit 2 naming the field, before any output is written; the mc
+    # route's stratum samples, max(256, samples // 10) = 256 here, fill at most 256 blocks
+    for field, value, named in (("k_list", ["a"], "k_list"), ("k_list", 2, "k_list"), ("k_list", [0, 2], "k_list"),
+                                ("k_list", [-2, 2], "k_list"), ("k_list", [True], "k_list"),
+                                ("k_list", [2.5], "k_list"), ("norm_defs", ["x"], "norm_defs"), ("seed", "x", "seed"),
+                                ("quad", {"seed": "x"}, "quad.seed"),
+                                ("quad", {"method": "mc", "samples": 1000, "blocks": 300}, "quad.blocks")):
         badcfg.write_text(json.dumps({"preset": "E1", "k_list": [2], field: value}))
         out = tmp_path / "malformed"
         assert cli.main(["run", "--config", str(badcfg), "--out", str(out)]) == 2
-        assert ("quad.seed:" if field == "quad" else f"{field}:") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{named}:" in err
+        assert named != "quad.blocks" or "256" in err
         assert not out.exists()
     assert cli.main(["run", "--preset", "E1", "--k", "2,x", "--out", str(tmp_path / "kx")]) == 2
     assert not (tmp_path / "kx").exists()

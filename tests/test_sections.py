@@ -282,6 +282,76 @@ def test_exact_pattern_gram_is_the_monomial_integral_bit_for_bit():
                     assert diag.tolist() == expect and not err.any()
 
 
+def assert_matches_mc_oracle(new, old):
+    """Diagonals within 1e-13 relative, zeros exactly where the oracle has them, and
+    standard errors within 1e-13 of the larger of themselves and their diagonal
+    entry, as tools/compare_runs.py measures them: with 10^6 samples in 4
+    blocks the block means spread by ~1/500 of their mean, so rounding in a
+    250000-term block sum, ~1e-14 of the mean on either route, moves the
+    standard error by ~1e-11 of itself."""
+    (diag, err), (diag_ref, err_ref) = new, old
+    assert np.array_equal(diag == 0, diag_ref == 0) and np.array_equal(err == 0, err_ref == 0)
+    scale = np.abs(diag_ref)
+    assert np.all(np.abs(diag - diag_ref) <= 1e-13 * scale)
+    assert np.all(np.abs(err - err_ref) <= 1e-13 * np.maximum(scale, err_ref))
+
+
+def test_pattern_gram_mc_draws_the_oracle_samples():
+    """`_pattern_gram_mc`, on masses in chunks of whole blocks, matches the
+    per-block oracle on complex points, which draws the same stream one block
+    and one factor at a time: on E2's norm-definition-2 pieces (rows that
+    charge an off-pattern coordinate are exactly 0), E3's half-form ambient,
+    (CP^1)^3 and CP^1 x CP^2 (factors of unequal dimension), with 32 blocks of
+    625 and of 385 samples (12345 is no multiple of 32), 4 blocks of 5000
+    (blocks 1 becomes 4) and 4 blocks of 250000, each larger than a chunk."""
+    from quantred import strata
+    from quantred.integrate import QuadConfig
+
+    assert 10**6 // 4 > 20000 // 4 > sections.MC_CHUNK
+    e2_pieces = []
+    for action, twist, k, large in ((_action([2], [1], [[1, -1, 0]]), "plain", 4, False),
+                                    (_action([1, 1], [1, 1], [[1, 0, -1, 0]], ["1/2"]), "halfform", 4, True),
+                                    (_action([1, 1, 1], [1, 1, 1], [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]),
+                                     "plain", 2, False),
+                                    (_action([1, 2], [1, 1], [[1, 0, -1, 0, 1]]), "plain", 4, True)):
+        exps = sections.invariant_exponents(action, k, twist)
+        ambient = sections._full_pattern(action.model)
+        st = strata.analyze(action)
+        pieces = sorted({pattern for lab in st.strata for dim, pattern, _ in st.preimage(lab)
+                         if dim > 0 and pattern != ambient})
+        for samples, blocks in [(20000, 32), (12345, 32), (20000, 1)] + [(10**6, 4)] * large:
+            quad = QuadConfig(method="mc", samples=samples, blocks=blocks, seed=11)
+            for pattern in [ambient] + pieces * (samples < 10**6):
+                tag = (k, twist, "t", pattern)
+                new = sections._pattern_gram_mc(action, exps, twist, pattern, quad, tag)
+                assert_matches_mc_oracle(new, reference.pattern_gram_mc_by_block(action, exps, twist, pattern, quad, tag))
+                if action.model.ncoords == 3 and pattern != ambient:
+                    e2_pieces.append(new[0])
+    # E2's pieces miss a coordinate that some invariant rows charge
+    assert e2_pieces and all(np.any(d == 0) and np.any(d > 0) for d in e2_pieces)
+
+
+def test_stratum_gram_mc_from_masses_matches_the_point_oracle():
+    """`reduction._stratum_gram_mc` evaluates its norms from the samples'
+    masses, the oracle from the complex points: E3's half-form open stratum
+    and CP^1 x CP^2's q = 2 open stratum, with 2000, 1234 and (the floor)
+    256 stratum samples in 32 blocks."""
+    from quantred import reduction, strata
+    from quantred.integrate import QuadConfig
+
+    for action, twist, ks, q in ((_action([1, 1], [1, 1], [[1, 0, -1, 0]], ["1/2"]), "halfform", (2, 8), 1),
+                                 (_action([1, 2], [1, 1], [[1, 0, -1, 0, 1]]), "plain", (2, 4), 2)):
+        lab = strata.analyze(action).open_stratum()
+        assert lab.level_slice.q == q
+        for k in ks:
+            exps = sections.invariant_exponents(action, k, twist)
+            for samples in (20000, 12345, 1000):
+                quad = QuadConfig(method="mc", samples=samples, blocks=32, seed=4)
+                tag = ("down", k, twist, lab.key)
+                assert_matches_mc_oracle(reduction._stratum_gram_mc(action, lab, exps, twist, quad, tag),
+                                         reference.stratum_gram_mc_at_points(action, lab, exps, twist, quad, tag))
+
+
 def test_empty_invariant_space_gram(e1):
     g = sections.gram_upstairs(e1, 3, "plain", 1, {"method": "exact"})
     assert g.dim == 0

@@ -517,7 +517,7 @@ def test_point_slices_carry_at_most_one_invariant_monomial(e1, st1, e2, st2, r2)
                     exps = sections.invariant_exponents(action, k, twist)
                 except sections.SectionError:
                     continue  # k too small for the half-form twist
-                nonzero = np.count_nonzero(sections.monomial_norms(model, exps, z, twist), axis=1)
+                nonzero = np.count_nonzero(sections.monomial_norms(model, exps, models.masses(model, z), twist), axis=1)
                 assert np.max(nonzero, initial=0) <= 1
 
 
