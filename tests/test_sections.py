@@ -303,7 +303,8 @@ def test_pattern_gram_mc_draws_the_oracle_samples():
     charge an off-pattern coordinate are exactly 0), E3's half-form ambient,
     (CP^1)^3 and CP^1 x CP^2 (factors of unequal dimension), with 32 blocks of
     625 and of 385 samples (12345 is no multiple of 32), 4 blocks of 5000
-    (blocks 1 becomes 4) and 4 blocks of 250000, each larger than a chunk."""
+    (blocks 1 becomes 4) and 4 blocks of 250000, each larger than a chunk;
+    and on a pattern where no invariant row lives, which is all zeros."""
     from quantred import strata
     from quantred.integrate import QuadConfig
 
@@ -329,6 +330,20 @@ def test_pattern_gram_mc_draws_the_oracle_samples():
                     e2_pieces.append(new[0])
     # E2's pieces miss a coordinate that some invariant rows charge
     assert e2_pieces and all(np.any(d == 0) and np.any(d > 0) for d in e2_pieces)
+    # CP^2 with weights (2, -1, -2) at k = 2: the one invariant row (1, 0, 1)
+    # charges z_2, so no row lives on the stratum pattern (0, 1)
+    action = _action([2], [1], [[2, -1, -2]])
+    exps = sections.invariant_exponents(action, 2, "plain")
+    assert exps.tolist() == [[1, 0, 1]]
+    pattern, st = ((0, 1),), strata.analyze(action)
+    assert any(pattern == piece for lab in st.strata for _, piece, _ in st.preimage(lab))
+    quad = QuadConfig(method="mc", samples=2000, blocks=8, seed=11)
+    new = sections._pattern_gram_mc(action, exps, "plain", pattern, quad, (2, "plain", "t", pattern))
+    assert_matches_mc_oracle(new, reference.pattern_gram_mc_by_block(action, exps, "plain", pattern, quad,
+                                                                     (2, "plain", "t", pattern)))
+    assert not np.any(new[0]) and not np.any(new[1])
+    g = sections.gram_upstairs(action, 2, "plain", 2, quad)
+    assert g.diagonal[0] > sections.gram_upstairs(action, 2, "plain", 1, quad).diagonal[0] > 0
 
 
 def test_stratum_gram_mc_from_masses_matches_the_point_oracle():
