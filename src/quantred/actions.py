@@ -58,28 +58,28 @@ class WeightAction:
                 raise ActionError("weight row length must match total coordinate count")
         if len(self.shift) != len(self.weights):
             raise ActionError("shift length must match torus rank")
+        # built once: the float tables W, shift_float and scaled_weights(), read-only as every caller shares
+        # them, and the hash that keys the isotropy cache (the shift's Fractions hash slowly)
+        W = np.asarray(self.weights, dtype=float)
+        degree = np.repeat(np.asarray(self.model.bundle_degrees, dtype=float), [n + 1 for n in self.model.factors])
+        for name, table in (("W", W), ("shift_float", np.asarray([float(c) for c in self.shift])), ("_Wl", W * degree)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        object.__setattr__(self, "_hash", hash((self.model, self.weights, self.shift)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self):
         return len(self.weights)
-
-    @property
-    def W(self):
-        return np.asarray(self.weights, dtype=float)
-
-    @property
-    def shift_float(self):
-        return np.asarray([float(c) for c in self.shift])
 
     def lift_integral(self, k):
         return all((k * c).denominator == 1 for c in self.shift)
 
     def scaled_weights(self):
         """Weights times the factor degree of their coordinate, l_j W_{a i}."""
-        Wl = self.W.copy()
-        for sl, l in zip(self.model.slices, self.model.bundle_degrees):
-            Wl[:, sl] *= l
-        return Wl
+        return self._Wl
 
     def to_json_dict(self):
         blocks = []
@@ -189,11 +189,12 @@ class IsotropyDescriptor:
 
 def support_of(model, z, tol=SUPPORT_TOL):
     """Per-factor tuples of coordinate indices carrying non-negligible mass."""
-    p = masses(model, z)
-    out = []
-    for sl in model.slices:
-        out.append(tuple(i for i in range(sl.start, sl.stop) if p[..., i] > tol))
-    return tuple(out)
+    return _support_of_masses(model, masses(model, z), tol)
+
+
+def _support_of_masses(model, p, tol=SUPPORT_TOL):
+    p = np.asarray(p).reshape(model.ncoords).tolist()  # one point
+    return tuple(tuple(i for i in range(sl.start, sl.stop) if p[i] > tol) for sl in model.slices)
 
 
 def _relative_weight_rows(action, support):
@@ -373,8 +374,9 @@ def transverse_exponent(action, p, k, halfform=False):
     """(a, b) with tau(xi, x) e^{-k f(xi, x)} [D(xi, x)] = tau(0, x) exp(<a, xi> + sum_j b_j log(N_j / N_j(0))).
 
     p has shape (N, ncoords): the masses of N points with a common support,
-    which share (a, b).  N_j is the mass sum of factor j after the flow, D
-    the half-form twist's divergence factor v^{-1/2}, and per factor j
+    which share (a, b); a 1-d k gives one row of each per k.  N_j is the mass
+    sum of factor j after the flow, D the half-form twist's divergence factor
+    v^{-1/2}, and per factor j
 
         a = 4 pi (k c - W 1_supp) [+ 2 pi W 1],   b_j = -|supp_j| - k l_j [+ (n_j + 1) / 2],
 
@@ -394,6 +396,7 @@ def transverse_exponent(action, p, k, halfform=False):
     on = p[0] > SUPPORT_TOL
     if np.any((p > SUPPORT_TOL) != on):
         raise ActionError("transverse_exponent needs points of one support pattern")
+    k = np.asarray(k, dtype=float)[..., None]
     a = 2.0 * TWO_PI * (k * action.shift_float - action.W @ on)
     b = -np.asarray([np.sum(on[sl]) for sl in model.slices], dtype=float) - k * np.asarray(model.bundle_degrees)
     if halfform:
@@ -406,25 +409,32 @@ def transverse_exponent(action, p, k, halfform=False):
 # norm-transport potential
 
 
-def _logsumexp(a):
-    """log sum exp over the first axis, shifted by its maximum (entries may be -inf); overwrites a."""
-    shift = np.max(a, axis=0)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
+def _logsumexp(a, out):
+    """log sum exp over the first axis, shifted by its maximum (entries may be -inf), into `out`; overwrites a."""
+    shift = np.maximum.reduce(a, axis=0)
+    if not np.isfinite(shift).all():
+        shift = np.where(np.isfinite(shift), shift, 0.0)
     a -= shift
-    return np.log(np.sum(np.exp(a, out=a), axis=0)) + shift
+    np.log(np.add.reduce(np.exp(a, out=a), axis=0, out=out), out=out)
+    out += shift
 
 
 def _log_masses(p):
     return np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
 
 
-def _log_flow_sums(model, logp, u):
-    """log N_j = log sum_{i in j} p_i e^{-4 pi u_i}, factor j on the last axis."""
-    # logp - 4 pi u in one array, coordinates first in memory: numpy reduces slowly along a short last axis
-    *lead, ncoords = np.broadcast_shapes(np.shape(logp), np.shape(u))
-    e = np.empty((ncoords, *lead))
-    np.add(logp, np.multiply(u, -2.0 * TWO_PI, out=np.moveaxis(e, 0, -1)), out=np.moveaxis(e, 0, -1))
-    return np.stack([_logsumexp(e[sl]) for sl in model.slices], axis=-1)
+def _log_flow_sums(model, logp, u, out=None):
+    """log N_j = log sum_{i in j} p_i e^{-4 pi u_i}, coordinates first (numpy reduces slowly along a short last
+    axis): logp and u broadcast to (ncoords, ...), the result is (nfactors, ...), and logp - 4 pi u is formed in
+    `out`, if given (it may be u itself)."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(logp), np.shape(u)))
+    e = np.multiply(u, -2.0 * TWO_PI, out=out)
+    e += logp
+    log_n = np.empty((len(model.slices),) + e.shape[1:])
+    for j, sl in enumerate(model.slices):
+        _logsumexp(e[sl], log_n[j, ...])
+    return log_n
 
 
 def potential(action, xi, point_or_masses, from_masses=False):
@@ -435,6 +445,7 @@ def potential(action, xi, point_or_masses, from_masses=False):
     model = action.model
     p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, normalize(model, point_or_masses))
     xi = np.asarray(xi, dtype=float)
-    logp = _log_masses(p)
-    log_n = _log_flow_sums(model, logp, xi @ action.W) - _log_flow_sums(model, logp, 0.0)  # f(0, x) is exactly 0
-    return log_n @ np.asarray(model.bundle_degrees, dtype=float) - 2.0 * TWO_PI * (xi @ action.shift_float)
+    logp, u = (np.moveaxis(v, -1, 0) for v in np.broadcast_arrays(_log_masses(p), xi @ action.W))
+    log_n = _log_flow_sums(model, logp, u) - _log_flow_sums(model, logp, 0.0)  # f(0, x) is exactly 0
+    degrees = np.asarray(model.bundle_degrees, dtype=float)
+    return np.moveaxis(log_n, 0, -1) @ degrees - 2.0 * TWO_PI * (xi @ action.shift_float)

@@ -12,6 +12,7 @@ are 1 identically on H = G strata.  Residual terms collect the preimage
 pieces that miss the zero level; they vanish as k grows.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,35 +54,46 @@ def _grid_pass(integrand, nodes, came, J, h, m, sums):
     grid at step 2h), its maximum and its boundary maximum.  came[i] is 0 for
     a new grid, 1 if R doubled (the old grid is the centre block), 2 if h
     halved (the old grid is the all-even points).  The new points, the boxes
-    old^d x new x all^(m-1-d), are evaluated and reduced in blocks of at most
-    TRANSVERSE_BLOCK (node, point) pairs.
+    old^d x new x all^(m-1-d), are tensor products of axes, evaluated by
+    integrand(nodes, ys) on nodes x ys[0] x ... x ys[m-1] in chunks of at most
+    TRANSVERSE_BLOCK (node, point) pairs: a range along one axis of (nodes,
+    axis 0, ..., axis m-1), whole after it, so only a row over the block is
+    cut.  Even masks per axis and the faces at -J and J reduce each chunk.
     """
     full = np.arange(-J, J + 1)
     for c in set(came.tolist()):
         rows = nodes[came == c]
-        kept = [full < -J, np.abs(full) <= J // 2, full % 2 == 0][c]  # the old grid's axis: none, centre, even
+        acc = sums[:, rows]
         if c < 2:  # a new grid starts from 0; after R doubled, the boundary is all new
-            sums[3 * c:, rows] = 0.0
-        else:  # after h halved, the step-2h grid is the old one
-            sums[1, rows] = sums[0, rows]
-        for box in ((full[kept],) * d + (full[~kept],) + (full,) * (m - 1 - d) for d in range(m if c else 1)):
-            shape = tuple(ax.size for ax in box)
-            size = int(np.prod(shape))
-            q, per = min(size, TRANSVERSE_BLOCK), max(1, TRANSVERSE_BLOCK // size)  # points, nodes per block
-            edges = any(J in (-ax[0], ax[-1]) for ax in box)
-            for s in range(0, size, q):
-                idx = np.stack([ax[i] for ax, i in zip(box, np.unravel_index(np.arange(s, min(s + q, size)), shape))],
-                               axis=-1)
-                even = np.flatnonzero(~np.any(idx & 1, axis=1)) if c < 2 else ()  # after a halving no new point is
-                edge = np.flatnonzero(np.any(np.abs(idx) == J, axis=1)) if edges else ()
-                for r in (rows[a:a + per] for a in range(0, rows.size, per)):
-                    v = integrand(r, h * idx)
-                    sums[0, r] += v.sum(axis=1)
-                    sums[2, r] = np.maximum(sums[2, r], v.max(axis=1))
-                    if len(even):
-                        sums[1, r] += v[:, even].sum(axis=1)
-                    if len(edge):
-                        sums[3, r] = np.maximum(sums[3, r], v[:, edge].max(axis=1))
+            acc[3 * c:] = 0.0
+            kept = np.abs(full) <= J // 2 if c else full < -J  # the old grid's axis: centre, or none
+        else:  # after h halved, the step-2h grid is the old one (the even axis), and no new point is all-even
+            acc[1] = acc[0]
+            kept = full % 2 == 0
+        for d in range(m if c else 1):
+            box = [full[kept]] * d + [full[~kept]] + [full] * (m - 1 - d)
+            even = [(ax % 2 == 0).astype(float) for ax in box] if c < 2 else ()
+            dims, a, tail = [rows.size] + [ax.size for ax in box], m, 1
+            while a and tail * dims[a] <= TRANSVERSE_BLOCK:  # the axes after a fit in one chunk whole
+                tail *= dims[a]
+                a -= 1
+            step = TRANSVERSE_BLOCK // tail
+            for head in np.ndindex(*dims[:a]):
+                for s in range(0, dims[a], step):
+                    cut = [slice(i, i + 1) for i in head] + [slice(s, s + step)] + [slice(None)] * (m - a)
+                    axes = [ax[i] for ax, i in zip(box, cut[1:])]
+                    v = integrand(rows[cut[0]], [h * ax for ax in axes])
+                    flat = v.reshape(v.shape[0], -1)
+                    total, even_total, top, edge = acc[:, cut[0]]
+                    total += np.add.reduce(flat, axis=1)
+                    np.maximum(top, np.maximum.reduce(flat, axis=1), out=top)
+                    if c < 2:  # v contracted with the axes' even masks, the last axis first
+                        even_total += functools.reduce(np.matmul, [ev[i] for ev, i in zip(even[::-1], cut[:0:-1])], v)
+                    for i, ax in enumerate(axes, 1):  # the chunk's faces on the boundary
+                        for f in [f for f in (0, -1) if abs(ax[f]) == J]:
+                            face = v[(slice(None),) * i + (f,)].reshape(v.shape[0], -1)
+                            np.maximum(edge, np.maximum.reduce(face, axis=1), out=edge)
+        sums[:, rows] = acc
 
 
 def _transverse_integral(action, z, ks, halfform=False):
@@ -112,7 +124,7 @@ def _transverse_integral(action, z, ks, halfform=False):
     """
     z = np.atleast_2d(z)
     p = masses(action.model, z)
-    mb = ta.m_basis(action, ta.isotropy(action, z[0]))
+    mb = ta.m_basis(action, ta.isotropy_of_support(action, ta._support_of_masses(action.model, p[0])))
     m = mb.shape[0]
     K, N = len(ks), z.shape[0]
     if m == 0:  # an H = G point: no transverse directions
@@ -125,40 +137,49 @@ def _transverse_integral(action, z, ks, halfform=False):
         i = bad[0]
         raise ta.ActionError(f"degenerate coarea differential at the point with masses {np.round(p[i], 12).tolist()}: "
                              f"lambda_min(S) = {lo[i]:.3e}, lambda_max(U) = {hi[i]:.3e} (stratification bug)")
-    k_of, x_of = np.repeat(np.arange(K), N), np.tile(np.arange(N), K)  # node n is the pair (ks[k_of[n]], z[x_of[n]])
+    k_of, x_of = np.divmod(np.arange(K * N), N)  # node n is the pair (ks[k_of[n]], z[x_of[n]])
     k = np.asarray(ks, dtype=float)[k_of]
-    a, b = map(np.array, zip(*(ta.transverse_exponent(action, p, kk, halfform) for kk in ks)))
+    a, b = ta.transverse_exponent(action, p, ks, halfform)
     # xi = y @ maps[n] = C^{-T} y / sqrt(k) at node n, so u = W^T xi and <a, xi> are y @ (maps[n] @ [W, a])
     maps = (np.linalg.inv(np.linalg.cholesky(2.0 * S)) @ mb)[x_of] / np.sqrt(k)[:, None, None]
-    wa = np.concatenate([np.broadcast_to(action.W, (K,) + action.W.shape), a[:, :, None]], axis=2)
-    maps = np.moveaxis(maps @ wa[k_of], 2, 0)  # (ncoords + 1, n, m)
-    buf = np.empty(TRANSVERSE_BLOCK * maps.shape[0])  # every block's [u, <a, xi>], coordinates first in memory
+    maps = np.moveaxis(np.concatenate([maps @ action.W, maps @ a[k_of, :, None]], axis=2), 2, 0)  # (ncoords + 1, n, m)
+    buf = np.empty(TRANSVERSE_BLOCK * maps.shape[0])  # every chunk's [u, <a, xi>], coordinates first in memory
     jac = (2.0 * k) ** (-m / 2.0)  # dxi = jac dy / tau(0, x), as det(2 k S) = (2 k)^m tau(0, x)^2
-    logp = ta._log_masses(p)[:, None, :]
-    log_n0 = ta._log_flow_sums(action.model, logp, 0.0)[x_of]
-    logp, b = logp[x_of], b[k_of][:, :, None]
+    logp = ta._log_masses(p).T
+    log_n0 = ta._log_flow_sums(action.model, logp, 0.0)[:, x_of]
+    # (coordinate or factor, node, 1, ..., 1): per node, broadcast over a chunk's grid axes
+    logp, log_n0, b = (v.reshape(v.shape + (1,) * m) for v in (logp[:, x_of], log_n0, b[k_of].T))
 
     def integrand(nodes, ys):
-        t = buf[:maps.shape[0] * nodes.size * len(ys)].reshape(maps.shape[0], nodes.size, len(ys))
-        np.matmul(maps[:, nodes].reshape(-1, m), ys.T, out=t.reshape(-1, len(ys)))
-        log_n = ta._log_flow_sums(action.model, logp[nodes], np.moveaxis(t[:-1], 0, -1))
-        return np.exp(t[-1] + ((log_n - log_n0[nodes]) @ b[nodes])[..., 0])
+        t = np.ndarray((maps.shape[0], nodes.size) + tuple(y.size for y in ys), buffer=buf)  # raises past the block
+        # the tensor product: [u, <a, xi>] is the sum of one outer product per axis
+        outer = [(maps[:, nodes, d, None] * y).reshape(t.shape[:2] + (1,) * d + (-1,) + (1,) * (m - 1 - d))
+                 for d, y in enumerate(ys)]
+        if m == 1:
+            t[...] = outer[0]
+        else:  # one pass over the block for the first two axes
+            np.add(outer[0], outer[1], out=t)
+        for f in outer[2:]:
+            t += f
+        log_n = ta._log_flow_sums(action.model, logp[:, nodes], t[:-1], out=t[:-1])
+        log_n -= log_n0[:, nodes]
+        log_n *= b[:, nodes]
+        t[-1] += np.add.reduce(log_n, axis=0)
+        return np.exp(t[-1], out=t[-1])
 
     n = K * N
     R, h = np.full(n, TRANSVERSE_R0), np.full(n, TRANSVERSE_H0)
     came, done = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-    value, error = np.empty(n), np.empty(n)
     sums = np.zeros((4, n))  # per node: grid sum, all-even sum, maximum, boundary maximum
 
     def at(i):
         return f"at the point {np.round(z[x_of[i]], 12).tolist()}"
 
     while not done.all():
-        groups = {}  # nodes on the same grid (R, h) share its pass
-        for i, grid in zip(np.flatnonzero(~done).tolist(), zip(R[~done].tolist(), h[~done].tolist())):
-            groups.setdefault(grid, []).append(i)
-        for (Rg, hg), group in sorted(groups.items()):
-            group = np.array(group)
+        live = np.flatnonzero(~done)
+        grids, grid_of = np.unique(R[live] + 1j * h[live], return_inverse=True)  # sorted by R, then h
+        for g, (Rg, hg) in enumerate((grid.real, grid.imag) for grid in grids.tolist()):
+            group = live[grid_of == g]  # the nodes on the grid (R, h) share its pass
             J = int(round(Rg / hg))
             size = (2 * J + 1) ** m
             if size > MAX_GRID_POINTS:
@@ -167,27 +188,29 @@ def _transverse_integral(action, z, ks, halfform=False):
             _grid_pass(integrand, group, came[group], J, hg, m, sums)
             total, even, top, edge = sums[:, group]
             I_h = hg**m * total
-            gap = np.abs(I_h - (2.0 * hg) ** m * even)  # |I_h - I_2h|
-            value[group], error[group] = jac[group] * I_h, jac[group] * gap
             if not np.isfinite(I_h).all():
                 i = group[~np.isfinite(I_h)][0]
                 raise AsymptoticsError(f"transverse integral {at(i)} is not finite at k={ks[k_of[i]]}")
+            gap = np.abs(I_h - (2.0 * hg) ** m * even)  # |I_h - I_2h|
             wide = edge <= TRANSVERSE_EDGE * top
             settled = wide & (gap <= TRANSVERSE_RTOL * np.abs(I_h))
             done[group[settled]] = True
-            widen, halve = group[~wide], group[wide & ~settled]
-            capped = ((widen[R[widen] >= TRANSVERSE_R0 * 2.0**MAX_WIDENINGS], MAX_WIDENINGS, "widenings of R"),
-                      (halve[h[halve] <= TRANSVERSE_H0 / 2.0**MAX_HALVINGS], MAX_HALVINGS, "halvings of h"))
-            for over, cap, what in capped:
-                if over.size:
-                    i = over[0]
+            widen, halve = ~wide, wide & ~settled
+            capped = ((widen, Rg >= TRANSVERSE_R0 * 2.0**MAX_WIDENINGS, MAX_WIDENINGS, "widenings of R"),
+                      (halve, hg <= TRANSVERSE_H0 / 2.0**MAX_HALVINGS, MAX_HALVINGS, "halvings of h"))
+            for over, at_cap, cap, what in capped:
+                if at_cap and over.any():
+                    j = np.flatnonzero(over)[0]
+                    i = group[j]
                     raise AsymptoticsError(
                         f"transverse integral {at(i)} did not settle at k={ks[k_of[i]]} after {cap} {what} "
-                        f"(R={R[i]:g}, h={h[i]:g}, |I_h - I_2h| = {error[i]:.3e}, I_h = {value[i]:.6e})"
+                        f"(R={Rg:g}, h={hg:g}, |I_h - I_2h| = {jac[i] * gap[j]:.3e}, I_h = {jac[i] * I_h[j]:.6e})"
                     )
-            R[widen] *= 2.0
-            h[halve] /= 2.0
+            R[group[widen]] = 2.0 * Rg
+            h[group[halve]] = hg / 2.0
             came[group] = 1 + wide  # 2: h halves
+    I_h = h**m * sums[0]  # each node's last grid
+    value, error = jac * I_h, jac * np.abs(I_h - (2.0 * h) ** m * sums[1])
     return value.reshape(K, N), error.reshape(K, N)
 
 

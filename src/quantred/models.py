@@ -38,6 +38,9 @@ class Model:
             raise ModelError("factor dimensions must be >= 1")
         if any(int(l) < 1 for l in self.bundle_degrees):
             raise ModelError("bundle degrees must be >= 1 (ample)")
+        # each factor's coordinates, built once
+        starts = [sum(n + 1 for n in self.factors[:j]) for j in range(len(self.factors))]
+        object.__setattr__(self, "slices", tuple(slice(s, s + n + 1) for s, n in zip(starts, self.factors)))
 
     @property
     def n_total(self):
@@ -46,14 +49,6 @@ class Model:
     @property
     def ncoords(self):
         return sum(n + 1 for n in self.factors)
-
-    @property
-    def slices(self):
-        out, start = [], 0
-        for n in self.factors:
-            out.append(slice(start, start + n + 1))
-            start += n + 1
-        return tuple(out)
 
     @property
     def metaplectic_allowed(self):

@@ -128,18 +128,8 @@ def _level_masses(action, pattern, value):
     model = action.model
     sup = [i for fac in pattern for i in fac]
     nsup = len(sup)
-    Wl = action.scaled_weights()[:, sup]
-    target = -value / TWO_PI - action.shift_float
-    rows = [Wl]
-    rhs = list(target)
-    for fac in pattern:
-        row = np.zeros((1, nsup))
-        for i in fac:
-            row[0, sup.index(i)] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    A = np.vstack(rows)
-    b = np.asarray(rhs)
+    A = np.vstack([action.scaled_weights()[:, sup], [[float(i in fac) for i in sup] for fac in pattern]])
+    b = np.concatenate([-value / TWO_PI - action.shift_float, np.ones(len(pattern))])
     u, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
     q = nsup - rank

@@ -359,7 +359,8 @@ def divergence_factor(action, xi, point_or_masses, from_masses=False):
     model = action.model
     p = np.asarray(point_or_masses, dtype=float) if from_masses else masses(model, normalize(model, point_or_masses))
     u = np.asarray(xi, dtype=float) @ action.W
-    log_n = ta._log_flow_sums(model, ta._log_masses(p), u)
+    logp, u_first = (np.moveaxis(v, -1, 0) for v in np.broadcast_arrays(ta._log_masses(p), u))
+    log_n = np.moveaxis(ta._log_flow_sums(model, logp, u_first), 0, -1)
     logv = 0.0
     for j, (sl, nj) in enumerate(zip(model.slices, model.factors)):
         logv = logv - 2.0 * TWO_PI * np.sum(u[..., sl], axis=-1) - (nj + 1) * log_n[..., j]

@@ -274,7 +274,8 @@ def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
                 live = fd > 1e-8 * fd.max()
                 p = models.masses(action.model, z)
                 logp, u = ta._log_masses(p), xis @ action.W
-                log_n = ta._log_flow_sums(action.model, logp, u) - ta._log_flow_sums(action.model, logp, 0.0)
+                log_n = (ta._log_flow_sums(action.model, logp[:, None], u.T)
+                         - ta._log_flow_sums(action.model, logp, 0.0)[:, None]).T
                 for k, halfform in itertools.product((0, 2), (False, True)):
                     a, b = ta.transverse_exponent(action, p[None], k, halfform)
                     closed = ta.orbit_volume(action, z) * np.exp(xis @ a + log_n @ b)
@@ -306,6 +307,26 @@ def test_coarea_setup_rejects_a_degenerate_jacobian(e2, monkeypatch):
         monkeypatch.setattr(ta, "m_basis", lambda action, iso: h)
         with pytest.raises(ta.ActionError, match=r"degenerate coarea differential at the point with masses \["):
             asymptotics._transverse_integral(action, pts, [2])
+
+
+def test_action_tables_built_once_and_read_only(e1, e2, e3):
+    """`WeightAction.W`, `shift_float` and `scaled_weights()` and
+    `Model.slices` are built once per object: repeated access returns the
+    same object, and writing into the arrays raises.  scaled_weights() is
+    l_j W on factor j's coordinates, on E1-E3, CP^1 x CP^2 with l = (2, 3)
+    and the rank-2 (CP^1)^3 model."""
+    cp = ta.make_action(models.make_model([1, 2], [2, 3]), [[1, 0, -1, 0, 1]])
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    for action in (e1, e2, e3, cp, rank2):
+        model = action.model
+        assert model.slices is model.slices
+        for table in (lambda: action.W, lambda: action.shift_float, action.scaled_weights):
+            assert table() is table()
+            with pytest.raises(ValueError):
+                table()[...] = 0.0
+        degree = np.concatenate([np.full(n + 1, float(l)) for n, l in zip(model.factors, model.bundle_degrees)])
+        assert np.array_equal(action.W, np.asarray(action.weights, dtype=float))
+        assert np.array_equal(action.scaled_weights(), degree * action.W)
 
 
 def test_isotropy_is_computed_once_per_support(tmp_path, monkeypatch):

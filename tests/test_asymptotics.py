@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -128,6 +130,38 @@ def test_transverse_sums_do_not_depend_on_the_block(e2, st2, monkeypatch):
         assert np.all(np.abs(a - b) <= 1e-14 * np.abs(ref[0]))
 
 
+def test_transverse_integral_memory_is_one_block(monkeypatch):
+    """The rule holds one block of TRANSVERSE_BLOCK (node, point) pairs plus
+    O(m J) axis data, and caches nothing across calls: at the two end nodes
+    of (CP^1)^3's order-32 open slice at k = 2, whose grids reach J = 640 in
+    m = 2 (1281^2 points each), the traced peak stays below 4 MiB, and after
+    the call no numpy array it made is still held.  Python's free lists keep
+    some small objects (slices, tuples) allocated, well under 256 KiB."""
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    sl = strata.make_level_slice(rank2, strata.analyze(rank2).open_stratum().top_pattern, np.zeros(2))
+    z, ((rows, _), _) = strata.slice_quadrature(rank2, sl, 32)
+    ends = z[rows][[0, -1]]
+    asymptotics._transverse_integral(rank2, ends, [100])  # the isotropy cache and the action's tables
+    grid_pass, sizes = asymptotics._grid_pass, []
+    monkeypatch.setattr(asymptotics, "_grid_pass", lambda *args: sizes.append(args[3]) or grid_pass(*args))
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        base = tracemalloc.get_traced_memory()[0]
+        T, err = asymptotics._transverse_integral(rank2, ends, [2])
+        peak = tracemalloc.get_traced_memory()[1] - base
+        del T, err
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = after.filter_traces(arrays).compare_to(before.filter_traces(arrays), "filename")
+    assert max(sizes) == 640
+    assert peak < 4 * 2**20
+    assert sum(d.size_diff for d in held) == 0
+    assert sum(d.size_diff for d in after.compare_to(before, "filename")) < 256 * 2**10
+
+
 def test_transverse_rule_treats_each_k_as_its_own_node(e2, st2, e3, st3):
     """Row i of one call over a k list is the call at ks[i] alone: T to
     1e-15 relative and the estimates within 1e-15 of T, on E2's order-32
@@ -155,20 +189,23 @@ def transverse_tau_calls(e2, st2):
 
     The inputs: all 32 nodes of E2's order-32 open slice at k = 2, both
     twists (the end nodes halve h up to 7 times), and the rank-2 (CP^1)^3
-    perfbench point at k = 10, 40, 100 (one of which widens R).  Each
+    perfbench point at k = 10, 40, 100 (one of which widens R), each at the
+    default TRANSVERSE_BLOCK and at a block of 7 pairs, below one grid row
+    (21 to 161 points at the rank-2 point), so that chunks cut rows.  Each
     evaluation computes the log-flow sums once, so `actions._log_flow_sums`
-    records it; its set-up call at u = 0 is skipped.  Per call, a list of
-    evaluations, each an array of (log masses, u = W^T xi) rows, one row per
-    (node, transverse point) pair; W has full rank, so u fixes xi.
+    records it; its set-up call at u = 0 is skipped.  Per block size, the
+    pair (block, calls); per call, a list of evaluations, each an array of
+    (log masses, u = W^T xi) rows, one row per (node, transverse point)
+    pair; W has full rank, so u fixes xi.
     """
     log_flow_sums = ta._log_flow_sums
     calls = []
 
-    def recording(model, logp, u):
-        if np.ndim(u):
+    def recording(model, logp, u, out=None):
+        if np.ndim(u):  # coordinates first; recorded before `out` overwrites u
             lp = np.broadcast_to(logp, np.shape(u))
-            calls[-1].append(np.concatenate([lp, u], axis=-1).reshape(-1, 2 * u.shape[-1]))
-        return log_flow_sums(model, logp, u)
+            calls[-1].append(np.concatenate([lp, u]).reshape(2 * len(u), -1).T)
+        return log_flow_sums(model, logp, u, out)
 
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     lab = strata.analyze(rank2).open_stratum()
@@ -176,29 +213,37 @@ def transverse_tau_calls(e2, st2):
     z, ((rows, _), _) = strata.slice_quadrature(e2, strata.make_level_slice(e2, st2.open_stratum().top_pattern,
                                                                            np.zeros(1)), 32)
     runs = [(e2, z[rows], 2, False), (e2, z[rows], 2, True)] + [(rank2, x[:1], k, False) for k in (10, 40, 100)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ta, "_log_flow_sums", recording)
-        for action, points, k, halfform in runs:
-            calls.append([])
-            asymptotics._transverse_integral(action, points, [k], halfform)
-    return calls
+    blocks = []
+    for block in (asymptotics.TRANSVERSE_BLOCK, 7):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ta, "_log_flow_sums", recording)
+            mp.setattr(asymptotics, "TRANSVERSE_BLOCK", block)
+            for action, points, k, halfform in runs:
+                calls.append([])
+                asymptotics._transverse_integral(action, points, [k], halfform)
+        blocks.append((block, calls))
+    return blocks
 
 
 def test_transverse_rule_evaluates_each_point_once(transverse_tau_calls):
     """Nested grids: a halving of h or a doubling of R evaluates only the
     points new to a node's grid, so no (node, xi) pair is evaluated twice
-    within one call."""
-    for evaluations in transverse_tau_calls:
-        rows = np.concatenate(evaluations)
-        assert len({row.tobytes() for row in rows}) == len(rows)
+    within one call, whether or not the chunks cut grid rows."""
+    for _, calls in transverse_tau_calls:
+        for evaluations in calls:
+            rows = np.concatenate(evaluations)
+            assert len({row.tobytes() for row in rows}) == len(rows)
 
 
 def test_transverse_evaluations_stay_within_the_block(transverse_tau_calls):
     """No tau evaluation receives more than TRANSVERSE_BLOCK (node, point)
-    pairs, the documented memory bound, though the rank-2 grids outgrow it."""
-    sizes = [[len(rows) for rows in evaluations] for evaluations in transverse_tau_calls]
-    assert max(max(call) for call in sizes) <= asymptotics.TRANSVERSE_BLOCK
-    assert max(sum(call) for call in sizes) > asymptotics.TRANSVERSE_BLOCK
+    pairs, the documented memory bound, though the rank-2 grids outgrow it,
+    also when the block is smaller than one grid row."""
+    for block, calls in transverse_tau_calls:
+        sizes = [[len(rows) for rows in evaluations] for evaluations in calls]
+        assert max(max(call) for call in sizes) <= block
+        assert max(sum(call) for call in sizes) > block
 
 
 def test_transverse_integral_does_no_linear_algebra_per_pass(monkeypatch):

@@ -40,6 +40,8 @@ SCENARIOS = [
     ("E3 --k 2,4,8", ["--preset", "E3", "--k", "2,4,8"]),
     ("E3 halfform --k 2,4,8", ["--preset", "E3", "--twist", "halfform", "--k", "2,4,8"]),
     ("(CP^1)^3 --k 2,4,8", ["--config", "{rank2}", "--k", "2,4,8"]),
+    ("(CP^1)^3 --only strata,density --k 10,40,100",
+     ["--config", "{rank2}", "--only", "strata,density", "--k", "10,40,100"]),
     (f"E3 grid_order 128 --only gram,unitarity --k {E3_SWEEP}",
      ["--config", "{e3grid}", "--only", "gram,unitarity", "--k", E3_SWEEP]),
     (f"E3 halfform grid_order 128 --only gram,unitarity --k {E3_SWEEP}",
