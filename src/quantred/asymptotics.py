@@ -13,6 +13,7 @@ pieces that miss the zero level; they vanish as k grows.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,59 +97,78 @@ def _grid_pass(integrand, nodes, came, J, h, m, sums):
         sums[:, rows] = acc
 
 
-def _transverse_integral(action, z, ks, halfform=False):
-    """T[i, n] = int_m tau(xi, x_n) e^{-k_i f(xi, x_n)} [D(xi, x_n)] dxi at points x_n, for each k_i in ks.
+def _orbit_grams(action, sets):
+    """(z, p, members, groups) for point sets of one support pattern each: the concatenated points, their masses,
+    per set its rows (a slice) and isotropy, and per m = dim(G/H) > 0 the rows of its sets' points with, per
+    point, the m basis mb and the orbit Gram S = mb B mb^T, B the field pairing.  A point whose S has smallest
+    eigenvalue at most ORBIT_GRAM_RTOL times the largest of U = 8 pi^2 sum_j l_j sum_{i in j} p_i W_i W_i^T on m
+    (a collapsed orbit) raises ActionError."""
+    sets = [np.atleast_2d(x) for x in sets]
+    z = np.concatenate(sets)
+    p = masses(action.model, z)
+    slices = [slice(end - len(x), end) for x, end in zip(sets, itertools.accumulate(map(len, sets)))]
+    isos = [ta.isotropy_of_support(action, ta._support_of_masses(action.model, p[sl.start])) for sl in slices]
+    bases = {iso: ta.m_basis(action, iso) for iso in set(isos)}
+    B = ta.field_pairing(action, p)
+    V = 2.0 * TWO_PI**2 * np.einsum("ai,bi,...i->...ab", action.scaled_weights(), action.W, p)  # U before mb
+    groups = []
+    for m in sorted({mb.shape[0] for mb in bases.values()} - {0}):
+        parts = [(sl, bases[iso]) for sl, iso in zip(slices, isos) if bases[iso].shape[0] == m]
+        rows = np.concatenate([np.arange(sl.start, sl.stop) for sl, _ in parts])
+        mb = np.repeat(np.stack([basis for _, basis in parts]), [sl.stop - sl.start for sl, _ in parts], axis=0)
+        S, U = (mb @ M[rows] @ mb.transpose(0, 2, 1) for M in (B, V))
+        lo, hi = np.linalg.eigvalsh(S)[:, 0], np.linalg.eigvalsh(U)[:, -1]
+        for i in np.flatnonzero(~(lo > ORBIT_GRAM_RTOL * hi))[:1]:
+            at = np.round(p[rows[i]], 12).tolist()
+            raise ta.ActionError(f"degenerate coarea differential at the point with masses {at}: "
+                                 f"lambda_min(S) = {lo[i]:.3e}, lambda_max(U) = {hi[i]:.3e} (stratification bug)")
+        groups.append((rows, mb, S))
+    return z, p, list(zip(slices, isos)), groups
 
-    z has shape (N, ncoords): points of one support pattern, such as the
-    nodes of a level slice; D, the divergence factor, enters for the
-    half-form twist.  Returns (T, estimates |I_h - I_2h|), each (len(ks), N),
-    with T = 1 and error 0 where m = 0.  Each (k, point) pair is a node of its
-    own, with the integrand exp(<a, xi> + sum_j b_j log(N_j / N_j(0))) times
-    tau(0, x), (a, b) from `actions.transverse_exponent` at its k, and the
-    whitened variable xi = C^{-T} y / sqrt(k), C C^T = 2 S the Hessian of f at
-    0 and S the field pairing on m.  As det C = 2^{m/2} tau(0, x), tau(0, x)
-    dxi = (2k)^{-m/2} dy.  A point whose S has smallest eigenvalue at most
-    ORBIT_GRAM_RTOL times the largest of the uncentred pairing U = 8 pi^2
-    sum_j l_j sum_{i in j} p_i W_i W_i^T on m (a collapsed orbit) raises
-    ActionError.  A tensor trapezoid grid of step h on [-R, R]^m in y is
-    widened (R doubles) until the boundary values fall below TRANSVERSE_EDGE
-    of the maximum, and then refined (h halves) until the sums at steps h and
-    2h agree to TRANSVERSE_RTOL; the trapezoid rule converges exponentially
-    for analytic integrands that decay at both ends (Trefethen & Weideman,
-    SIAM Review 56, 2014).  The grids are nested, so a node keeps four running
-    numbers, not its grid: the sums at steps h and 2h, the maximum and the
-    boundary maximum; a refinement evaluates only the points new to it
-    (`_grid_pass`), and nodes on one grid share its pass.  A node that needs
-    more than MAX_WIDENINGS or MAX_HALVINGS, or whose grid exceeds
+
+def _transverse_integral(action, sets, ks, halfform=False, grams=None):
+    """Per point set, (T, error) with T[i, n] = int_m tau(xi, x_n) e^{-k_i f(xi, x_n)} [D(xi, x_n)] dxi.
+
+    sets lists point arrays, each (N, ncoords) of one support pattern, such as a level slice's nodes; D, the
+    divergence factor, enters for the half-form twist.  Per set the pair is (T, estimates |I_h - I_2h|), each
+    (len(ks), N), with T = 1 and error 0 where m = 0.  The set-up runs once over all points (`_orbit_grams`, or
+    `grams`).  Each (k, point) pair is a node: with (a, b) from `actions.transverse_exponent`, y = sqrt(k) C^T xi
+    and C C^T = 2 S the Hessian of f at 0, tau e^{-kf} [D] dxi = (2k)^{-m/2} exp(<a, xi> + sum_j b_j log(N_j /
+    N_j(0))) dy.  A tensor trapezoid grid of step h on [-R, R]^m in y widens (R doubles) until the boundary
+    values fall below TRANSVERSE_EDGE of the maximum, then refines (h halves) until the sums at steps h and 2h
+    agree to TRANSVERSE_RTOL; for analytic integrands that decay at both ends it converges exponentially
+    (Trefethen & Weideman, SIAM Review 56, 2014).  The nodes of all sets with one m share one loop (`_refine`),
+    and in each round the nodes on one grid (R, h) share its pass (`_grid_pass`), so no node's grids or sums
+    depend on the others.  A node that needs more than MAX_WIDENINGS or MAX_HALVINGS, or whose grid exceeds
     MAX_GRID_POINTS, raises AsymptoticsError, naming its point and k.
     """
-    z = np.atleast_2d(z)
-    p = masses(action.model, z)
-    mb = ta.m_basis(action, ta.isotropy_of_support(action, ta._support_of_masses(action.model, p[0])))
-    m = mb.shape[0]
-    K, N = len(ks), z.shape[0]
-    if m == 0:  # an H = G point: no transverse directions
-        return np.ones((K, N)), np.zeros((K, N))
-    S = mb @ ta.field_pairing(action, p) @ mb.T
-    U = mb @ (2.0 * TWO_PI**2 * np.einsum("ai,bi,...i->...ab", action.scaled_weights(), action.W, p)) @ mb.T
-    lo, hi = np.linalg.eigvalsh(S)[:, 0], np.linalg.eigvalsh(U)[:, -1]
-    bad = np.flatnonzero(~(lo > ORBIT_GRAM_RTOL * hi))
-    if bad.size:
-        i = bad[0]
-        raise ta.ActionError(f"degenerate coarea differential at the point with masses {np.round(p[i], 12).tolist()}: "
-                             f"lambda_min(S) = {lo[i]:.3e}, lambda_max(U) = {hi[i]:.3e} (stratification bug)")
+    z, p, members, groups = _orbit_grams(action, sets) if grams is None else grams
+    K, n = len(ks), len(z)
+    a, b = np.empty((K, n, action.rank)), np.empty((K, n, len(action.model.slices)))
+    for sl, _ in members:
+        a[:, sl], b[:, sl] = (v[:, None] for v in ta.transverse_exponent(action, p[sl], ks, halfform))
+    value, error = np.ones((K, n)), np.zeros((K, n))  # m = 0: no transverse directions
+    for rows, mb, S in groups:
+        value[:, rows], error[:, rows] = _refine(action, ks, z[rows], p[rows], mb, S, a[:, rows], b[:, rows])
+    return [(value[:, sl], error[:, sl]) for sl, _ in members]
+
+
+def _refine(action, ks, z, p, mb, S, a, b):
+    """The (T, error) of `_transverse_integral` over the nodes (k, point) of N points of one m, each (len(ks), N).
+    The grids are nested, so a node keeps four running numbers, the sums at steps h and 2h, the maximum and the
+    boundary maximum, and a refinement evaluates only the points new to its grid."""
+    K, N, m = len(ks), len(z), mb.shape[1]
     k_of, x_of = np.divmod(np.arange(K * N), N)  # node n is the pair (ks[k_of[n]], z[x_of[n]])
     k = np.asarray(ks, dtype=float)[k_of]
-    a, b = ta.transverse_exponent(action, p, ks, halfform)
     # xi = y @ maps[n] = C^{-T} y / sqrt(k) at node n, so u = W^T xi and <a, xi> are y @ (maps[n] @ [W, a])
     maps = (np.linalg.inv(np.linalg.cholesky(2.0 * S)) @ mb)[x_of] / np.sqrt(k)[:, None, None]
-    maps = np.moveaxis(np.concatenate([maps @ action.W, maps @ a[k_of, :, None]], axis=2), 2, 0)  # (ncoords + 1, n, m)
+    maps = np.moveaxis(np.concatenate([maps @ action.W, maps @ a.reshape(K * N, -1, 1)], axis=2), 2, 0)
     buf = np.empty(TRANSVERSE_BLOCK * maps.shape[0])  # every chunk's [u, <a, xi>], coordinates first in memory
     jac = (2.0 * k) ** (-m / 2.0)  # dxi = jac dy / tau(0, x), as det(2 k S) = (2 k)^m tau(0, x)^2
     logp = ta._log_masses(p).T
     log_n0 = ta._log_flow_sums(action.model, logp, 0.0)[:, x_of]
     # (coordinate or factor, node, 1, ..., 1): per node, broadcast over a chunk's grid axes
-    logp, log_n0, b = (v.reshape(v.shape + (1,) * m) for v in (logp[:, x_of], log_n0, b[k_of].T))
+    logp, log_n0, b = (v.reshape(v.shape + (1,) * m) for v in (logp[:, x_of], log_n0, b.reshape(K * N, -1).T))
 
     def integrand(nodes, ys):
         t = np.ndarray((maps.shape[0], nodes.size) + tuple(y.size for y in ys), buffer=buf)  # raises past the block
@@ -214,14 +234,34 @@ def _transverse_integral(action, z, ks, halfform=False):
     return value.reshape(K, N), error.reshape(K, N)
 
 
-def _density(action, label, point, ks, halfform):
+def _transverse_batch(action, wanted, ks, halfform):
+    """One `_transverse_integral` call for every piece (dim, nodes, rules) in the lists of the dict `wanted`;
+    each piece comes back as (dim, nodes, rules, T, T_err, vol), with the nodes' geometric orbit volume
+    vol(G.x)/|Gamma| = sqrt(det S) / |Gamma| read off the orbit Gram S the call whitens with."""
+    pieces = [piece for group in wanted.values() for piece in group]
+    if not pieces:
+        return {key: [] for key in wanted}
+    sets = [z for _, z, _ in pieces]
+    grams = _orbit_grams(action, sets)
+    z, _, members, groups = grams
+    vol = np.ones(len(z))  # m = 0: the empty determinant
+    for rows, _, S in groups:
+        vol[rows] = np.sqrt(np.clip(np.linalg.det(S), 0.0, None))
+    results = _transverse_integral(action, sets, ks, halfform, grams)
+    done = iter(piece + (T, T_err, vol[sl] / iso.finite_part)
+                for piece, (T, T_err), (sl, iso) in zip(pieces, results, members))
+    return {key: [next(done) for _ in group] for key, group in wanted.items()}
+
+
+def _density(action, label, point, ks, halfform, piece=None):
     """One (I_k or J_k, its error) per k in ks at one point: the density's
-    factor of T_k times T_k, and its |I_h - I_2h|."""
-    iso = label.isotropy
-    z = normalize(action.model, point)[None]
-    m = action.rank - iso.dim
-    vol = 2.0 ** (m / 2.0) if halfform else ta.geometric_orbit_volume(action, z, iso)[0]
-    T, T_err = _transverse_integral(action, z, ks, halfform)
+    factor of T_k times T_k, and its |I_h - I_2h|.  `piece` is the point's
+    `_transverse_batch` entry, if already computed."""
+    if piece is None:
+        piece = _transverse_batch(action, {0: [(0, normalize(action.model, point)[None], None)]}, ks, halfform)[0][0]
+    _, _, _, T, T_err, vol = piece
+    m = action.rank - label.isotropy.dim
+    vol = 2.0 ** (m / 2.0) if halfform else vol[0]
     w = [(k / TWO_PI) ** (m / 2.0) * vol for k in ks]
     return [(float(wk * t), float(wk * e)) for wk, t, e in zip(w, T[:, 0], T_err[:, 0])]
 
@@ -240,43 +280,52 @@ def density_J(action, label, point, k):
 # residual pieces
 
 
-def residual_with_error(action, label, ks, twist="plain", quad=None, strat=None, exps=None):
+def _residual_pieces(action, label, quad, strat):
+    """A label's extra preimage pieces as (dim, nodes, rules) on their level slices, at max(24, grid_order // 2)."""
+    order = max(24, as_quad(quad).grid_order // 2)
+    return [(dim, *strata.slice_quadrature(action, sl, order)) for dim, _, sl in strat.preimage(label)[1:]]
+
+
+def _own_piece(action, label, strat):
+    """A stratum's own zero-level slice as (dim, nodes, rules) at DENSITY_ORDER."""
+    dim, _, sl = strat.preimage(label)[0]
+    return dim, *strata.slice_quadrature(action, sl, DENSITY_ORDER)
+
+
+def residual_with_error(action, label, ks, twist="plain", quad=None, strat=None, exps=None, pieces=None):
     """One (diagonal, error) per k in ks: Gram-diagonal contributions of the extra preimage pieces of one label.
 
-    The sum of `_piece_integral` over `Stratification.preimage(label)` after
-    its first entry, the label's own complexification.  Each piece's level
+    The sum of `_piece_integral` over `_residual_pieces`.  Each piece's level
     slice meets every orbit of the piece once, at any torus rank.  `quad`
-    sets the Gauss order, max(24, grid_order // 2); `exps` holds each k's
-    invariant exponents, if already computed.
+    sets the Gauss order; `exps` holds each k's invariant exponents and
+    `pieces` the label's `_transverse_batch` entries, if already computed.
     """
     strat = strat or strata.analyze(action)
     exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
-    order = max(24, as_quad(quad).grid_order // 2)
+    if pieces is None:
+        wanted = {0: _residual_pieces(action, label, quad, strat)}
+        pieces = _transverse_batch(action, wanted, ks, twist == "halfform")[0]
     out = [np.zeros((2, e.shape[0])) for e in exps]  # diagonal, error
-    for dim, _, sl in strat.preimage(label)[1:]:
-        out = [o + piece for o, piece in zip(out, _piece_integral(action, dim, sl, exps, ks, twist, order))]
+    for piece in pieces:
+        out = [o + part for o, part in zip(out, _piece_integral(action, piece, exps, ks, twist))]
     return [(o[0], o[1]) for o in out]
 
 
-def _piece_integral(action, dim, sl, exps, ks, twist, order):
+def _piece_integral(action, piece, exps, ks, twist):
     """(k/2pi)^{dim/2} int_S |s_a|^2 vol(G.x)/|Gamma| T_k eps_hat over a level slice with q <= 1, and its error.
 
-    One pair per k in ks, exps[i] the exponent matrix at ks[i]; per basis
-    monomial.  dim is the complex dimension of the preimage piece,
-    vol(G.x)/|Gamma| the geometric orbit volume on the slice's pattern and T_k
-    the transverse integral, with the divergence factor for the half-form
-    twist.  On a stratum's own zero-level slice this weight is the density
-    I_k, or J_k times the half-form descent factor.  One
-    `strata.slice_quadrature` call gives the nodes of the Gauss rule and of
-    its error rule, and one `_transverse_integral` call covers them at every
-    k; the error is the gap |Q_n - Q_{n/2}| between the rules (0 on a point
-    slice) plus the order-n nodes' transverse estimates |I_h - I_2h|.
+    One pair per k in ks, exps[i] the exponent matrix at ks[i]; per basis monomial.  piece is a
+    `_transverse_batch` entry (dim, nodes, rules, T, T_err, vol): dim the complex dimension of the preimage
+    piece, the nodes of the slice's Gauss rule and of its error rule (`strata.slice_quadrature`), T_k the
+    transverse integral there, with the divergence factor for the half-form twist, and vol(G.x)/|Gamma| the
+    geometric orbit volume.  On a stratum's own zero-level slice this weight is the density I_k, or J_k times
+    the half-form descent factor.  The error is the gap |Q_n - Q_{n/2}| between the rules (0 on a point slice)
+    plus the order-n nodes' transverse estimates |I_h - I_2h|.
     """
-    z, rules = strata.slice_quadrature(action, sl, order)
-    vol = ta.geometric_orbit_volume(action, z, ta.isotropy_of_support(action, sl.pattern))
+    dim, z, rules, Ts, T_errs, vol = piece
     p = masses(action.model, z)
     out = []
-    for k, e, T, T_err in zip(ks, exps, *_transverse_integral(action, z, ks, twist == "halfform")):
+    for k, e, T, T_err in zip(ks, exps, Ts, T_errs):
         norms = sections.monomial_norms(action.model, e, p, twist)
         value, half = ((w * vol[rows] * T[rows]) @ norms[rows] for rows, w in rules)
         rows, w = rules[0]
@@ -355,33 +404,36 @@ def norm_split_consistency(action, k, twist="plain", quad=None, strat=None, resi
     return _norm_split_reports(action, [k], twist, quad, strat, residuals)[0]
 
 
-def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residuals=None, exps=None):
+def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residuals=None, exps=None, own=None):
     """One norm-split report per k in ks, each with per-section discrepancies.
 
-    Both sides run over the pieces of `Stratification.preimage`.  The left
-    side is exact: Dirichlet moments of |s|^2 on each piece's pattern, each
-    with its (k/2pi)^{dim/2}.  The right side is one `_piece_integral` per
-    piece for all of ks: on the stratum's own zero-level slice at
-    DENSITY_ORDER (the reduced-space integral of the descended norm against
-    I_k or J_k), on the extra pieces through `residual_with_error`, whose
-    grid order `quad` sets.  `stderr` is their quadrature error plus
-    CONSISTENCY_FLOOR times the stratum's largest |lhs|, and nsigma = |lhs -
-    rhs| / stderr.  `residuals` and `exps`, if given, hold each stratum's
-    `residual_with_error` for ks and this quad, and each k's exponents.
+    Both sides run over the pieces of `Stratification.preimage`.  The left side is exact: Dirichlet moments of
+    |s|^2 on each piece's pattern, each with its (k/2pi)^{dim/2}.  The right side is one `_piece_integral` per
+    piece for all of ks: on the stratum's own zero-level slice (`_own_piece`, the reduced-space integral of the
+    descended norm against I_k or J_k), on the extra pieces through `residual_with_error`, whose grid order
+    `quad` sets.  `stderr` is their quadrature error plus CONSISTENCY_FLOOR times the stratum's largest |lhs|,
+    and nsigma = |lhs - rhs| / stderr.  `residuals`, `exps` and `own`, if given, hold each stratum's
+    `residual_with_error` for ks and this quad, each k's exponents, and each stratum's own piece as its
+    `_transverse_batch` entry at ks; one `_transverse_batch` call makes the rest.
     """
     strat = strat or strata.analyze(action)
     exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
     reports = [{"k": int(k), "twist": twist, "strata": [], "max_nsigma": 0.0, "dim": int(e.shape[0])}
                | ({} if e.shape[0] else {"note": "empty invariant space"}) for k, e in zip(ks, exps)]
     live = [i for i, e in enumerate(exps) if e.shape[0]]
-    ks, exps = [ks[i] for i in live], [exps[i] for i in live]
-    for si, lab in enumerate(strat.strata if live else ()):
+    labels = strat.strata if live else []
+    wanted = {("own", si): [_own_piece(action, lab, strat)] for si, lab in enumerate(labels) if own is None}
+    wanted |= {("residual", si): _residual_pieces(action, lab, quad, strat)
+               for si, lab in enumerate(labels) if residuals is None}
+    done = _transverse_batch(action, wanted, ks, twist == "halfform")
+    own = own or [done["own", si][0] for si in range(len(labels))]
+    residuals = residuals or [residual_with_error(action, lab, ks, twist, quad, strat, exps, done["residual", si])
+                              for si, lab in enumerate(labels)]
+    for si, lab in enumerate(labels):
         pieces = strat.preimage(lab)
-        d, _, sl = pieces[0]
-        own = _piece_integral(action, d, sl, exps, ks, twist, DENSITY_ORDER)
-        res = (residual_with_error(action, lab, ks, twist, quad, strat, exps) if residuals is None
-               else [residuals[si][i] for i in live])
-        for i, k, e, (rhs, err), (r, r_err) in zip(live, ks, exps, own, res):
+        own_k = _piece_integral(action, own[si], exps, ks, twist)
+        for i in live:
+            k, e, (rhs, err), (r, r_err) = ks[i], exps[i], own_k[i], residuals[si][i]
             lhs = sum((k / TWO_PI) ** (dp / 2.0) * sections._gram_exact_on_pattern(action, e, twist, pattern)[0]
                       for dp, pattern, _ in pieces)
             rhs, err = rhs + r, err + r_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))

@@ -339,13 +339,18 @@ def run(scn):
             record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
             record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
 
-    residuals = {}  # stratum index -> (residual diagonal, error) per k, shared by the II rows and the consistency check
-
-    def residual(i):
-        if i not in residuals:
-            residuals[i] = asymptotics.residual_with_error(scn.action, strat.strata[i], ks, scn.twist, quad,
-                                                           strat=strat, exps=exps)
-        return residuals[i]
+    wanted, points = {}, {}  # every transverse integral the quantities need, in one call; residuals are shared
+    for i, lab in enumerate(strat.strata):
+        if "consistency" in scn.quantities or "density" in scn.quantities and lab.isotropy.is_full:
+            wanted["residual", i] = asymptotics._residual_pieces(scn.action, lab, quad, strat)
+        if "consistency" in scn.quantities and any(e.shape[0] for e in exps):
+            wanted["own", i] = [asymptotics._own_piece(scn.action, lab, strat)]
+        if "density" in scn.quantities and not lab.isotropy.is_full:
+            points[i] = x = strata.sample_stratum(scn.action, lab, 1, seed=scn.seed + 17 * i)[0][0]
+            wanted["density", i] = [(0, models.normalize(scn.model, x)[None], None)]
+    done = asymptotics._transverse_batch(scn.action, wanted, ks, scn.twist == "halfform")
+    residuals = {i: asymptotics.residual_with_error(scn.action, strat.strata[i], ks, scn.twist, quad, strat, exps, p)
+                 for (kind, i), p in done.items() if kind == "residual"}
 
     if "density" in scn.quantities:
         rows = []
@@ -353,16 +358,17 @@ def run(scn):
         for i, lab in enumerate(strat.strata):
             if lab.isotropy.is_full:
                 curve = asymptotics.DensityCurve(quantity="II", stratum=f"stratum_{i}")
-                for k, (diagonal, error) in zip(ks, residual(i)):
+                for k, (diagonal, error) in zip(ks, residuals[i]):
                     val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat, diagonal=diagonal)
                     curve.points.append(_row(k, val, float(np.sum(error)), "II", curve.stratum))
                 if all(p[1] > 0 for p in curve.points):
                     fits.append({"quantity": "II", "stratum": i, "fit_power": curve.fit()})
             else:
-                x = strata.sample_stratum(scn.action, lab, 1, seed=scn.seed + 17 * i)[0][0]
+                x = points[i]
                 name = "J" if scn.twist == "halfform" else "I"
                 curve = asymptotics.DensityCurve(quantity=name, stratum=f"stratum_{i}")
-                for k, (val, error) in zip(ks, asymptotics._density(scn.action, lab, x, ks, scn.twist == "halfform")):
+                for k, (val, error) in zip(ks, asymptotics._density(scn.action, lab, x, ks, scn.twist == "halfform",
+                                                                    done["density", i][0])):
                     curve.points.append(_row(k, val, error, name, curve.stratum))
                 limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
                 fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": curve.fit(limit=limit)})
@@ -387,8 +393,9 @@ def run(scn):
                                          ("k", "twist", "norm_def", "defect", "stderr"), rows))
 
     if "consistency" in scn.quantities:
-        reports = asymptotics._norm_split_reports(scn.action, ks, scn.twist, quad, strat=strat,
-                                                  residuals=[residual(i) for i in range(len(strat.strata))], exps=exps)
+        own = [pieces[0] for (kind, _), pieces in done.items() if kind == "own"] or None  # None: no live k
+        reports = asymptotics._norm_split_reports(scn.action, ks, scn.twist, quad, strat, list(residuals.values()),
+                                                  exps, own)
         record("consistency.json", _write_json(os.path.join(scn.out, "consistency.json"), {
             "reports": reports,
             "note": "zero-dimensional strata contribute point values with (k/2pi)^0 = 1",

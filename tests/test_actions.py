@@ -306,7 +306,7 @@ def test_coarea_setup_rejects_a_degenerate_jacobian(e2, monkeypatch):
         h = np.asarray([[float(v) for v in ta.isotropy(action, pts[0]).algebra_basis[0]]])
         monkeypatch.setattr(ta, "m_basis", lambda action, iso: h)
         with pytest.raises(ta.ActionError, match=r"degenerate coarea differential at the point with masses \["):
-            asymptotics._transverse_integral(action, pts, [2])
+            asymptotics._transverse_integral(action, [pts], [2])
 
 
 def test_action_tables_built_once_and_read_only(e1, e2, e3):

@@ -59,7 +59,7 @@ def test_transverse_rule_at_slice_ends(e2, st2):
     ends = [0, 1, 30, 31]
     k = 2
     for halfform in (False, True):
-        T, est = (v[0] for v in asymptotics._transverse_integral(e2, z[ends], [k], halfform))
+        T, est = (v[0] for v in asymptotics._transverse_integral(e2, [z[ends]], [k], halfform)[0])
         for zn, pn, t, e in zip(z[ends], p[ends], T, est):
             mb = ta.m_basis(e2, ta.isotropy(e2, zn))
             s_basis, _, _ = ta.level_tangent_basis(e2, zn)
@@ -100,7 +100,7 @@ def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypa
     z, _ = strata.slice_quadrature(e2, st2.pieces[full.key][0].level_slice, 24)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(asymptotics.AsymptoticsError, match="is not finite at k=3000"):
-        asymptotics._transverse_integral(e2, z, [3000])
+        asymptotics._transverse_integral(e2, [z], [3000])
 
 
 def test_transverse_grid_over_its_cap_raises(e2, st2, monkeypatch):
@@ -123,9 +123,9 @@ def test_transverse_sums_do_not_depend_on_the_block(e2, st2, monkeypatch):
     level moves with the order of summation)."""
     dim, _, sl = st2.preimage(st2.open_stratum())[0]
     exps = sections.invariant_exponents(e2, 4, "plain")
-    (ref,) = asymptotics._piece_integral(e2, dim, sl, [exps], [4], "plain", asymptotics.DENSITY_ORDER)
+    (ref,) = reference.piece_integral(e2, dim, sl, [exps], [4], "plain", asymptotics.DENSITY_ORDER)
     monkeypatch.setattr(asymptotics, "TRANSVERSE_BLOCK", 7)
-    (got,) = asymptotics._piece_integral(e2, dim, sl, [exps], [4], "plain", asymptotics.DENSITY_ORDER)
+    (got,) = reference.piece_integral(e2, dim, sl, [exps], [4], "plain", asymptotics.DENSITY_ORDER)
     for a, b in zip(got, ref):
         assert np.all(np.abs(a - b) <= 1e-14 * np.abs(ref[0]))
 
@@ -141,7 +141,7 @@ def test_transverse_integral_memory_is_one_block(monkeypatch):
     sl = strata.make_level_slice(rank2, strata.analyze(rank2).open_stratum().top_pattern, np.zeros(2))
     z, ((rows, _), _) = strata.slice_quadrature(rank2, sl, 32)
     ends = z[rows][[0, -1]]
-    asymptotics._transverse_integral(rank2, ends, [100])  # the isotropy cache and the action's tables
+    asymptotics._transverse_integral(rank2, [ends], [100])  # the isotropy cache and the action's tables
     grid_pass, sizes = asymptotics._grid_pass, []
     monkeypatch.setattr(asymptotics, "_grid_pass", lambda *args: sizes.append(args[3]) or grid_pass(*args))
     arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
@@ -149,7 +149,7 @@ def test_transverse_integral_memory_is_one_block(monkeypatch):
     try:
         before = tracemalloc.take_snapshot()
         base = tracemalloc.get_traced_memory()[0]
-        T, err = asymptotics._transverse_integral(rank2, ends, [2])
+        T, err = asymptotics._transverse_integral(rank2, [ends], [2])[0]
         peak = tracemalloc.get_traced_memory()[1] - base
         del T, err
         after = tracemalloc.take_snapshot()
@@ -175,12 +175,110 @@ def test_transverse_rule_treats_each_k_as_its_own_node(e2, st2, e3, st3):
                                                                        np.zeros(1)), 32)
         runs += [(action, z, (2, 8, 32), halfform) for halfform in (False, True)]
     for action, z, ks, halfform in runs:
-        T, err = asymptotics._transverse_integral(action, z, ks, halfform)
+        T, err = asymptotics._transverse_integral(action, [z], ks, halfform)[0]
         assert T.shape == err.shape == (len(ks), len(z))
         for i, k in enumerate(ks):
-            T1, err1 = (v[0] for v in asymptotics._transverse_integral(action, z, [k], halfform))
+            T1, err1 = (v[0] for v in asymptotics._transverse_integral(action, [z], [k], halfform)[0])
             assert np.all(np.abs(T[i] - T1) <= 1e-15 * T1)
             assert np.all(np.abs(err[i] - err1) <= 1e-15 * T1)
+
+
+def _run_sets(action, st, seed=0):
+    """The point sets `quantred run` hands the transverse rule: per stratum its extra pieces' slice nodes at
+    the residual order 48, its own slice's nodes at DENSITY_ORDER and, off H = G, one sampled point."""
+    sets = []
+    for i, lab in enumerate(st.strata):
+        pieces = st.preimage(lab)
+        sets += [strata.slice_quadrature(action, sl, 48)[0] for _, _, sl in pieces[1:]]
+        sets.append(strata.slice_quadrature(action, pieces[0][2], asymptotics.DENSITY_ORDER)[0])
+        if not lab.isotropy.is_full:
+            x = strata.sample_stratum(action, lab, 1, seed=seed + i)[0][0]
+            sets.append(models.normalize(action.model, x)[None])
+    return sets
+
+
+def test_transverse_sets_share_one_loop_bit_for_bit(e1, st1, e2, st2, e3, st3, monkeypatch):
+    """One call over a list of point sets returns, per set, the bits of a
+    call on that set alone, and each (k, point) node runs through the same
+    grids (J, h) in the same order: on E1, E2 and E3 (both twists where
+    parity allows) at k = 2, 4, 8 and on (CP^1)^3 at k = 2, each with the
+    sets of a run, which mix m = 0, m = 1 and (on (CP^1)^3) m = 2 and
+    several support patterns in one list."""
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    passes, grid_pass = [], asymptotics._grid_pass
+    monkeypatch.setattr(asymptotics, "_grid_pass", lambda integrand, nodes, came, J, h, m, sums:
+                        passes.append((m, nodes.copy(), J, h)) or grid_pass(integrand, nodes, came, J, h, m, sums))
+
+    def grids(action, sets, ks, halfform, offset=0):
+        """The call's pairs and each node's (J, h) sequence, keyed by (k, global point index)."""
+        passes.clear()
+        out = asymptotics._transverse_integral(action, sets, ks, halfform)
+        rows = {g[1].shape[1]: g[0] for g in asymptotics._orbit_grams(action, sets)[3]}  # m -> the group's rows
+        seq = {}
+        for m, nodes, J, h in passes:
+            for n in nodes.tolist():
+                seq.setdefault((n // len(rows[m]), offset + int(rows[m][n % len(rows[m])])), []).append((J, h))
+        return out, seq
+
+    runs = [(e1, st1, (2, 4, 8), hf) for hf in (False, True)] + [(e2, st2, (2, 4, 8), False)]
+    runs += [(e3, st3, (2, 4, 8), hf) for hf in (False, True)] + [(rank2, strata.analyze(rank2), (2,), False)]
+    ms = set()
+    for action, st, ks, halfform in runs:
+        sets = _run_sets(action, st)
+        ms |= {int(np.shape(g[1])[1]) for g in asymptotics._orbit_grams(action, sets)[3]}
+        ms |= {0} if any(lab.isotropy.is_full for lab in st.strata) else set()
+        together, seq = grids(action, sets, ks, halfform)
+        assert len(together) == len(sets) >= 2
+        alone_seq, offset = {}, 0
+        for x, (T, err) in zip(sets, together):
+            ((T1, err1),), alone = grids(action, [x], ks, halfform, offset)
+            alone_seq |= alone
+            offset += len(x)
+            assert T.shape == err.shape == (len(ks), len(x))
+            assert T.tobytes() == T1.tobytes() and err.tobytes() == err1.tobytes()
+        assert seq == alone_seq and len(seq) > 0
+    assert ms == {0, 1, 2}
+
+
+def test_transverse_errors_name_the_set_that_fails(e2, st2, monkeypatch):
+    """Sets that share a loop fail on their own node: E2's order-32 open
+    slice at k = 2 needs at most 3 halvings and R = 20 (J = 160) at its
+    first eight nodes, 7 halvings (J = 1280) at its last, so with that node
+    in a second set a cap of 4 halvings or of 400 grid points names its
+    point and k, not the first set's.  A collapsed orbit in the second set
+    (m_basis monkeypatched to the isotropy vector there only) raises
+    ActionError naming its masses, after a healthy first set."""
+    sl = strata.make_level_slice(e2, st2.open_stratum().top_pattern, np.zeros(1))
+    z, ((rows, _), _) = strata.slice_quadrature(e2, sl, 32)
+    z = z[rows]
+    first, second = z[:8], z[31:]
+    where = f"at the point {np.round(second[0], 12).tolist()}"
+    with monkeypatch.context() as mp:
+        mp.setattr(asymptotics, "MAX_HALVINGS", 4)
+        with pytest.raises(asymptotics.AsymptoticsError, match=r"did not settle at k=2 after 4 halvings") as info:
+            asymptotics._transverse_integral(e2, [first, second], [2])
+        assert where in str(info.value)
+        asymptotics._transverse_integral(e2, [first], [2])  # the first set alone settles
+    with monkeypatch.context() as mp:
+        mp.setattr(asymptotics, "MAX_GRID_POINTS", 400)
+        with pytest.raises(asymptotics.AsymptoticsError, match=r"needs 641 grid points at k=2 ") as info:
+            asymptotics._transverse_integral(e2, [first, second], [2])
+        assert where in str(info.value)
+        asymptotics._transverse_integral(e2, [first], [2])
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    st = strata.analyze(rank2)
+    piece = next(piece for pieces in st.pieces.values() for piece in pieces
+                 if piece.pattern == ((0,), (2, 3), (4,)))
+    bad = strata.sample_stratum(rank2, piece, 3, seed=1)[0]
+    healthy = strata.sample_stratum(rank2, st.open_stratum(), 2, seed=1)[0]
+    iso = ta.isotropy(rank2, bad[0])
+    h = np.asarray([[float(v) for v in iso.algebra_basis[0]]])
+    m_basis = ta.m_basis
+    monkeypatch.setattr(ta, "m_basis", lambda action, i: h if i == iso else m_basis(action, i))
+    masses = np.round(models.masses(rank2.model, bad[0]), 12).tolist()
+    with pytest.raises(ta.ActionError, match="degenerate coarea differential") as info:
+        asymptotics._transverse_integral(rank2, [healthy, bad], [2])
+    assert f"masses {masses}:" in str(info.value)
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +319,7 @@ def transverse_tau_calls(e2, st2):
             mp.setattr(asymptotics, "TRANSVERSE_BLOCK", block)
             for action, points, k, halfform in runs:
                 calls.append([])
-                asymptotics._transverse_integral(action, points, [k], halfform)
+                asymptotics._transverse_integral(action, [points], [k], halfform)
         blocks.append((block, calls))
     return blocks
 
@@ -265,7 +363,7 @@ def test_transverse_integral_does_no_linear_algebra_per_pass(monkeypatch):
     counts = {}
     for k in (10, 40):
         calls.clear()
-        asymptotics._transverse_integral(action, x, [k])
+        asymptotics._transverse_integral(action, [x], [k])
         counts[k] = (calls.count("_grid_pass"), calls.count("det"), calls.count("svd"))
     assert (counts[10][0], counts[40][0]) == (4, 3)
     assert counts[10][1] == counts[40][1] == 0
@@ -347,7 +445,7 @@ def test_rank2_piece_residuals_match_direct_mc():
     exps = sections.invariant_exponents(action, k, "plain")
     quad = QuadConfig(method="mc", samples=100000, seed=3)
     for piece in pieces:
-        (res, _), = asymptotics._piece_integral(action, piece.dim_piece, piece.level_slice, [exps], [k], "plain", 48)
+        (res, _), = reference.piece_integral(action, piece.dim_piece, piece.level_slice, [exps], [k], "plain", 48)
         mc, err = sections._pattern_gram_mc(action, exps, "plain", piece.pattern, quad, ("oracle", piece.pattern))
         pref = (k / (2 * np.pi)) ** (piece.dim_piece / 2.0)
         mc, err = pref * mc, pref * err
@@ -601,7 +699,7 @@ def test_cp1_cp2_point_strata_split_per_stratum(degrees):
             rhs, err = np.zeros(exps.shape[0]), asymptotics.CONSISTENCY_FLOOR * np.max(np.abs(lhs))
             for i, (d, _, sl) in enumerate(pieces):
                 order = asymptotics.DENSITY_ORDER if i == 0 else 48
-                (value, error), = asymptotics._piece_integral(action, d, sl, [exps], [k], "plain", order)
+                (value, error), = reference.piece_integral(action, d, sl, [exps], [k], "plain", order)
                 rhs, err = rhs + value, err + error
             assert np.all(np.abs(lhs - rhs) < np.maximum(err, 1e-300))
             checked.append(np.any(lhs > 0))

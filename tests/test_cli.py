@@ -256,22 +256,41 @@ def test_run_past_k_168(tmp_path):
         assert abs(float(value) - 2.0 * np.sqrt(2.0 * np.pi * k) / (k + 1)) <= 1e-10
 
 
-def test_run_calls_the_transverse_rule_once_per_slice_or_point(tmp_path, monkeypatch):
-    """One `_transverse_integral` call covers the whole k list: on E2 at
-    k = 2, 4, 8 the two extra pieces' slices, the two density points and the
-    three strata's own slices take 7 calls, not 7 per k."""
-    from quantred import asymptotics
+def test_run_calls_the_transverse_rule_once(tmp_path, monkeypatch):
+    """One `_transverse_integral` call covers the whole run, and its point
+    sets are exactly those the quantities need, so no node is added: on E2
+    at k = 2, 4, 8 the two extra pieces' slices, the two density points and
+    the three strata's own slices (7 sets, once 7 calls), and on (CP^1)^3 at
+    k = 2 every stratum's extra pieces, own slice and density point (16
+    sets)."""
+    from quantred import asymptotics, models, strata
 
     calls = []
     original = asymptotics._transverse_integral
 
-    def counted(action, z, ks, halfform=False):
-        calls.append(tuple(ks))
-        return original(action, z, ks, halfform)
+    def counted(action, sets, ks, halfform=False, grams=None):
+        calls.append((list(sets), tuple(ks)))
+        return original(action, sets, ks, halfform, grams)
 
     monkeypatch.setattr(asymptotics, "_transverse_integral", counted)
-    cli.run(cli.validate({"preset": "E2", "k_list": [2, 4, 8], "out": str(tmp_path / "c")}))
-    assert calls == [(2, 4, 8)] * 7
+    rank2 = {"model": {"factors": [1, 1, 1], "bundle_degrees": [1, 1, 1]},
+             "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]}}
+    for cfg, ks, count in (({"preset": "E2"}, [2, 4, 8], 7), (rank2, [2], 16)):
+        calls.clear()
+        scn = cli.validate(dict(cfg, k_list=ks, out=str(tmp_path / "c")))
+        cli.run(scn)
+        st = strata.analyze(scn.action)
+        want = []
+        for i, lab in enumerate(st.strata):
+            pieces = st.preimage(lab)
+            want += [strata.slice_quadrature(scn.action, sl, 48)[0] for _, _, sl in pieces[1:]]
+            want.append(strata.slice_quadrature(scn.action, pieces[0][2], asymptotics.DENSITY_ORDER)[0])
+            if not lab.isotropy.is_full:
+                x = strata.sample_stratum(scn.action, lab, 1, seed=17 * i)[0][0]
+                want.append(models.normalize(scn.model, x)[None])
+        assert len(calls) == 1 and calls[0][1] == tuple(ks)
+        assert len(want) == count
+        assert sorted((z.shape, z.tobytes()) for z in calls[0][0]) == sorted((z.shape, z.tobytes()) for z in want)
 
 
 def test_run_i_rows_state_their_error(tmp_path):
@@ -379,13 +398,20 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
     DENSITY_ORDER."""
     from quantred import asymptotics, strata
 
-    seen = []
-    original = asymptotics._piece_integral
+    seen, made = [], {}
+    original, quadrature = asymptotics._piece_integral, strata.slice_quadrature
 
-    def counted(action, dim, sl, exps, ks, twist, order):
-        seen.append((sl.pattern, tuple(ks), order))
-        return original(action, dim, sl, exps, ks, twist, order)
+    def slice_rule(action, sl, order):
+        z, rules = quadrature(action, sl, order)
+        made[id(z)] = (sl.pattern, order)
+        return z, rules
 
+    def counted(action, piece, exps, ks, twist):
+        pattern, order = made[id(piece[1])]
+        seen.append((pattern, tuple(ks), order))
+        return original(action, piece, exps, ks, twist)
+
+    monkeypatch.setattr(strata, "slice_quadrature", slice_rule)
     monkeypatch.setattr(asymptotics, "_piece_integral", counted)
     cfg = {"preset": "E2", "k_list": [2, 4], "quantities": ["density", "consistency"],
            "quad": {"grid_order": 128, "samples": 4000}, "out": str(tmp_path / "c")}

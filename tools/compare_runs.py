@@ -37,9 +37,12 @@ SCENARIOS = [
     ("E1 halfform --k 3,5,9", ["--preset", "E1", "--twist", "halfform", "--k", "3,5,9"]),
     ("E2 --k 2,4,8", ["--preset", "E2", "--k", "2,4,8"]),
     ("E2 --k 16,32,64,128", ["--preset", "E2", "--k", "16,32,64,128"]),
+    ("E2 --only density --k 2,4,8", ["--preset", "E2", "--only", "density", "--k", "2,4,8"]),
+    ("E2 --only consistency --k 2,4,8", ["--preset", "E2", "--only", "consistency", "--k", "2,4,8"]),
     ("E3 --k 2,4,8", ["--preset", "E3", "--k", "2,4,8"]),
     ("E3 halfform --k 2,4,8", ["--preset", "E3", "--twist", "halfform", "--k", "2,4,8"]),
     ("(CP^1)^3 --k 2,4,8", ["--config", "{rank2}", "--k", "2,4,8"]),
+    ("(CP^1)^3 --only consistency --k 2", ["--config", "{rank2}", "--only", "consistency", "--k", "2"]),
     ("(CP^1)^3 --only strata,density --k 10,40,100",
      ["--config", "{rank2}", "--only", "strata,density", "--k", "10,40,100"]),
     (f"E3 grid_order 128 --only gram,unitarity --k {E3_SWEEP}",
