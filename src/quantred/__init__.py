@@ -38,7 +38,6 @@ from .reduction import (
     reduced_grams,
 )
 from .asymptotics import (
-    DensityCurve,
     density_I,
     density_J,
     residual_II,
@@ -54,6 +53,6 @@ __all__ = [
     "StratumLabel", "ExtraPiece", "FlowResult", "kirwan_flow", "sample_stratum",
     "GramMatrix", "gram_upstairs",
     "reduced_gram", "reduced_grams",
-    "DensityCurve", "density_I", "density_J", "residual_II",
+    "density_I", "density_J", "residual_II",
     "unitarity_defect", "norm_split_consistency",
 ]

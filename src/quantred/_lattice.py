@@ -5,6 +5,8 @@ algebras, stabilizer component counts, and invariant-monomial equations
 are decided exactly, never through floating-point rank guesses.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 
@@ -46,54 +48,22 @@ def rational_nullspace(rows):
     return basis
 
 
-def smith_diagonal(rows):
-    """Nonzero elementary divisors of an integer matrix.
-
-    Plain Smith reduction by gcd row/column operations; fine for the
-    tiny relative-weight matrices that occur here.
-    """
-    mat = [[int(v) for v in row] for row in rows]
-    if not mat or not mat[0]:
-        return []
-    m, n = len(mat), len(mat[0])
-    divisors = []
-    top = 0
-    while top < m and top < n:
-        # move a nonzero entry of minimal magnitude to (top, top)
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if mat[i][j] != 0 and (best is None or abs(mat[i][j]) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        mat[top], mat[bi] = mat[bi], mat[top]
-        for row in mat:
-            row[top], row[bj] = row[bj], row[top]
-        # clear the rest of row/column `top`; repeat until clean
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, m):
-                if mat[i][top] != 0:
-                    q = mat[i][top] // mat[top][top]
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                    if mat[i][top] != 0:
-                        mat[top], mat[i] = mat[i], mat[top]
-                        dirty = True
-            for j in range(top + 1, n):
-                if mat[top][j] != 0:
-                    q = mat[top][j] // mat[top][top]
-                    for row in mat:
-                        row[j] -= q * row[top]
-                    if mat[top][j] != 0:
-                        for row in mat:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-        divisors.append(abs(mat[top][top]))
-        top += 1
-    return [dv for dv in divisors if dv != 0]
+def _det(rows):
+    """Exact determinant of a square matrix by Gaussian elimination over Fractions."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        piv = next((i for i in range(c, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
 
 
 def stabilizer_component_order(rel_weights):
@@ -101,10 +71,12 @@ def stabilizer_component_order(rel_weights):
 
     `rel_weights` are the integer relative weight rows D.  The kernel of
     the induced torus map splits as a subtorus times a finite group whose
-    order is the product of the nonzero elementary divisors of D.
+    order is the product of the nonzero elementary divisors of D, that is
+    the gcd of the r x r minors of D, r = rank D (M. Newman, Integral
+    Matrices, 1972, ch. II); r = 0 leaves the one empty minor, 1.
     """
-    divs = smith_diagonal(rel_weights)
-    order = 1
-    for dv in divs:
-        order *= dv
-    return order
+    rows = [[int(v) for v in row] for row in rel_weights]
+    d = len(rows[0]) if rows else 0
+    r = d - len(rational_nullspace(rows))
+    return math.gcd(*(int(_det([[row[j] for j in cols] for row in sub]))
+                      for sub in itertools.combinations(rows, r) for cols in itertools.combinations(range(d), r)))

@@ -81,16 +81,6 @@ class WeightAction:
         """Weights times the factor degree of their coordinate, l_j W_{a i}."""
         return self._Wl
 
-    def to_json_dict(self):
-        blocks = []
-        for sl in self.model.slices:
-            blocks.append([[int(v) for v in row[sl]] for row in self.weights])
-        return {
-            "rank": self.rank,
-            "weights": blocks,
-            "shift": [str(c) for c in self.shift],
-        }
-
 
 def make_action(model, weights, shift=None):
     W = [tuple(int(v) for v in row) for row in np.atleast_2d(np.asarray(weights, dtype=int))]

@@ -14,7 +14,6 @@ pieces that miss the zero level; they vanish as k grows.
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from . import reduction
 from . import sections
 from . import strata
 from .errors import QuantredError
-from .integrate import as_quad, fit_power
+from .integrate import as_quad
 from .models import TWO_PI, masses, normalize
 
 
@@ -295,10 +294,11 @@ def _own_piece(action, label, strat):
 def residual_with_error(action, label, ks, twist="plain", quad=None, strat=None, exps=None, pieces=None):
     """One (diagonal, error) per k in ks: Gram-diagonal contributions of the extra preimage pieces of one label.
 
-    The sum of `_piece_integral` over `_residual_pieces`.  Each piece's level
-    slice meets every orbit of the piece once, at any torus rank.  `quad`
-    sets the Gauss order; `exps` holds each k's invariant exponents and
-    `pieces` the label's `_transverse_batch` entries, if already computed.
+    The sum of `reduction._piece_integral` over `_residual_pieces`.  Each
+    piece's level slice meets every orbit of the piece once, at any torus
+    rank.  `quad` sets the Gauss order; `exps` holds each k's invariant
+    exponents and `pieces` the label's `_transverse_batch` entries, if
+    already computed.
     """
     strat = strat or strata.analyze(action)
     exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
@@ -307,68 +307,17 @@ def residual_with_error(action, label, ks, twist="plain", quad=None, strat=None,
         pieces = _transverse_batch(action, wanted, ks, twist == "halfform")[0]
     out = [np.zeros((2, e.shape[0])) for e in exps]  # diagonal, error
     for piece in pieces:
-        out = [o + part for o, part in zip(out, _piece_integral(action, piece, exps, ks, twist))]
+        out = [o + part for o, part in zip(out, reduction._piece_integral(action, piece, exps, ks, twist))]
     return [(o[0], o[1]) for o in out]
 
 
-def _piece_integral(action, piece, exps, ks, twist):
-    """(k/2pi)^{dim/2} int_S |s_a|^2 vol(G.x)/|Gamma| T_k eps_hat over a level slice with q <= 1, and its error.
-
-    One pair per k in ks, exps[i] the exponent matrix at ks[i]; per basis monomial.  piece is a
-    `_transverse_batch` entry (dim, nodes, rules, T, T_err, vol): dim the complex dimension of the preimage
-    piece, the nodes of the slice's Gauss rule and of its error rule (`strata.slice_quadrature`), T_k the
-    transverse integral there, with the divergence factor for the half-form twist, and vol(G.x)/|Gamma| the
-    geometric orbit volume.  On a stratum's own zero-level slice this weight is the density I_k, or J_k times
-    the half-form descent factor.  The error is the gap |Q_n - Q_{n/2}| between the rules (0 on a point slice)
-    plus the order-n nodes' transverse estimates |I_h - I_2h|.
-    """
-    dim, z, rules, Ts, T_errs, vol = piece
-    p = masses(action.model, z)
-    out = []
-    for k, e, T, T_err in zip(ks, exps, Ts, T_errs):
-        norms = sections.monomial_norms(action.model, e, p, twist)
-        value, half = ((w * vol[rows] * T[rows]) @ norms[rows] for rows, w in rules)
-        rows, w = rules[0]
-        error = (np.abs(w * vol[rows]) * T_err[rows]) @ norms[rows] + np.abs(value - half)
-        pref = (k / TWO_PI) ** (dim / 2.0)
-        out.append((pref * value, pref * error))
-    return out
-
-
-def residual_II(action, label, k, twist="plain", quad=None, strat=None, diagonal=None):
-    """Trace over the invariant basis of the extra-piece contributions; `diagonal`
-    is this label's `residual_with_error` diagonal at k, if already computed."""
-    if diagonal is None:
-        diagonal = residual_with_error(action, label, [k], twist, quad, strat)[0][0]
-    return float(np.sum(diagonal))
+def residual_II(action, label, k, twist="plain", quad=None, strat=None):
+    """Trace over the invariant basis of the extra-piece contributions."""
+    return float(np.sum(residual_with_error(action, label, [k], twist, quad, strat)[0][0]))
 
 
 # ----------------------------------------------------------------------
 # defects and consistency
-
-
-@dataclass
-class DensityCurve:
-    quantity: str
-    stratum: str
-    points: list = field(default_factory=list)   # (k, value, error)
-    fitted_rate: tuple = None
-
-    def fit(self, limit=0.0):
-        ks = [p[0] for p in self.points]
-        vals = [p[1] for p in self.points]
-        if len(ks) < 2 or sum(abs(v - limit) > 0 for v in vals) < 2:
-            self.fitted_rate = None
-            return None
-        C, p, r2 = fit_power(ks, vals, limit=limit)
-        self.fitted_rate = (C, p, r2)
-        return self.fitted_rate
-
-    def rows(self):
-        return [
-            {"quantity": self.quantity, "stratum": self.stratum, "k": k, "value": v, "stderr": e}
-            for k, v, e in self.points
-        ]
 
 
 def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None, grams=None):
@@ -378,7 +327,8 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
     B'^* B' - I (or A'^* A' - I) is read off the Gram pair under the chosen
     norm definition.  Both Grams are diagonal, so the eigenvalues are the
     ratios lambda_a = d_a / u_a of their diagonals.  Returns (defect,
-    propagated error sqrt(sd_a^2 + lambda_a^2 su_a^2) / u_a at the worst a).
+    propagated error sqrt(sd_a^2 + lambda_a^2 su_a^2) / u_a at the worst a,
+    by hypot, which cannot underflow).  An entry u_a <= 0 raises.
     """
     if grams is not None:
         gu, gd = grams
@@ -389,29 +339,29 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
         raise AsymptoticsError(f"empty invariant space at k={k}")
     u = gu.diagonal
     if u.min() <= 0:
-        raise AsymptoticsError("upstairs Gram not positive definite: insufficient sampling")
+        why = ("insufficient sampling" if as_quad(quad).method == "mc"
+               else f"its exact Dirichlet moments underflowed to 0 at k={k}")
+        raise AsymptoticsError(f"upstairs Gram not positive definite: {why}")
     lam = gd.diagonal / u
     a = int(np.argmax(np.abs(lam - 1.0)))
-    sigma = np.sqrt(gd.stderr[a] ** 2 + lam[a] ** 2 * gu.stderr[a] ** 2) / u[a]
+    sigma = np.hypot(gd.stderr[a], lam[a] * gu.stderr[a]) / u[a]
     return float(abs(lam[a] - 1.0)), float(sigma)
 
 
-def norm_split_consistency(action, k, twist="plain", quad=None, strat=None, residuals=None):
+def norm_split_consistency(action, k, twist="plain", quad=None, strat=None):
     """Per-stratum comparison of the direct piece integrals with the
-    stratum-density route at k: the `_norm_split_reports` report, with
-    `residuals`, if given, holding each stratum's `residual_with_error` entry at k."""
-    residuals = None if residuals is None else [[r] for r in residuals]
-    return _norm_split_reports(action, [k], twist, quad, strat, residuals)[0]
+    stratum-density route at k: the `_norm_split_reports` report."""
+    return _norm_split_reports(action, [k], twist, quad, strat)[0]
 
 
 def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residuals=None, exps=None, own=None):
     """One norm-split report per k in ks, each with per-section discrepancies.
 
     Both sides run over the pieces of `Stratification.preimage`.  The left side is exact: Dirichlet moments of
-    |s|^2 on each piece's pattern, each with its (k/2pi)^{dim/2}.  The right side is one `_piece_integral` per
-    piece for all of ks: on the stratum's own zero-level slice (`_own_piece`, the reduced-space integral of the
-    descended norm against I_k or J_k), on the extra pieces through `residual_with_error`, whose grid order
-    `quad` sets.  `stderr` is their quadrature error plus CONSISTENCY_FLOOR times the stratum's largest |lhs|,
+    |s|^2 on each piece's pattern, each with its (k/2pi)^{dim/2}.  The right side is one
+    `reduction._piece_integral` per piece for all of ks: on the stratum's own zero-level slice (`_own_piece`,
+    the reduced-space integral of the descended norm against I_k or J_k), on the extra pieces through
+    `residual_with_error`, whose grid order `quad` sets.  `stderr` is their quadrature error plus CONSISTENCY_FLOOR times the stratum's largest |lhs|,
     and nsigma = |lhs - rhs| / stderr.  `residuals`, `exps` and `own`, if given, hold each stratum's
     `residual_with_error` for ks and this quad, each k's exponents, and each stratum's own piece as its
     `_transverse_batch` entry at ks; one `_transverse_batch` call makes the rest.
@@ -431,7 +381,7 @@ def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residu
                               for si, lab in enumerate(labels)]
     for si, lab in enumerate(labels):
         pieces = strat.preimage(lab)
-        own_k = _piece_integral(action, own[si], exps, ks, twist)
+        own_k = reduction._piece_integral(action, own[si], exps, ks, twist)
         for i in live:
             k, e, (rhs, err), (r, r_err) = ks[i], exps[i], own_k[i], residuals[si][i]
             lhs = sum((k / TWO_PI) ** (dp / 2.0) * sections._gram_exact_on_pattern(action, e, twist, pattern)[0]

@@ -24,7 +24,7 @@ from . import __version__
 from . import actions as ta
 from . import asymptotics, models, reduction, sections, strata
 from .errors import QuantredError
-from .integrate import QuadConfig
+from .integrate import QuadConfig, fit_power
 
 QUANTITIES = ("strata", "gram", "density", "unitarity", "consistency")
 # 'grid' is an alias of 'exact': the deterministic moment/quadrature route
@@ -297,6 +297,14 @@ def _row(k, value, error, quantity, where):
     return k, value, _finite(error + asymptotics.CONSISTENCY_FLOOR * abs(value), f"{quantity} stderr", where, k)
 
 
+def _fit(curve, limit=0.0):
+    """`fit_power` (C, p, r2) of a curve's points (k, value, stderr); None with fewer than two values off the limit."""
+    values = [v for _, v, _ in curve]
+    if sum(abs(v - limit) > 0 for v in values) < 2:
+        return None
+    return fit_power([k for k, _, _ in curve], values, limit)
+
+
 def run(scn):
     """Execute the scenario; returns the manifest dict (also written to disk)."""
     os.makedirs(scn.out, exist_ok=True)
@@ -353,27 +361,23 @@ def run(scn):
                  for (kind, i), p in done.items() if kind == "residual"}
 
     if "density" in scn.quantities:
-        rows = []
-        fits = []
+        rows, fits = [], []
         for i, lab in enumerate(strat.strata):
+            where = f"stratum_{i}"
             if lab.isotropy.is_full:
-                curve = asymptotics.DensityCurve(quantity="II", stratum=f"stratum_{i}")
-                for k, (diagonal, error) in zip(ks, residuals[i]):
-                    val = asymptotics.residual_II(scn.action, lab, k, scn.twist, quad, strat=strat, diagonal=diagonal)
-                    curve.points.append(_row(k, val, float(np.sum(error)), "II", curve.stratum))
-                if all(p[1] > 0 for p in curve.points):
-                    fits.append({"quantity": "II", "stratum": i, "fit_power": curve.fit()})
+                name = "II"
+                curve = [_row(k, float(np.sum(diagonal)), float(np.sum(error)), name, where)
+                         for k, (diagonal, error) in zip(ks, residuals[i])]
+                if all(p[1] > 0 for p in curve):
+                    fits.append({"quantity": name, "stratum": i, "fit_power": _fit(curve)})
             else:
                 x = points[i]
                 name = "J" if scn.twist == "halfform" else "I"
-                curve = asymptotics.DensityCurve(quantity=name, stratum=f"stratum_{i}")
-                for k, (val, error) in zip(ks, asymptotics._density(scn.action, lab, x, ks, scn.twist == "halfform",
-                                                                    done["density", i][0])):
-                    curve.points.append(_row(k, val, error, name, curve.stratum))
+                values = asymptotics._density(scn.action, lab, x, ks, scn.twist == "halfform", done["density", i][0])
+                curve = [_row(k, val, error, name, where) for k, (val, error) in zip(ks, values)]
                 limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
-                fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": curve.fit(limit=limit)})
-            rows.extend((r["quantity"], r["stratum"], r["k"], repr(r["value"]), repr(r["stderr"]))
-                        for r in curve.rows())
+                fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": _fit(curve, limit)})
+            rows.extend((name, where, k, repr(v), repr(e)) for k, v, e in curve)
         record("curves.csv", _write_csv(os.path.join(scn.out, "curves.csv"),
                                         ("quantity", "stratum", "k", "value", "stderr"), rows))
         record("curve_fits.json", _write_json(os.path.join(scn.out, "curve_fits.json"), fits))

@@ -60,9 +60,6 @@ class Model:
             raise ModelError("metaplectic parity: some factor has even complex dimension")
         return tuple(k * l - (n + 1) // 2 for n, l in zip(self.factors, self.bundle_degrees))
 
-    def to_json_dict(self):
-        return {"factors": list(self.factors), "bundle_degrees": list(self.bundle_degrees)}
-
 
 def make_model(factors, bundle_degrees):
     return Model(tuple(int(n) for n in factors), tuple(int(l) for l in bundle_degrees))

@@ -49,28 +49,43 @@ def stratum_gram(action, lab, exps, ks, twist, quad):
 
     Returns one (diagonal, stderr) of int_S |desc_a|^2 eps_hat per k,
     exps[i] the exponent matrix at ks[i]; the off-diagonal pairs integrate
-    to 0 (distinct monomials are torus-orthogonal).  The grid route takes
-    one `strata.slice_quadrature` call and one descent factor for all of
-    ks: the Gauss rule of the Duistermaat-Heckman measure on the level
-    slice, and its gap to the error rule as its error estimate (0 on a
-    zero-dimensional stratum, its one node).  The mc route samples the slice
-    and the phases at each k, from the stream tagged ("down", k, twist,
-    key), with block standard errors.
+    to 0 (distinct monomials are torus-orthogonal).  The grid route is one
+    `_piece_integral` for all of ks on the Duistermaat-Heckman Gauss rule of
+    the level slice, with dim = 0, T = 1, T_err = 0 and vol the descent
+    factor (half-form) or 1.  The mc route samples the slice and the phases
+    at each k, from the stream tagged ("down", k, twist, key), with block
+    standard errors.
     """
     quad = as_quad(quad)
-    model = action.model
     if quad.method == "mc":
         return [_stratum_gram_mc(action, lab, e, twist, quad, ("down", k, twist, lab.key)) for k, e in zip(ks, exps)]
     z, rules = strata.slice_quadrature(action, lab.level_slice, quad.grid_order)
-    if twist == "halfform":
-        scale = descent_norm_factor(action, z, lab.isotropy)
-        rules = [(rows, w * scale[rows]) for rows, w in rules]
-    p = masses(model, z)
+    vol = descent_norm_factor(action, z, lab.isotropy) if twist == "halfform" else np.ones(len(z))
+    T = np.ones((len(ks), len(z)))
+    return _piece_integral(action, (0, z, rules, T, np.zeros_like(T), vol), exps, ks, twist)
+
+
+def _piece_integral(action, piece, exps, ks, twist):
+    """(k/2pi)^{dim/2} int_S |s_a|^2 vol(G.x)/|Gamma| T_k eps_hat over a level slice with q <= 1, and its error.
+
+    One pair per k in ks, exps[i] the exponent matrix at ks[i]; per basis monomial.  piece is an
+    `asymptotics._transverse_batch` entry (dim, nodes, rules, T, T_err, vol): dim the complex dimension of the
+    preimage piece, the nodes of the slice's Gauss rule and of its error rule (`strata.slice_quadrature`), T_k
+    the transverse integral there, with the divergence factor for the half-form twist, and vol(G.x)/|Gamma| the
+    geometric orbit volume.  On a stratum's own zero-level slice this weight is the density I_k, or J_k times
+    the half-form descent factor; `stratum_gram` passes T = 1.  The error is the gap |Q_n - Q_{n/2}| between
+    the rules (0 on a point slice) plus the order-n nodes' transverse estimates |I_h - I_2h|.
+    """
+    dim, z, rules, Ts, T_errs, vol = piece
+    p = masses(action.model, z)
     out = []
-    for e in exps:
-        norms = sections.monomial_norms(model, e, p, twist)
-        diag, half = (w @ norms[rows] for rows, w in rules)
-        out.append((diag, np.abs(diag - half)))
+    for k, e, T, T_err in zip(ks, exps, Ts, T_errs):
+        norms = sections.monomial_norms(action.model, e, p, twist)
+        value, half = ((w * vol[rows] * T[rows]) @ norms[rows] for rows, w in rules)
+        rows, w = rules[0]
+        error = (np.abs(w * vol[rows]) * T_err[rows]) @ norms[rows] + np.abs(value - half)
+        pref = (k / TWO_PI) ** (dim / 2.0)
+        out.append((pref * value, pref * error))
     return out
 
 
@@ -115,7 +130,7 @@ def reduced_grams(action, ks, twist="plain", norm_def=1, quad=None, strat=None, 
                 pref = (ks[i] / TWO_PI) ** (lab.dim_S / 2.0)
                 pers[i][lab.key] = pref * sub
                 diags[i] = diags[i] + pref * sub
-                errs[i] = np.sqrt(errs[i] ** 2 + (pref * suberr) ** 2)
+                errs[i] = np.hypot(errs[i], pref * suberr)
     return [sections.GramMatrix(basis_ids=[tuple(map(int, r)) for r in e], diagonal=d, stderr=err,
                                 norm_def=norm_def, k=k, twist=twist, per_stratum=per)
             for k, e, d, err, per in zip(ks, exps, diags, errs, pers)]

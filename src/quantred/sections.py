@@ -227,40 +227,26 @@ def _full_pattern(model):
 def _sphere_masses(rng, dims, per, nblk):
     """Masses of uniform sphere samples on factors of dims coordinates, in the stream order of per-block draws.
 
-    The stream is that of nblk blocks of per samples, each block drawing,
-    factor by factor, standard_normal((per, dim)) for the real parts and
-    then for the imaginary parts.  Blocks of at most MC_CHUNK samples are
-    drawn several at a time, as one standard_normal((nb, 2 per sum(dims)))
-    array that x and y are carved out of.  A larger block is drawn factor by
-    factor as above and yielded MC_CHUNK samples at a time; its masses,
-    per * sum(dims) floats, are the only array that grows with per.  Yields
-    (b, nb, p) for blocks b to b + nb - 1: p has shape (sum(dims), nb * rows),
-    coordinates first, the samples of each block in order, rows of them per
-    block, and holds each factor's masses (x^2 + y^2) / sum_factor (x^2 + y^2).
+    The stream is that of nblk blocks of per samples, each block drawing, factor by factor,
+    standard_normal((per, dim)) for the real parts and then for the imaginary parts.  As many blocks as fit
+    in MC_CHUNK samples, at least one, are drawn as one standard_normal((nb, 2 per sum(dims))) array.  Yields
+    (b, nb, p), p the masses (x^2 + y^2) / sum_factor (x^2 + y^2), coordinates first, of all samples of
+    blocks b to b + nb - 1 in order if they fit in MC_CHUNK, else (nb = 1) of the next MC_CHUNK of block b.
     """
-    step = MC_CHUNK // per
-    if step:
-        for b in range(0, nblk, step):
-            nb = min(step, nblk - b)
-            yield b, nb, _masses_of_draws(rng.standard_normal((nb, 2 * per * sum(dims))), dims, per)
-        return
-    for b in range(nblk):
-        r = np.empty((sum(dims), per))
-        c = 0
-        for d in dims:
-            np.square(rng.standard_normal((per, d)).T, out=r[c : c + d])
-            r[c : c + d] += np.square(rng.standard_normal((per, d)).T)
-            r[c : c + d] /= r[c : c + d].sum(axis=0)
-            c += d
-        for lo in range(0, per, MC_CHUNK):
-            yield b, 1, r[:, lo : lo + MC_CHUNK]
+    step = max(1, MC_CHUNK // per)
+    for b in range(0, nblk, step):
+        nb = min(step, nblk - b)
+        p = _masses_of_draws(rng.standard_normal((nb, 2 * per * sum(dims))), dims, per)
+        for lo in range(0, nb * per, MC_CHUNK):
+            yield b, nb, p[:, lo : lo + MC_CHUNK]
 
 
 def _masses_of_draws(draws, dims, rows):
     """Masses, coordinates first, of nb blocks of rows samples: draws[i] holds, per
-    factor, the (rows, dim) real parts and then the imaginary parts of block i."""
+    factor, the (rows, dim) real parts and then the imaginary parts of block i.
+    The draws are squared in place."""
     nb = draws.shape[0]
-    sq = np.square(draws)
+    sq = np.square(draws, out=draws)
     r = np.empty((sum(dims), nb, rows))
     at = c = 0
     for d in dims:
@@ -347,7 +333,7 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None, e
             point = dim_piece == 0  # on a point the Dirichlet moment is the point value, whatever the route
             sub, suberr = _gram_exact_on_pattern(action, exps, twist, pattern) if point else on_pattern(pattern, tag)
             diag = diag + prefp * sub
-            err = np.sqrt(err**2 + (prefp * suberr) ** 2)
+            err = np.hypot(err, prefp * suberr)
     return GramMatrix(basis_ids=ids, diagonal=diag, stderr=err, norm_def=norm_def, k=k, twist=twist)
 
 

@@ -378,12 +378,6 @@ class Stratification:
     pieces: dict            # stratum key -> list of ExtraPiece
     unsemistable: list      # PatternInfo
 
-    def stratum_by_key(self, key):
-        for s in self.strata:
-            if s.key == key:
-                return s
-        raise KeyError(key)
-
     def open_stratum(self):
         return max(self.strata, key=lambda s: s.dim_S)
 

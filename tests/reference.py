@@ -351,11 +351,11 @@ def potential_quadrature(action, xi, point, order=64):
 
 
 def piece_integral(action, dim, sl, exps, ks, twist, order):
-    """`asymptotics._piece_integral` on one level slice at the Gauss order `order`, with a
+    """`reduction._piece_integral` on one level slice at the Gauss order `order`, with a
     `_transverse_batch` call of its own."""
     piece = (dim, *strata.slice_quadrature(action, sl, order))
     (piece,), = asymptotics._transverse_batch(action, {0: [piece]}, ks, twist == "halfform").values()
-    return asymptotics._piece_integral(action, piece, exps, ks, twist)
+    return reduction._piece_integral(action, piece, exps, ks, twist)
 
 
 def divergence_factor(action, xi, point_or_masses, from_masses=False):

@@ -6,7 +6,7 @@ from scipy.special import gammaln
 
 from quantred import actions as ta
 from quantred import asymptotics, cli, models, reduction, sections, strata
-from quantred.integrate import IntegrationError, QuadConfig, adaptive_line_quadrature
+from quantred.integrate import IntegrationError, QuadConfig, adaptive_line_quadrature, fit_power
 
 import reference
 
@@ -490,6 +490,22 @@ def test_defect_halfform_decreases_plain_floors(e3, st3):
     assert min(dp.values()) > 0.2
 
 
+def test_stated_errors_do_not_underflow_at_k_512(e3, st3):
+    """E3 half-form at k = 512, where the Gram entries lie near 1e-155 to
+    1e-249: every reduced-Gram stderr (grid order 96) is positive and covers
+    the gap to the order-48 rule up to rounding, 1e-13 of the value, and the
+    defect's propagated error is positive, on both norm definitions."""
+    k = 512
+    for nd in (1, 2):
+        gd = reduction.reduced_gram(e3, k, "halfform", nd, {"grid_order": 96}, strat=st3)
+        half = reduction.reduced_gram(e3, k, "halfform", nd, {"grid_order": 48}, strat=st3)
+        gap = np.abs(gd.diagonal - half.diagonal)
+        assert np.all(gd.stderr > 0)
+        assert np.all(gd.stderr >= gap - 1e-13 * np.abs(gd.diagonal))
+        gu = sections.gram_upstairs(e3, k, "halfform", nd, strat=st3)
+        assert asymptotics.unitarity_defect(e3, k, "halfform", nd, grams=(gu, gd))[1] > 0
+
+
 def test_defect_empty_space_raises(e1):
     with pytest.raises(asymptotics.AsymptoticsError):
         asymptotics.unitarity_defect(e1, 3, "plain", 1, {"method": "exact"})
@@ -627,11 +643,10 @@ def test_density_curve_fit(e2, st2):
     lab = st2.open_stratum()
     pts, _ = strata.sample_stratum(e2, lab, 1, seed=61)
     x = pts[0]
-    curve = asymptotics.DensityCurve(quantity="I", stratum="open")
-    for k in (10, 20, 40, 80):
-        curve.points.append((k, asymptotics.density_I(e2, lab, x, k), 0.0))
+    ks = (10, 20, 40, 80)
+    vals = [asymptotics.density_I(e2, lab, x, k) for k in ks]
     lim = 2.0 ** (-0.5) * ta.geometric_orbit_volume(e2, x)
-    C, p, r2 = curve.fit(limit=lim)
+    C, p, r2 = fit_power(ks, vals, limit=lim)
     assert p > 0.8 and r2 > 0.99
 
 

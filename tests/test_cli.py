@@ -373,10 +373,26 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     with pytest.raises(TypeError):
         cli.main(argv)
     # a NaN is a numerical failure, not a number to write to curves.csv
-    monkeypatch.setattr(asymptotics, "residual_II", lambda *args, **kwargs: float("nan"))
+    monkeypatch.setattr(asymptotics, "residual_with_error",
+                        lambda action, label, ks, *args: [(np.full(1, np.nan), np.zeros(1)) for _ in ks])
     out = tmp_path / "d"
     assert cli.main(["density", "--preset", "E2", "--k", "2", "--out", str(out)]) == 3
     assert not (out / "curves.csv").exists() and not (out / "run_manifest.json").exists()
+
+
+def test_underflow_is_named_on_the_exact_route(tmp_path, capsys):
+    """E2 at k = 700: the exact upstairs Dirichlet moments underflow to 0,
+    and the run exits 3 naming underflow, not sampling; under quad.method mc
+    a zero entry is still called insufficient sampling."""
+    from quantred import asymptotics, sections
+
+    assert cli.main(["run", "--preset", "E2", "--k", "700", "--out", str(tmp_path / "u")]) == 3
+    err = capsys.readouterr().err
+    assert "underflow" in err and "sampling" not in err
+    gram = sections.GramMatrix(basis_ids=[(0, 1)], diagonal=np.zeros(1), stderr=np.zeros(1), norm_def=1, k=2,
+                               twist="plain")
+    with pytest.raises(asymptotics.AsymptoticsError, match="insufficient sampling"):
+        asymptotics.unitarity_defect(None, 2, quad={"method": "mc"}, grams=(gram, gram))
 
 
 def test_cli_run_via_main(tmp_path):
@@ -396,10 +412,10 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
     integral, its half-order error nodes included, is computed once per
     slice for the whole k list, for both; each stratum's own slice takes
     DENSITY_ORDER."""
-    from quantred import asymptotics, strata
+    from quantred import asymptotics, reduction, strata
 
     seen, made = [], {}
-    original, quadrature = asymptotics._piece_integral, strata.slice_quadrature
+    original, quadrature = reduction._piece_integral, strata.slice_quadrature
 
     def slice_rule(action, sl, order):
         z, rules = quadrature(action, sl, order)
@@ -412,7 +428,7 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
         return original(action, piece, exps, ks, twist)
 
     monkeypatch.setattr(strata, "slice_quadrature", slice_rule)
-    monkeypatch.setattr(asymptotics, "_piece_integral", counted)
+    monkeypatch.setattr(reduction, "_piece_integral", counted)
     cfg = {"preset": "E2", "k_list": [2, 4], "quantities": ["density", "consistency"],
            "quad": {"grid_order": 128, "samples": 4000}, "out": str(tmp_path / "c")}
     scn = cli.validate(cfg)

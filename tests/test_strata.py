@@ -167,7 +167,7 @@ def test_piece_parents_are_flow_limits(e2, st2, r2):
     flowed = 0
     for action, st in envs:
         for key, pieces in st.pieces.items():
-            parent = st.stratum_by_key(key)
+            parent, = [s for s in st.strata if s.key == key]
             for piece in pieces:
                 sl = piece.level_slice
                 theta = np.zeros(action.model.ncoords)

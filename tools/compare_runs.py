@@ -26,6 +26,7 @@ CONFIGS = {  # written to files and passed as --config {name}
               "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]}},
     "e3grid": {"preset": "E3", "quad": {"grid_order": 128}},
     "e3mc": {"preset": "E3", "twist": "halfform", "quad": {"method": "mc", "samples": 20000}},
+    "e3mcbig": {"preset": "E3", "twist": "halfform", "quad": {"method": "mc", "samples": 1000000, "blocks": 4}},
     "e2mc": {"preset": "E2", "norm_defs": [1, 2], "quad": {"method": "mc"}},
     "cp1cp2mc": {"model": {"factors": [1, 2], "bundle_degrees": [1, 1]},
                  "action": {"rank": 1, "weights": [[1, 0, -1, 0, 1]]}, "quad": {"method": "mc"}},
@@ -51,6 +52,8 @@ SCENARIOS = [
      ["--config", "{e3grid}", "--twist", "halfform", "--only", "gram,unitarity", "--k", E3_SWEEP]),
     ("E3 halfform mc samples 20000 --only gram,unitarity --k 2,4,8",
      ["--config", "{e3mc}", "--only", "gram,unitarity", "--k", "2,4,8"]),
+    ("E3 halfform mc samples 1000000 blocks 4 --only gram,unitarity --k 2",
+     ["--config", "{e3mcbig}", "--only", "gram,unitarity", "--k", "2"]),
     ("E2 mc norm_defs 1,2 --only gram,unitarity --k 2,4,8",
      ["--config", "{e2mc}", "--only", "gram,unitarity", "--k", "2,4,8"]),
     ("CP^1 x CP^2 mc --only gram,unitarity --k 2,4", ["--config", "{cp1cp2mc}", "--only", "gram,unitarity", "--k", "2,4"]),
