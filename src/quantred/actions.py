@@ -240,8 +240,13 @@ def orbit_volume(action, point, iso=None):
     the basis is empty and the value is the empty determinant, 1.  A batch
     of points, shape (N, ncoords), needs their common `iso`.
     """
-    mb = m_basis(action, iso or isotropy(action, point))
-    vol = np.sqrt(np.clip(np.linalg.det(mb @ field_pairing(action, masses(action.model, point)) @ mb.T), 0.0, None))
+    return orbit_volume_from_masses(action, masses(action.model, point), iso or isotropy(action, point))
+
+
+def orbit_volume_from_masses(action, p, iso):
+    """`orbit_volume` from per-factor-normalized coordinate masses p, shape (..., ncoords)."""
+    mb = m_basis(action, iso)
+    vol = np.sqrt(np.clip(np.linalg.det(mb @ field_pairing(action, p) @ mb.T), 0.0, None))
     return float(vol) if vol.ndim == 0 else vol
 
 

@@ -82,8 +82,11 @@ def normalize(model, z):
 
 def masses(model, z):
     """Coordinate masses |z_i|^2, per-factor normalized."""
-    z = np.asarray(z)
-    p = np.abs(z) ** 2
+    return unit_masses(model, np.abs(np.asarray(z)) ** 2)
+
+
+def unit_masses(model, p):
+    """Masses p, shape (..., ncoords), scaled in place to sum 1 on each factor."""
     for sl in model.slices:
         p[..., sl] /= np.sum(p[..., sl], axis=-1, keepdims=True)
     return p

@@ -22,7 +22,7 @@ from . import strata
 from . import sections
 from .errors import QuantredError
 from .integrate import as_quad, rng_for
-from .models import TWO_PI, masses
+from .models import TWO_PI, masses, unit_masses
 
 
 class ReductionError(QuantredError, ValueError):
@@ -36,8 +36,12 @@ def descent_norm_factor(action, point, iso=None):
 
     A batch of points, shape (N, ncoords), needs their common `iso`.
     """
-    iso = iso or ta.isotropy(action, point)
-    return 2.0 ** (-(action.rank - iso.dim) / 2.0) * ta.geometric_orbit_volume(action, point, iso)
+    return descent_factor_from_masses(action, masses(action.model, point), iso or ta.isotropy(action, point))
+
+
+def descent_factor_from_masses(action, p, iso):
+    """`descent_norm_factor` from per-factor-normalized coordinate masses p, shape (..., ncoords)."""
+    return 2.0 ** (-(action.rank - iso.dim) / 2.0) * ta.orbit_volume_from_masses(action, p, iso) / iso.finite_part
 
 
 # ----------------------------------------------------------------------
@@ -52,9 +56,9 @@ def stratum_gram(action, lab, exps, ks, twist, quad):
     to 0 (distinct monomials are torus-orthogonal).  The grid route is one
     `_piece_integral` for all of ks on the Duistermaat-Heckman Gauss rule of
     the level slice, with dim = 0, T = 1, T_err = 0 and vol the descent
-    factor (half-form) or 1.  The mc route samples the slice and the phases
-    at each k, from the stream tagged ("down", k, twist, key), with block
-    standard errors.
+    factor (half-form) or 1.  The mc route draws slice masses at each k
+    (`strata.stratum_draw`; phases move neither norms nor orbit volumes) from
+    the stream tagged ("down", k, twist, key), with block standard errors.
     """
     quad = as_quad(quad)
     if quad.method == "mc":
@@ -95,15 +99,16 @@ def stratum_sample_count(quad):
 
 
 def _stratum_gram_mc(action, lab, exps, twist, quad, tag):
-    """`stratum_gram`'s mc route at one k: stratum samples from the stream tag, block standard errors."""
+    """`stratum_gram`'s mc route at one k: normalized slice masses from the stream tag, block standard errors."""
     rng = rng_for(quad.seed, "reduced", tag)
     count = stratum_sample_count(quad)
-    pts, wts = strata.sample_stratum(action, lab, count, rng.integers(2**32))
+    p, _, wts = strata.stratum_draw(action, lab, count, rng.integers(2**32))
     if not np.any(wts > 0):
         raise ReductionError("no stratum sample landed in the slice polytope")
+    p = unit_masses(action.model, p)
     if twist == "halfform":
-        wts = wts * descent_norm_factor(action, pts, lab.isotropy)
-    terms = wts[:, None] * sections.monomial_norms(action.model, exps, masses(action.model, pts), twist)
+        wts = wts * descent_factor_from_masses(action, p, lab.isotropy)
+    terms = wts[:, None] * sections.monomial_norms(action.model, exps, p, twist)
     nblk = max(4, quad.blocks)
     per = count // nblk
     blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)

@@ -193,8 +193,8 @@ class GramMatrix:
     and `stderr` their standard errors (0 on the exact routes; Monte Carlo
     routes estimate the diagonal only); `cli` writes the square JSON layout
     from the vectors.  `matrix`, the square form, stays only because the
-    `perfbench` workload `E3HalfformMC.prepare` reads it.  `per_stratum`
-    (downstairs only) maps each stratum key to its contribution to the diagonal.
+    `perfbench` workload `E3HalfformMC.prepare` reads it.  `per_stratum` (downstairs only) maps each
+    stratum key to its contribution to the diagonal.  `flags` names errors over 20% and diagonals <= 0.
     """
 
     basis_ids: list
@@ -210,6 +210,8 @@ class GramMatrix:
         rel = self.stderr / np.maximum(np.abs(self.diagonal), 1e-300)
         over = (rel > 0.2) & (np.abs(self.diagonal) > 1e-14)
         self.flags = ["entry_error_over_20_percent"] if np.any(over) else []
+        if np.any(self.diagonal <= 0):  # a live invariant monomial has a positive norm on every route
+            self.flags.append("diagonal_underflow")
 
     @property
     def dim(self):
@@ -227,34 +229,23 @@ def _full_pattern(model):
 def _sphere_masses(rng, dims, per, nblk):
     """Masses of uniform sphere samples on factors of dims coordinates, in the stream order of per-block draws.
 
-    The stream is that of nblk blocks of per samples, each block drawing, factor by factor,
-    standard_normal((per, dim)) for the real parts and then for the imaginary parts.  As many blocks as fit
-    in MC_CHUNK samples, at least one, are drawn as one standard_normal((nb, 2 per sum(dims))) array.  Yields
-    (b, nb, p), p the masses (x^2 + y^2) / sum_factor (x^2 + y^2), coordinates first, of all samples of
-    blocks b to b + nb - 1 in order if they fit in MC_CHUNK, else (nb = 1) of the next MC_CHUNK of block b.
+    A uniform point on the sphere of C^d has Dirichlet(1, ..., 1) masses, d standard exponentials over their sum
+    (Devroye 1986, ch. XI); each block of per samples draws, factor by factor, standard_exponential((per, dim)),
+    and as many blocks as fit in MC_CHUNK samples, at least one, are drawn as one (nb, per sum(dims)) array.
+    Yields (b, nb, p), p the masses, coordinates first, of all samples of blocks b to b + nb - 1 in order if
+    they fit in MC_CHUNK, else (nb = 1) of the next MC_CHUNK of block b.
     """
     step = max(1, MC_CHUNK // per)
     for b in range(0, nblk, step):
         nb = min(step, nblk - b)
-        p = _masses_of_draws(rng.standard_normal((nb, 2 * per * sum(dims))), dims, per)
+        draws = rng.standard_exponential((nb, per * sum(dims)))
+        p = np.empty((sum(dims), nb, per))
+        for c, d in zip(itertools.accumulate(dims, initial=0), dims):
+            p[c : c + d] = draws[:, c * per : (c + d) * per].reshape(nb, per, d).transpose(2, 0, 1)
+            p[c : c + d] /= p[c : c + d].sum(axis=0)
+        p = p.reshape(len(p), -1)
         for lo in range(0, nb * per, MC_CHUNK):
             yield b, nb, p[:, lo : lo + MC_CHUNK]
-
-
-def _masses_of_draws(draws, dims, rows):
-    """Masses, coordinates first, of nb blocks of rows samples: draws[i] holds, per
-    factor, the (rows, dim) real parts and then the imaginary parts of block i.
-    The draws are squared in place."""
-    nb = draws.shape[0]
-    sq = np.square(draws, out=draws)
-    r = np.empty((sum(dims), nb, rows))
-    at = c = 0
-    for d in dims:
-        xy = sq[:, at : at + 2 * rows * d].reshape(nb, 2, rows, d).transpose(1, 3, 0, 2)
-        np.add(xy[0], xy[1], out=r[c : c + d])
-        r[c : c + d] /= r[c : c + d].sum(axis=0)
-        at, c = at + 2 * rows * d, c + d
-    return r.reshape(len(r), -1)
 
 
 def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
@@ -262,12 +253,12 @@ def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
 
     Uniform sphere samples on the support coordinates are Fubini-Study
     uniform on the subvariety, and a monomial's norm square needs only
-    their masses (`_sphere_masses`, in the stream order of per-block draws,
-    evaluated at most MC_CHUNK samples at a time).  A row that charges a
-    coordinate off the pattern vanishes there: diagonal and error 0, and a
-    pattern where every row vanishes draws nothing.  The other rows'
-    per-block sums accumulate chunk by chunk, and the spread of the block
-    means gives the per-entry standard error.  Returns (diagonal, stderr).
+    their masses, Dirichlet(1, ..., 1) per factor (`_sphere_masses`, in the
+    stream order of per-block draws, evaluated at most MC_CHUNK samples at a
+    time).  A row that charges a coordinate off the pattern vanishes there:
+    diagonal and error 0, and a pattern where every row vanishes draws
+    nothing.  The other rows' per-block sums accumulate chunk by chunk, and
+    the block means' spread gives the per-entry error.  Returns (diagonal, stderr).
     """
     model = action.model
     rng = rng_for(quad.seed, "gram", tag)

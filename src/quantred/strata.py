@@ -583,30 +583,35 @@ def kirwan_flow(action, point, tol=1e-12, max_steps=20000):
 # sampling a stratum or an extra piece
 
 
+def stratum_draw(action, target, count, seed):
+    """The draw behind `sample_stratum`: (p, phase uniforms, quotient weights) of count draws.
+
+    A draw is a row of uniforms, the slice coordinates s (mapped into the slice's box), then the phases;
+    it is kept when p = p0 + s basis lands in the slice polytope, else it keeps weight 0 and p = p0."""
+    if count <= 0:
+        raise StrataError("count must be positive")
+    sl = target.level_slice
+    u = np.random.default_rng(seed).random((count, sl.q + sl.n_theta))
+    lo, hi = sl.box
+    p = sl.p0 + (lo + (hi - lo) * u[:, : sl.q]) @ sl.basis
+    accepted = np.all(p >= 0, axis=1)
+    p[~accepted] = sl.p0
+    C = slice_constant(action, sl, ta.isotropy_of_support(action, sl.pattern))
+    return p, u[:, sl.q :], np.where(accepted, C * float(np.prod(hi - lo)) / count, 0.0)
+
+
 def sample_stratum(action, target, count, seed):
     """Points on the level slice of a stratum label or an ExtraPiece, with quotient weights.
 
     The weights realize integrals against the slice's reduced measure, for
     a piece as for a stratum: sum_i w_i f(x_i) estimates int f eps_hat (one
-    representative per orbit, finite-part corrected).  Draws are uniform in
-    the slice's box and kept when they land in the slice polytope, which a
-    q <= 1 box lies inside: a rejected draw keeps weight 0 and the slice's
-    interior point, so every returned point lies on the slice even when no
-    draw is accepted.
+    representative per orbit, finite-part corrected).  The points carry
+    `stratum_draw`'s masses and phases, so each lies on the slice even when
+    no draw is accepted (a q <= 1 box lies inside the slice polytope).
     """
-    if count <= 0:
-        raise StrataError("count must be positive")
-    rng = np.random.default_rng(seed)
-    model = action.model
-    sl = target.level_slice
-    # one row of uniforms per draw, slice coordinates first, then the phases
-    u = rng.random((count, sl.q + sl.n_theta))
-    lo, hi = sl.box
-    s, meas = lo + (hi - lo) * u[:, : sl.q], float(np.prod(hi - lo))
-    accepted = np.all(sl.p0 + s @ sl.basis >= 0, axis=1)
-    s[~accepted] = 0.0
+    p, phases, wts = stratum_draw(action, target, count, seed)
+    model, sl = action.model, target.level_slice
     theta = np.zeros((count, model.ncoords))
-    theta[:, list(sl.theta_idx)] = TWO_PI * u[:, sl.q :]
-    z = models.normalize(model, models.normalize(model, sl.point(s)) * np.exp(1j * theta))
-    C = slice_constant(action, sl, ta.isotropy_of_support(action, sl.pattern))
-    return z, np.where(accepted, C * meas / count, 0.0)
+    theta[:, list(sl.theta_idx)] = TWO_PI * phases
+    z = np.sqrt(np.clip(p, 0.0, None)).astype(complex)
+    return models.normalize(model, models.normalize(model, z) * np.exp(1j * theta)), wts

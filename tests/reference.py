@@ -549,8 +549,9 @@ def monomial_norms_at_points(model, exps, z, twist="plain"):
 def pattern_gram_mc_by_block(action, exps, twist, pattern, quad, tag):
     """The oracle of `sections._pattern_gram_mc`, block by block on complex points.
 
-    Each block draws, per support factor, standard_normal((per, dim)) for the
-    real and then the imaginary parts, normalizes the points and averages
+    Each block draws, per support factor, standard_exponential((per, dim)),
+    takes the points sqrt(E / sum E) (real, unit per factor: their masses are
+    Dirichlet(1, ..., 1), those of a uniform point on the sphere) and averages
     their pointwise norms; the same stream and the same draws, one block and
     one factor at a time.  Returns (diagonal, stderr).
     """
@@ -567,9 +568,8 @@ def pattern_gram_mc_by_block(action, exps, twist, pattern, quad, tag):
     for b in range(nblk):
         z = np.zeros((per, model.ncoords), dtype=complex)
         for sup in pattern:
-            dim = len(sup)
-            blk = rng.standard_normal((per, dim)) + 1j * rng.standard_normal((per, dim))
-            z[:, list(sup)] = blk / np.linalg.norm(blk, axis=1, keepdims=True)
+            e = rng.standard_exponential((per, len(sup)))
+            z[:, list(sup)] = np.sqrt(e / e.sum(axis=1, keepdims=True))
         means[b] = monomial_norms_at_points(model, exps, z, twist).mean(axis=0)
     err = means.std(axis=0, ddof=1) / np.sqrt(nblk)
     return vol * means.mean(axis=0), vol * err

@@ -395,6 +395,24 @@ def test_underflow_is_named_on_the_exact_route(tmp_path, capsys):
         asymptotics.unitarity_defect(None, 2, quad={"method": "mc"}, grams=(gram, gram))
 
 
+def test_gram_files_flag_diagonal_underflow(tmp_path):
+    """E2 `--only gram`: at k = 700 the exact Dirichlet moments (upstairs) and
+    the grid route's products (downstairs) underflow to 0 on some diagonal
+    entries, and both files of both norm definitions carry the flag
+    "diagonal_underflow"; at k = 2, ..., 128 every diagonal entry is
+    positive and no file carries it."""
+    import json
+
+    for ks, flagged in (("700", True), ("2,4,8,16,32,64,128", False)):
+        out = tmp_path / ks.replace(",", "_")
+        assert cli.main(["run", "--preset", "E2", "--k", ks, "--only", "gram", "--out", str(out)]) == 0
+        for k in ks.split(","):
+            for side in ("up", "down"):
+                for block in json.loads((out / f"gram_{side}_{k}.json").read_text()).values():
+                    diag = [row[i] for i, row in enumerate(block["matrix_re"])]
+                    assert ("diagonal_underflow" in block["flags"]) == flagged == (min(diag) <= 0)
+
+
 def test_cli_run_via_main(tmp_path):
     rc = cli.main([
         "unitarity", "--preset", "E1", "--k", "2,4",

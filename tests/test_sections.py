@@ -346,11 +346,61 @@ def test_pattern_gram_mc_draws_the_oracle_samples():
     assert g.diagonal[0] > sections.gram_upstairs(action, 2, "plain", 1, quad).diagonal[0] > 0
 
 
+def test_exponential_masses_follow_the_sphere_law():
+    """The upstairs route's masses, standard exponentials over their factor
+    sum, have the law of the masses of a uniform point on the sphere of C^d:
+    against the Gaussian sphere sampler `reference.random_points` by a
+    two-sample Kolmogorov-Smirnov test per coordinate, and on both samples
+    the Dirichlet(1, ..., 1) moments, mean 1/d and variance
+    (d - 1) / (d^2 (d + 1)), within 5 standard errors; d = 2 and 3, 200000
+    samples in 4 blocks (each larger than a chunk) at fixed seeds."""
+    from scipy.stats import ks_2samp
+
+    n = 200000
+    assert n // 4 > sections.MC_CHUNK
+    for d, seed in ((2, 7), (3, 8)):
+        p = np.hstack([chunk for _, _, chunk in sections._sphere_masses(np.random.default_rng(seed), [d], n // 4, 4)])
+        assert p.shape == (d, n) and np.all(p > 0) and np.all(np.abs(p.sum(axis=0) - 1.0) < 1e-14)
+        oracle = np.abs(reference.random_points(models.make_model([d - 1], [1]), n, np.random.default_rng(seed))) ** 2
+        for i in range(d):
+            assert ks_2samp(p[i], oracle[:, i]).pvalue > 1e-3
+            for x in (p[i], oracle[:, i]):
+                sq = (x - 1.0 / d) ** 2
+                assert abs(x.mean() - 1.0 / d) < 5 * x.std() / math.sqrt(n)
+                assert abs(sq.mean() - (d - 1) / (d * d * (d + 1))) < 5 * sq.std() / math.sqrt(n)
+
+
+def test_upstairs_mc_diagonal_within_its_error_over_seeds():
+    """The upstairs MC Gram diagonal against the exact Dirichlet moments over
+    20 fixed seeds: E2 (plain), E3 (half-form) and CP^1 x CP^2 (plain) at
+    k = 2 and 4, 20000 samples in 32 blocks on the ambient pattern.  Every
+    z = (mc - exact) / stderr lies within 5, and the mean z^2 in [0.5, 2]."""
+    from quantred.integrate import QuadConfig
+
+    zs = []
+    for action, twist in ((_action([2], [1], [[1, -1, 0]]), "plain"),
+                          (_action([1, 1], [1, 1], [[1, 0, -1, 0]], ["1/2"]), "halfform"),
+                          (_action([1, 2], [1, 1], [[1, 0, -1, 0, 1]]), "plain")):
+        ambient = sections._full_pattern(action.model)
+        for k in (2, 4):
+            exps = sections.invariant_exponents(action, k, twist)
+            exact, _ = sections._gram_exact_on_pattern(action, exps, twist, ambient)
+            for seed in range(20):
+                quad = QuadConfig(method="mc", samples=20000, blocks=32, seed=seed)
+                diag, err = sections._pattern_gram_mc(action, exps, twist, ambient, quad, (k, twist, "ambient"))
+                assert np.all(err > 0)
+                zs.extend((diag - exact) / err)
+    zs = np.asarray(zs)
+    assert np.max(np.abs(zs)) < 5
+    assert 0.5 <= np.mean(zs**2) <= 2
+
+
 def test_stratum_gram_mc_from_masses_matches_the_point_oracle():
-    """`reduction._stratum_gram_mc` evaluates its norms from the samples'
-    masses, the oracle from the complex points: E3's half-form open stratum
-    and CP^1 x CP^2's q = 2 open stratum, with 2000, 1234 and (the floor)
-    256 stratum samples in 32 blocks."""
+    """`reduction._stratum_gram_mc` evaluates its norms and its half-form
+    descent factor from the masses of `strata.stratum_draw`, the oracle from
+    the complex points `sample_stratum` builds of the same draw: E3's
+    half-form open stratum and CP^1 x CP^2's q = 2 open stratum, with 2000,
+    1234 and (the floor) 256 stratum samples in 32 blocks."""
     from quantred import reduction, strata
     from quantred.integrate import QuadConfig
 

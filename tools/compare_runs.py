@@ -8,7 +8,10 @@ PYTHONPATH.  Per scenario the tool lists the files that are identical, and
 for every other file each numeric field name with its largest relative
 change |new - old| / max(|old|, |new|) and its largest absolute change.  A `stderr` field is measured
 against the larger of itself and the value it belongs to (`value`, `rhs`,
-`matrix_re` or `defect` in the same record).  `run_manifest.json` is
+`matrix_re` or `defect` in the same record), and that value gets a third
+figure, its largest sigma-distance |new - old| / hypot(stderr_old,
+stderr_new), which judges a Monte Carlo re-baseline against its stated
+errors (inf where both errors are 0 and the value moved).  `run_manifest.json` is
 skipped: it holds the hashes of the files compared here.  The exit status
 is 1 when a run fails, the two trees write different sets of files, or a
 non-numeric field (a key, a length, a string) differs, and 0 otherwise.
@@ -16,6 +19,7 @@ non-numeric field (a key, a length, a string) differs, and 0 otherwise.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,29 +91,35 @@ def _numeric(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def compare(old, new, changes, mismatches, where="", field=None, scale=None):
-    """Walk both trees; changes[field] = [max relative, max absolute] change; mismatches lists the rest."""
+def compare(old, new, changes, mismatches, where="", field=None, scale=None, sigma=None):
+    """Walk both trees; changes[field] = [max relative, max absolute change, max sigma-distance or None
+    if the field has no stderr partner]; mismatches lists the rest."""
     if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
             mismatches.append(f"{where}: keys {sorted(old)} != {sorted(new)}")
             return
         value = next((key for key in VALUE_OF_STDERR if key in old), None)
+        paired = value and "stderr" in old
         for key in old:
             ref = (old[value], new[value], old[key], new[key]) if key == "stderr" and value else None
-            compare(old[key], new[key], changes, mismatches, f"{where}/{key}", key, ref)
+            sig = (old["stderr"], new["stderr"]) if paired and key == value else None
+            compare(old[key], new[key], changes, mismatches, f"{where}/{key}", key, ref, sig)
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
             mismatches.append(f"{where}: length {len(old)} != {len(new)}")
             return
         for i, (a, b) in enumerate(zip(old, new)):
-            ref = None if scale is None else tuple(x[i] for x in scale)
-            compare(a, b, changes, mismatches, f"{where}[{i}]", field, ref)
+            ref, sig = (None if x is None else tuple(y[i] for y in x) for x in (scale, sigma))
+            compare(a, b, changes, mismatches, f"{where}[{i}]", field, ref, sig)
     elif _numeric(old) and _numeric(new):
         size = max(abs(x) for x in scale or (old, new))
         delta = abs(new - old)
         rel = 0.0 if delta == 0 else delta / size if size else float("inf")
-        entry = changes.setdefault(field, [0.0, 0.0])
+        entry = changes.setdefault(field, [0.0, 0.0, None])
         entry[0], entry[1] = max(entry[0], rel), max(entry[1], delta)
+        if sigma is not None:
+            spread = math.hypot(*sigma)
+            entry[2] = max(entry[2] or 0.0, 0.0 if delta == 0 else delta / spread if spread else float("inf"))
     elif old != new:
         mismatches.append(f"{where}: {old!r} != {new!r}")
 
@@ -150,8 +160,9 @@ def main(argv=None):
                     continue
                 changes, mismatches = {}, []
                 compare(*(load(p) for p in paths), changes, mismatches)
-                moved = "; ".join(f"{field} rel {rel:.2g} abs {delta:.2g}"
-                                  for field, (rel, delta) in sorted(changes.items()) if delta)
+                moved = "; ".join(f"{field} rel {entry[0]:.2g} abs {entry[1]:.2g}"
+                                  + ("" if entry[2] is None else f" sigma {entry[2]:.2g}")
+                                  for field, entry in sorted(changes.items()) if entry[1])
                 print(f"{name} / {fname}: {moved or 'equal values, different bytes'}")
                 for line in mismatches:
                     print(f"  differs: {line}")
