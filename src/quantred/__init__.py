@@ -31,7 +31,7 @@ from .strata import (
 )
 from .sections import (
     GramMatrix,
-    gram_upstairs,
+    gram_upstairs, grams_upstairs,
 )
 from .reduction import (
     reduced_gram,
@@ -51,7 +51,7 @@ __all__ = [
     "WeightAction", "IsotropyDescriptor", "make_action", "moment_map", "imaginary_flow",
     "isotropy", "orbit_volume",
     "StratumLabel", "ExtraPiece", "FlowResult", "kirwan_flow", "sample_stratum",
-    "GramMatrix", "gram_upstairs",
+    "GramMatrix", "gram_upstairs", "grams_upstairs",
     "reduced_gram", "reduced_grams",
     "density_I", "density_J", "residual_II",
     "unitarity_defect", "norm_split_consistency",

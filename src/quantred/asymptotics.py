@@ -328,7 +328,7 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
     norm definition.  Both Grams are diagonal, so the eigenvalues are the
     ratios lambda_a = d_a / u_a of their diagonals.  Returns (defect,
     propagated error sqrt(sd_a^2 + lambda_a^2 su_a^2) / u_a at the worst a,
-    by hypot, which cannot underflow).  An entry u_a <= 0 raises.
+    by hypot, which cannot underflow).  An entry u_a <= 0, which only underflow makes, raises.
     """
     if grams is not None:
         gu, gd = grams
@@ -338,10 +338,8 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
     if gu.dim == 0:
         raise AsymptoticsError(f"empty invariant space at k={k}")
     u = gu.diagonal
-    if u.min() <= 0:
-        why = ("insufficient sampling" if as_quad(quad).method == "mc"
-               else f"its exact Dirichlet moments underflowed to 0 at k={k}")
-        raise AsymptoticsError(f"upstairs Gram not positive definite: {why}")
+    if u.min() <= 0:  # exact or sampled, a sum of positive norms is 0 only when every term underflowed
+        raise AsymptoticsError(f"upstairs Gram not positive definite: its entries underflowed to 0 at k={k}")
     lam = gd.diagonal / u
     a = int(np.argmax(np.abs(lam - 1.0)))
     sigma = np.hypot(gd.stderr[a], lam[a] * gu.stderr[a]) / u[a]

@@ -332,10 +332,9 @@ def run(scn):
     gram_cache = {}
     if "gram" in scn.quantities or "unitarity" in scn.quantities:
         for nd in scn.norm_defs:
+            ups = sections.grams_upstairs(scn.action, ks, scn.twist, nd, quad, strat, exps)
             downs = reduction.reduced_grams(scn.action, ks, scn.twist, nd, quad, strat, exps)
-            for k, e, gd in zip(ks, exps, downs):
-                gu = sections.gram_upstairs(scn.action, k, scn.twist, nd, quad, strat=strat, exps=e)
-                gram_cache[(k, nd)] = (gu, gd)
+            gram_cache.update(((k, nd), pair) for k, pair in zip(ks, zip(ups, downs)))
 
     if "strata" in scn.quantities:
         record("strata.json", _write_json(os.path.join(scn.out, "strata.json"), strat.to_json_dict()))

@@ -56,13 +56,13 @@ def stratum_gram(action, lab, exps, ks, twist, quad):
     to 0 (distinct monomials are torus-orthogonal).  The grid route is one
     `_piece_integral` for all of ks on the Duistermaat-Heckman Gauss rule of
     the level slice, with dim = 0, T = 1, T_err = 0 and vol the descent
-    factor (half-form) or 1.  The mc route draws slice masses at each k
-    (`strata.stratum_draw`; phases move neither norms nor orbit volumes) from
-    the stream tagged ("down", k, twist, key), with block standard errors.
+    factor (half-form) or 1.  The mc route is one `_stratum_gram_mc` draw for
+    all of ks from the stream tagged ("down", twist, key), so a k's integral
+    does not depend on the rest of ks.
     """
     quad = as_quad(quad)
     if quad.method == "mc":
-        return [_stratum_gram_mc(action, lab, e, twist, quad, ("down", k, twist, lab.key)) for k, e in zip(ks, exps)]
+        return _stratum_gram_mc(action, lab, exps, twist, quad, ("down", twist, lab.key))
     z, rules = strata.slice_quadrature(action, lab.level_slice, quad.grid_order)
     vol = descent_norm_factor(action, z, lab.isotropy) if twist == "halfform" else np.ones(len(z))
     T = np.ones((len(ks), len(z)))
@@ -94,12 +94,16 @@ def _piece_integral(action, piece, exps, ks, twist):
 
 
 def stratum_sample_count(quad):
-    """Stratum samples the mc route draws per (k, stratum), split into max(4, quad.blocks) blocks."""
+    """Stratum samples the mc route draws per stratum for all of ks, split into max(4, quad.blocks) blocks."""
     return max(256, quad.samples // 10)
 
 
 def _stratum_gram_mc(action, lab, exps, twist, quad, tag):
-    """`stratum_gram`'s mc route at one k: normalized slice masses from the stream tag, block standard errors."""
+    """`stratum_gram`'s mc route: one (diagonal, block stderr) per exponent matrix in exps (one per k).
+
+    The slice masses (`strata.stratum_draw`; phases move neither norms nor orbit volumes), their weights and the
+    half-form descent factor come from one draw of the stream tag, whose measure does not depend on k; each
+    matrix's weighted norms are then summed in turn, so memory grows with the largest matrix."""
     rng = rng_for(quad.seed, "reduced", tag)
     count = stratum_sample_count(quad)
     p, _, wts = strata.stratum_draw(action, lab, count, rng.integers(2**32))
@@ -108,11 +112,14 @@ def _stratum_gram_mc(action, lab, exps, twist, quad, tag):
     p = unit_masses(action.model, p)
     if twist == "halfform":
         wts = wts * descent_factor_from_masses(action, p, lab.isotropy)
-    terms = wts[:, None] * sections.monomial_norms(action.model, exps, p, twist)
     nblk = max(4, quad.blocks)
     per = count // nblk
-    blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)
-    return terms.sum(axis=0), blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
+
+    def sums(e):
+        terms = wts[:, None] * sections.monomial_norms(action.model, e, p, twist)
+        blocks = terms[: nblk * per].reshape(nblk, per, -1).sum(axis=1) * (count / per)
+        return terms.sum(axis=0), blocks.std(axis=0, ddof=1) / np.sqrt(nblk)
+    return [sums(e) for e in exps]
 
 
 def reduced_grams(action, ks, twist="plain", norm_def=1, quad=None, strat=None, exps=None):

@@ -249,19 +249,22 @@ def _sphere_masses(rng, dims, per, nblk):
 
 
 def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
-    """Monte Carlo Gram diagonal over a closed pattern subvariety.
+    """Monte Carlo Gram diagonals over a closed pattern subvariety, one (diagonal, stderr) per matrix in exps.
 
     Uniform sphere samples on the support coordinates are Fubini-Study
     uniform on the subvariety, and a monomial's norm square needs only
     their masses, Dirichlet(1, ..., 1) per factor (`_sphere_masses`, in the
     stream order of per-block draws, evaluated at most MC_CHUNK samples at a
-    time).  A row that charges a coordinate off the pattern vanishes there:
-    diagonal and error 0, and a pattern where every row vanishes draws
-    nothing.  The other rows' per-block sums accumulate chunk by chunk, and
-    the block means' spread gives the per-entry error.  Returns (diagonal, stderr).
+    time).  The measure does not depend on k, so one draw from the stream
+    tag serves every exponent matrix in exps (one per k): each chunk is
+    evaluated matrix by matrix, so memory grows with the largest matrix,
+    and a matrix's result does not depend on the others.  A row that
+    charges a coordinate off the pattern vanishes there: diagonal and error
+    0, and a pattern where no row lives draws nothing.  The other rows'
+    per-block sums accumulate chunk by chunk, and the block means' spread
+    gives the per-entry error.
     """
     model = action.model
-    rng = rng_for(quad.seed, "gram", tag)
     nblk = max(4, quad.blocks)
     per = max(64, quad.samples // nblk)
     vol = 1.0
@@ -271,21 +274,20 @@ def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
     cols = [i for sup in pattern for i in sup]
     off = np.ones(model.ncoords, dtype=bool)
     off[cols] = False
-    live = ~np.any(exps[:, off] > 0, axis=1)
-    if not live.any():
-        return np.zeros(len(exps)), np.zeros(len(exps))
-    alpha = exps[np.ix_(live, cols)]
-    means = np.zeros((nblk, exps.shape[0]))
-    for b, nb, p in _sphere_masses(rng, [len(sup) for sup in pattern], per, nblk):
-        norms = monomial_norms(model, alpha, p.T, twist).reshape(nb, -1, alpha.shape[0])
-        means[b : b + nb, live] += np.einsum("bsa->ba", norms)  # the block sums; 3x faster than sum(axis=1) here
-    means /= per
-    err = means.std(axis=0, ddof=1) / np.sqrt(nblk)
-    return vol * means.mean(axis=0), vol * err
+    lives = [~np.any(e[:, off] > 0, axis=1) for e in exps]
+    rows = [(i, live, e[np.ix_(live, cols)]) for i, (e, live) in enumerate(zip(exps, lives)) if live.any()]
+    means = [np.zeros((nblk, e.shape[0])) for e in exps]
+    if rows:
+        for b, nb, p in _sphere_masses(rng_for(quad.seed, "gram", tag), [len(sup) for sup in pattern], per, nblk):
+            for i, live, alpha in rows:  # block sums, one k's rows at a time; einsum is 3x faster than sum(axis=1)
+                means[i][b : b + nb, live] += np.einsum("bsa->ba", monomial_norms(model, alpha, p.T, twist)
+                                                        .reshape(nb, -1, alpha.shape[0]))
+    means = [m / per for m in means]
+    return [(vol * m.mean(axis=0), vol * (m.std(axis=0, ddof=1) / np.sqrt(nblk))) for m in means]
 
 
-def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None, exps=None):
-    """Gram matrix of the invariant basis under Definition (1) or (2).
+def grams_upstairs(action, ks, twist="plain", norm_def=1, quad=None, strat=None, exps=None):
+    """Grams of the invariant basis under Definition (1) or (2), one per k in ks.
 
     Definition (1) integrates over the open dense preimage piece, which has
     full measure, so it is the ambient integral with prefactor
@@ -294,38 +296,40 @@ def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None, e
     dimension prefactor, integrated over the closure of its support
     pattern; zero-dimensional pieces contribute point values.  The ambient
     is the open stratum's complexification where 0 is interior to phi(M)
-    and an extra piece where 0 lies on its boundary.  `exps`, if given,
-    holds the invariant exponents at k.
+    and an extra piece where 0 lies on its boundary.  On the mc route each
+    pattern is sampled once for all of ks, from the stream tagged
+    (twist, "ambient"), (twist, "gz", key) for a stratum's own pattern or
+    (twist, "piece", key, pattern) (`_pattern_gram_mc`), so a k's Gram does
+    not depend on the rest of ks.  `exps`, if given, holds each k's
+    invariant exponents.
     """
     quad = as_quad(quad)
     model = action.model
-    exps = invariant_exponents(action, k, twist) if exps is None else exps
-    ids = [tuple(map(int, row)) for row in exps]
-    if not ids:
-        return GramMatrix(basis_ids=ids, diagonal=np.zeros(0), stderr=np.zeros(0), norm_def=norm_def,
-                          k=k, twist=twist)
-
-    def on_pattern(pattern, tag):
-        if quad.method == "mc":
-            return _pattern_gram_mc(action, exps, twist, pattern, quad, (k, twist) + tag)
-        return _gram_exact_on_pattern(action, exps, twist, pattern)
-
-    pref = (k / TWO_PI) ** (model.n_total / 2.0)
+    exps = [invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
     ambient = _full_pattern(model)
-    diag, err = on_pattern(ambient, ("ambient",))
-    diag, err = pref * diag, pref * err
+    terms = [(model.n_total, ambient, ("ambient",))]
     if norm_def == 2:
         strat = strat or strata.analyze(action)
-        terms = [(dim_piece, pattern, ("gz", lab.key) if i == 0 else ("piece", lab.key, pattern))
-                 for lab in strat.strata for i, (dim_piece, pattern, _) in enumerate(strat.preimage(lab))
-                 if pattern != ambient]
-        for dim_piece, pattern, tag in terms:
+        terms += [(dim_piece, pattern, ("gz", lab.key) if i == 0 else ("piece", lab.key, pattern))
+                  for lab in strat.strata for i, (dim_piece, pattern, _) in enumerate(strat.preimage(lab))
+                  if pattern != ambient]
+    diags = [np.zeros(e.shape[0]) for e in exps]
+    errs = [np.zeros(e.shape[0]) for e in exps]
+    for dim_piece, pattern, tag in terms:
+        subs = (_pattern_gram_mc(action, exps, twist, pattern, quad, (twist,) + tag)
+                if quad.method == "mc" and dim_piece > 0 else  # on a point the moment is the value on every route
+                [_gram_exact_on_pattern(action, e, twist, pattern) for e in exps])
+        for i, (k, (sub, suberr)) in enumerate(zip(ks, subs)):
             prefp = (k / TWO_PI) ** (dim_piece / 2.0)
-            point = dim_piece == 0  # on a point the Dirichlet moment is the point value, whatever the route
-            sub, suberr = _gram_exact_on_pattern(action, exps, twist, pattern) if point else on_pattern(pattern, tag)
-            diag = diag + prefp * sub
-            err = np.hypot(err, prefp * suberr)
-    return GramMatrix(basis_ids=ids, diagonal=diag, stderr=err, norm_def=norm_def, k=k, twist=twist)
+            diags[i] = diags[i] + prefp * sub
+            errs[i] = np.hypot(errs[i], prefp * suberr)
+    return [GramMatrix(basis_ids=[tuple(map(int, row)) for row in e], diagonal=d, stderr=err, norm_def=norm_def,
+                       k=k, twist=twist) for k, e, d, err in zip(ks, exps, diags, errs)]
+
+
+def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None, exps=None):
+    """`grams_upstairs` at the one k; `exps`, if given, holds the invariant exponents at k."""
+    return grams_upstairs(action, [k], twist, norm_def, quad, strat, None if exps is None else [exps])[0]
 
 
 def _gram_exact_on_pattern(action, exps, twist, pattern):

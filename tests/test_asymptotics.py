@@ -446,7 +446,7 @@ def test_rank2_piece_residuals_match_direct_mc():
     quad = QuadConfig(method="mc", samples=100000, seed=3)
     for piece in pieces:
         (res, _), = reference.piece_integral(action, piece.dim_piece, piece.level_slice, [exps], [k], "plain", 48)
-        mc, err = sections._pattern_gram_mc(action, exps, "plain", piece.pattern, quad, ("oracle", piece.pattern))
+        (mc, err), = sections._pattern_gram_mc(action, [exps], "plain", piece.pattern, quad, ("oracle", piece.pattern))
         pref = (k / (2 * np.pi)) ** (piece.dim_piece / 2.0)
         mc, err = pref * mc, pref * err
         assert np.any(res > 0)
@@ -538,7 +538,7 @@ def test_norm_split_budget_scaling(e2, st2):
                     mc = mc + sections.monomial_norms(e2.model, exps, models.masses(e2.model, lab.representative))[0]
                     continue
                 pref = (k / (2 * np.pi)) ** (dim / 2.0)
-                val, err = sections._pattern_gram_mc(e2, exps, "plain", pattern, quad, ("oracle", si, pattern))
+                (val, err), = sections._pattern_gram_mc(e2, [exps], "plain", pattern, quad, ("oracle", si, pattern))
                 mc, var = mc + pref * val, var + (pref * err) ** 2
             errs[samples, si] = np.sqrt(var)
             assert np.all(np.abs(mc - np.asarray(rep["strata"][si]["lhs"])) <= 4.0 * errs[samples, si])

@@ -382,8 +382,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
 
 def test_underflow_is_named_on_the_exact_route(tmp_path, capsys):
     """E2 at k = 700: the exact upstairs Dirichlet moments underflow to 0,
-    and the run exits 3 naming underflow, not sampling; under quad.method mc
-    a zero entry is still called insufficient sampling."""
+    and the run exits 3 naming underflow, not sampling; a zero entry handed
+    in under quad.method mc is named underflow too."""
     from quantred import asymptotics, sections
 
     assert cli.main(["run", "--preset", "E2", "--k", "700", "--out", str(tmp_path / "u")]) == 3
@@ -391,8 +391,24 @@ def test_underflow_is_named_on_the_exact_route(tmp_path, capsys):
     assert "underflow" in err and "sampling" not in err
     gram = sections.GramMatrix(basis_ids=[(0, 1)], diagonal=np.zeros(1), stderr=np.zeros(1), norm_def=1, k=2,
                                twist="plain")
-    with pytest.raises(asymptotics.AsymptoticsError, match="insufficient sampling"):
+    with pytest.raises(asymptotics.AsymptoticsError, match="underflowed to 0 at k=2"):
         asymptotics.unitarity_defect(None, 2, quad={"method": "mc"}, grams=(gram, gram))
+
+
+def test_underflow_is_named_on_the_mc_route(tmp_path, capsys):
+    """E2 at k = 700 under quad.method mc: every sampled norm of some
+    upstairs entries underflows, so their means are 0.0 and flagged
+    "diagonal_underflow", and the run exits 3 naming underflow, not
+    sampling."""
+    import json
+
+    cfg, out = tmp_path / "mc.json", tmp_path / "u"
+    cfg.write_text(json.dumps({"preset": "E2", "quad": {"method": "mc"}}))
+    assert cli.main(["run", "--config", str(cfg), "--k", "700", "--only", "gram,unitarity", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "underflowed to 0 at k=700" in err and "sampling" not in err
+    for block in json.loads((out / "gram_up_700.json").read_text()).values():
+        assert "diagonal_underflow" in block["flags"] and min(block["matrix_re"][i][i] for i in range(351)) == 0.0
 
 
 def test_gram_files_flag_diagonal_underflow(tmp_path):
@@ -587,18 +603,19 @@ def test_run_files_keep_the_square_gram_layout(tmp_path, monkeypatch):
     from quantred import reduction, sections
 
     grams = {}
-    gram_upstairs, reduced_grams = sections.gram_upstairs, reduction.reduced_grams
+    grams_upstairs, reduced_grams = sections.grams_upstairs, reduction.reduced_grams
 
-    def up(action, k, twist, nd, quad, strat=None, exps=None):
-        grams["up", k, nd] = g = gram_upstairs(action, k, twist, nd, quad, strat=strat, exps=exps)
-        return g
+    def up(action, ks, twist, nd, quad, strat=None, exps=None):
+        out = grams_upstairs(action, ks, twist, nd, quad, strat, exps)
+        grams.update((("up", k, nd), g) for k, g in zip(ks, out))
+        return out
 
     def down(action, ks, twist, nd, quad, strat=None, exps=None):
         out = reduced_grams(action, ks, twist, nd, quad, strat, exps)
         grams.update((("down", k, nd), g) for k, g in zip(ks, out))
         return out
 
-    monkeypatch.setattr(sections, "gram_upstairs", up)
+    monkeypatch.setattr(sections, "grams_upstairs", up)
     monkeypatch.setattr(reduction, "reduced_grams", down)
     for preset, twist in (("E1", "plain"), ("E2", "plain"), ("E3", "plain"), ("E3", "halfform")):
         for method in ("exact", "mc"):
@@ -620,6 +637,23 @@ def test_run_files_keep_the_square_gram_layout(tmp_path, monkeypatch):
                     assert block["per_stratum"] == {str(i): np.diag(d).tolist()
                                                     for i, d in enumerate(g.per_stratum.values())}
             assert len(grams) == 8
+
+
+def test_mc_grams_of_a_k_do_not_depend_on_the_k_list(tmp_path):
+    """Both Monte Carlo Grams draw once per pattern or stratum for the whole k
+    list, so gram_up_4.json and gram_down_4.json are the same bytes whether
+    k = 4 runs alone, in 2,4,8 or in a list of 15 values: E2 under norm
+    definitions 1 and 2 and E3 half-form (even k) under definition 1."""
+    for preset, twist, norm_defs, step in (("E2", "plain", [1, 2], 1), ("E3", "halfform", [1], 2)):
+        cfg = tmp_path / f"{preset}.json"
+        cfg.write_text(json.dumps({"preset": preset, "twist": twist, "norm_defs": norm_defs, "seed": 9,
+                                   "quad": {"method": "mc", "samples": 4000}}))
+        files = set()
+        for ks in ("4", "2,4,8", ",".join(str(k) for k in range(2, 2 + 15 * step, step))):
+            out = tmp_path / f"{preset}-{ks.count(',')}"
+            assert cli.main(["run", "--config", str(cfg), "--k", ks, "--only", "gram", "--out", str(out)]) == 0
+            files.add(tuple((out / f"gram_{side}_4.json").read_bytes() for side in ("up", "down")))
+        assert len(files) == 1
 
 
 def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
@@ -653,7 +687,7 @@ def test_empty_invariant_space_is_found_before_any_gram(tmp_path, monkeypatch, c
     def fail(*args, **kwargs):
         raise AssertionError("a Gram was built")
 
-    monkeypatch.setattr(sections, "gram_upstairs", fail)
+    monkeypatch.setattr(sections, "grams_upstairs", fail)
     monkeypatch.setattr(reduction, "reduced_grams", fail)
     out = tmp_path / "e"
     assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "2,3", "--out", str(out)]) == 2

@@ -201,3 +201,43 @@ def test_mc_grams_are_diagonal_without_false_flags(e2, st2, e3, st3):
                 assert g.dim >= 3
                 assert np.all(g.matrix[off] == 0) and g.stderr.shape == g.diagonal.shape
                 assert "entry_error_over_20_percent" not in g.flags
+
+
+def test_mc_gram_memory_does_not_grow_with_the_k_list(e2, st2, e3, st3):
+    """Each k's rows are evaluated on their own, chunk by chunk upstairs and
+    stratum by stratum downstairs, so the tracemalloc peak of both Monte
+    Carlo Grams over k = 2, 4, ..., 16 stays within 1.25x of the peak for
+    k = 16 alone (stacking every k's rows would multiply it): E2 under
+    norm definition 2 and E3 half-form."""
+    import tracemalloc
+
+    quad = {"method": "mc", "samples": 20000, "seed": 3}
+    for action, strat, twist, nd in ((e2, st2, "plain", 2), (e3, st3, "halfform", 1)):
+        peaks = []
+        for ks in ([16], list(range(2, 17, 2))):
+            exps = [sections.invariant_exponents(action, k, twist) for k in ks]
+            tracemalloc.start()
+            try:
+                sections.grams_upstairs(action, ks, twist, nd, quad, strat, exps)
+                reduction.reduced_grams(action, ks, twist, nd, quad, strat, exps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_reduced_mc_diagonal_within_its_error_over_seeds(e3, st3):
+    """The reduced MC Gram diagonal against the grid route over 20 fixed
+    seeds: E3 half-form at k = 2 and 4, one draw per seed for both k, 20000
+    samples in 32 blocks.  Every z = (mc - grid) / stderr lies within 5, and
+    the mean z^2 in [0.5, 2]."""
+    grid = reduction.reduced_grams(e3, [2, 4], "halfform", 1, {"method": "grid", "grid_order": 128}, st3)
+    zs = []
+    for seed in range(20):
+        quad = {"method": "mc", "samples": 20000, "blocks": 32, "seed": seed}
+        for mc, ref in zip(reduction.reduced_grams(e3, [2, 4], "halfform", 1, quad, st3), grid):
+            assert np.all(mc.stderr > 0) and np.all(ref.stderr < 1e-6 * mc.stderr)
+            zs.extend((mc.diagonal - ref.diagonal) / mc.stderr)
+    zs = np.asarray(zs)
+    assert np.max(np.abs(zs)) < 5
+    assert 0.5 <= np.mean(zs**2) <= 2

@@ -323,8 +323,8 @@ def test_pattern_gram_mc_draws_the_oracle_samples():
         for samples, blocks in [(20000, 32), (12345, 32), (20000, 1)] + [(10**6, 4)] * large:
             quad = QuadConfig(method="mc", samples=samples, blocks=blocks, seed=11)
             for pattern in [ambient] + pieces * (samples < 10**6):
-                tag = (k, twist, "t", pattern)
-                new = sections._pattern_gram_mc(action, exps, twist, pattern, quad, tag)
+                tag = (twist, "t", pattern)
+                new, = sections._pattern_gram_mc(action, [exps], twist, pattern, quad, tag)
                 assert_matches_mc_oracle(new, reference.pattern_gram_mc_by_block(action, exps, twist, pattern, quad, tag))
                 if action.model.ncoords == 3 and pattern != ambient:
                     e2_pieces.append(new[0])
@@ -338,9 +338,9 @@ def test_pattern_gram_mc_draws_the_oracle_samples():
     pattern, st = ((0, 1),), strata.analyze(action)
     assert any(pattern == piece for lab in st.strata for _, piece, _ in st.preimage(lab))
     quad = QuadConfig(method="mc", samples=2000, blocks=8, seed=11)
-    new = sections._pattern_gram_mc(action, exps, "plain", pattern, quad, (2, "plain", "t", pattern))
+    new, = sections._pattern_gram_mc(action, [exps], "plain", pattern, quad, ("plain", "t", pattern))
     assert_matches_mc_oracle(new, reference.pattern_gram_mc_by_block(action, exps, "plain", pattern, quad,
-                                                                     (2, "plain", "t", pattern)))
+                                                                     ("plain", "t", pattern)))
     assert not np.any(new[0]) and not np.any(new[1])
     g = sections.gram_upstairs(action, 2, "plain", 2, quad)
     assert g.diagonal[0] > sections.gram_upstairs(action, 2, "plain", 1, quad).diagonal[0] > 0
@@ -373,8 +373,9 @@ def test_exponential_masses_follow_the_sphere_law():
 def test_upstairs_mc_diagonal_within_its_error_over_seeds():
     """The upstairs MC Gram diagonal against the exact Dirichlet moments over
     20 fixed seeds: E2 (plain), E3 (half-form) and CP^1 x CP^2 (plain) at
-    k = 2 and 4, 20000 samples in 32 blocks on the ambient pattern.  Every
-    z = (mc - exact) / stderr lies within 5, and the mean z^2 in [0.5, 2]."""
+    k = 2 and 4, both from one draw of 20000 samples in 32 blocks on the
+    ambient pattern.  Every z = (mc - exact) / stderr lies within 5, and the
+    mean z^2 in [0.5, 2]."""
     from quantred.integrate import QuadConfig
 
     zs = []
@@ -382,14 +383,14 @@ def test_upstairs_mc_diagonal_within_its_error_over_seeds():
                           (_action([1, 1], [1, 1], [[1, 0, -1, 0]], ["1/2"]), "halfform"),
                           (_action([1, 2], [1, 1], [[1, 0, -1, 0, 1]]), "plain")):
         ambient = sections._full_pattern(action.model)
-        for k in (2, 4):
-            exps = sections.invariant_exponents(action, k, twist)
-            exact, _ = sections._gram_exact_on_pattern(action, exps, twist, ambient)
-            for seed in range(20):
-                quad = QuadConfig(method="mc", samples=20000, blocks=32, seed=seed)
-                diag, err = sections._pattern_gram_mc(action, exps, twist, ambient, quad, (k, twist, "ambient"))
+        exps = [sections.invariant_exponents(action, k, twist) for k in (2, 4)]
+        exact = [sections._gram_exact_on_pattern(action, e, twist, ambient)[0] for e in exps]
+        for seed in range(20):
+            quad = QuadConfig(method="mc", samples=20000, blocks=32, seed=seed)
+            for (diag, err), want in zip(sections._pattern_gram_mc(action, exps, twist, ambient, quad,
+                                                                   (twist, "ambient")), exact):
                 assert np.all(err > 0)
-                zs.extend((diag - exact) / err)
+                zs.extend((diag - want) / err)
     zs = np.asarray(zs)
     assert np.max(np.abs(zs)) < 5
     assert 0.5 <= np.mean(zs**2) <= 2
@@ -400,7 +401,8 @@ def test_stratum_gram_mc_from_masses_matches_the_point_oracle():
     descent factor from the masses of `strata.stratum_draw`, the oracle from
     the complex points `sample_stratum` builds of the same draw: E3's
     half-form open stratum and CP^1 x CP^2's q = 2 open stratum, with 2000,
-    1234 and (the floor) 256 stratum samples in 32 blocks."""
+    1234 and (the floor) 256 stratum samples in 32 blocks, each k of the
+    pair from the one draw of the k-free tag."""
     from quantred import reduction, strata
     from quantred.integrate import QuadConfig
 
@@ -408,13 +410,12 @@ def test_stratum_gram_mc_from_masses_matches_the_point_oracle():
                                  (_action([1, 2], [1, 1], [[1, 0, -1, 0, 1]]), "plain", (2, 4), 2)):
         lab = strata.analyze(action).open_stratum()
         assert lab.level_slice.q == q
-        for k in ks:
-            exps = sections.invariant_exponents(action, k, twist)
-            for samples in (20000, 12345, 1000):
-                quad = QuadConfig(method="mc", samples=samples, blocks=32, seed=4)
-                tag = ("down", k, twist, lab.key)
-                assert_matches_mc_oracle(reduction._stratum_gram_mc(action, lab, exps, twist, quad, tag),
-                                         reference.stratum_gram_mc_at_points(action, lab, exps, twist, quad, tag))
+        exps = [sections.invariant_exponents(action, k, twist) for k in ks]
+        for samples in (20000, 12345, 1000):
+            quad = QuadConfig(method="mc", samples=samples, blocks=32, seed=4)
+            tag = ("down", twist, lab.key)
+            for new, e in zip(reduction._stratum_gram_mc(action, lab, exps, twist, quad, tag), exps):
+                assert_matches_mc_oracle(new, reference.stratum_gram_mc_at_points(action, lab, e, twist, quad, tag))
 
 
 def test_empty_invariant_space_gram(e1):

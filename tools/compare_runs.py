@@ -61,6 +61,8 @@ SCENARIOS = [
     ("E2 mc norm_defs 1,2 --only gram,unitarity --k 2,4,8",
      ["--config", "{e2mc}", "--only", "gram,unitarity", "--k", "2,4,8"]),
     ("CP^1 x CP^2 mc --only gram,unitarity --k 2,4", ["--config", "{cp1cp2mc}", "--only", "gram,unitarity", "--k", "2,4"]),
+    ("E2 mc norm_defs 1,2 --only gram,unitarity --k 2,4,6,8,10,12,14,16",
+     ["--config", "{e2mc}", "--only", "gram,unitarity", "--k", "2,4,6,8,10,12,14,16"]),
 ]
 VALUE_OF_STDERR = ("value", "rhs", "matrix_re", "defect")
 
