@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -222,10 +224,6 @@ def describe(scn, stream=None):
         )
 
 
-def _hash_bytes(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 @dataclass
 class _Diagonal:
     """A square matrix that is zero off its diagonal, written from the diagonal alone."""
@@ -234,54 +232,76 @@ class _Diagonal:
 
 def _gram_json(g):
     """A Gram file entry: square matrix_re, matrix_im and stderr (and per_stratum downstairs)."""
-    out = {"k": g.k, "twist": g.twist, "norm_def": g.norm_def, "flags": g.flags,
-           "basis": [list(map(int, b)) for b in g.basis_ids], "matrix_re": _Diagonal(g.diagonal),
-           "matrix_im": _Diagonal(np.zeros(g.dim)), "stderr": _Diagonal(g.stderr)}
+    out = {"k": g.k, "twist": g.twist, "norm_def": g.norm_def, "flags": g.flags, "basis": g.basis_ids,
+           "matrix_re": _Diagonal(g.diagonal), "matrix_im": _Diagonal(np.zeros(g.dim)), "stderr": _Diagonal(g.stderr)}
     if g.per_stratum is not None:
         out["per_stratum"] = {str(i): _Diagonal(d) for i, d in enumerate(g.per_stratum.values())}
     return out
 
 
-def _json_text(obj, indent=""):
-    """json.dumps(obj, sort_keys=True, indent=1), with each _Diagonal as its square
-    nested list built in O(n) string operations from its n values.  A list of
-    ints and a diagonal of finite floats are written from the reprs of their
-    entries, which is what json.dumps writes for them, without a call per entry."""
+def _json_text(obj, indent="", out=None):
+    """json.dumps(obj, sort_keys=True, indent=1), byte for byte, with each _Diagonal as its square nested
+    list, gathered as fragments in one list (out, returned when given) and joined once.  Fast paths: a
+    list of ints, or of equal-length int rows (a Gram basis), is one % format of a row template; a
+    _Diagonal of +0.0 entries is n copies of one zero row; any other _Diagonal is n rows sliced from
+    one string of zeros around the reprs of its entries (what json.dumps writes for them)."""
+    if out is None:
+        return "".join(_json_text(obj, indent, []))
     inner = indent + " "
+    if isinstance(obj, _Diagonal):  # row i: i zeros, entry i and n - 1 - i zeros, sliced from zeros
+        values, n, cell, start = obj.values, len(obj.values), inner + " ", inner + "[\n"
+        zeros, width, lead, close = (cell + "0.0,\n") * n, len(cell) + 5, len(cell) + 3, "\n" + inner + "]"
+        if not values.any() and not np.signbit(values).any():
+            row = start + zeros[:-2] + close
+            out += ("[\n", row, *[",\n" + row] * (n - 1), "\n" + indent + "]") if n else ("[]",)
+            return out
+        texts = map(repr, values.tolist()) if np.isfinite(values).all() else map(_json_text, values.tolist())
+        for i, text in enumerate(texts):
+            out += (",\n" if i else "[\n", start, zeros[:width * i], cell, text, zeros[lead:-2 - width * i], close)
+        out.append("\n" + indent + "]")
+        return out
+    if isinstance(obj, (list, tuple)) and obj:
+        m = set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1 and len(obj[0])  # int rows' length
+        flat = list(chain.from_iterable(obj)) if m else obj  # a list: a tuple built from it raised peak RSS in long runs
+        if set(map(type, flat)) == {int}:
+            cell = inner + "[\n" + ((inner + " %d,\n") * m)[:-2] + "\n" + inner + "]" if m else inner + "%d"
+            out += ("[\n", ",\n".join([cell] * len(obj)) % tuple(flat), "\n" + indent + "]")
+            return out
     if isinstance(obj, dict):
-        brackets, items = "{}", [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+        brackets, items = "{}", [(encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
                                  for k, v in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
-        leaves = obj and all(type(v) is int for v in obj)
-        brackets, items = "[]", [inner + (repr(v) if leaves else _json_text(v, inner)) for v in obj]
-    elif isinstance(obj, _Diagonal):
-        brackets, cell, n = "[]", inner + " ", len(obj.values)
-        before, after = cell + "0.0,\n", ",\n" + cell + "0.0"  # the zeros left and right of the diagonal
-        values = obj.values.tolist()
-        texts = map(repr, values) if np.isfinite(obj.values).all() else map(_json_text, values)
-        items = [f"{inner}[\n{before * i}{cell}{text}{after * (n - 1 - i)}\n{inner}]" for i, text in enumerate(texts)]
+        brackets, items = "[]", [("", v) for v in obj]
     else:  # json.dumps writes an int or a finite float as its repr, but costs far more
-        return repr(obj) if type(obj) is int or type(obj) is float and math.isfinite(obj) else json.dumps(obj)
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1] if items else brackets
+        out.append(repr(obj) if type(obj) is int or type(obj) is float and math.isfinite(obj) else json.dumps(obj))
+        return out
+    sep = brackets[0] + "\n" + inner
+    for key, value in items:
+        out += (sep, key)
+        _json_text(value, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + indent + brackets[1] if items else brackets)
+    return out
+
+
+def _write(path, data):
+    """Write data as a fresh file at path; return its sha256.  Unlinking the old file first replaces a symlink
+    instead of writing through it, and spares ext4 the flush it forces on closing a truncated, rewritten file."""
+    if os.path.lexists(path):
+        os.unlink(path)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_json(path, obj):
-    data = _json_text(obj).encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return _hash_bytes(data)
+    return _write(path, _json_text(obj).encode())
 
 
 def _write_csv(path, header, rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    data = buf.getvalue().encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return _hash_bytes(data)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return _write(path, buf.getvalue().encode())
 
 
 def _finite(value, quantity, where, k):
@@ -307,7 +327,10 @@ def _fit(curve, limit=0.0):
 
 def run(scn):
     """Execute the scenario; returns the manifest dict (also written to disk)."""
-    os.makedirs(scn.out, exist_ok=True)
+    try:
+        os.makedirs(scn.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot make the output directory {scn.out!r}: {exc}") from None
     manifest_path = os.path.join(scn.out, "run_manifest.json")
     if os.path.exists(manifest_path):  # a failed run must not leave an earlier run's hashes
         os.remove(manifest_path)
@@ -315,13 +338,13 @@ def run(scn):
     hashed_cfg = {k: v for k, v in scn.raw.items() if k != "out"}
     manifest = {
         "version": __version__,
-        "config_hash": _hash_bytes(json.dumps(hashed_cfg, sort_keys=True).encode()),
+        "config_hash": hashlib.sha256(json.dumps(hashed_cfg, sort_keys=True).encode()).hexdigest(),
         "files": {},
     }
     quad = scn.quad if scn.quad.seed else replace(scn.quad, seed=scn.seed)
 
-    def record(name, digest):
-        manifest["files"][name] = digest
+    def write(name, writer, *content):  # the file's hash goes into the manifest
+        manifest["files"][name] = writer(os.path.join(scn.out, name), *content)
 
     ks = list(scn.k_list)
     exps = ([sections.invariant_exponents(scn.action, k, scn.twist) for k in ks]
@@ -337,14 +360,13 @@ def run(scn):
             gram_cache.update(((k, nd), pair) for k, pair in zip(ks, zip(ups, downs)))
 
     if "strata" in scn.quantities:
-        record("strata.json", _write_json(os.path.join(scn.out, "strata.json"), strat.to_json_dict()))
+        write("strata.json", _write_json, strat.to_json_dict())
 
     if "gram" in scn.quantities:
         for k in scn.k_list:
-            up = {str(nd): _gram_json(gram_cache[(k, nd)][0]) for nd in scn.norm_defs}
-            down = {str(nd): _gram_json(gram_cache[(k, nd)][1]) for nd in scn.norm_defs}
-            record(f"gram_up_{k}.json", _write_json(os.path.join(scn.out, f"gram_up_{k}.json"), up))
-            record(f"gram_down_{k}.json", _write_json(os.path.join(scn.out, f"gram_down_{k}.json"), down))
+            for side, i in (("up", 0), ("down", 1)):
+                write(f"gram_{side}_{k}.json", _write_json,
+                      {str(nd): _gram_json(gram_cache[(k, nd)][i]) for nd in scn.norm_defs})
 
     wanted, points = {}, {}  # every transverse integral the quantities need, in one call; residuals are shared
     for i, lab in enumerate(strat.strata):
@@ -377,9 +399,8 @@ def run(scn):
                 limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
                 fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": _fit(curve, limit)})
             rows.extend((name, where, k, repr(v), repr(e)) for k, v, e in curve)
-        record("curves.csv", _write_csv(os.path.join(scn.out, "curves.csv"),
-                                        ("quantity", "stratum", "k", "value", "stderr"), rows))
-        record("curve_fits.json", _write_json(os.path.join(scn.out, "curve_fits.json"), fits))
+        write("curves.csv", _write_csv, ("quantity", "stratum", "k", "value", "stderr"), rows)
+        write("curve_fits.json", _write_json, fits)
 
     if "unitarity" in scn.quantities:
         rows = []
@@ -392,17 +413,14 @@ def run(scn):
                 where = f"norm definition {nd}"
                 rows.append((k, scn.twist, nd, repr(_finite(defect, "defect", where, k)),
                              repr(_finite(err, "defect stderr", where, k))))
-        record("defects.csv", _write_csv(os.path.join(scn.out, "defects.csv"),
-                                         ("k", "twist", "norm_def", "defect", "stderr"), rows))
+        write("defects.csv", _write_csv, ("k", "twist", "norm_def", "defect", "stderr"), rows)
 
     if "consistency" in scn.quantities:
         own = [pieces[0] for (kind, _), pieces in done.items() if kind == "own"] or None  # None: no live k
         reports = asymptotics._norm_split_reports(scn.action, ks, scn.twist, quad, strat, list(residuals.values()),
                                                   exps, own)
-        record("consistency.json", _write_json(os.path.join(scn.out, "consistency.json"), {
-            "reports": reports,
-            "note": "zero-dimensional strata contribute point values with (k/2pi)^0 = 1",
-        }))
+        write("consistency.json", _write_json,
+              {"reports": reports, "note": "zero-dimensional strata contribute point values with (k/2pi)^0 = 1"})
 
     _write_json(manifest_path, manifest)
     return manifest

@@ -565,10 +565,12 @@ def test_json_text_matches_json_dumps():
     """The writer's text equals json.dumps(sort_keys=True, indent=1) of the square
     layout, byte for byte: Gram blocks of dimension 0 and 1, extreme and
     non-finite diagonal entries, numpy scalars, bools next to ints, non-ASCII
-    strings, non-string keys, nested empty containers, and leaf lists of
-    ints (negative, beyond 64 bits, mixed with bools) and diagonals with one
-    non-finite entry among finite ones, which the writer takes apart from
-    the rest."""
+    strings, non-string keys, nested empty containers, and the writer's fast
+    paths next to the inputs they must refuse: leaf lists of ints (negative,
+    beyond 64 bits, mixed with bools), lists of int rows (none, one, many;
+    lists or tuples) next to ragged, empty, nested or bool-holding rows,
+    all-+0.0 diagonals next to one holding a -0.0, and diagonals with one
+    non-finite entry among finite ones."""
     from quantred import sections
 
     edge = np.array([-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.0, 1.5])
@@ -589,6 +591,12 @@ def test_json_text_matches_json_dumps():
         {"basis": [[0, 3], [-2, 5]], "k": -7},
         {"d": cli._Diagonal(np.array([1.0, np.nan, -2.5])), "i": cli._Diagonal(np.array([np.inf, 0.5])),
          "f": cli._Diagonal(np.array([0.1, -0.0, 5e-324]))},
+        {"z1": cli._Diagonal(np.zeros(1)), "z5": cli._Diagonal(np.zeros(5)),
+         "neg": cli._Diagonal(np.array([0.0, 0.0, -0.0, 0.0])), "neg1": cli._Diagonal(np.array([-0.0]))},
+        {"basis": []}, {"basis": [[7, -3]]}, {"basis": [(0, 5), (1, 4)]}, [[5]], [(2**64,)],
+        {"basis": [[i, -i, (-1) ** i * 2**70, 2**63 - i] for i in range(40)]},
+        [[1, 2, 3], [4, 5], [6, 7, 8]], [[]] * 3, [[[1]], [[2]]], [[1, True], [2, 3]], [[1, 2], (3, 4.0)],
+        [[1, 2], {"a": 1}], [(1, 2), [3, 4]],
     ]
     for obj in cases:
         assert cli._json_text(obj) == json.dumps(_square(obj), sort_keys=True, indent=1)
@@ -664,6 +672,44 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):
     assert cli.main(["run", "--preset", "E1", "--twist", "halfform", "--k", "2,4", "--out", out]) == 2
     assert "empty invariant space at k=2" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "run_manifest.json"))
+
+
+def test_rerun_into_one_directory_writes_fresh_files(tmp_path):
+    """E2 runs with k = 2,4,8, then 2,4, then 2,4,8 again, all into one
+    directory: every file of the last run equals a run into a fresh
+    directory byte for byte, and every manifest hash verifies.  An output
+    path that is a symlink is replaced by the new file, and the file it
+    pointed to is left as it was."""
+    import hashlib
+
+    out, fresh, target = tmp_path / "d", tmp_path / "fresh", tmp_path / "target.json"
+    target.write_text("keep")
+    for ks in ("2,4,8", "2,4", "2,4,8"):
+        if ks == "2,4":
+            (out / "strata.json").unlink()
+            (out / "strata.json").symlink_to(target)
+        assert cli.main(["run", "--preset", "E2", "--k", ks, "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (ks, name)
+    assert target.read_text() == "keep" and not (out / "strata.json").is_symlink()
+    assert cli.main(["run", "--preset", "E2", "--k", "2,4,8", "--out", str(fresh)]) == 0
+    assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
+    for name in os.listdir(fresh):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_bad_out_exits_2_naming_out(tmp_path, capsys):
+    """An --out that cannot be made a directory (an existing file, a path
+    below a file, a name longer than the filesystem allows) exits 2 with a
+    config error that names out, not with a traceback."""
+    existing = tmp_path / "file"
+    existing.write_text("")
+    for out in (existing, existing / "sub", tmp_path / ("x" * 300)):
+        assert cli.main(["run", "--preset", "E2", "--k", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and str(out) in err
+    assert existing.read_text() == ""
 
 
 def test_empty_invariant_space_is_a_config_error(tmp_path, capsys):

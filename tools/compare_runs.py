@@ -63,6 +63,8 @@ SCENARIOS = [
     ("CP^1 x CP^2 mc --only gram,unitarity --k 2,4", ["--config", "{cp1cp2mc}", "--only", "gram,unitarity", "--k", "2,4"]),
     ("E2 mc norm_defs 1,2 --only gram,unitarity --k 2,4,6,8,10,12,14,16",
      ["--config", "{e2mc}", "--only", "gram,unitarity", "--k", "2,4,6,8,10,12,14,16"]),
+    # about 17 MB of square Gram blocks: both norm definitions, per_stratum over three strata
+    ("E2 --only gram,unitarity --k 300,600", ["--preset", "E2", "--only", "gram,unitarity", "--k", "300,600"]),
 ]
 VALUE_OF_STDERR = ("value", "rhs", "matrix_re", "defect")
 
