@@ -365,35 +365,28 @@ def jacobian_tau_batch(action, xis, point, s_basis=None):
     return taus
 
 
-def transverse_exponent(action, p, k, halfform=False):
+def transverse_exponent(action, support, k, halfform=False):
     """(a, b) with tau(xi, x) e^{-k f(xi, x)} [D(xi, x)] = tau(0, x) exp(<a, xi> + sum_j b_j log(N_j / N_j(0))).
 
-    p has shape (N, ncoords): the masses of N points with a common support,
-    which share (a, b); a 1-d k gives one row of each per k.  N_j is the mass
-    sum of factor j after the flow, D the half-form twist's divergence factor
-    v^{-1/2}, and per factor j
+    support is the points' common support pattern (per factor, the coordinates with mass); a 1-d k gives one
+    row of each per k.  N_j is the mass sum of factor j after the flow, D the half-form twist's divergence
+    factor v^{-1/2}, and per factor j
 
         a = 4 pi (k c - W 1_supp) [+ 2 pi W 1],   b_j = -|supp_j| - k l_j [+ (n_j + 1) / 2],
 
-    the brackets for the half-form twist.  e^{-k f} and D read off the module
-    docstring; the coarea Jacobian is tau(xi, x) = tau(0, x) prod_{i in supp x}
-    e^{-4 pi u_i} / N_j, u = W^T xi.  In the free mass coordinates the flow
-    moves the masses only, and tau = sqrt(det G) |det[JX(xi), D_xi V]| with G
-    the Hessian of Guillemin's symplectic potential (J. Diff. Geom. 40, 1994),
-    D_xi = dq/dp and V a G-orthonormal kernel basis of d phi.  The flows
-    commute, so JX(xi) = D_xi JX(0), and the determinant lemma gives det D_xi
-    = prod e^{-4 pi u_i} / N_j over the support.  At xi = 0, JX(0) is
-    G-orthogonal to V, so tau(0, x) is the orbit volume.  `jacobian_tau_batch`
-    is the finite-difference reference.
+    the brackets for the half-form twist.  e^{-k f} and D read off the module docstring; the coarea Jacobian is
+    tau(xi, x) = tau(0, x) prod_{i in supp x} e^{-4 pi u_i} / N_j, u = W^T xi.  In the free mass coordinates
+    the flow moves the masses only, and tau = sqrt(det G) |det[JX(xi), D_xi V]| with G the Hessian of
+    Guillemin's symplectic potential (J. Diff. Geom. 40, 1994), D_xi = dq/dp and V a G-orthonormal kernel basis
+    of d phi.  The flows commute, so JX(xi) = D_xi JX(0), and the determinant lemma gives det D_xi = prod
+    e^{-4 pi u_i} / N_j over the support.  At xi = 0, JX(0) is G-orthogonal to V, so tau(0, x) is the orbit
+    volume.  `jacobian_tau_batch` is the finite-difference reference.
     """
     model = action.model
-    p = np.asarray(p, dtype=float)
-    on = p[0] > SUPPORT_TOL
-    if np.any((p > SUPPORT_TOL) != on):
-        raise ActionError("transverse_exponent needs points of one support pattern")
+    on = np.isin(np.arange(model.ncoords), sum(support, ()))
     k = np.asarray(k, dtype=float)[..., None]
     a = 2.0 * TWO_PI * (k * action.shift_float - action.W @ on)
-    b = -np.asarray([np.sum(on[sl]) for sl in model.slices], dtype=float) - k * np.asarray(model.bundle_degrees)
+    b = -np.asarray([len(sup) for sup in support], dtype=float) - k * np.asarray(model.bundle_degrees)
     if halfform:
         a = a + TWO_PI * action.W.sum(axis=1)
         b = b + (np.asarray(model.factors) + 1) / 2.0
@@ -418,17 +411,22 @@ def _log_masses(p):
     return np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
 
 
-def _log_flow_sums(model, logp, u, out=None):
+def _log_flow_sums(model, logp, u, out=None, parts=None):
     """log N_j = log sum_{i in j} p_i e^{-4 pi u_i}, coordinates first (numpy reduces slowly along a short last
-    axis): logp and u broadcast to (ncoords, ...), the result is (nfactors, ...), and logp - 4 pi u is formed in
-    `out`, if given (it may be u itself)."""
+    axis): logp and u broadcast to (rows, ...), the result is (nfactors, ...), and logp - 4 pi u is formed in
+    `out`, if given (it may be u itself).  parts[j], a slice or one int, picks factor j's rows (default:
+    model.slices): rows of zero-mass coordinates may be left out, as they add exp(-inf) = 0, and a factor of one
+    row is that row, which is what its one-entry log-sum-exp returns."""
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(logp), np.shape(u)))
     e = np.multiply(u, -2.0 * TWO_PI, out=out)
     e += logp
     log_n = np.empty((len(model.slices),) + e.shape[1:])
-    for j, sl in enumerate(model.slices):
-        _logsumexp(e[sl], log_n[j, ...])
+    for j, rows in enumerate(model.slices if parts is None else parts):
+        if isinstance(rows, int):
+            log_n[j] = e[rows]
+        else:
+            _logsumexp(e[rows], log_n[j, ...])
     return log_n
 
 

@@ -33,13 +33,14 @@ class AsymptoticsError(QuantredError, RuntimeError):
 # ----------------------------------------------------------------------
 # the m-integrals
 
-# The transverse rule: a tensor trapezoid rule in coordinates whitened by
-# the Hessian of f at 0, widened and then refined node by node.
+# The transverse rule: a tensor trapezoid rule in t, where y = c sinh(t / c) on each axis of the coordinates y
+# whitened by the Hessian of f at 0, with a scale c per node; widened and then refined node by node.
 TRANSVERSE_RTOL = 1e-12  # a node settles when |I_h - I_2h| <= TRANSVERSE_RTOL |I_h|
 TRANSVERSE_EDGE = 1e-17  # widen while a boundary value exceeds this share of the maximum
 TRANSVERSE_BLOCK = 4096  # (node, transverse point) pairs evaluated and reduced at once, to bound memory
-TRANSVERSE_R0, TRANSVERSE_H0 = 10.0, 1.0  # first grid, in whitened units
-MAX_WIDENINGS = 8        # R doubles at most this often per node
+TRANSVERSE_C, TRANSVERSE_KEPS = 4.0, 0.3  # c = TRANSVERSE_C min(1, k eps / TRANSVERSE_KEPS)^(1/2), eps: least mass
+TRANSVERSE_R0, TRANSVERSE_J0 = 2.0, 16  # first grid: [-R0 c, R0 c]^m in t, step R0 c / J0
+MAX_WIDENINGS = 4        # R doubles at most this often per node (to 32 c, where y = c sinh(32) ~ 4e13 c)
 MAX_HALVINGS = 10        # h halves at most this often per node
 MAX_GRID_POINTS = 2**23  # points of one node's grid
 DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
@@ -47,18 +48,16 @@ ORBIT_GRAM_RTOL = 1e-12  # a node raises when lambda_min(S) <= ORBIT_GRAM_RTOL l
 CONSISTENCY_FLOOR = 1e-13  # the norm-split check's stated error is at least this share of a stratum's largest |lhs|
 
 
-def _grid_pass(integrand, nodes, came, J, h, m, sums):
-    """Add the points new to each node's grid h {-J, ..., J}^m to its running sums.
+def _grid_pass(integrand, nodes, came, J, m, sums):
+    """Add the points new to each node's grid {-J, ..., J}^m, in units of its step, to its running sums.
 
-    sums[:, n] holds node n's grid sum, its sum over the all-even points (the
-    grid at step 2h), its maximum and its boundary maximum.  came[i] is 0 for
-    a new grid, 1 if R doubled (the old grid is the centre block), 2 if h
-    halved (the old grid is the all-even points).  The new points, the boxes
-    old^d x new x all^(m-1-d), are tensor products of axes, evaluated by
-    integrand(nodes, ys) on nodes x ys[0] x ... x ys[m-1] in chunks of at most
-    TRANSVERSE_BLOCK (node, point) pairs: a range along one axis of (nodes,
-    axis 0, ..., axis m-1), whole after it, so only a row over the block is
-    cut.  Even masks per axis and the faces at -J and J reduce each chunk.
+    sums[:, n] holds node n's grid sum, its sum over the all-even points (the grid at step 2h), its maximum
+    and its boundary maximum.  came[i] is 0 for a new grid, 1 if R doubled (the old grid is the centre block),
+    2 if h halved (the old grid is the all-even points).  The new points, the boxes old^d x new x all^(m-1-d),
+    are tensor products of axes, evaluated by integrand(nodes, axes) on nodes x axes[0] x ... x axes[m-1] in
+    chunks of at most TRANSVERSE_BLOCK (node, point) pairs: a range along one axis of (nodes, axis 0, ...,
+    axis m-1), whole after it, so only a row over the block is cut.  Even masks per axis and the faces at -J
+    and J reduce each chunk.
     """
     full = np.arange(-J, J + 1)
     for c in set(came.tolist()):
@@ -82,7 +81,7 @@ def _grid_pass(integrand, nodes, came, J, h, m, sums):
                 for s in range(0, dims[a], step):
                     cut = [slice(i, i + 1) for i in head] + [slice(s, s + step)] + [slice(None)] * (m - a)
                     axes = [ax[i] for ax, i in zip(box, cut[1:])]
-                    v = integrand(rows[cut[0]], [h * ax for ax in axes])
+                    v = integrand(rows[cut[0]], axes)
                     flat = v.reshape(v.shape[0], -1)
                     total, even_total, top, edge = acc[:, cut[0]]
                     total += np.add.reduce(flat, axis=1)
@@ -98,15 +97,16 @@ def _grid_pass(integrand, nodes, came, J, h, m, sums):
 
 def _orbit_grams(action, sets):
     """(z, p, members, groups) for point sets of one support pattern each: the concatenated points, their masses,
-    per set its rows (a slice) and isotropy, and per m = dim(G/H) > 0 the rows of its sets' points with, per
-    point, the m basis mb and the orbit Gram S = mb B mb^T, B the field pairing.  A point whose S has smallest
+    per set its rows (a slice), isotropy and support, and per m = dim(G/H) > 0 the rows of its sets' points with,
+    per point, the m basis mb and the orbit Gram S = mb B mb^T, B the field pairing.  A point whose S has smallest
     eigenvalue at most ORBIT_GRAM_RTOL times the largest of U = 8 pi^2 sum_j l_j sum_{i in j} p_i W_i W_i^T on m
     (a collapsed orbit) raises ActionError."""
     sets = [np.atleast_2d(x) for x in sets]
     z = np.concatenate(sets)
     p = masses(action.model, z)
     slices = [slice(end - len(x), end) for x, end in zip(sets, itertools.accumulate(map(len, sets)))]
-    isos = [ta.isotropy_of_support(action, ta._support_of_masses(action.model, p[sl.start])) for sl in slices]
+    supports = [ta._support_of_masses(action.model, p[sl.start]) for sl in slices]
+    isos = [ta.isotropy_of_support(action, support) for support in supports]
     bases = {iso: ta.m_basis(action, iso) for iso in set(isos)}
     B = ta.field_pairing(action, p)
     V = 2.0 * TWO_PI**2 * np.einsum("ai,bi,...i->...ab", action.scaled_weights(), action.W, p)  # U before mb
@@ -122,7 +122,7 @@ def _orbit_grams(action, sets):
             raise ta.ActionError(f"degenerate coarea differential at the point with masses {at}: "
                                  f"lambda_min(S) = {lo[i]:.3e}, lambda_max(U) = {hi[i]:.3e} (stratification bug)")
         groups.append((rows, mb, S))
-    return z, p, list(zip(slices, isos)), groups
+    return z, p, list(zip(slices, isos, supports)), groups
 
 
 def _transverse_integral(action, sets, ks, halfform=False, grams=None):
@@ -133,101 +133,103 @@ def _transverse_integral(action, sets, ks, halfform=False, grams=None):
     (len(ks), N), with T = 1 and error 0 where m = 0.  The set-up runs once over all points (`_orbit_grams`, or
     `grams`).  Each (k, point) pair is a node: with (a, b) from `actions.transverse_exponent`, y = sqrt(k) C^T xi
     and C C^T = 2 S the Hessian of f at 0, tau e^{-kf} [D] dxi = (2k)^{-m/2} exp(<a, xi> + sum_j b_j log(N_j /
-    N_j(0))) dy.  A tensor trapezoid grid of step h on [-R, R]^m in y widens (R doubles) until the boundary
-    values fall below TRANSVERSE_EDGE of the maximum, then refines (h halves) until the sums at steps h and 2h
-    agree to TRANSVERSE_RTOL; for analytic integrands that decay at both ends it converges exponentially
-    (Trefethen & Weideman, SIAM Review 56, 2014).  The nodes of all sets with one m share one loop (`_refine`),
-    and in each round the nodes on one grid (R, h) share its pass (`_grid_pass`), so no node's grids or sums
-    depend on the others.  A node that needs more than MAX_WIDENINGS or MAX_HALVINGS, or whose grid exceeds
-    MAX_GRID_POINTS, raises AsymptoticsError, naming its point and k.
+    N_j(0))) dy.  Per axis y = c sinh(t / c) (Takahasi & Mori, Publ. RIMS 9, 1974), c = TRANSVERSE_C min(1,
+    k eps / TRANSVERSE_KEPS)^{1/2} for the node's smallest mass eps: at small k eps the integrand is a plateau
+    with edges about (k eps)^{1/2} wide.  A tensor trapezoid grid in t, first [-R0 c, R0 c]^m at step R0 c / J0,
+    widens (R doubles) until its boundary values fall below TRANSVERSE_EDGE of the maximum, then refines (h
+    halves) until the sums at steps h and 2h agree to TRANSVERSE_RTOL, which converges exponentially for
+    analytic integrands that decay at both ends (Trefethen & Weideman, SIAM Review 56, 2014).  All nodes of one
+    m share one loop (`_refine`) with one pass (`_grid_pass`) a round; no node's grids or sums depend on the
+    others.  A node past MAX_WIDENINGS, MAX_HALVINGS or MAX_GRID_POINTS raises AsymptoticsError naming its
+    point, k and grid in t.
     """
     z, p, members, groups = _orbit_grams(action, sets) if grams is None else grams
     K, n = len(ks), len(z)
     a, b = np.empty((K, n, action.rank)), np.empty((K, n, len(action.model.slices)))
-    for sl, _ in members:
-        a[:, sl], b[:, sl] = (v[:, None] for v in ta.transverse_exponent(action, p[sl], ks, halfform))
+    for sl, _, support in members:
+        a[:, sl], b[:, sl] = (v[:, None] for v in ta.transverse_exponent(action, support, ks, halfform))
     value, error = np.ones((K, n)), np.zeros((K, n))  # m = 0: no transverse directions
     for rows, mb, S in groups:
         value[:, rows], error[:, rows] = _refine(action, ks, z[rows], p[rows], mb, S, a[:, rows], b[:, rows])
-    return [(value[:, sl], error[:, sl]) for sl, _ in members]
+    return [(value[:, sl], error[:, sl]) for sl, _, _ in members]
 
 
 def _refine(action, ks, z, p, mb, S, a, b):
     """The (T, error) of `_transverse_integral` over the nodes (k, point) of N points of one m, each (len(ks), N).
-    The grids are nested, so a node keeps four running numbers, the sums at steps h and 2h, the maximum and the
-    boundary maximum, and a refinement evaluates only the points new to its grid."""
+    The grids are nested: a node keeps four running numbers (the sums at steps h and 2h, the maximum and the
+    boundary maximum), and a refinement evaluates only the points new to its grid.  Each node starts with J0
+    steps a side and each widening or halving doubles J, so all live nodes share J and one pass a round."""
     K, N, m = len(ks), len(z), mb.shape[1]
     k_of, x_of = np.divmod(np.arange(K * N), N)  # node n is the pair (ks[k_of[n]], z[x_of[n]])
     k = np.asarray(ks, dtype=float)[k_of]
-    # xi = y @ maps[n] = C^{-T} y / sqrt(k) at node n, so u = W^T xi and <a, xi> are y @ (maps[n] @ [W, a])
-    maps = (np.linalg.inv(np.linalg.cholesky(2.0 * S)) @ mb)[x_of] / np.sqrt(k)[:, None, None]
+    eps = np.min(np.where(p > 0, p, np.inf), axis=1)[x_of]  # each node's smallest mass
+    c = TRANSVERSE_C * np.sqrt(np.minimum(1.0, k * eps / TRANSVERSE_KEPS))  # the node's scale, in whitened units
+    # s = t / c and y = c sinh(s), so xi = C^{-T} y / sqrt(k) = sinh(s) @ maps[n] at node n, and u = W^T xi
+    # and <a, xi> are sinh(s) @ (maps[n] @ [W, a])
+    maps = (np.linalg.inv(np.linalg.cholesky(2.0 * S)) @ mb)[x_of] * (c / np.sqrt(k))[:, None, None]
     maps = np.moveaxis(np.concatenate([maps @ action.W, maps @ a.reshape(K * N, -1, 1)], axis=2), 2, 0)
     buf = np.empty(TRANSVERSE_BLOCK * maps.shape[0])  # every chunk's [u, <a, xi>], coordinates first in memory
-    jac = (2.0 * k) ** (-m / 2.0)  # dxi = jac dy / tau(0, x), as det(2 k S) = (2 k)^m tau(0, x)^2
+    jac = (c * c / (2.0 * k)) ** (m / 2.0)  # dxi = jac prod_d cosh(s_d) ds / tau(0, x), det(2kS) = (2k)^m tau(0, x)^2
     logp = ta._log_masses(p).T
     log_n0 = ta._log_flow_sums(action.model, logp, 0.0)[:, x_of]
     # (coordinate or factor, node, 1, ..., 1): per node, broadcast over a chunk's grid axes
     logp, log_n0, b = (v.reshape(v.shape + (1,) * m) for v in (logp[:, x_of], log_n0, b.reshape(K * N, -1).T))
+    n, has_mass, plans = K * N, p[x_of] > 0, {}
+    h = np.full(n, TRANSVERSE_R0 / TRANSVERSE_J0)  # each node's step in s
 
-    def integrand(nodes, ys):
-        t = np.ndarray((maps.shape[0], nodes.size) + tuple(y.size for y in ys), buffer=buf)  # raises past the block
-        # the tensor product: [u, <a, xi>] is the sum of one outer product per axis
-        outer = [(maps[:, nodes, d, None] * y).reshape(t.shape[:2] + (1,) * d + (-1,) + (1,) * (m - 1 - d))
-                 for d, y in enumerate(ys)]
-        if m == 1:
-            t[...] = outer[0]
-        else:  # one pass over the block for the first two axes
-            np.add(outer[0], outer[1], out=t)
+    def plan(nodes):  # a chunk's rows, its coordinates with mass and <a, xi>, and per factor its rows among them
+        on = has_mass[nodes].any(axis=0)
+        if on.tobytes() not in plans:  # a factor's rows are a range, one row an int
+            rows = np.flatnonzero(on)
+            ends = np.searchsorted(rows, [sl.stop for sl in action.model.slices]).tolist()
+            parts = [i if j - i == 1 else slice(i, j) for i, j in zip([0] + ends[:-1], ends)]
+            plans[on.tobytes()] = np.append(rows, len(on))[:, None], parts
+        return plans[on.tobytes()]
+
+    def integrand(nodes, axes):
+        rows, parts = plan(nodes)
+        t = np.ndarray((rows.size, nodes.size) + tuple(ax.size for ax in axes), buffer=buf)  # raises past the block
+        # the tensor product: [u, <a, xi> + log Jacobian] is the sum of one outer product per axis
+        outer = []
+        for d, ax in enumerate(axes):
+            s = h[nodes, None] * ax
+            f = maps[rows, nodes, d, None] * np.sinh(s)
+            f[-1] += np.logaddexp(s, -s) - np.log(2.0)  # log cosh(s)
+            outer.append(f.reshape(t.shape[:2] + (1,) * d + (-1,) + (1,) * (m - 1 - d)))
+        np.add(outer[0], outer[1] if m > 1 else 0.0, out=t)  # one pass over the block for the first two axes
         for f in outer[2:]:
             t += f
-        log_n = ta._log_flow_sums(action.model, logp[:, nodes], t[:-1], out=t[:-1])
+        log_n = ta._log_flow_sums(action.model, logp[rows[:-1], nodes], t[:-1], out=t[:-1], parts=parts)
         log_n -= log_n0[:, nodes]
         log_n *= b[:, nodes]
         t[-1] += np.add.reduce(log_n, axis=0)
         return np.exp(t[-1], out=t[-1])
 
-    n = K * N
-    R, h = np.full(n, TRANSVERSE_R0), np.full(n, TRANSVERSE_H0)
-    came, done = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-    sums = np.zeros((4, n))  # per node: grid sum, all-even sum, maximum, boundary maximum
+    def fail(i, what):  # names node i's point, k and grid in t
+        raise AsymptoticsError(f"transverse integral at the point {np.round(z[x_of[i]], 12).tolist()} " + what.format(
+            k=ks[k_of[i]], grid=f"R={c[i] * J * h[i]:g}, h={c[i] * h[i]:g}"))
 
-    def at(i):
-        return f"at the point {np.round(z[x_of[i]], 12).tolist()}"
-
-    while not done.all():
-        live = np.flatnonzero(~done)
-        grids, grid_of = np.unique(R[live] + 1j * h[live], return_inverse=True)  # sorted by R, then h
-        for g, (Rg, hg) in enumerate((grid.real, grid.imag) for grid in grids.tolist()):
-            group = live[grid_of == g]  # the nodes on the grid (R, h) share its pass
-            J = int(round(Rg / hg))
-            size = (2 * J + 1) ** m
-            if size > MAX_GRID_POINTS:
-                raise AsymptoticsError(f"transverse integral {at(group[0])} needs {size} grid points at "
-                                       f"k={ks[k_of[group[0]]]} (R={Rg:g}, h={hg:g}), over {MAX_GRID_POINTS}")
-            _grid_pass(integrand, group, came[group], J, hg, m, sums)
-            total, even, top, edge = sums[:, group]
-            I_h = hg**m * total
-            if not np.isfinite(I_h).all():
-                i = group[~np.isfinite(I_h)][0]
-                raise AsymptoticsError(f"transverse integral {at(i)} is not finite at k={ks[k_of[i]]}")
-            gap = np.abs(I_h - (2.0 * hg) ** m * even)  # |I_h - I_2h|
-            wide = edge <= TRANSVERSE_EDGE * top
-            settled = wide & (gap <= TRANSVERSE_RTOL * np.abs(I_h))
-            done[group[settled]] = True
-            widen, halve = ~wide, wide & ~settled
-            capped = ((widen, Rg >= TRANSVERSE_R0 * 2.0**MAX_WIDENINGS, MAX_WIDENINGS, "widenings of R"),
-                      (halve, hg <= TRANSVERSE_H0 / 2.0**MAX_HALVINGS, MAX_HALVINGS, "halvings of h"))
-            for over, at_cap, cap, what in capped:
-                if at_cap and over.any():
-                    j = np.flatnonzero(over)[0]
-                    i = group[j]
-                    raise AsymptoticsError(
-                        f"transverse integral {at(i)} did not settle at k={ks[k_of[i]]} after {cap} {what} "
-                        f"(R={Rg:g}, h={hg:g}, |I_h - I_2h| = {jac[i] * gap[j]:.3e}, I_h = {jac[i] * I_h[j]:.6e})"
-                    )
-            R[group[widen]] = 2.0 * Rg
-            h[group[halve]] = hg / 2.0
-            came[group] = 1 + wide  # 2: h halves
+    came, sums = np.zeros(n, dtype=int), np.zeros((4, n))  # per node: grid sum, all-even sum, maximum, boundary maximum
+    live, J = np.arange(n), TRANSVERSE_J0
+    R_cap, h_cap = TRANSVERSE_R0 * 2.0**MAX_WIDENINGS, TRANSVERSE_R0 / TRANSVERSE_J0 / 2.0**MAX_HALVINGS  # in s
+    while live.size:
+        if (2 * J + 1) ** m > MAX_GRID_POINTS:
+            fail(live[0], f"needs {(2 * J + 1) ** m} grid points at k={{k}} ({{grid}}), over {MAX_GRID_POINTS}")
+        _grid_pass(integrand, live, came[live], J, m, sums)
+        total, even, top, edge = sums[:, live]
+        I_h, gap = h[live] ** m * total, h[live] ** m * np.abs(total - 2.0**m * even)  # gap = |I_h - I_2h|
+        if not np.isfinite(I_h).all():
+            fail(live[~np.isfinite(I_h)][0], "is not finite at k={k}")
+        wide = edge <= TRANSVERSE_EDGE * top
+        settled = wide & (gap <= TRANSVERSE_RTOL * np.abs(I_h))
+        for over, cap, what in ((~wide & (J * h[live] >= R_cap), MAX_WIDENINGS, "widenings of R"),
+                                (wide & ~settled & (h[live] <= h_cap), MAX_HALVINGS, "halvings of h")):
+            for j in np.flatnonzero(over)[:1]:
+                fail(live[j], f"did not settle at k={{k}} after {cap} {what} ({{grid}}, |I_h - I_2h| = "
+                              f"{jac[live[j]] * gap[j]:.3e}, I_h = {jac[live[j]] * I_h[j]:.6e})")
+        h[live[wide & ~settled]] /= 2.0
+        came[live] = 1 + wide  # 2: h halves
+        live, J = live[~settled], 2 * J
     I_h = h**m * sums[0]  # each node's last grid
     value, error = jac * I_h, jac * np.abs(I_h - (2.0 * h) ** m * sums[1])
     return value.reshape(K, N), error.reshape(K, N)
@@ -248,7 +250,7 @@ def _transverse_batch(action, wanted, ks, halfform):
         vol[rows] = np.sqrt(np.clip(np.linalg.det(S), 0.0, None))
     results = _transverse_integral(action, sets, ks, halfform, grams)
     done = iter(piece + (T, T_err, vol[sl] / iso.finite_part)
-                for piece, (T, T_err), (sl, iso) in zip(pieces, results, members))
+                for piece, (T, T_err), (sl, iso, _) in zip(pieces, results, members))
     return {key: [next(done) for _ in group] for key, group in wanted.items()}
 
 

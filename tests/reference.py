@@ -375,6 +375,61 @@ def divergence_factor(action, xi, point_or_masses, from_masses=False):
     return np.exp(-0.5 * logv)
 
 
+def transverse_reference(action, point, k, halfform=False):
+    """(T, its own error) for T = int_m tau(xi, x) e^{-k f(xi, x)} [D(xi, x)] dxi at one point, the quantity
+    `asymptotics._transverse_integral` returns, by other means: the log integrand is assembled from the
+    module docstring of `actions` (tau(xi, x) = tau(0, x) prod_{i in supp} e^{-4 pi u_i} / N_j, f and the
+    divergence factor D = v^{-1/2}), tau(0, x) is the orbit volume, and the integral over xi = s m_basis is
+    `scipy.integrate.quad` on the log-concave integrand's support around its mode for m = 1 (its error
+    estimate is the own error), and for m = 2 a plain trapezoid grid in coordinates whitened by the
+    eigenvectors of the orbit Gram, on [-14, 14]^2 at steps 0.1 and 0.05 (their difference is the own error).
+    """
+    from scipy import integrate, optimize
+
+    model = action.model
+    p = masses(model, normalize(model, point))
+    support = ta.support_of(model, point)
+    on = np.zeros(model.ncoords)
+    on[[i for sup in support for i in sup]] = 1.0
+    mb = ta.m_basis(action, ta.isotropy_of_support(action, support))
+    S = mb @ ta.field_pairing(action, p) @ mb.T
+    degrees, dims = np.asarray(model.bundle_degrees, dtype=float), np.asarray(model.factors, dtype=float)
+    sizes = np.asarray([len(sup) for sup in support], dtype=float)
+
+    def log_integrand(s):  # log of tau e^{-kf} [D] / tau(0, x) at xi = s @ mb, s of shape (..., m)
+        xi = s @ mb
+        u = xi @ action.W
+        log_n = np.stack([np.log(np.sum(p[sl] * np.exp(-2.0 * TWO_PI * u[..., sl]), axis=-1)) for sl in model.slices],
+                         axis=-1)
+        out = -2.0 * TWO_PI * (u @ on) - log_n @ sizes  # tau / tau(0, x)
+        out = out - k * (log_n @ degrees - 2.0 * TWO_PI * (xi @ action.shift_float))  # -k f
+        if halfform:  # log D = -log(v) / 2
+            out = out + TWO_PI * u.sum(axis=-1) + log_n @ ((dims + 1.0) / 2.0)
+        return out
+
+    vol = math.sqrt(np.linalg.det(S))
+    if mb.shape[0] == 1:
+        mode = optimize.minimize_scalar(lambda s: -log_integrand(np.array([s]))).x
+        top = log_integrand(np.array([mode]))
+        ends = []
+        for sign in (-1.0, 1.0):  # out to where the integrand is below e^-50 of its mode
+            step = 0.1 / math.sqrt(k * S[0, 0])
+            while log_integrand(np.array([mode + sign * step])) > top - 50.0:
+                step *= 2.0
+            ends.append(mode + sign * step)
+        parts = [integrate.quad(lambda s: math.exp(log_integrand(np.array([s])) - top), lo, hi, epsabs=0.0,
+                                epsrel=2e-14, limit=400) for lo, hi in ((ends[0], mode), (mode, ends[1]))]
+        scale = vol * math.exp(top)
+        return scale * sum(v for v, _ in parts), scale * sum(e for _, e in parts)
+    lam, vec = np.linalg.eigh(2.0 * k * S)
+    sums = []
+    for h in (0.1, 0.05):
+        y = np.arange(-14.0, 14.0 + h / 2, h)
+        grid = np.stack(np.meshgrid(y, y, indexing="ij"), axis=-1) / np.sqrt(lam) @ vec.T
+        sums.append(h * h * np.exp(log_integrand(grid)).sum() / math.sqrt(np.prod(lam)))
+    return vol * sums[1], vol * abs(sums[1] - sums[0])
+
+
 def pointwise_divergence(action, xi, point):
     """(L_{JX^xi} eps)/eps at a point, closed form.
 

@@ -277,7 +277,7 @@ def test_coarea_tau_closed_form_matches_fd(e1, e2, e3):
                 log_n = (ta._log_flow_sums(action.model, logp[:, None], u.T)
                          - ta._log_flow_sums(action.model, logp, 0.0)[:, None]).T
                 for k, halfform in itertools.product((0, 2), (False, True)):
-                    a, b = ta.transverse_exponent(action, p[None], k, halfform)
+                    a, b = ta.transverse_exponent(action, ta.support_of(action.model, z), k, halfform)
                     closed = ta.orbit_volume(action, z) * np.exp(xis @ a + log_n @ b)
                     ref = fd * np.exp(-k * ta.potential(action, xis, p, from_masses=True))
                     if halfform:

@@ -77,16 +77,44 @@ def test_transverse_rule_at_slice_ends(e2, st2):
             assert e <= asymptotics.TRANSVERSE_RTOL * t
 
 
+def test_transverse_stated_error_is_honest(e2, st2):
+    """The rule's stated error |I_h - I_2h| against the actual error, measured by `reference.transverse_reference`
+    (quad for m = 1, a dense fixed grid for m = 2, each with an own error below 5e-14 |T|): at all nodes of E2's
+    order-32 open slice at k = 2, 8, 32 and 128, both twists, and at the rank-2 (CP^1)^3 perfbench point at
+    k = 10, the actual error is at most the stated error plus 1e-13 |T|, and the stated error at most 100 times
+    the actual one plus 1e-13 |T|."""
+    z, _ = strata.slice_quadrature(e2, strata.make_level_slice(e2, st2.open_stratum().top_pattern, np.zeros(1)), 32)
+    rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
+    x, _ = strata.sample_stratum(rank2, strata.analyze(rank2).open_stratum(), 1, seed=1)
+    runs = [(e2, z, (2, 8, 32, 128), halfform) for halfform in (False, True)] + [(rank2, x, (10,), False)]
+    checked = 0
+    for action, points, ks, halfform in runs:
+        T, stated = asymptotics._transverse_integral(action, [points], ks, halfform)[0]
+        for i, k in enumerate(ks):
+            for point, t, e in zip(points, T[i], stated[i]):
+                ref, own = reference.transverse_reference(action, point, k, halfform)
+                assert own < 5e-14 * ref
+                actual = abs(t - ref)
+                assert actual <= e + 1e-13 * ref
+                assert e <= 100.0 * (actual + 1e-13 * ref)
+                checked += 1
+    assert checked == 2 * 4 * len(z) + 1
+
+
 def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypatch):
     """A node that needs more refinements (or widenings) than the caps allow,
-    or whose integrand overflows, raises, naming the point and k; the
-    command line reports exit 3."""
+    or whose integrand overflows, raises, naming the point and k, and its
+    grid in t; the command line reports exit 3.  E1's representative at
+    k = 2 widens once and halves twice; E2's at k = 4 halves once."""
     lab = st2.open_stratum()
-    monkeypatch.setattr(asymptotics, "MAX_HALVINGS", 1)
-    with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*k=4 after 1 halvings"):
+    monkeypatch.setattr(asymptotics, "MAX_HALVINGS", 0)
+    with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*k=4 after 0 halvings of h \(R=8, h=0.5,"):
         asymptotics.density_I(e2, lab, lab.representative, 4)
     assert cli.main(["run", "--preset", "E2", "--k", "2", "--only", "density", "--out", str(tmp_path / "d")]) == 3
     assert not (tmp_path / "d" / "curves.csv").exists()
+    monkeypatch.setattr(asymptotics, "MAX_HALVINGS", 1)
+    with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*k=2 after 1 halvings"):
+        asymptotics.density_I(e1, st1.strata[0], st1.strata[0].representative, 2)
     monkeypatch.setattr(asymptotics, "MAX_HALVINGS", 10)
     monkeypatch.setattr(asymptotics, "MAX_WIDENINGS", 0)
     with pytest.raises(asymptotics.AsymptoticsError, match="k=2 after 0 widenings"):
@@ -95,7 +123,7 @@ def test_transverse_rule_raises_at_its_caps(e1, st1, e2, st2, tmp_path, monkeypa
     # between k = 2100 and 3000 at the slice level pi/2: no refinement can
     # settle that, so the rule raises at once (called on the piece's slice
     # nodes directly, since the k = 3000 basis of residual_II costs seconds)
-    monkeypatch.setattr(asymptotics, "MAX_WIDENINGS", 8)
+    monkeypatch.setattr(asymptotics, "MAX_WIDENINGS", 4)
     full = [s for s in st2.strata if s.isotropy.is_full][0]
     z, _ = strata.slice_quadrature(e2, st2.pieces[full.key][0].level_slice, 24)
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -107,8 +135,8 @@ def test_transverse_grid_over_its_cap_raises(e2, st2, monkeypatch):
     """A node whose grid would exceed MAX_GRID_POINTS raises before its pass,
     naming the point, k and the grid's size."""
     lab = st2.open_stratum()
-    monkeypatch.setattr(asymptotics, "MAX_GRID_POINTS", 40)  # the first grid has 21 points, the first halving 41
-    with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*needs 41 grid points at k=4 .*over 40"):
+    monkeypatch.setattr(asymptotics, "MAX_GRID_POINTS", 64)  # the first grid has 33 points, the first halving 65
+    with pytest.raises(asymptotics.AsymptoticsError, match=r"at the point \[.*needs 65 grid points at k=4 .*over 64"):
         asymptotics.density_I(e2, lab, lab.representative, 4)
 
 
@@ -132,16 +160,18 @@ def test_transverse_sums_do_not_depend_on_the_block(e2, st2, monkeypatch):
 
 def test_transverse_integral_memory_is_one_block(monkeypatch):
     """The rule holds one block of TRANSVERSE_BLOCK (node, point) pairs plus
-    O(m J) axis data, and caches nothing across calls: at the two end nodes
-    of (CP^1)^3's order-32 open slice at k = 2, whose grids reach J = 640 in
-    m = 2 (1281^2 points each), the traced peak stays below 4 MiB, and after
-    the call no numpy array it made is still held.  Python's free lists keep
-    some small objects (slices, tuples) allocated, well under 256 KiB."""
+    O(m J) axis data, and caches nothing across calls: at the 32 nodes of
+    (CP^1)^3's order-32 open slice at k = 2, whose grids reach J = 64 in
+    m = 2 (129^2 points each, 532,512 pairs in all, 30 MB as rows of
+    [u, <a, xi>]) and J = 128 at the two ends, the traced peak stays below
+    4 MiB, and after the call no numpy array it made is still held.
+    Python's free lists keep some small objects (slices, tuples) allocated,
+    well under 256 KiB."""
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     sl = strata.make_level_slice(rank2, strata.analyze(rank2).open_stratum().top_pattern, np.zeros(2))
     z, ((rows, _), _) = strata.slice_quadrature(rank2, sl, 32)
-    ends = z[rows][[0, -1]]
-    asymptotics._transverse_integral(rank2, [ends], [100])  # the isotropy cache and the action's tables
+    nodes = z[rows]
+    asymptotics._transverse_integral(rank2, [nodes], [100])  # the isotropy cache and the action's tables
     grid_pass, sizes = asymptotics._grid_pass, []
     monkeypatch.setattr(asymptotics, "_grid_pass", lambda *args: sizes.append(args[3]) or grid_pass(*args))
     arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
@@ -149,14 +179,14 @@ def test_transverse_integral_memory_is_one_block(monkeypatch):
     try:
         before = tracemalloc.take_snapshot()
         base = tracemalloc.get_traced_memory()[0]
-        T, err = asymptotics._transverse_integral(rank2, [ends], [2])[0]
+        T, err = asymptotics._transverse_integral(rank2, [nodes], [2])[0]
         peak = tracemalloc.get_traced_memory()[1] - base
         del T, err
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     held = after.filter_traces(arrays).compare_to(before.filter_traces(arrays), "filename")
-    assert max(sizes) == 640
+    assert max(sizes) == 128
     assert peak < 4 * 2**20
     assert sum(d.size_diff for d in held) == 0
     assert sum(d.size_diff for d in after.compare_to(before, "filename")) < 256 * 2**10
@@ -206,18 +236,19 @@ def test_transverse_sets_share_one_loop_bit_for_bit(e1, st1, e2, st2, e3, st3, m
     several support patterns in one list."""
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     passes, grid_pass = [], asymptotics._grid_pass
-    monkeypatch.setattr(asymptotics, "_grid_pass", lambda integrand, nodes, came, J, h, m, sums:
-                        passes.append((m, nodes.copy(), J, h)) or grid_pass(integrand, nodes, came, J, h, m, sums))
+    monkeypatch.setattr(asymptotics, "_grid_pass", lambda integrand, nodes, came, J, m, sums: passes.append(
+        (m, nodes.copy(), came.copy(), J)) or grid_pass(integrand, nodes, came, J, m, sums))
 
     def grids(action, sets, ks, halfform, offset=0):
-        """The call's pairs and each node's (J, h) sequence, keyed by (k, global point index)."""
+        """The call's pairs and each node's (J, came) sequence, keyed by (k, global point index): J and how
+        the grid came (new, R doubled, h halved) fix the node's grid."""
         passes.clear()
         out = asymptotics._transverse_integral(action, sets, ks, halfform)
         rows = {g[1].shape[1]: g[0] for g in asymptotics._orbit_grams(action, sets)[3]}  # m -> the group's rows
         seq = {}
-        for m, nodes, J, h in passes:
-            for n in nodes.tolist():
-                seq.setdefault((n // len(rows[m]), offset + int(rows[m][n % len(rows[m])])), []).append((J, h))
+        for m, nodes, came, J in passes:
+            for n, c in zip(nodes.tolist(), came.tolist()):
+                seq.setdefault((n // len(rows[m]), offset + int(rows[m][n % len(rows[m])])), []).append((J, c))
         return out, seq
 
     runs = [(e1, st1, (2, 4, 8), hf) for hf in (False, True)] + [(e2, st2, (2, 4, 8), False)]
@@ -242,26 +273,26 @@ def test_transverse_sets_share_one_loop_bit_for_bit(e1, st1, e2, st2, e3, st3, m
 
 def test_transverse_errors_name_the_set_that_fails(e2, st2, monkeypatch):
     """Sets that share a loop fail on their own node: E2's order-32 open
-    slice at k = 2 needs at most 3 halvings and R = 20 (J = 160) at its
-    first eight nodes, 7 halvings (J = 1280) at its last, so with that node
-    in a second set a cap of 4 halvings or of 400 grid points names its
-    point and k, not the first set's.  A collapsed orbit in the second set
+    slice at k = 2 settles after one widening and no halving (J = 32) at its
+    second and third nodes, after 2 halvings (J = 64) at its last, so with
+    that node in a second set a cap of 1 halving or of 100 grid points names
+    its point and k, not the first set's.  A collapsed orbit in the second set
     (m_basis monkeypatched to the isotropy vector there only) raises
     ActionError naming its masses, after a healthy first set."""
     sl = strata.make_level_slice(e2, st2.open_stratum().top_pattern, np.zeros(1))
     z, ((rows, _), _) = strata.slice_quadrature(e2, sl, 32)
     z = z[rows]
-    first, second = z[:8], z[31:]
+    first, second = z[1:3], z[31:]
     where = f"at the point {np.round(second[0], 12).tolist()}"
     with monkeypatch.context() as mp:
-        mp.setattr(asymptotics, "MAX_HALVINGS", 4)
-        with pytest.raises(asymptotics.AsymptoticsError, match=r"did not settle at k=2 after 4 halvings") as info:
+        mp.setattr(asymptotics, "MAX_HALVINGS", 1)
+        with pytest.raises(asymptotics.AsymptoticsError, match=r"did not settle at k=2 after 1 halvings") as info:
             asymptotics._transverse_integral(e2, [first, second], [2])
         assert where in str(info.value)
         asymptotics._transverse_integral(e2, [first], [2])  # the first set alone settles
     with monkeypatch.context() as mp:
-        mp.setattr(asymptotics, "MAX_GRID_POINTS", 400)
-        with pytest.raises(asymptotics.AsymptoticsError, match=r"needs 641 grid points at k=2 ") as info:
+        mp.setattr(asymptotics, "MAX_GRID_POINTS", 100)
+        with pytest.raises(asymptotics.AsymptoticsError, match=r"needs 129 grid points at k=2 ") as info:
             asymptotics._transverse_integral(e2, [first, second], [2])
         assert where in str(info.value)
         asymptotics._transverse_integral(e2, [first], [2])
@@ -299,11 +330,11 @@ def transverse_tau_calls(e2, st2):
     log_flow_sums = ta._log_flow_sums
     calls = []
 
-    def recording(model, logp, u, out=None):
+    def recording(model, logp, u, out=None, parts=None):
         if np.ndim(u):  # coordinates first; recorded before `out` overwrites u
             lp = np.broadcast_to(logp, np.shape(u))
             calls[-1].append(np.concatenate([lp, u]).reshape(2 * len(u), -1).T)
-        return log_flow_sums(model, logp, u, out)
+        return log_flow_sums(model, logp, u, out, parts)
 
     rank2 = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     lab = strata.analyze(rank2).open_stratum()
@@ -349,7 +380,7 @@ def test_transverse_integral_does_no_linear_algebra_per_pass(monkeypatch):
     per call, and tau(0, x) cancels against the whitening, so a transverse
     integral computes no determinant at all, and its SVDs are set-up work:
     at the rank-2 (CP^1)^3 perfbench point their count is the same at
-    k = 10 (4 grid passes) and k = 40 (3 passes)."""
+    k = 2 (3 grid passes) and k = 10 (2 passes)."""
     action = ta.make_action(models.make_model([1, 1, 1], [1, 1, 1]), [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]])
     x, _ = strata.sample_stratum(action, strata.analyze(action).open_stratum(), 1, seed=1)
     calls = []
@@ -361,13 +392,13 @@ def test_transverse_integral_does_no_linear_algebra_per_pass(monkeypatch):
     for module, name in ((np.linalg, "det"), (np.linalg, "svd"), (asymptotics, "_grid_pass")):
         count(module, name)
     counts = {}
-    for k in (10, 40):
+    for k in (2, 10):
         calls.clear()
         asymptotics._transverse_integral(action, [x], [k])
         counts[k] = (calls.count("_grid_pass"), calls.count("det"), calls.count("svd"))
-    assert (counts[10][0], counts[40][0]) == (4, 3)
-    assert counts[10][1] == counts[40][1] == 0
-    assert counts[10][2] == counts[40][2]
+    assert (counts[2][0], counts[10][0]) == (3, 2)
+    assert counts[2][1] == counts[10][1] == 0
+    assert counts[2][2] == counts[10][2]
 
 
 def test_density_h_equals_g_is_one(e2, st2):

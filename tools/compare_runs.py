@@ -44,6 +44,9 @@ SCENARIOS = [
     ("E2 --k 16,32,64,128", ["--preset", "E2", "--k", "16,32,64,128"]),
     ("E2 --only density --k 2,4,8", ["--preset", "E2", "--only", "density", "--k", "2,4,8"]),
     ("E2 --only consistency --k 2,4,8", ["--preset", "E2", "--only", "consistency", "--k", "2,4,8"]),
+    # large k: the extra pieces' transverse integrands sit far from 0 and widen their grids
+    ("E2 --only density,consistency --k 128,512",
+     ["--preset", "E2", "--only", "density,consistency", "--k", "128,512"]),
     ("E3 --k 2,4,8", ["--preset", "E3", "--k", "2,4,8"]),
     ("E3 halfform --k 2,4,8", ["--preset", "E3", "--twist", "halfform", "--k", "2,4,8"]),
     ("(CP^1)^3 --k 2,4,8", ["--config", "{rank2}", "--k", "2,4,8"]),
