@@ -335,12 +335,12 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
     if grams is not None:
         gu, gd = grams
     else:
-        gu = sections.gram_upstairs(action, k, twist, norm_def, quad, strat=strat)
+        gu = sections.gram_upstairs(action, k, twist, norm_def, strat=strat)
         gd = reduction.reduced_gram(action, k, twist, norm_def, quad, strat=strat)
     if gu.dim == 0:
         raise AsymptoticsError(f"empty invariant space at k={k}")
     u = gu.diagonal
-    if u.min() <= 0:  # exact or sampled, a sum of positive norms is 0 only when every term underflowed
+    if u.min() <= 0:  # a sum of positive Dirichlet moments is 0 only when every term underflowed
         raise AsymptoticsError(f"upstairs Gram not positive definite: its entries underflowed to 0 at k={k}")
     lam = gd.diagonal / u
     a = int(np.argmax(np.abs(lam - 1.0)))
@@ -384,7 +384,7 @@ def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residu
         own_k = reduction._piece_integral(action, own[si], exps, ks, twist)
         for i in live:
             k, e, (rhs, err), (r, r_err) = ks[i], exps[i], own_k[i], residuals[si][i]
-            lhs = sum((k / TWO_PI) ** (dp / 2.0) * sections._gram_exact_on_pattern(action, e, twist, pattern)[0]
+            lhs = sum((k / TWO_PI) ** (dp / 2.0) * sections._gram_exact_on_pattern(action, e, twist, pattern)
                       for dp, pattern, _ in pieces)
             rhs, err = rhs + r, err + r_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))
             nsig = np.abs(lhs - rhs) / np.maximum(err, 1e-300)

@@ -144,8 +144,8 @@ def validate(config):
         if bad:
             errors.append(f"k_list: lift integrality fails (k * shift not integral) at k={bad}")
     norm_defs = cfg.get("norm_defs", (1, 2))
-    if not _int_list(norm_defs, lambda v: v in (1, 2)):
-        errors.append(f"norm_defs: entries must be the integers 1 or 2, got {norm_defs!r}")
+    if not _int_list(norm_defs, lambda v: v in (1, 2)) or not norm_defs or len(set(norm_defs)) < len(norm_defs):
+        errors.append(f"norm_defs: must be a nonempty list of distinct integers 1 or 2, got {norm_defs!r}")
     quantities = tuple(cfg.get("quantities", QUANTITIES))
     unknown = [q for q in quantities if q not in QUANTITIES]
     if unknown:
@@ -327,6 +327,7 @@ def _fit(curve, limit=0.0):
 
 def run(scn):
     """Execute the scenario; returns the manifest dict (also written to disk)."""
+    strat = strata.analyze(scn.action)
     try:
         os.makedirs(scn.out, exist_ok=True)
     except OSError as exc:
@@ -334,7 +335,6 @@ def run(scn):
     manifest_path = os.path.join(scn.out, "run_manifest.json")
     if os.path.exists(manifest_path):  # a failed run must not leave an earlier run's hashes
         os.remove(manifest_path)
-    strat = strata.analyze(scn.action)
     hashed_cfg = {k: v for k, v in scn.raw.items() if k != "out"}
     manifest = {
         "version": __version__,
@@ -355,7 +355,7 @@ def run(scn):
     gram_cache = {}
     if "gram" in scn.quantities or "unitarity" in scn.quantities:
         for nd in scn.norm_defs:
-            ups = sections.grams_upstairs(scn.action, ks, scn.twist, nd, quad, strat, exps)
+            ups = sections.grams_upstairs(scn.action, ks, scn.twist, nd, strat=strat, exps=exps)
             downs = reduction.reduced_grams(scn.action, ks, scn.twist, nd, quad, strat, exps)
             gram_cache.update(((k, nd), pair) for k, pair in zip(ks, zip(ups, downs)))
 
@@ -478,6 +478,9 @@ def main(argv=None):
             print(json.dumps(manifest, sort_keys=True, indent=1))
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:  # run raises one for an empty invariant space
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except strata.EmptyZeroLevelError as exc:  # a property of the action's shift, not a numerical failure
+        print(f"config error: action: {exc}", file=sys.stderr)
         return 2
     except (QuantredError, np.linalg.LinAlgError) as exc:  # programming errors keep their traceback
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

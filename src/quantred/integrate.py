@@ -1,11 +1,12 @@
 """Integration backends, reproducible seeding, and curve fitting.
 
-Two routes are kept deliberately separate throughout the package: a Monte
-Carlo route (sphere / slice sampling with block standard errors) that makes
-no structural assumptions, and an 'exact' route that evaluates the same
-integrals through Dirichlet moments and low-dimensional quadrature.  Tests
-tie the two together; production defaults use the cheaper exact route, and
-the norm-split check quotes the exact route's own error estimates.
+The reduced Grams have two routes: a Monte Carlo route (stratum sampling
+with block standard errors, the only one for level slices of dimension 2
+or more) and an 'exact' route of low-dimensional quadrature on the level
+slices, the default.  Upstairs Grams and the norm-split check's direct side
+are exact Dirichlet moments on either; the check quotes the quadrature's
+own error estimates.  Monte Carlo oracles in the tests tie the routes
+together.
 """
 
 import functools

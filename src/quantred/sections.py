@@ -8,7 +8,10 @@ unit-normalized coordinates the plain pointwise norm square of a monomial
 is simply |z^alpha|^2; the twisted norm carries the half-form frame factor
 (mu, mu), which is the constant prod_j l_j^{-n_j/2} (`halfform_frame`).
 The chart evaluation from mu^2 wedge conj(mu^2) against the Liouville form
-(`halfform_factor`) is kept as its reference.
+(`halfform_factor`) is kept as its reference.  Upstairs Gram entries are
+exact Dirichlet moments on every route, whatever `quad.method` says; their
+Monte Carlo oracle is `pattern_gram_mc_by_block` in the tests' reference
+module.
 """
 
 import itertools
@@ -21,10 +24,7 @@ import numpy as np
 from . import models
 from . import strata
 from .errors import QuantredError
-from .integrate import as_quad, rng_for
 from .models import TWO_PI
-
-MC_CHUNK = 2048  # sphere samples evaluated at once on the upstairs Monte Carlo route (blocks no larger are also drawn together), to bound memory
 
 
 class SectionError(QuantredError, ValueError):
@@ -190,8 +190,9 @@ class GramMatrix:
 
     Distinct monomials are torus-orthogonal, so the Gram is diagonal under
     both norm definitions and on both sides; `diagonal` holds its entries
-    and `stderr` their standard errors (0 on the exact routes; Monte Carlo
-    routes estimate the diagonal only); `cli` writes the square JSON layout
+    and `stderr` their errors: 0 upstairs, where every entry is exact;
+    downstairs the grid rule's error estimate or the Monte Carlo block error
+    (that route estimates the diagonal only); `cli` writes the square JSON layout
     from the vectors.  `matrix`, the square form, stays only because the
     `perfbench` workload `E3HalfformMC.prepare` reads it.  `per_stratum` (downstairs only) maps each
     stratum key to its contribution to the diagonal.  `flags` names errors over 20% and diagonals <= 0.
@@ -226,67 +227,7 @@ def _full_pattern(model):
     return tuple(tuple(range(sl.start, sl.stop)) for sl in model.slices)
 
 
-def _sphere_masses(rng, dims, per, nblk):
-    """Masses of uniform sphere samples on factors of dims coordinates, in the stream order of per-block draws.
-
-    A uniform point on the sphere of C^d has Dirichlet(1, ..., 1) masses, d standard exponentials over their sum
-    (Devroye 1986, ch. XI); each block of per samples draws, factor by factor, standard_exponential((per, dim)),
-    and as many blocks as fit in MC_CHUNK samples, at least one, are drawn as one (nb, per sum(dims)) array.
-    Yields (b, nb, p), p the masses, coordinates first, of all samples of blocks b to b + nb - 1 in order if
-    they fit in MC_CHUNK, else (nb = 1) of the next MC_CHUNK of block b.
-    """
-    step = max(1, MC_CHUNK // per)
-    for b in range(0, nblk, step):
-        nb = min(step, nblk - b)
-        draws = rng.standard_exponential((nb, per * sum(dims)))
-        p = np.empty((sum(dims), nb, per))
-        for c, d in zip(itertools.accumulate(dims, initial=0), dims):
-            p[c : c + d] = draws[:, c * per : (c + d) * per].reshape(nb, per, d).transpose(2, 0, 1)
-            p[c : c + d] /= p[c : c + d].sum(axis=0)
-        p = p.reshape(len(p), -1)
-        for lo in range(0, nb * per, MC_CHUNK):
-            yield b, nb, p[:, lo : lo + MC_CHUNK]
-
-
-def _pattern_gram_mc(action, exps, twist, pattern, quad, tag):
-    """Monte Carlo Gram diagonals over a closed pattern subvariety, one (diagonal, stderr) per matrix in exps.
-
-    Uniform sphere samples on the support coordinates are Fubini-Study
-    uniform on the subvariety, and a monomial's norm square needs only
-    their masses, Dirichlet(1, ..., 1) per factor (`_sphere_masses`, in the
-    stream order of per-block draws, evaluated at most MC_CHUNK samples at a
-    time).  The measure does not depend on k, so one draw from the stream
-    tag serves every exponent matrix in exps (one per k): each chunk is
-    evaluated matrix by matrix, so memory grows with the largest matrix,
-    and a matrix's result does not depend on the others.  A row that
-    charges a coordinate off the pattern vanishes there: diagonal and error
-    0, and a pattern where no row lives draws nothing.  The other rows'
-    per-block sums accumulate chunk by chunk, and the block means' spread
-    gives the per-entry error.
-    """
-    model = action.model
-    nblk = max(4, quad.blocks)
-    per = max(64, quad.samples // nblk)
-    vol = 1.0
-    for sup, l in zip(pattern, model.bundle_degrees):
-        nR = len(sup) - 1
-        vol *= (l * TWO_PI) ** nR / math.factorial(nR)
-    cols = [i for sup in pattern for i in sup]
-    off = np.ones(model.ncoords, dtype=bool)
-    off[cols] = False
-    lives = [~np.any(e[:, off] > 0, axis=1) for e in exps]
-    rows = [(i, live, e[np.ix_(live, cols)]) for i, (e, live) in enumerate(zip(exps, lives)) if live.any()]
-    means = [np.zeros((nblk, e.shape[0])) for e in exps]
-    if rows:
-        for b, nb, p in _sphere_masses(rng_for(quad.seed, "gram", tag), [len(sup) for sup in pattern], per, nblk):
-            for i, live, alpha in rows:  # block sums, one k's rows at a time; einsum is 3x faster than sum(axis=1)
-                means[i][b : b + nb, live] += np.einsum("bsa->ba", monomial_norms(model, alpha, p.T, twist)
-                                                        .reshape(nb, -1, alpha.shape[0]))
-    means = [m / per for m in means]
-    return [(vol * m.mean(axis=0), vol * (m.std(axis=0, ddof=1) / np.sqrt(nblk))) for m in means]
-
-
-def grams_upstairs(action, ks, twist="plain", norm_def=1, quad=None, strat=None, exps=None):
+def grams_upstairs(action, ks, twist="plain", norm_def=1, strat=None, exps=None):
     """Grams of the invariant basis under Definition (1) or (2), one per k in ks.
 
     Definition (1) integrates over the open dense preimage piece, which has
@@ -296,45 +237,35 @@ def grams_upstairs(action, ks, twist="plain", norm_def=1, quad=None, strat=None,
     dimension prefactor, integrated over the closure of its support
     pattern; zero-dimensional pieces contribute point values.  The ambient
     is the open stratum's complexification where 0 is interior to phi(M)
-    and an extra piece where 0 lies on its boundary.  On the mc route each
-    pattern is sampled once for all of ks, from the stream tagged
-    (twist, "ambient"), (twist, "gz", key) for a stratum's own pattern or
-    (twist, "piece", key, pattern) (`_pattern_gram_mc`), so a k's Gram does
-    not depend on the rest of ks.  `exps`, if given, holds each k's
-    invariant exponents.
+    and an extra piece where 0 lies on its boundary.  Every term is an
+    exact Dirichlet moment (`_gram_exact_on_pattern`), so stderr is 0.
+    `exps`, if given, holds each k's invariant exponents.
     """
-    quad = as_quad(quad)
     model = action.model
     exps = [invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
     ambient = _full_pattern(model)
-    terms = [(model.n_total, ambient, ("ambient",))]
+    terms = [(model.n_total, ambient)]
     if norm_def == 2:
         strat = strat or strata.analyze(action)
-        terms += [(dim_piece, pattern, ("gz", lab.key) if i == 0 else ("piece", lab.key, pattern))
-                  for lab in strat.strata for i, (dim_piece, pattern, _) in enumerate(strat.preimage(lab))
+        terms += [(dim_piece, pattern) for lab in strat.strata for dim_piece, pattern, _ in strat.preimage(lab)
                   if pattern != ambient]
-    diags = [np.zeros(e.shape[0]) for e in exps]
-    errs = [np.zeros(e.shape[0]) for e in exps]
-    for dim_piece, pattern, tag in terms:
-        subs = (_pattern_gram_mc(action, exps, twist, pattern, quad, (twist,) + tag)
-                if quad.method == "mc" and dim_piece > 0 else  # on a point the moment is the value on every route
-                [_gram_exact_on_pattern(action, e, twist, pattern) for e in exps])
-        for i, (k, (sub, suberr)) in enumerate(zip(ks, subs)):
-            prefp = (k / TWO_PI) ** (dim_piece / 2.0)
-            diags[i] = diags[i] + prefp * sub
-            errs[i] = np.hypot(errs[i], prefp * suberr)
-    return [GramMatrix(basis_ids=[tuple(map(int, row)) for row in e], diagonal=d, stderr=err, norm_def=norm_def,
-                       k=k, twist=twist) for k, e, d, err in zip(ks, exps, diags, errs)]
+    grams = []
+    for k, e in zip(ks, exps):
+        diag = np.zeros(e.shape[0])
+        for dim_piece, pattern in terms:
+            diag = diag + (k / TWO_PI) ** (dim_piece / 2.0) * _gram_exact_on_pattern(action, e, twist, pattern)
+        grams.append(GramMatrix(basis_ids=[tuple(map(int, row)) for row in e], diagonal=diag,
+                                stderr=np.zeros(e.shape[0]), norm_def=norm_def, k=k, twist=twist))
+    return grams
 
 
-def gram_upstairs(action, k, twist="plain", norm_def=1, quad=None, strat=None, exps=None):
+def gram_upstairs(action, k, twist="plain", norm_def=1, strat=None, exps=None):
     """`grams_upstairs` at the one k; `exps`, if given, holds the invariant exponents at k."""
-    return grams_upstairs(action, [k], twist, norm_def, quad, strat, None if exps is None else [exps])[0]
+    return grams_upstairs(action, [k], twist, norm_def, strat=strat, exps=None if exps is None else [exps])[0]
 
 
 def _gram_exact_on_pattern(action, exps, twist, pattern):
-    """Exact Gram diagonal over a closed pattern subvariety: Dirichlet
-    moments, with zero error.  Returns (diagonal, stderr).
+    """Exact Gram diagonal over a closed pattern subvariety: Dirichlet moments.
 
     The restricted form on a coordinate CP^{|R_j|-1} is l_j times its
     Fubini-Study form, so factor j contributes (2 pi l_j)^{|R_j|-1} prod_{i in
@@ -357,4 +288,4 @@ def _gram_exact_on_pattern(action, exps, twist, pattern):
             asup = [row[i] for i in sup]
             out *= scale * (math.prod(fact[a] for a in asup) / fact[sum(asup) + nR])
         diag[r] = frame * out
-    return diag, np.zeros(exps.shape[0])
+    return diag

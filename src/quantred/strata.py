@@ -39,6 +39,10 @@ class StrataError(QuantredError, RuntimeError):
     pass
 
 
+class EmptyZeroLevelError(StrataError):
+    """The shift places 0 outside phi(M), so there is nothing to reduce."""
+
+
 def _linprog(c, **constraints):
     """scipy's HiGHS linear program, for slices with q >= 2 only; scipy loads on the first call."""
     from scipy.optimize import linprog
@@ -446,7 +450,7 @@ def analyze(action):
     boundary = [info for info in infos if info.location == "boundary"]
     unsemi = [info for info in infos if info.location == "outside"]
     if not carriers:
-        raise StrataError("empty zero level set: the shift places 0 outside phi(M)")
+        raise EmptyZeroLevelError("empty zero level set: the shift places 0 outside phi(M)")
 
     strata = []
     rng = np.random.default_rng(20240707)

@@ -7,8 +7,9 @@ transport potential, the contraction oracle of the descent factor, the
 quantization operator), the whole monomial basis with its brute-force
 invariant filter and one-monomial Dirichlet moments (the oracles of
 `sections.invariant_exponents` and `sections._gram_exact_on_pattern`), the
-Monte Carlo Grams block by block from complex points (the oracles of
-`sections._pattern_gram_mc` and `reduction._stratum_gram_mc`), a
+Monte Carlo Grams block by block from complex points (the oracles of the
+upstairs Grams, which the package computes only as exact Dirichlet moments,
+and of the reduced Monte Carlo route `reduction._stratum_gram_mc`), a
 general polynomial section type, and the paper diagnostics that no
 `quantred run` reports (semistability, the boundedness probe, the growth
 constant).  The package folds tau, e^{-k f} and the
@@ -601,14 +602,30 @@ def monomial_norms_at_points(model, exps, z, twist="plain"):
     return vals
 
 
-def pattern_gram_mc_by_block(action, exps, twist, pattern, quad, tag):
-    """The oracle of `sections._pattern_gram_mc`, block by block on complex points.
+def sphere_block(rng, model, pattern, per):
+    """per points, uniform on the unit sphere of each support factor of pattern and 0 off it.
 
-    Each block draws, per support factor, standard_exponential((per, dim)),
-    takes the points sqrt(E / sum E) (real, unit per factor: their masses are
-    Dirichlet(1, ..., 1), those of a uniform point on the sphere) and averages
-    their pointwise norms; the same stream and the same draws, one block and
-    one factor at a time.  Returns (diagonal, stderr).
+    Per factor it draws standard_exponential((per, dim)) and takes sqrt(E /
+    sum E): real points whose masses are Dirichlet(1, ..., 1), those of a
+    uniform point on the sphere of C^dim (Devroye 1986, ch. XI).
+    """
+    z = np.zeros((per, model.ncoords), dtype=complex)
+    for sup in pattern:
+        e = rng.standard_exponential((per, len(sup)))
+        z[:, list(sup)] = np.sqrt(e / e.sum(axis=1, keepdims=True))
+    return z
+
+
+def pattern_gram_mc_by_block(action, exps, twist, pattern, quad, tag):
+    """Monte Carlo Gram diagonal over a closed pattern subvariety: the oracle of
+    `sections._gram_exact_on_pattern`, whose sum with the piece prefactors is
+    every upstairs Gram.
+
+    Uniform sphere samples on the support coordinates are Fubini-Study
+    uniform on the subvariety; each of max(4, blocks) blocks averages the
+    pointwise norms of max(64, samples // blocks) points (`sphere_block`)
+    drawn from the stream tagged ("gram", tag), and the block means' spread
+    gives the per-entry error.  Returns (diagonal, stderr).
     """
     model = action.model
     quad = as_quad(quad)
@@ -619,13 +636,8 @@ def pattern_gram_mc_by_block(action, exps, twist, pattern, quad, tag):
     for sup, l in zip(pattern, model.bundle_degrees):
         nR = len(sup) - 1
         vol *= (l * TWO_PI) ** nR / math.factorial(nR)
-    means = np.empty((nblk, exps.shape[0]))
-    for b in range(nblk):
-        z = np.zeros((per, model.ncoords), dtype=complex)
-        for sup in pattern:
-            e = rng.standard_exponential((per, len(sup)))
-            z[:, list(sup)] = np.sqrt(e / e.sum(axis=1, keepdims=True))
-        means[b] = monomial_norms_at_points(model, exps, z, twist).mean(axis=0)
+    means = np.array([monomial_norms_at_points(model, exps, sphere_block(rng, model, pattern, per), twist).mean(axis=0)
+                      for _ in range(nblk)])
     err = means.std(axis=0, ddof=1) / np.sqrt(nblk)
     return vol * means.mean(axis=0), vol * err
 

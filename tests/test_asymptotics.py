@@ -477,7 +477,8 @@ def test_rank2_piece_residuals_match_direct_mc():
     quad = QuadConfig(method="mc", samples=100000, seed=3)
     for piece in pieces:
         (res, _), = reference.piece_integral(action, piece.dim_piece, piece.level_slice, [exps], [k], "plain", 48)
-        (mc, err), = sections._pattern_gram_mc(action, [exps], "plain", piece.pattern, quad, ("oracle", piece.pattern))
+        mc, err = reference.pattern_gram_mc_by_block(action, exps, "plain", piece.pattern, quad,
+                                                     ("oracle", piece.pattern))
         pref = (k / (2 * np.pi)) ** (piece.dim_piece / 2.0)
         mc, err = pref * mc, pref * err
         assert np.any(res > 0)
@@ -499,11 +500,10 @@ def test_residual_decreasing(e2, st2):
 def test_defect_scalar_case(e1, st1, e2, st2):
     """Both Grams are diagonal, so the defect is max_a |d_a/u_a - 1| and its
     error sqrt(sd_a^2 + lambda_a^2 su_a^2)/u_a at the worst entry a: on the
-    exact E1 pair and on an MC pair at E2 k = 4."""
+    exact E1 pair and at E2 k = 4 with the reduced Gram from Monte Carlo."""
     mc = {"method": "mc", "samples": 20000, "seed": 1}
-    for action, strat, k, up_quad, down_quad in ((e1, st1, 2, {"method": "exact"}, {"method": "grid"}),
-                                                 (e2, st2, 4, mc, mc)):
-        gu = sections.gram_upstairs(action, k, "plain", 2, up_quad, strat=strat)
+    for action, strat, k, down_quad in ((e1, st1, 2, {"method": "grid"}), (e2, st2, 4, mc)):
+        gu = sections.gram_upstairs(action, k, "plain", 2, strat=strat)
         gd = reduction.reduced_gram(action, k, "plain", 2, down_quad, strat=strat)
         d, sigma = asymptotics.unitarity_defect(action, k, "plain", 2, grams=(gu, gd))
         u, su = np.diag(gu.matrix).real, gu.stderr
@@ -569,7 +569,7 @@ def test_norm_split_budget_scaling(e2, st2):
                     mc = mc + sections.monomial_norms(e2.model, exps, models.masses(e2.model, lab.representative))[0]
                     continue
                 pref = (k / (2 * np.pi)) ** (dim / 2.0)
-                (val, err), = sections._pattern_gram_mc(e2, [exps], "plain", pattern, quad, ("oracle", si, pattern))
+                val, err = reference.pattern_gram_mc_by_block(e2, exps, "plain", pattern, quad, ("oracle", si, pattern))
                 mc, var = mc + pref * val, var + (pref * err) ** 2
             errs[samples, si] = np.sqrt(var)
             assert np.all(np.abs(mc - np.asarray(rep["strata"][si]["lhs"])) <= 4.0 * errs[samples, si])
@@ -610,14 +610,14 @@ def test_norm_split_exact_on_e3_at_large_k(e3, st3):
 
 
 def test_norm_split_consistency_draws_no_samples(e1, st1, e2, st2, e3, st3, monkeypatch):
-    """Both sides of the check are deterministic: it never samples a pattern
+    """Both sides of the check are deterministic: it never samples a stratum
     and never asks for a random generator."""
     import quantred
 
     def refuse(*args, **kwargs):
         raise AssertionError("norm_split_consistency sampled")
 
-    monkeypatch.setattr(sections, "_pattern_gram_mc", refuse)
+    monkeypatch.setattr(reduction, "_stratum_gram_mc", refuse)
     for module in vars(quantred).values():
         if hasattr(module, "rng_for"):
             monkeypatch.setattr(module, "rng_for", refuse)
@@ -740,7 +740,7 @@ def test_cp1_cp2_point_strata_split_per_stratum(degrees):
             pieces = strat.preimage(lab)
             if any(sl.q > 1 for _, _, sl in pieces):
                 continue
-            lhs = sum((k / (2 * np.pi)) ** (d / 2.0) * sections._gram_exact_on_pattern(action, exps, "plain", pat)[0]
+            lhs = sum((k / (2 * np.pi)) ** (d / 2.0) * sections._gram_exact_on_pattern(action, exps, "plain", pat)
                       for d, pat, _ in pieces)
             rhs, err = np.zeros(exps.shape[0]), asymptotics.CONSISTENCY_FLOOR * np.max(np.abs(lhs))
             for i, (d, _, sl) in enumerate(pieces):

@@ -35,6 +35,7 @@ def test_validate_collects_errors():
     # truncated to 2), and the message starts with the field
     for field, value in (("k_list", 2), ("k_list", [0, 2]), ("k_list", [-2, 2]), ("k_list", [True]),
                          ("k_list", [2.5]), ("norm_defs", [True]), ("norm_defs", [1.0]), ("norm_defs", 1),
+                         ("norm_defs", []), ("norm_defs", [1, 1]),
                          ("seed", -1), ("seed", 1.0), ("seed", True), ("out", 5), ("out", "")):
         cfg = {"preset": "E1", "k_list": [2], field: value}
         with pytest.raises(cli.ConfigError) as err:
@@ -396,9 +397,9 @@ def test_underflow_is_named_on_the_exact_route(tmp_path, capsys):
 
 
 def test_underflow_is_named_on_the_mc_route(tmp_path, capsys):
-    """E2 at k = 700 under quad.method mc: every sampled norm of some
-    upstairs entries underflows, so their means are 0.0 and flagged
-    "diagonal_underflow", and the run exits 3 naming underflow, not
+    """E2 at k = 700 under quad.method mc: the upstairs Grams are the exact
+    Dirichlet moments on this route too, some underflow to 0.0 and are
+    flagged "diagonal_underflow", and the run exits 3 naming underflow, not
     sampling."""
     cfg, out = tmp_path / "mc.json", tmp_path / "u"
     cfg.write_text(json.dumps({"preset": "E2", "quad": {"method": "mc"}}))
@@ -611,8 +612,8 @@ def test_run_files_keep_the_square_gram_layout(tmp_path, monkeypatch):
     grams = {}
     grams_upstairs, reduced_grams = sections.grams_upstairs, reduction.reduced_grams
 
-    def up(action, ks, twist, nd, quad, strat=None, exps=None):
-        out = grams_upstairs(action, ks, twist, nd, quad, strat, exps)
+    def up(action, ks, twist, nd, strat=None, exps=None):
+        out = grams_upstairs(action, ks, twist, nd, strat, exps)
         grams.update((("up", k, nd), g) for k, g in zip(ks, out))
         return out
 
@@ -660,6 +661,57 @@ def test_mc_grams_of_a_k_do_not_depend_on_the_k_list(tmp_path):
             assert cli.main(["run", "--config", str(cfg), "--k", ks, "--only", "gram", "--out", str(out)]) == 0
             files.add(tuple((out / f"gram_{side}_4.json").read_bytes() for side in ("up", "down")))
         assert len(files) == 1
+
+
+def test_upstairs_grams_are_exact_under_mc(tmp_path):
+    """quad.method mc samples only the reduced Grams: gram_up files are the
+    exact route's bytes, every upstairs stderr is 0, and every reduced
+    stderr is positive; E2 under both norm definitions and E3 half-form."""
+    for preset, twist, ks in (("E2", "plain", "2,4,8"), ("E3", "halfform", "2,4")):
+        files = {}
+        for method in ("exact", "mc"):
+            cfg, out = tmp_path / f"{preset}-{method}.json", tmp_path / f"{preset}-{method}"
+            cfg.write_text(json.dumps({"preset": preset, "twist": twist, "quad": {"method": method, "samples": 4000}}))
+            assert cli.main(["run", "--config", str(cfg), "--k", ks, "--only", "gram", "--out", str(out)]) == 0
+            files[method] = {k: (out / f"gram_up_{k}.json").read_bytes() for k in ks.split(",")}
+        assert files["exact"] == files["mc"]
+        for k in ks.split(","):
+            for side, positive in (("up", False), ("down", True)):
+                for block in json.loads((tmp_path / f"{preset}-mc" / f"gram_{side}_{k}.json").read_text()).values():
+                    assert all((row[i] > 0) == positive for i, row in enumerate(block["stderr"]))
+
+
+def test_empty_zero_level_is_a_config_error(tmp_path, capsys):
+    """A shift that places 0 outside phi(M) leaves nothing to reduce: run and
+    describe exit 2 naming action, and run writes nothing."""
+    cfg, out = tmp_path / "shift.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"preset": "E1", "k_list": [2],
+                               "action": {"rank": 1, "weights": [[[1, -1]]], "shift": ["2"]}}))
+    for argv in (["run", "--config", str(cfg), "--out", str(out)], ["describe", "--config", str(cfg)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: action: ") and "empty zero level" in err
+    assert not out.exists()
+
+
+def test_zoo_configs_exit_0_or_name_their_field(tmp_path):
+    """A fixed handful of the rank-1 zoo of tools/zoo.py, by index: runs that
+    finish exit 0 with nothing on stderr, and an empty zero level or
+    invariant space exits 2 naming action or k_list."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "zoo.py"
+    spec = importlib.util.spec_from_file_location("zoo", path)
+    zoo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(zoo)
+    configs = zoo.configs()
+    assert len(configs) == 36
+    for i, code, field in ((10, 0, None), (12, 0, None), (18, 0, None), (35, 0, None), (0, 2, "action"),
+                           (34, 2, "action"), (4, 2, "k_list")):
+        got, line = zoo.run_one(configs[i], str(tmp_path / f"run_{i}"))
+        assert got == code
+        assert line == "" if field is None else line.startswith(f"config error: {field}: ")
 
 
 def test_failed_rerun_leaves_no_manifest(tmp_path, capsys):

@@ -182,20 +182,21 @@ def test_boundedness_probe_finds_k0(e3):
 def test_dim_match_up_down(e3, st3):
     # descent is basis-preserving: both Grams live on the invariant monomials
     for k in (2, 4, 8):
-        up = sections.gram_upstairs(e3, k, "halfform", 1, {"method": "exact"})
+        up = sections.gram_upstairs(e3, k, "halfform", 1)
         down = reduction.reduced_gram(e3, k, "halfform", 1, {"method": "grid"}, strat=st3)
         assert up.dim == down.dim == sections.invariant_exponents(e3, k, "halfform").shape[0]
         assert up.basis_ids == down.basis_ids
 
 
 def test_mc_grams_are_diagonal_without_false_flags(e2, st2, e3, st3):
-    """Monte Carlo routes estimate the diagonal only: off-diagonal entries
-    and their errors are exactly 0, so sampling noise there cannot raise the
-    20% error flag (the diagonal errors are a few percent at this budget)."""
+    """The Monte Carlo route estimates the diagonal only, and the upstairs
+    Gram it is paired with is exact: off-diagonal entries and their errors
+    are exactly 0, so sampling noise there cannot raise the 20% error flag
+    (the diagonal errors are a few percent at this budget)."""
     mc = {"method": "mc", "samples": 20000, "seed": 1}
     for action, strat, k, twist, norm_defs in ((e2, st2, 4, "plain", (1, 2)), (e3, st3, 8, "halfform", (1,))):
         for nd in norm_defs:
-            for g in (sections.gram_upstairs(action, k, twist, nd, mc, strat=strat),
+            for g in (sections.gram_upstairs(action, k, twist, nd, strat=strat),
                       reduction.reduced_gram(action, k, twist, nd, mc, strat=strat)):
                 off = ~np.eye(g.dim, dtype=bool)
                 assert g.dim >= 3
@@ -204,11 +205,11 @@ def test_mc_grams_are_diagonal_without_false_flags(e2, st2, e3, st3):
 
 
 def test_mc_gram_memory_does_not_grow_with_the_k_list(e2, st2, e3, st3):
-    """Each k's rows are evaluated on their own, chunk by chunk upstairs and
-    stratum by stratum downstairs, so the tracemalloc peak of both Monte
-    Carlo Grams over k = 2, 4, ..., 16 stays within 1.25x of the peak for
-    k = 16 alone (stacking every k's rows would multiply it): E2 under
-    norm definition 2 and E3 half-form."""
+    """Each k's rows are evaluated on their own, one k's exact moments at a
+    time upstairs and stratum by stratum on the Monte Carlo route
+    downstairs, so the tracemalloc peak of both Grams over k = 2, 4, ..., 16
+    stays within 1.25x of the peak for k = 16 alone (stacking every k's rows
+    would multiply it): E2 under norm definition 2 and E3 half-form."""
     import tracemalloc
 
     quad = {"method": "mc", "samples": 20000, "seed": 3}
@@ -218,7 +219,7 @@ def test_mc_gram_memory_does_not_grow_with_the_k_list(e2, st2, e3, st3):
             exps = [sections.invariant_exponents(action, k, twist) for k in ks]
             tracemalloc.start()
             try:
-                sections.grams_upstairs(action, ks, twist, nd, quad, strat, exps)
+                sections.grams_upstairs(action, ks, twist, nd, strat, exps)
                 reduction.reduced_grams(action, ks, twist, nd, quad, strat, exps)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
