@@ -354,20 +354,22 @@ def norm_split_consistency(action, k, twist="plain", quad=None, strat=None):
     return _norm_split_reports(action, [k], twist, quad, strat)[0]
 
 
-def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residuals=None, exps=None, own=None):
+def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residuals=None, exps=None, own=None,
+                        moments=None):
     """One norm-split report per k in ks, each with per-section discrepancies.
 
-    Both sides run over the pieces of `Stratification.preimage`.  The left side is exact: Dirichlet moments of
-    |s|^2 on each piece's pattern, each with its (k/2pi)^{dim/2}.  The right side is one
-    `reduction._piece_integral` per piece for all of ks: on the stratum's own zero-level slice (`_own_piece`,
-    the reduced-space integral of the descended norm against I_k or J_k), on the extra pieces through
-    `residual_with_error`, whose grid order `quad` sets.  `stderr` is their quadrature error plus CONSISTENCY_FLOOR times the stratum's largest |lhs|,
-    and nsigma = |lhs - rhs| / stderr.  `residuals`, `exps` and `own`, if given, hold each stratum's
-    `residual_with_error` for ks and this quad, each k's exponents, and each stratum's own piece as its
-    `_transverse_batch` entry at ks; one `_transverse_batch` call makes the rest.
+    Both sides run over the pieces of `Stratification.preimage`.  The left side is exact: the sum of the pieces'
+    rows of `sections.moment_table`.  The right side is one `reduction._piece_integral` per piece for all of ks:
+    on the stratum's own zero-level slice (`_own_piece`, the reduced-space integral of the descended norm against
+    I_k or J_k), on the extra pieces through `residual_with_error`, whose grid order `quad` sets.  `stderr` is
+    their quadrature error plus CONSISTENCY_FLOOR times the stratum's largest |lhs|, and nsigma = |lhs - rhs| /
+    stderr.  `residuals`, `exps`, `own` and `moments`, if given, hold each stratum's `residual_with_error` for ks
+    and this quad, each k's exponents, each stratum's own piece as its `_transverse_batch` entry at ks, and the
+    moment table; one `_transverse_batch` call makes the rest.
     """
     strat = strat or strata.analyze(action)
     exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
+    moments = sections.moment_table(action, ks, twist, exps, strat) if moments is None else moments
     reports = [{"k": int(k), "twist": twist, "strata": [], "max_nsigma": 0.0, "dim": int(e.shape[0])}
                | ({} if e.shape[0] else {"note": "empty invariant space"}) for k, e in zip(ks, exps)]
     live = [i for i, e in enumerate(exps) if e.shape[0]]
@@ -380,12 +382,10 @@ def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residu
     residuals = residuals or [residual_with_error(action, lab, ks, twist, quad, strat, exps, done["residual", si])
                               for si, lab in enumerate(labels)]
     for si, lab in enumerate(labels):
-        pieces = strat.preimage(lab)
         own_k = reduction._piece_integral(action, own[si], exps, ks, twist)
         for i in live:
-            k, e, (rhs, err), (r, r_err) = ks[i], exps[i], own_k[i], residuals[si][i]
-            lhs = sum((k / TWO_PI) ** (dp / 2.0) * sections._gram_exact_on_pattern(action, e, twist, pattern)
-                      for dp, pattern, _ in pieces)
+            (rhs, err), (r, r_err) = own_k[i], residuals[si][i]
+            lhs = sum(moments[i][pattern] for _, pattern, _ in strat.preimage(lab))
             rhs, err = rhs + r, err + r_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))
             nsig = np.abs(lhs - rhs) / np.maximum(err, 1e-300)
             reports[i]["strata"].append({"stratum": si, "dim_S": lab.dim_S, "lhs": lhs.tolist(), "rhs": rhs.tolist(),

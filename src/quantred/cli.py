@@ -97,12 +97,14 @@ def validate(config):
     """Resolve a config dict into a Scenario, or raise with every violation."""
     if isinstance(config, str):
         config = json.loads(config)
+    if not isinstance(config, dict):
+        raise ConfigError(f"config: must be a JSON object, got {type(config).__name__}")
     cfg = dict(config)
     errors = [f"{key}: unknown config key" for key in cfg if key not in CONFIG_KEYS]
     preset = cfg.pop("preset", None)
     if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise ConfigError(f"preset: unknown preset {preset!r} (have {sorted(PRESETS)})")
         base = PRESETS[preset]
         cfg.setdefault("model", base["model"])
         cfg.setdefault("action", base["action"])
@@ -146,7 +148,10 @@ def validate(config):
     norm_defs = cfg.get("norm_defs", (1, 2))
     if not _int_list(norm_defs, lambda v: v in (1, 2)) or not norm_defs or len(set(norm_defs)) < len(norm_defs):
         errors.append(f"norm_defs: must be a nonempty list of distinct integers 1 or 2, got {norm_defs!r}")
-    quantities = tuple(cfg.get("quantities", QUANTITIES))
+    quantities = cfg.get("quantities", QUANTITIES)
+    if not isinstance(quantities, (list, tuple)):
+        errors.append(f"quantities: must be a list of names from {list(QUANTITIES)}, got {quantities!r}")
+        quantities = ()
     unknown = [q for q in quantities if q not in QUANTITIES]
     if unknown:
         errors.append(f"quantities: unknown {unknown}")
@@ -176,18 +181,8 @@ def validate(config):
         errors.append(f"out: must be a nonempty path, got {out!r}")
     if errors:
         raise ConfigError("; ".join(errors))
-    return Scenario(
-        model=model,
-        action=action,
-        k_list=tuple(k_list),
-        twist=twist,
-        norm_defs=tuple(norm_defs),
-        quad=quad,
-        seed=seed,
-        out=out,
-        quantities=quantities,
-        raw=config,
-    )
+    return Scenario(model=model, action=action, k_list=tuple(k_list), twist=twist, norm_defs=tuple(norm_defs),
+                    quad=quad, seed=seed, out=out, quantities=tuple(quantities), raw=config)
 
 
 # ----------------------------------------------------------------------
@@ -352,21 +347,18 @@ def run(scn):
     empty = [k for k, e in zip(ks, exps) if e.shape[0] == 0] if "unitarity" in scn.quantities else []
     if empty:  # a defect needs an invariant section
         raise ConfigError(f"k_list: empty invariant space at k={', '.join(map(str, empty))}, so no unitarity defect")
-    gram_cache = {}
-    if "gram" in scn.quantities or "unitarity" in scn.quantities:
-        for nd in scn.norm_defs:
-            ups = sections.grams_upstairs(scn.action, ks, scn.twist, nd, strat=strat, exps=exps)
-            downs = reduction.reduced_grams(scn.action, ks, scn.twist, nd, quad, strat, exps)
-            gram_cache.update(((k, nd), pair) for k, pair in zip(ks, zip(ups, downs)))
+    moments = sections.moment_table(scn.action, ks, scn.twist, exps, strat) if "consistency" in scn.quantities else None
+    if "gram" in scn.quantities or "unitarity" in scn.quantities:  # {nd: one Gram per k} on each side
+        ups = sections.grams_upstairs(scn.action, ks, scn.twist, scn.norm_defs, strat=strat, exps=exps, moments=moments)
+        downs = reduction.reduced_grams(scn.action, ks, scn.twist, scn.norm_defs, quad, strat, exps)
 
     if "strata" in scn.quantities:
         write("strata.json", _write_json, strat.to_json_dict())
 
     if "gram" in scn.quantities:
-        for k in scn.k_list:
-            for side, i in (("up", 0), ("down", 1)):
-                write(f"gram_{side}_{k}.json", _write_json,
-                      {str(nd): _gram_json(gram_cache[(k, nd)][i]) for nd in scn.norm_defs})
+        for i, k in enumerate(ks):
+            for side, grams in (("up", ups), ("down", downs)):
+                write(f"gram_{side}_{k}.json", _write_json, {str(nd): _gram_json(grams[nd][i]) for nd in scn.norm_defs})
 
     wanted, points = {}, {}  # every transverse integral the quantities need, in one call; residuals are shared
     for i, lab in enumerate(strat.strata):
@@ -404,12 +396,10 @@ def run(scn):
 
     if "unitarity" in scn.quantities:
         rows = []
-        for k in scn.k_list:
+        for i, k in enumerate(ks):
             for nd in scn.norm_defs:
-                grams = gram_cache.get((k, nd))
-                defect, err = asymptotics.unitarity_defect(
-                    scn.action, k, scn.twist, nd, quad, strat=strat, grams=grams
-                )
+                defect, err = asymptotics.unitarity_defect(scn.action, k, scn.twist, nd, quad, strat=strat,
+                                                           grams=(ups[nd][i], downs[nd][i]))
                 where = f"norm definition {nd}"
                 rows.append((k, scn.twist, nd, repr(_finite(defect, "defect", where, k)),
                              repr(_finite(err, "defect stderr", where, k))))
@@ -418,7 +408,7 @@ def run(scn):
     if "consistency" in scn.quantities:
         own = [pieces[0] for (kind, _), pieces in done.items() if kind == "own"] or None  # None: no live k
         reports = asymptotics._norm_split_reports(scn.action, ks, scn.twist, quad, strat, list(residuals.values()),
-                                                  exps, own)
+                                                  exps, own, moments)
         write("consistency.json", _write_json,
               {"reports": reports, "note": "zero-dimensional strata contribute point values with (k/2pi)^0 = 1"})
 
@@ -433,6 +423,8 @@ def _load_config(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config: {args.config} must hold a JSON object, not a {type(cfg).__name__}")
     elif args.preset:
         cfg = {"preset": args.preset, "k_list": [2, 4, 8]}
     else:

@@ -4,9 +4,10 @@ The reduced Grams have two routes: a Monte Carlo route (stratum sampling
 with block standard errors, the only one for level slices of dimension 2
 or more) and an 'exact' route of low-dimensional quadrature on the level
 slices, the default.  Upstairs Grams and the norm-split check's direct side
-are exact Dirichlet moments on either; the check quotes the quadrature's
-own error estimates.  Monte Carlo oracles in the tests tie the routes
-together.
+are sums of one exact Dirichlet-moment table per run on either; the check
+quotes the quadrature's own error estimates.  Each stratum is integrated
+(or drawn) once per run for both norm definitions.  Monte Carlo oracles in
+the tests tie the routes together.
 """
 
 import functools

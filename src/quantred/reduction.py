@@ -58,7 +58,7 @@ def stratum_gram(action, lab, exps, ks, twist, quad):
     the level slice, with dim = 0, T = 1, T_err = 0 and vol the descent
     factor (half-form) or 1.  The mc route is one `_stratum_gram_mc` draw for
     all of ks from the stream tagged ("down", twist, key), so a k's integral
-    does not depend on the rest of ks.
+    does not depend on the rest of ks; `reduced_grams` calls it once per stratum for all norm definitions.
     """
     quad = as_quad(quad)
     if quad.method == "mc":
@@ -122,32 +122,35 @@ def _stratum_gram_mc(action, lab, exps, twist, quad, tag):
     return [sums(e) for e in exps]
 
 
-def reduced_grams(action, ks, twist="plain", norm_def=1, quad=None, strat=None, exps=None):
-    """Grams of the descended basis under Definition (1) or (2) downstairs, one per k in ks.
+def reduced_grams(action, ks, twist="plain", norm_defs=(1,), quad=None, strat=None, exps=None):
+    """Grams of the descended basis under each of norm_defs downstairs: {nd: one Gram per k in ks}.
 
-    Each stratum's `stratum_gram` covers all of ks at once; `exps`, if given,
-    holds each k's invariant exponents.
+    Definition (1) integrates over the open stratum, Definition (2) over every stratum.  Each stratum runs
+    one `stratum_gram` for all of ks, which every definition that needs it reads, so the mc route draws each
+    stratum once; `exps`, if given, holds each k's invariant exponents.
     """
     quad = as_quad(quad)
     exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
     live = [i for i, e in enumerate(exps) if e.shape[0]]
-    diags = [np.zeros(e.shape[0]) for e in exps]
-    errs = [np.zeros(e.shape[0]) for e in exps]
-    pers = [{} for _ in exps]
-    if live:
-        strat = strat or strata.analyze(action)
-        for lab in [strat.open_stratum()] if norm_def == 1 else strat.strata:
-            subs = stratum_gram(action, lab, [exps[i] for i in live], [ks[i] for i in live], twist, quad)
-            for i, (sub, suberr) in zip(live, subs):
+    strat = (strat or strata.analyze(action)) if live else strat
+    out, done = {}, {}  # done: stratum key -> its `stratum_gram` at the live ks, read by every definition
+    for nd in norm_defs:
+        diags, errs = [np.zeros(e.shape[0]) for e in exps], [np.zeros(e.shape[0]) for e in exps]
+        pers = [{} for _ in exps]
+        for lab in ([strat.open_stratum()] if nd == 1 else strat.strata) if live else []:
+            if lab.key not in done:
+                done[lab.key] = stratum_gram(action, lab, [exps[i] for i in live], [ks[i] for i in live], twist, quad)
+            for i, (sub, suberr) in zip(live, done[lab.key]):
                 pref = (ks[i] / TWO_PI) ** (lab.dim_S / 2.0)
                 pers[i][lab.key] = pref * sub
                 diags[i] = diags[i] + pref * sub
                 errs[i] = np.hypot(errs[i], pref * suberr)
-    return [sections.GramMatrix(basis_ids=[tuple(map(int, r)) for r in e], diagonal=d, stderr=err,
-                                norm_def=norm_def, k=k, twist=twist, per_stratum=per)
-            for k, e, d, err, per in zip(ks, exps, diags, errs, pers)]
+        out[nd] = [sections.GramMatrix(basis_ids=[tuple(map(int, r)) for r in e], diagonal=d, stderr=err,
+                                       norm_def=nd, k=k, twist=twist, per_stratum=per)
+                   for k, e, d, err, per in zip(ks, exps, diags, errs, pers)]
+    return out
 
 
 def reduced_gram(action, k, twist="plain", norm_def=1, quad=None, strat=None):
     """Gram of the descended basis under Definition (1) or (2) downstairs."""
-    return reduced_grams(action, [k], twist, norm_def, quad, strat)[0]
+    return reduced_grams(action, [k], twist, (norm_def,), quad, strat)[norm_def][0]

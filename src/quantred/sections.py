@@ -186,16 +186,16 @@ def monomial_norms(model, exps, p, twist="plain"):
 
 @dataclass
 class GramMatrix:
-    """Gram matrix of an invariant monomial basis, up- or downstairs.
+    """Gram matrix of an invariant monomial basis at one k under one norm definition, up- or downstairs.
 
-    Distinct monomials are torus-orthogonal, so the Gram is diagonal under
-    both norm definitions and on both sides; `diagonal` holds its entries
-    and `stderr` their errors: 0 upstairs, where every entry is exact;
-    downstairs the grid rule's error estimate or the Monte Carlo block error
-    (that route estimates the diagonal only); `cli` writes the square JSON layout
-    from the vectors.  `matrix`, the square form, stays only because the
-    `perfbench` workload `E3HalfformMC.prepare` reads it.  `per_stratum` (downstairs only) maps each
-    stratum key to its contribution to the diagonal.  `flags` names errors over 20% and diagonals <= 0.
+    Distinct monomials are torus-orthogonal, so the Gram is diagonal; `diagonal` holds its entries and
+    `stderr` their errors: 0 upstairs, where every entry is a sum of exact `moment_table` rows; downstairs
+    the grid rule's error estimate or the Monte Carlo block error (that route estimates the diagonal
+    only).  The two definitions' Grams on a side read one pass over the preimage pieces, so they share
+    their terms (and under Definition (1) upstairs, the table's array).  `cli` writes the square JSON
+    layout from the vectors.  `matrix`, the square form, stays only because the `perfbench` workload
+    `E3HalfformMC.prepare` reads it.  `per_stratum` (downstairs only) maps each stratum key to its
+    contribution to the diagonal.  `flags` names errors over 20% and diagonals <= 0.
     """
 
     basis_ids: list
@@ -227,41 +227,45 @@ def _full_pattern(model):
     return tuple(tuple(range(sl.start, sl.stop)) for sl in model.slices)
 
 
-def grams_upstairs(action, ks, twist="plain", norm_def=1, strat=None, exps=None):
-    """Grams of the invariant basis under Definition (1) or (2), one per k in ks.
+def moment_table(action, ks, twist, exps, strat=None, every=True):
+    """The exact upstairs terms: per k in ks, {pattern: (k/2pi)^{dim/2} `_gram_exact_on_pattern`}.
 
-    Definition (1) integrates over the open dense preimage piece, which has
-    full measure, so it is the ambient integral with prefactor
-    (k/2pi)^{n/2}.  Definition (2) adds every other piece that
-    `Stratification.preimage` lists for some stratum, with its own
-    dimension prefactor, integrated over the closure of its support
-    pattern; zero-dimensional pieces contribute point values.  The ambient
-    is the open stratum's complexification where 0 is interior to phi(M)
-    and an extra piece where 0 lies on its boundary.  Every term is an
-    exact Dirichlet moment (`_gram_exact_on_pattern`), so stderr is 0.
-    `exps`, if given, holds each k's invariant exponents.
+    The patterns are the ambient one (dim n) and, if every, the (distinct) patterns of every piece of
+    `Stratification.preimage`, in strata order.  Both norm definitions and the norm-split check's lhs
+    are sums of these rows.  exps[i] holds the invariant exponents at ks[i].
     """
-    model = action.model
-    exps = [invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
-    ambient = _full_pattern(model)
-    terms = [(model.n_total, ambient)]
-    if norm_def == 2:
+    dims = {_full_pattern(action.model): action.model.n_total}
+    if every:
         strat = strat or strata.analyze(action)
-        terms += [(dim_piece, pattern) for lab in strat.strata for dim_piece, pattern, _ in strat.preimage(lab)
-                  if pattern != ambient]
-    grams = []
-    for k, e in zip(ks, exps):
-        diag = np.zeros(e.shape[0])
-        for dim_piece, pattern in terms:
-            diag = diag + (k / TWO_PI) ** (dim_piece / 2.0) * _gram_exact_on_pattern(action, e, twist, pattern)
-        grams.append(GramMatrix(basis_ids=[tuple(map(int, row)) for row in e], diagonal=diag,
-                                stderr=np.zeros(e.shape[0]), norm_def=norm_def, k=k, twist=twist))
-    return grams
+        dims |= {pattern: dim for lab in strat.strata for dim, pattern, _ in strat.preimage(lab)}
+    return [{pattern: (k / TWO_PI) ** (dim / 2.0) * _gram_exact_on_pattern(action, e, twist, pattern)
+             for pattern, dim in dims.items()} for k, e in zip(ks, exps)]
 
 
-def gram_upstairs(action, k, twist="plain", norm_def=1, strat=None, exps=None):
+def grams_upstairs(action, ks, twist="plain", norm_defs=(1,), *, strat=None, exps=None, moments=None):
+    """Grams of the invariant basis under each of norm_defs: {nd: one Gram per k in ks}.
+
+    Definition (1) integrates over the open dense preimage piece, which has full measure: the ambient row of
+    `moment_table`.  Definition (2) adds the rows of every other piece; zero-dimensional pieces contribute
+    point values.  The ambient is the open stratum's complexification where 0 is interior to phi(M) and an
+    extra piece where 0 lies on its boundary.  Every row is exact, so stderr is 0.  `exps` and `moments`,
+    if given, hold each k's invariant exponents and the table.
+    """
+    exps = [invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
+    moments = moment_table(action, ks, twist, exps, strat, 2 in norm_defs) if moments is None else moments
+    ambient = _full_pattern(action.model)
+    ids = [[tuple(map(int, row)) for row in e] for e in exps]
+
+    def diagonal(rows, nd):  # Definition (2) adds the other rows to the ambient one, in the table's order
+        return rows[ambient] if nd == 1 else sum((r for p, r in rows.items() if p != ambient), rows[ambient])
+    return {nd: [GramMatrix(basis_ids=b, diagonal=diagonal(rows, nd), stderr=np.zeros(len(b)), norm_def=nd, k=k,
+                            twist=twist) for k, b, rows in zip(ks, ids, moments)] for nd in norm_defs}
+
+
+def gram_upstairs(action, k, twist="plain", norm_def=1, *, strat=None, exps=None):
     """`grams_upstairs` at the one k; `exps`, if given, holds the invariant exponents at k."""
-    return grams_upstairs(action, [k], twist, norm_def, strat=strat, exps=None if exps is None else [exps])[0]
+    exps = None if exps is None else [exps]
+    return grams_upstairs(action, [k], twist, (norm_def,), strat=strat, exps=exps)[norm_def][0]
 
 
 def _gram_exact_on_pattern(action, exps, twist, pattern):

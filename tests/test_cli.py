@@ -36,11 +36,17 @@ def test_validate_collects_errors():
     for field, value in (("k_list", 2), ("k_list", [0, 2]), ("k_list", [-2, 2]), ("k_list", [True]),
                          ("k_list", [2.5]), ("norm_defs", [True]), ("norm_defs", [1.0]), ("norm_defs", 1),
                          ("norm_defs", []), ("norm_defs", [1, 1]),
-                         ("seed", -1), ("seed", 1.0), ("seed", True), ("out", 5), ("out", "")):
+                         ("seed", -1), ("seed", 1.0), ("seed", True), ("out", 5), ("out", ""),
+                         ("preset", ["E1"]), ("quantities", 5), ("quantities", "gram")):
         cfg = {"preset": "E1", "k_list": [2], field: value}
         with pytest.raises(cli.ConfigError) as err:
             cli.validate(cfg)
         assert str(err.value).startswith(f"{field}:")
+        assert "'g'" not in str(err.value)  # a string of quantities is not a list of letters
+    for config in ([{"preset": "E1"}], "[1, 2]", 5):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.validate(config)
+        assert str(err.value).startswith("config:")
 
 
 def test_validate_empty_k():
@@ -338,18 +344,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     badcfg.write_text(json.dumps({"preset": "E2", "k_list": [4], "twist": "halfform"}))
     rc = cli.main(["describe", "--config", str(badcfg)])
     assert rc == 2
+    capsys.readouterr()
     # malformed values exit 2 naming the field, before any output is written; the mc
     # route's stratum samples, max(256, samples // 10) = 256 here, fill at most 256 blocks
     for field, value, named in (("k_list", ["a"], "k_list"), ("k_list", 2, "k_list"), ("k_list", [0, 2], "k_list"),
                                 ("k_list", [-2, 2], "k_list"), ("k_list", [True], "k_list"),
                                 ("k_list", [2.5], "k_list"), ("norm_defs", ["x"], "norm_defs"), ("seed", "x", "seed"),
                                 ("quad", {"seed": "x"}, "quad.seed"),
-                                ("quad", {"method": "mc", "samples": 1000, "blocks": 300}, "quad.blocks")):
-        badcfg.write_text(json.dumps({"preset": "E1", "k_list": [2], field: value}))
+                                ("quad", {"method": "mc", "samples": 1000, "blocks": 300}, "quad.blocks"),
+                                ("preset", ["E1"], "preset"), ("quantities", 5, "quantities"),
+                                ("quantities", "gram", "quantities"), (None, None, "config")):
+        config = [{"preset": "E1"}] if field is None else {"preset": "E1", "k_list": [2], field: value}
+        badcfg.write_text(json.dumps(config))
         out = tmp_path / "malformed"
         assert cli.main(["run", "--config", str(badcfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{named}:" in err
+        assert err.startswith(f"config error: {named}:")
         assert named != "quad.blocks" or "256" in err
         assert not out.exists()
     assert cli.main(["run", "--preset", "E1", "--k", "2,x", "--out", str(tmp_path / "kx")]) == 2
@@ -478,9 +488,9 @@ def test_consistency_keeps_grid_order_and_shares_residuals(tmp_path, monkeypatch
 
 def test_grid_grams_call_the_slice_rule_once_per_stratum(tmp_path, monkeypatch):
     """The grid-route reduced Grams take each stratum's Gauss rule and error
-    rule from one `strata.slice_quadrature` call for the whole k list: a
-    gram run makes as many calls for --k 2 as for --k 2,4,8, one per stratum
-    a norm definition integrates over (E3 has one stratum, E2 three)."""
+    rule from one `strata.slice_quadrature` call for the whole k list and
+    both norm definitions: a gram run makes as many calls for --k 2 as for
+    --k 2,4,8, one per stratum (E3 has one stratum, E2 three)."""
     from quantred import strata
 
     seen = []
@@ -500,9 +510,60 @@ def test_grid_grams_call_the_slice_rule_once_per_stratum(tmp_path, monkeypatch):
             cli.run(scn)
             calls.append(sorted(seen))
         st = strata.analyze(scn.action)
-        expect = [st.open_stratum().level_slice.pattern] + [lab.level_slice.pattern for lab in st.strata]
-        assert calls[0] == calls[1] == sorted((pattern, 96) for pattern in expect)
-        assert len(calls[1]) == {"E2": 4, "E3": 2}[preset]
+        assert calls[0] == calls[1] == sorted((lab.level_slice.pattern, 96) for lab in st.strata)
+        assert len(calls[1]) == {"E2": 3, "E3": 1}[preset]
+
+
+def test_run_takes_each_preimage_term_once(tmp_path, monkeypatch):
+    """One pass over the preimage pieces per run: E2 --k 2,4,8 with every
+    quantity takes each exact Dirichlet moment once per (k, pattern), 3 x 5 =
+    15 calls, read by both norm definitions and the norm-split check's lhs,
+    and each stratum's `reduction.stratum_gram` once for both definitions."""
+    from quantred import reduction, sections
+
+    moments, grams = [], []
+    moment, stratum_gram = sections._gram_exact_on_pattern, reduction.stratum_gram
+
+    def counted_moment(action, exps, twist, pattern):
+        moments.append((exps.tobytes(), twist, pattern))
+        return moment(action, exps, twist, pattern)
+
+    def counted_gram(action, lab, exps, ks, twist, quad):
+        grams.append(lab.key)
+        return stratum_gram(action, lab, exps, ks, twist, quad)
+
+    monkeypatch.setattr(sections, "_gram_exact_on_pattern", counted_moment)
+    monkeypatch.setattr(reduction, "stratum_gram", counted_gram)
+    assert cli.main(["run", "--preset", "E2", "--k", "2,4,8", "--out", str(tmp_path / "r")]) == 0
+    assert len(moments) == len(set(moments)) == 15
+    assert len(grams) == len(set(grams)) == 3
+
+
+def test_mc_norm_definitions_share_each_stratum_draw(tmp_path, monkeypatch):
+    """Under quad.method mc with norm_defs [1, 2], the open stratum's samples
+    are drawn once and read by both definitions: E2's three strata make three
+    `strata.stratum_draw` calls, one per stratum, and the gram files are the
+    bytes of runs under each definition alone."""
+    from quantred import strata
+
+    seen = []
+    draw = strata.stratum_draw
+
+    def counted(action, lab, *args):
+        seen.append(lab.key)
+        return draw(action, lab, *args)
+
+    monkeypatch.setattr(strata, "stratum_draw", counted)
+    files = {}
+    for norm_defs in ([1, 2], [1], [2]):
+        cfg, out = tmp_path / "mc.json", tmp_path / "-".join(map(str, norm_defs))
+        cfg.write_text(json.dumps({"preset": "E2", "norm_defs": norm_defs, "quad": {"method": "mc", "samples": 4000}}))
+        seen.clear()
+        assert cli.main(["run", "--config", str(cfg), "--k", "2,4", "--only", "gram", "--out", str(out)]) == 0
+        assert len(seen) == len(set(seen)) == (1 if norm_defs == [1] else 3)
+        files[tuple(norm_defs)] = {k: json.loads((out / f"gram_down_{k}.json").read_text()) for k in (2, 4)}
+    for k, both in files[1, 2].items():
+        assert both == {**files[1,][k], **files[2,][k]}
 
 
 def test_run_enumerates_each_invariant_basis_once(tmp_path, monkeypatch):
@@ -612,14 +673,14 @@ def test_run_files_keep_the_square_gram_layout(tmp_path, monkeypatch):
     grams = {}
     grams_upstairs, reduced_grams = sections.grams_upstairs, reduction.reduced_grams
 
-    def up(action, ks, twist, nd, strat=None, exps=None):
-        out = grams_upstairs(action, ks, twist, nd, strat, exps)
-        grams.update((("up", k, nd), g) for k, g in zip(ks, out))
+    def up(action, ks, twist, norm_defs, **kwargs):
+        out = grams_upstairs(action, ks, twist, norm_defs, **kwargs)
+        grams.update((("up", k, nd), g) for nd, gs in out.items() for k, g in zip(ks, gs))
         return out
 
-    def down(action, ks, twist, nd, quad, strat=None, exps=None):
-        out = reduced_grams(action, ks, twist, nd, quad, strat, exps)
-        grams.update((("down", k, nd), g) for k, g in zip(ks, out))
+    def down(action, ks, twist, norm_defs, quad, strat=None, exps=None):
+        out = reduced_grams(action, ks, twist, norm_defs, quad, strat, exps)
+        grams.update((("down", k, nd), g) for nd, gs in out.items() for k, g in zip(ks, gs))
         return out
 
     monkeypatch.setattr(sections, "grams_upstairs", up)

@@ -205,11 +205,12 @@ def test_mc_grams_are_diagonal_without_false_flags(e2, st2, e3, st3):
 
 
 def test_mc_gram_memory_does_not_grow_with_the_k_list(e2, st2, e3, st3):
-    """Each k's rows are evaluated on their own, one k's exact moments at a
-    time upstairs and stratum by stratum on the Monte Carlo route
-    downstairs, so the tracemalloc peak of both Grams over k = 2, 4, ..., 16
-    stays within 1.25x of the peak for k = 16 alone (stacking every k's rows
-    would multiply it): E2 under norm definition 2 and E3 half-form."""
+    """Each k's rows are evaluated on their own: upstairs the moment table
+    keeps one diagonal per (k, pattern), and the Monte Carlo route weighs one
+    k's monomials at a time, stratum by stratum, so the tracemalloc peak of
+    both Grams over k = 2, 4, ..., 16 stays within 1.25x of the peak for
+    k = 16 alone (stacking every k's samples-by-monomials rows would multiply
+    it): E2 under norm definition 2 and E3 half-form."""
     import tracemalloc
 
     quad = {"method": "mc", "samples": 20000, "seed": 3}
@@ -219,8 +220,8 @@ def test_mc_gram_memory_does_not_grow_with_the_k_list(e2, st2, e3, st3):
             exps = [sections.invariant_exponents(action, k, twist) for k in ks]
             tracemalloc.start()
             try:
-                sections.grams_upstairs(action, ks, twist, nd, strat, exps)
-                reduction.reduced_grams(action, ks, twist, nd, quad, strat, exps)
+                sections.grams_upstairs(action, ks, twist, (nd,), strat=strat, exps=exps)
+                reduction.reduced_grams(action, ks, twist, (nd,), quad, strat, exps)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -232,11 +233,11 @@ def test_reduced_mc_diagonal_within_its_error_over_seeds(e3, st3):
     seeds: E3 half-form at k = 2 and 4, one draw per seed for both k, 20000
     samples in 32 blocks.  Every z = (mc - grid) / stderr lies within 5, and
     the mean z^2 in [0.5, 2]."""
-    grid = reduction.reduced_grams(e3, [2, 4], "halfform", 1, {"method": "grid", "grid_order": 128}, st3)
+    grid = reduction.reduced_grams(e3, [2, 4], "halfform", (1,), {"method": "grid", "grid_order": 128}, st3)[1]
     zs = []
     for seed in range(20):
         quad = {"method": "mc", "samples": 20000, "blocks": 32, "seed": seed}
-        for mc, ref in zip(reduction.reduced_grams(e3, [2, 4], "halfform", 1, quad, st3), grid):
+        for mc, ref in zip(reduction.reduced_grams(e3, [2, 4], "halfform", (1,), quad, st3)[1], grid):
             assert np.all(mc.stderr > 0) and np.all(ref.stderr < 1e-6 * mc.stderr)
             zs.extend((mc.diagonal - ref.diagonal) / mc.stderr)
     zs = np.asarray(zs)

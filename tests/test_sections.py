@@ -236,6 +236,21 @@ def test_gram_def2_dominates_def1(e2, st2):
     assert np.any(d2 > d1 + 1e-6)
 
 
+def test_gram_upstairs_takes_strat_and_exps_by_keyword_only(e2, st2):
+    """A positional `strat` or `exps` in `gram_upstairs` raises TypeError
+    rather than landing in a slot a caller or a wrapper reads as something
+    else; by keyword, each definition's Gram equals its entry in one
+    `grams_upstairs` call for both definitions."""
+    exps = sections.invariant_exponents(e2, 4)
+    for args in ((st2,), (None, exps)):
+        with pytest.raises(TypeError):
+            sections.gram_upstairs(e2, 4, "plain", 2, *args)
+    both = sections.grams_upstairs(e2, [4], "plain", (1, 2), strat=st2)
+    for nd in (1, 2):
+        g = sections.gram_upstairs(e2, 4, "plain", nd, strat=st2, exps=exps)
+        assert g.norm_def == nd and np.array_equal(g.diagonal, both[nd][0].diagonal)
+
+
 def test_gram_hermitian_psd(e3, st3):
     g = sections.gram_upstairs(e3, 6, "halfform", 2, strat=st3)
     assert np.max(np.abs(g.matrix - g.matrix.conj().T)) < 1e-12

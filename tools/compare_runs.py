@@ -34,6 +34,7 @@ CONFIGS = {  # written to files and passed as --config {name}
     "e2mc": {"preset": "E2", "norm_defs": [1, 2], "quad": {"method": "mc"}},
     "cp1cp2mc": {"model": {"factors": [1, 2], "bundle_degrees": [1, 1]},
                  "action": {"rank": 1, "weights": [[1, 0, -1, 0, 1]]}, "quad": {"method": "mc"}},
+    "cp2line": {"model": {"factors": [2], "bundle_degrees": [1]}, "action": {"rank": 1, "weights": [[1, 0, 0]]}},
 }
 E3_SWEEP = ",".join(str(k) for k in range(12, 85, 8))
 
@@ -68,6 +69,8 @@ SCENARIOS = [
      ["--config", "{e2mc}", "--only", "gram,unitarity", "--k", "2,4,6,8,10,12,14,16"]),
     # about 17 MB of square Gram blocks: both norm definitions, per_stratum over three strata
     ("E2 --only gram,unitarity --k 300,600", ["--preset", "E2", "--only", "gram,unitarity", "--k", "300,600"]),
+    # the zero level is a fixed line: the ambient pattern is an extra piece, not the open stratum's top pattern
+    ("CP^2 weights (1, 0, 0) --k 1,2,4,8", ["--config", "{cp2line}", "--k", "1,2,4,8"]),
 ]
 VALUE_OF_STDERR = ("value", "rhs", "matrix_re", "defect")
 
