@@ -303,7 +303,7 @@ def residual_with_error(action, label, ks, twist="plain", quad=None, strat=None,
     already computed.
     """
     strat = strat or strata.analyze(action)
-    exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
+    exps = sections.invariant_exponents_for(action, ks, twist) if exps is None else exps
     if pieces is None:
         wanted = {0: _residual_pieces(action, label, quad, strat)}
         pieces = _transverse_batch(action, wanted, ks, twist == "halfform")[0]
@@ -368,7 +368,7 @@ def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residu
     moment table; one `_transverse_batch` call makes the rest.
     """
     strat = strat or strata.analyze(action)
-    exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
+    exps = sections.invariant_exponents_for(action, ks, twist) if exps is None else exps
     moments = sections.moment_table(action, ks, twist, exps, strat) if moments is None else moments
     reports = [{"k": int(k), "twist": twist, "strata": [], "max_nsigma": 0.0, "dim": int(e.shape[0])}
                | ({} if e.shape[0] else {"note": "empty invariant space"}) for k, e in zip(ks, exps)]

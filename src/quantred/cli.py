@@ -141,6 +141,8 @@ def validate(config):
         errors.append(f"twist: unknown value {twist!r}")
     if twist == "halfform" and model is not None and not model.metaplectic_allowed:
         errors.append("twist: metaplectic parity fails (some factor dimension is even)")
+    elif twist == "halfform" and model and (low := [k for k in k_list if min(model.halfform_degrees(k)) < 0]):
+        errors.append(f"k_list: negative twisted degree (k * l_j - (n_j + 1) / 2 < 0) at k={low}")
     if action is not None and k_list:
         bad = [k for k in k_list if not action.lift_integral(k)]
         if bad:
@@ -152,6 +154,8 @@ def validate(config):
     if not isinstance(quantities, (list, tuple)):
         errors.append(f"quantities: must be a list of names from {list(QUANTITIES)}, got {quantities!r}")
         quantities = ()
+    elif not quantities:
+        errors.append(f"quantities: must be a nonempty list of names from {list(QUANTITIES)}")
     unknown = [q for q in quantities if q not in QUANTITIES]
     if unknown:
         errors.append(f"quantities: unknown {unknown}")
@@ -191,15 +195,14 @@ def validate(config):
 def describe(scn, stream=None):
     """Cheap summary: Hilbert dimensions, strata table, predicted limits."""
     stream = stream or sys.stdout
-    strat = strata.analyze(scn.action)
+    strat, exps = strata.analyze(scn.action), sections.invariant_exponents_for(scn.action, scn.k_list, scn.twist)
     print(f"model: CP^{list(scn.model.factors)} degrees {list(scn.model.bundle_degrees)}", file=stream)
     print(f"torus rank {scn.action.rank}, twist {scn.twist}", file=stream)
-    for k in scn.k_list:
-        dim = sections.invariant_exponents(scn.action, k, scn.twist).shape[0]
-        if dim == 0:
+    for k, e in zip(scn.k_list, exps):
+        if len(e) == 0:
             print(f"k={k}: no invariant sections (warning)", file=stream)
         else:
-            print(f"k={k}: dim H^G = {dim}", file=stream)
+            print(f"k={k}: dim H^G = {len(e)}", file=stream)
     print("strata:", file=stream)
     for i, lab in enumerate(strat.strata):
         iso = lab.isotropy
@@ -342,7 +345,7 @@ def run(scn):
         manifest["files"][name] = writer(os.path.join(scn.out, name), *content)
 
     ks = list(scn.k_list)
-    exps = ([sections.invariant_exponents(scn.action, k, scn.twist) for k in ks]
+    exps = (sections.invariant_exponents_for(scn.action, ks, scn.twist)
             if {"gram", "unitarity", "density", "consistency"} & set(scn.quantities) else None)
     empty = [k for k, e in zip(ks, exps) if e.shape[0] == 0] if "unitarity" in scn.quantities else []
     if empty:  # a defect needs an invariant section

@@ -130,7 +130,7 @@ def reduced_grams(action, ks, twist="plain", norm_defs=(1,), quad=None, strat=No
     stratum once; `exps`, if given, holds each k's invariant exponents.
     """
     quad = as_quad(quad)
-    exps = [sections.invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
+    exps = sections.invariant_exponents_for(action, ks, twist) if exps is None else exps
     live = [i for i, e in enumerate(exps) if e.shape[0]]
     strat = (strat or strata.analyze(action)) if live else strat
     out, done = {}, {}  # done: stratum key -> its `stratum_gram` at the live ks, read by every definition
@@ -145,7 +145,7 @@ def reduced_grams(action, ks, twist="plain", norm_defs=(1,), quad=None, strat=No
                 pers[i][lab.key] = pref * sub
                 diags[i] = diags[i] + pref * sub
                 errs[i] = np.hypot(errs[i], pref * suberr)
-        out[nd] = [sections.GramMatrix(basis_ids=[tuple(map(int, r)) for r in e], diagonal=d, stderr=err,
+        out[nd] = [sections.GramMatrix(basis_ids=list(map(tuple, e.tolist())), diagonal=d, stderr=err,
                                        norm_def=nd, k=k, twist=twist, per_stratum=per)
                    for k, e, d, err, per in zip(ks, exps, diags, errs, pers)]
     return out

@@ -3,15 +3,16 @@ pointwise norms, and Gram matrices under both inner-product definitions.
 
 Sections of L^k are multi-homogeneous polynomials of per-factor degree
 k*l_j; the half-form twist shifts the degrees to k*l_j - (n_j+1)/2.  The
-package works in the monomial basis, one exponent row per section.  On
-unit-normalized coordinates the plain pointwise norm square of a monomial
-is simply |z^alpha|^2; the twisted norm carries the half-form frame factor
-(mu, mu), which is the constant prod_j l_j^{-n_j/2} (`halfform_frame`).
-The chart evaluation from mu^2 wedge conj(mu^2) against the Liouville form
-(`halfform_factor`) is kept as its reference.  Upstairs Gram entries are
-exact Dirichlet moments on every route, whatever `quad.method` says; their
-Monte Carlo oracle is `pattern_gram_mc_by_block` in the tests' reference
-module.
+package works in the monomial basis, one exponent row per section, and on
+a run's whole k list at once: one enumeration of the invariant rows
+(`invariant_exponents_for`) and one moment call per pattern (`moment_table`).
+On unit-normalized coordinates the plain pointwise norm square of a
+monomial is |z^alpha|^2; the twisted norm carries the half-form frame
+factor (mu, mu), the constant prod_j l_j^{-n_j/2} (`halfform_frame`), whose
+chart evaluation (`halfform_factor`, from mu^2 wedge conj(mu^2) against the
+Liouville form) is kept as its reference.  Upstairs Gram entries are exact
+Dirichlet moments on every route, whatever `quad.method` says; their Monte
+Carlo oracle is `pattern_gram_mc_by_block` in the tests' reference module.
 """
 
 import itertools
@@ -39,69 +40,77 @@ def section_degrees(model, k, twist):
     raise SectionError(f"unknown twist {twist!r}")
 
 
-def _partial_exponents(degs, sizes):
-    """Exponent rows on sizes[j] coordinates of each factor j, factor by factor,
-    with per-factor sums at most d_j: the compositions of d_j into sizes[j] + 1
-    parts without their last part, the slack (stars and bars)."""
+def _partial_exponents(degs, part):
+    """Exponent rows on the coordinates whose factors part lists (in factor order), with per-factor sums at most
+    d_j: the compositions of d_j into (count of j in part) + 1 parts without their last part, the slack (stars and
+    bars), built factor by factor once at the largest d_j.  Returns (i, rows): the rows within each row i of degs."""
     rows = np.zeros((1, 0), dtype=int)
-    for d, size in zip(degs, sizes):
+    for d, size in zip(degs.max(axis=0).tolist(), np.bincount(part, minlength=degs.shape[1]).tolist()):
         if size:
             block = np.array(list(itertools.combinations(range(d + size), size)), dtype=int)
             block[:, 1:] -= block[:, :-1] + 1
             rows = np.hstack([np.repeat(rows, len(block), axis=0), np.tile(block, (len(rows), 1))])
-    return rows
+    i, r = np.nonzero(np.all(rows @ (part[:, None] == np.arange(degs.shape[1])) <= degs[:, None], axis=2))
+    return i, rows[r]
 
 
-def invariant_exponents(action, k, twist="plain"):
-    """Monomial exponents of the G-invariant subspace, lexicographic, first factor slowest.
+def invariant_exponents_for(action, ks, twist="plain"):
+    """Monomial exponents of the G-invariant subspace, one array per k in ks: lexicographic, first factor slowest.
 
     A monomial z^alpha is invariant iff W alpha + k c (+ sigma/2 for the
     half-form twist, sigma the per-generator sum of all weights) vanishes.
     The last coordinate of each factor takes the rest of its degree d_j, so
     the condition reads W_rel alpha' = t - sum_j d_j W_last(j) on the other
-    coordinates alpha'.  Those split into two halves, each enumerated with
-    per-factor sums <= d_j; the halves meet on their share of W_rel alpha'
-    (sort and searchsorted), and rows whose last coordinates come out
-    negative are dropped.  The cost grows with the halves and the invariant
-    rows, not with the whole basis.
+    coordinates alpha'.  Those split into two halves, each enumerated once
+    for all of ks; the halves meet on (k, their share of W_rel alpha'), and
+    rows whose last coordinates come out negative are dropped.  The cost
+    grows with the halves and the invariant rows, not with the whole basis.
+    Per k, in order: lift integrality raises, a target off the integers
+    gives no rows, a negative twisted degree raises; the first error raises.
     """
-    if not action.lift_integral(k):
-        raise SectionError("lift integrality: k * shift is not an integer vector")
-    model = action.model
-    target = [-(k * c) for c in action.shift]
-    if twist == "halfform":
-        sigma = [sum(row) for row in action.weights]
-        target = [t - Fraction(s, 2) for t, s in zip(target, sigma)]
-    if any(t.denominator != 1 for t in target):
-        return np.zeros((0, model.ncoords), dtype=int)
-    degs = section_degrees(model, k, twist)
-    if any(d < 0 for d in degs):
-        raise SectionError("negative twisted degree: k too small for this twist")
-    W = np.asarray(action.weights, dtype=int)
+    model, live = action.model, {}  # live: position in ks -> (target, degrees d_j) of each k with an integral target
+    half = [Fraction(sum(row), 2) if twist == "halfform" else 0 for row in action.weights]  # sigma / 2
+    for i, k in enumerate(ks):
+        if not action.lift_integral(k):
+            raise SectionError("lift integrality: k * shift is not an integer vector")
+        target = [-(k * c) - h for c, h in zip(action.shift, half)]
+        if all(t.denominator == 1 for t in target):
+            live[i] = [int(t) for t in target], section_degrees(model, k, twist)
+            if min(live[i][1]) < 0:
+                raise SectionError("negative twisted degree: k too small for this twist")
+    if not live:
+        return [np.zeros((0, model.ncoords), dtype=int) for _ in ks]
+    (targets, degs), W = map(np.asarray, zip(*live.values())), np.asarray(action.weights, dtype=int)
     last = [sl.stop - 1 for sl in model.slices]
-    owner = [j for j, sl in enumerate(model.slices) for _ in range(sl.start, sl.stop - 1)]
+    owner = np.asarray([j for j, sl in enumerate(model.slices) for _ in range(sl.start, sl.stop - 1)], dtype=int)
     cols = [i for sl in model.slices for i in range(sl.start, sl.stop - 1)]
     W_rel = W[:, cols] - W[:, [last[j] for j in owner]]
-    t_rel = np.asarray([int(t) for t in target]) - W[:, last] @ np.asarray(degs)
+    t_rel = targets - degs @ W[:, last].T  # per live k
     cut = len(cols) // 2
-    halves = [_partial_exponents(degs, [part.count(j) for j in range(len(degs))]) for part in (owner[:cut], owner[cut:])]
-    keys = np.vstack([t_rel - halves[0] @ W_rel[:, :cut].T, halves[1] @ W_rel[:, cut:].T])
+    (ka, a), (kb, b) = _partial_exponents(degs, owner[:cut]), _partial_exponents(degs, owner[cut:])  # per live k
+    keys = np.vstack([np.column_stack([ka, t_rel[ka] - a @ W_rel[:, :cut].T]),
+                      np.column_stack([kb, b @ W_rel[:, cut:].T])])
     by_key = np.lexsort(keys.T)
-    ids = np.empty(len(keys), dtype=int)
-    ids[by_key] = np.concatenate(([0], np.cumsum(np.any(keys[by_key[1:]] != keys[by_key[:-1]], axis=1))))
-    cut_rows = len(halves[0])
-    left, right = ids[:cut_rows], ids[cut_rows:]
-    order = by_key[by_key >= cut_rows] - cut_rows  # the right half's rows, sorted by key
+    ids = np.cumsum(np.r_[0, np.any(keys[by_key[1:]] != keys[by_key[:-1]], axis=1)])[np.argsort(by_key)]
+    left, right = ids[: len(a)], ids[len(a) :]
+    order = by_key[by_key >= len(a)] - len(a)  # the right half's rows, sorted by key
     lo, hi = np.searchsorted(right[order], left, "left"), np.searchsorted(right[order], left, "right")
     counts = hi - lo
     pair_a = np.repeat(np.arange(len(left)), counts)
     pair_b = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
-    exps = np.zeros((len(pair_a), model.ncoords), dtype=int)
-    exps[:, cols[:cut]], exps[:, cols[cut:]] = halves[0][pair_a], halves[1][pair_b]
+    exps, kk = np.zeros((len(pair_a), model.ncoords), dtype=int), ka[pair_a]
+    exps[:, cols[:cut]], exps[:, cols[cut:]] = a[pair_a], b[pair_b]
     for j, sl in enumerate(model.slices):
-        exps[:, last[j]] = degs[j] - exps[:, sl.start : sl.stop - 1].sum(axis=1)
-    exps = exps[np.all(exps[:, last] >= 0, axis=1)]
-    return exps[np.lexsort(exps.T[::-1])]
+        exps[:, last[j]] = degs[kk, j] - exps[:, sl.start : sl.stop - 1].sum(axis=1)
+    keep = np.all(exps[:, last] >= 0, axis=1)
+    exps, kk = exps[keep], kk[keep]
+    exps = exps[np.lexsort(np.vstack([exps.T[::-1], kk]))]  # by k, then lexicographic
+    return np.split(exps, np.cumsum(np.bincount(np.asarray(list(live))[kk], minlength=len(ks)))[:-1])
+
+
+def invariant_exponents(action, k, twist="plain"):
+    """`invariant_exponents_for` at the one k."""
+    return invariant_exponents_for(action, [k], twist)[0]
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +197,14 @@ def monomial_norms(model, exps, p, twist="plain"):
 class GramMatrix:
     """Gram matrix of an invariant monomial basis at one k under one norm definition, up- or downstairs.
 
-    Distinct monomials are torus-orthogonal, so the Gram is diagonal; `diagonal` holds its entries and
-    `stderr` their errors: 0 upstairs, where every entry is a sum of exact `moment_table` rows; downstairs
-    the grid rule's error estimate or the Monte Carlo block error (that route estimates the diagonal
-    only).  The two definitions' Grams on a side read one pass over the preimage pieces, so they share
-    their terms (and under Definition (1) upstairs, the table's array).  `cli` writes the square JSON
-    layout from the vectors.  `matrix`, the square form, stays only because the `perfbench` workload
-    `E3HalfformMC.prepare` reads it.  `per_stratum` (downstairs only) maps each stratum key to its
-    contribution to the diagonal.  `flags` names errors over 20% and diagonals <= 0.
+    Distinct monomials are torus-orthogonal, so the Gram is diagonal; `basis_ids` holds the exponent rows as int
+    tuples, `diagonal` its entries and `stderr` their errors: 0 upstairs, where every entry is a sum of exact
+    `moment_table` rows (one call per pattern for the whole k list); downstairs the grid rule's error estimate or
+    the Monte Carlo block error (that route estimates the diagonal only).  The two definitions' Grams on a side
+    read one pass over the preimage pieces, so they share their terms (and under Definition (1) upstairs, the
+    table's array).  `cli` writes the square JSON layout from the vectors.  `matrix`, the square form, stays only
+    because the `perfbench` workload `E3HalfformMC.prepare` reads it.  `per_stratum` (downstairs only) maps each
+    stratum key to its contribution to the diagonal.  `flags` names errors over 20% and diagonals <= 0.
     """
 
     basis_ids: list
@@ -232,14 +241,17 @@ def moment_table(action, ks, twist, exps, strat=None, every=True):
 
     The patterns are the ambient one (dim n) and, if every, the (distinct) patterns of every piece of
     `Stratification.preimage`, in strata order.  Both norm definitions and the norm-split check's lhs
-    are sums of these rows.  exps[i] holds the invariant exponents at ks[i].
+    are sums of these rows.  exps[i] holds the invariant exponents at ks[i]; the rows of every k are
+    stacked, so each pattern takes one `_gram_exact_on_pattern` call.
     """
     dims = {_full_pattern(action.model): action.model.n_total}
     if every:
         strat = strat or strata.analyze(action)
         dims |= {pattern: dim for lab in strat.strata for dim, pattern, _ in strat.preimage(lab)}
-    return [{pattern: (k / TWO_PI) ** (dim / 2.0) * _gram_exact_on_pattern(action, e, twist, pattern)
-             for pattern, dim in dims.items()} for k, e in zip(ks, exps)]
+    stacked, bounds = np.vstack(exps), np.cumsum([len(e) for e in exps])[:-1]
+    diags = {pattern: np.split(_gram_exact_on_pattern(action, stacked, twist, pattern), bounds) for pattern in dims}
+    return [{pattern: (k / TWO_PI) ** (dim / 2.0) * diags[pattern][i] for pattern, dim in dims.items()}
+            for i, k in enumerate(ks)]
 
 
 def grams_upstairs(action, ks, twist="plain", norm_defs=(1,), *, strat=None, exps=None, moments=None):
@@ -251,10 +263,10 @@ def grams_upstairs(action, ks, twist="plain", norm_defs=(1,), *, strat=None, exp
     extra piece where 0 lies on its boundary.  Every row is exact, so stderr is 0.  `exps` and `moments`,
     if given, hold each k's invariant exponents and the table.
     """
-    exps = [invariant_exponents(action, k, twist) for k in ks] if exps is None else exps
+    exps = invariant_exponents_for(action, ks, twist) if exps is None else exps
     moments = moment_table(action, ks, twist, exps, strat, 2 in norm_defs) if moments is None else moments
     ambient = _full_pattern(action.model)
-    ids = [[tuple(map(int, row)) for row in e] for e in exps]
+    ids = [list(map(tuple, e.tolist())) for e in exps]
 
     def diagonal(rows, nd):  # Definition (2) adds the other rows to the ambient one, in the table's order
         return rows[ambient] if nd == 1 else sum((r for p, r in rows.items() if p != ambient), rows[ambient])
@@ -264,7 +276,7 @@ def grams_upstairs(action, ks, twist="plain", norm_defs=(1,), *, strat=None, exp
 
 def gram_upstairs(action, k, twist="plain", norm_def=1, *, strat=None, exps=None):
     """`grams_upstairs` at the one k; `exps`, if given, holds the invariant exponents at k."""
-    exps = None if exps is None else [exps]
+    exps = [invariant_exponents(action, k, twist) if exps is None else exps]
     return grams_upstairs(action, [k], twist, (norm_def,), strat=strat, exps=exps)[norm_def][0]
 
 
@@ -283,13 +295,13 @@ def _gram_exact_on_pattern(action, exps, twist, pattern):
     off = np.ones(model.ncoords, dtype=bool)
     off[[i for sup in pattern for i in sup]] = False
     live = np.flatnonzero(~np.any(exps[:, off] > 0, axis=1))
-    top = int(exps[live].sum(axis=1).max(initial=0)) + model.ncoords
-    fact = list(itertools.accumulate(range(1, top), int.__mul__, initial=1))  # 0!, 1!, ..., (top - 1)!
-    factors = [(sup, (l * TWO_PI) ** (len(sup) - 1), len(sup) - 1) for sup, l in zip(pattern, model.bundle_degrees)]
-    for r, row in zip(live.tolist(), exps[live].tolist()):
-        out = 1.0
-        for sup, scale, nR in factors:
-            asup = [row[i] for i in sup]
-            out *= scale * (math.prod(fact[a] for a in asup) / fact[sum(asup) + nR])
-        diag[r] = frame * out
+    rows = exps[live]
+    top = int(rows.sum(axis=1).max(initial=0)) + model.ncoords
+    fact = np.array(list(itertools.accumulate(range(1, top), int.__mul__, initial=1)), dtype=object)  # 0!, 1!, ...
+    out = np.ones(len(live))
+    for sup, l in zip(pattern, model.bundle_degrees):  # one pass per factor over object arrays of Python ints
+        asup = rows[:, list(sup)]
+        ratio = fact[asup].prod(axis=1) / fact[asup.sum(axis=1) + len(sup) - 1]
+        out *= (l * TWO_PI) ** (len(sup) - 1) * ratio.astype(float)
+    diag[live] = frame * out
     return diag

@@ -31,13 +31,18 @@ def test_validate_collects_errors():
         cli.validate({"preset": "E1", "k_list": ["a"], "norm_defs": ["x"], "seed": "x"})
     msg = str(err.value)
     assert "k_list" in msg and "norm_defs" in msg and "seed" in msg
+    # a half-form degree k * l_j - (n_j + 1) / 2 below 0 (CP^3 at k = 1) leaves no sections to twist
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate({"model": {"factors": [3], "bundle_degrees": [1]}, "action": {"weights": [[1, -1, 0, 0]]},
+                      "k_list": [1, 3], "twist": "halfform"})
+    assert str(err.value).startswith("k_list: negative twisted degree") and "k=[1]" in str(err.value)
     # integer fields take ints only (no strings, bools or floats, so 2.5 is not
     # truncated to 2), and the message starts with the field
     for field, value in (("k_list", 2), ("k_list", [0, 2]), ("k_list", [-2, 2]), ("k_list", [True]),
                          ("k_list", [2.5]), ("norm_defs", [True]), ("norm_defs", [1.0]), ("norm_defs", 1),
                          ("norm_defs", []), ("norm_defs", [1, 1]),
                          ("seed", -1), ("seed", 1.0), ("seed", True), ("out", 5), ("out", ""),
-                         ("preset", ["E1"]), ("quantities", 5), ("quantities", "gram")):
+                         ("preset", ["E1"]), ("quantities", 5), ("quantities", "gram"), ("quantities", [])):
         cfg = {"preset": "E1", "k_list": [2], field: value}
         with pytest.raises(cli.ConfigError) as err:
             cli.validate(cfg)
@@ -353,8 +358,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
                                 ("quad", {"seed": "x"}, "quad.seed"),
                                 ("quad", {"method": "mc", "samples": 1000, "blocks": 300}, "quad.blocks"),
                                 ("preset", ["E1"], "preset"), ("quantities", 5, "quantities"),
-                                ("quantities", "gram", "quantities"), (None, None, "config")):
-        config = [{"preset": "E1"}] if field is None else {"preset": "E1", "k_list": [2], field: value}
+                                ("quantities", "gram", "quantities"), (None, [{"preset": "E1"}], "config"),
+                                (None, {"model": {"factors": [3], "bundle_degrees": [1]}, "twist": "halfform",
+                                        "action": {"weights": [[1, -1, 0, 0]]}, "k_list": [1, 3]}, "k_list")):
+        config = value if field is None else {"preset": "E1", "k_list": [2], field: value}
         badcfg.write_text(json.dumps(config))
         out = tmp_path / "malformed"
         assert cli.main(["run", "--config", str(badcfg), "--out", str(out)]) == 2
@@ -362,6 +369,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert err.startswith(f"config error: {named}:")
         assert named != "quad.blocks" or "256" in err
         assert not out.exists()
+    assert cli.main(["describe", "--config", str(badcfg)]) == 2  # the CP^3 half-form config, before any report line
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: k_list: negative twisted degree") and not captured.out
     assert cli.main(["run", "--preset", "E1", "--k", "2,x", "--out", str(tmp_path / "kx")]) == 2
     assert not (tmp_path / "kx").exists()
     # exit 3 is for the errors quantred raises on purpose; a programming
@@ -516,16 +526,18 @@ def test_grid_grams_call_the_slice_rule_once_per_stratum(tmp_path, monkeypatch):
 
 def test_run_takes_each_preimage_term_once(tmp_path, monkeypatch):
     """One pass over the preimage pieces per run: E2 --k 2,4,8 with every
-    quantity takes each exact Dirichlet moment once per (k, pattern), 3 x 5 =
-    15 calls, read by both norm definitions and the norm-split check's lhs,
-    and each stratum's `reduction.stratum_gram` once for both definitions."""
+    quantity makes one `_gram_exact_on_pattern` call per pattern, 5 calls on
+    the rows of every k stacked, so each of the 3 x 5 = 15 (k, pattern)
+    moments is taken once and read by both norm definitions and the
+    norm-split check's lhs; and each stratum's `reduction.stratum_gram` runs
+    once for both definitions."""
     from quantred import reduction, sections
 
     moments, grams = [], []
     moment, stratum_gram = sections._gram_exact_on_pattern, reduction.stratum_gram
 
     def counted_moment(action, exps, twist, pattern):
-        moments.append((exps.tobytes(), twist, pattern))
+        moments.append((exps.tolist(), pattern))
         return moment(action, exps, twist, pattern)
 
     def counted_gram(action, lab, exps, ks, twist, quad):
@@ -535,7 +547,10 @@ def test_run_takes_each_preimage_term_once(tmp_path, monkeypatch):
     monkeypatch.setattr(sections, "_gram_exact_on_pattern", counted_moment)
     monkeypatch.setattr(reduction, "stratum_gram", counted_gram)
     assert cli.main(["run", "--preset", "E2", "--k", "2,4,8", "--out", str(tmp_path / "r")]) == 0
-    assert len(moments) == len(set(moments)) == 15
+    e2 = cli.validate({"preset": "E2", "k_list": [2]}).action
+    stacked = [row for k in (2, 4, 8) for row in sections.invariant_exponents(e2, k).tolist()]
+    assert len(moments) == len({pattern for _, pattern in moments}) == 5
+    assert all(rows == stacked for rows, _ in moments)
     assert len(grams) == len(set(grams)) == 3
 
 
@@ -567,21 +582,22 @@ def test_mc_norm_definitions_share_each_stratum_draw(tmp_path, monkeypatch):
 
 
 def test_run_enumerates_each_invariant_basis_once(tmp_path, monkeypatch):
-    """`quantred run` computes each k's invariant exponents once and hands
-    the list to both Gram routes, the densities and the consistency check:
-    E2 --k 2,4,8 with every quantity makes 3 calls, one per k."""
+    """`quantred run` enumerates the invariant exponents of the whole k list
+    in one call and hands the arrays to both Gram routes, the densities and
+    the consistency check: E2 --k 2,4,8 with every quantity makes one list
+    call, for (2, 4, 8), and no per-k call."""
     from quantred import sections
 
     seen = []
-    original = sections.invariant_exponents
+    original = sections.invariant_exponents_for
 
-    def counted(action, k, twist="plain"):
-        seen.append(k)
-        return original(action, k, twist)
+    def counted(action, ks, twist="plain"):
+        seen.append(tuple(ks))
+        return original(action, ks, twist)
 
-    monkeypatch.setattr(sections, "invariant_exponents", counted)
+    monkeypatch.setattr(sections, "invariant_exponents_for", counted)
     assert cli.main(["run", "--preset", "E2", "--k", "2,4,8", "--out", str(tmp_path / "r")]) == 0
-    assert seen == [2, 4, 8]
+    assert seen == [(2, 4, 8)]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -119,7 +119,9 @@ def test_invariant_exponents_match_the_filtered_basis():
     message: on E1, E2, E3, CP^1 x CP^2 with l = (1,1) and (2,3), (CP^1)^3
     and CP^2 x CP^2 under rank-2 tori, both twists, k = 0..24 (lift
     integrality, odd half-form targets and negative twisted degrees all
-    occur)."""
+    occur).  The list form on k = 0..24 in one call raises the first k's
+    error where any k raises, and on the k that do not raise, in one call,
+    gives each k's rows (empty blocks included)."""
     cases = [([1], [1], [[1, -1]], None), ([2], [1], [[1, -1, 0]], None), ([1, 1], [1, 1], [[1, 0, -1, 0]], ["1/2"]),
              ([1, 2], [1, 1], [[1, 0, -1, 0, 1]], None), ([1, 2], [2, 3], [[1, 0, -1, 0, 1]], None),
              ([1, 1, 1], [1, 1, 1], [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]], None),
@@ -128,10 +130,19 @@ def test_invariant_exponents_match_the_filtered_basis():
     for factors, degrees, weights, shift in cases:
         action = _action(factors, degrees, weights, shift)
         for twist in ("plain", "halfform"):
-            for k in range(25):
+            expect = [_outcome(reference.invariant_exponents_by_filter, action, k, twist) for k in range(25)]
+            for k, want in enumerate(expect):
                 got = _outcome(sections.invariant_exponents, action, k, twist)
-                assert got == _outcome(reference.invariant_exponents_by_filter, action, k, twist), (factors, twist, k)
+                assert got == want, (factors, twist, k)
                 seen.add(got[0] if isinstance(got[0], type) else "rows" if got[1][0] else "empty")
+            raised = [want for want in expect if isinstance(want[0], type)]
+            quiet = [k for k, want in enumerate(expect) if not isinstance(want[0], type)]
+            for ks, want in ((range(25), raised[0] if raised else expect), (quiet, [expect[k] for k in quiet])):
+                try:
+                    got = [(e.dtype, e.shape, e.tolist()) for e in sections.invariant_exponents_for(action, ks, twist)]
+                except Exception as exc:
+                    got = type(exc), str(exc)
+                assert got == want, (factors, twist, ks)
     assert seen == {SectionError, models.ModelError, "rows", "empty"}
 
 
@@ -271,7 +282,8 @@ def test_exact_pattern_gram_is_the_monomial_integral_bit_for_bit():
     Dirichlet moment of the oracle exactly, on every pattern of the
     preimage pieces of each action, both twists: on every basis monomial at
     k = 2 and 7 (off-pattern rows give 0.0), and on E1-E3's invariant ones
-    at k = 200, where the factorials outgrow floats."""
+    at k = 200, where the factorials outgrow floats; and on the rows of all
+    of an action's k stacked in one call, as `moment_table` makes it."""
     from quantred import strata
 
     for action, ks in ((_action([1], [1], [[1, -1]]), (2, 7, 200)), (_action([2], [1], [[1, -1, 0]]), (2, 7, 200)),
@@ -284,9 +296,9 @@ def test_exact_pattern_gram_is_the_monomial_integral_bit_for_bit():
         patterns.add(tuple(tuple(range(sl.start, sl.stop)) for sl in model.slices))
         for twist in ("plain", "halfform") if model.metaplectic_allowed else ("plain",):
             frame = sections.halfform_frame(model) if twist == "halfform" else 1.0
-            for k in ks:
-                exps = (reference.basis_exponents(model, k, twist) if k < 200 else
-                        sections.invariant_exponents(action, k, twist))
+            by_k = [reference.basis_exponents(model, k, twist) if k < 200 else
+                    sections.invariant_exponents(action, k, twist) for k in ks]
+            for exps in (*by_k, np.vstack(by_k)):
                 for pattern in patterns:
                     diag = sections._gram_exact_on_pattern(action, exps, twist, pattern)
                     expect = [frame * reference.monomial_integral_on_pattern(model, pattern, row) for row in exps]

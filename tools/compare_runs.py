@@ -37,6 +37,7 @@ CONFIGS = {  # written to files and passed as --config {name}
     "cp2line": {"model": {"factors": [2], "bundle_degrees": [1]}, "action": {"rank": 1, "weights": [[1, 0, 0]]}},
 }
 E3_SWEEP = ",".join(str(k) for k in range(12, 85, 8))
+E2_SWEEP = ",".join(str(k) for k in range(2, 41, 2))  # a long k list
 
 SCENARIOS = [
     ("E1 --k 2,4,8", ["--preset", "E1", "--k", "2,4,8"]),
@@ -71,6 +72,10 @@ SCENARIOS = [
     ("E2 --only gram,unitarity --k 300,600", ["--preset", "E2", "--only", "gram,unitarity", "--k", "300,600"]),
     # the zero level is a fixed line: the ambient pattern is an extra piece, not the open stratum's top pattern
     ("CP^2 weights (1, 0, 0) --k 1,2,4,8", ["--config", "{cp2line}", "--k", "1,2,4,8"]),
+    # the even k have empty invariant spaces, so the k list's enumeration is split around empty blocks
+    ("E1 halfform --only gram,density,consistency --k 2,3,4,5",
+     ["--preset", "E1", "--twist", "halfform", "--only", "gram,density,consistency", "--k", "2,3,4,5"]),
+    (f"E2 --only gram,unitarity --k {E2_SWEEP}", ["--preset", "E2", "--only", "gram,unitarity", "--k", E2_SWEEP]),
 ]
 VALUE_OF_STDERR = ("value", "rhs", "matrix_re", "defect")
 
