@@ -9,7 +9,8 @@ Per stratum point x with stabilizer H != G and m = dim(G/H), the densities
 relate pointwise norms up- and downstairs (vol is the geometric orbit
 volume; D the Liouville divergence correction along the flow line).  Both
 are 1 identically on H = G strata.  Residual terms collect the preimage
-pieces that miss the zero level; they vanish as k grows.
+pieces that miss the zero level; they vanish as k grows.  A run takes all these terms from one
+`transverse_terms` call; the one-k names (`density_I`, `residual_II`, ...) build their own inputs.
 """
 
 import functools
@@ -254,76 +255,72 @@ def _transverse_batch(action, wanted, ks, halfform):
     return {key: [next(done) for _ in group] for key, group in wanted.items()}
 
 
-def _density(action, label, point, ks, halfform, piece=None):
-    """One (I_k or J_k, its error) per k in ks at one point: the density's
-    factor of T_k times T_k, and its |I_h - I_2h|.  `piece` is the point's
-    `_transverse_batch` entry, if already computed."""
-    if piece is None:
-        piece = _transverse_batch(action, {0: [(0, normalize(action.model, point)[None], None)]}, ks, halfform)[0][0]
-    _, _, _, T, T_err, vol = piece
-    m = action.rank - label.isotropy.dim
-    vol = 2.0 ** (m / 2.0) if halfform else vol[0]
-    w = [(k / TWO_PI) ** (m / 2.0) * vol for k in ks]
-    return [(float(wk * t), float(wk * e)) for wk, t, e in zip(w, T[:, 0], T_err[:, 0])]
+def transverse_terms(action, strat, ks, twist, quad, exps, residual=(), own=(), density=None):
+    """Every transverse term a run reads, from one `_transverse_batch` call: {(kind, i): one (value, error) per k}.
+
+    i indexes strat.strata; exps[j] holds the invariant exponents at ks[j].  ("residual", i), for i in residual:
+    the Gram-diagonal sum of `reduction._piece_integral` over the stratum's extra pieces, each on its level slice
+    (which meets every orbit of the piece once) at Gauss order max(24, grid_order // 2).  ("own", i), for i in
+    own: the `_piece_integral` on its zero-level slice at DENSITY_ORDER, the descended norm against I_k or J_k.
+    ("density", i), for i, x in density: I_k or J_k at x, (k/2pi)^{m/2} vol(G.x) T_k (2^{m/2} for vol under
+    the half-form twist), with its |I_h - I_2h|.  The batch runs in strata order, each stratum's entries together.
+    """
+    halfform, density, wanted = twist == "halfform", density or {}, {}
+    for i, lab in enumerate(strat.strata):
+        if i in residual:
+            order = max(24, as_quad(quad).grid_order // 2)
+            wanted["residual", i] = [(dim, *strata.slice_quadrature(action, sl, order))
+                                     for dim, _, sl in strat.preimage(lab)[1:]]
+        if i in own:
+            dim, _, sl = strat.preimage(lab)[0]
+            wanted["own", i] = [(dim, *strata.slice_quadrature(action, sl, DENSITY_ORDER))]
+        if i in density:
+            wanted["density", i] = [(0, normalize(action.model, density[i])[None], None)]
+    terms = {}
+    for (kind, i), pieces in _transverse_batch(action, wanted, ks, halfform).items():
+        if kind == "density":
+            (_, _, _, T, T_err, vol), = pieces
+            m = action.rank - strat.strata[i].isotropy.dim
+            w = [(k / TWO_PI) ** (m / 2.0) * (2.0 ** (m / 2.0) if halfform else vol[0]) for k in ks]
+            terms[kind, i] = [(float(wk * t), float(wk * e)) for wk, t, e in zip(w, T[:, 0], T_err[:, 0])]
+            continue
+        out = [np.zeros((2, e.shape[0])) for e in exps]  # value, error
+        for piece in pieces:
+            out = [o + part for o, part in zip(out, reduction._piece_integral(action, piece, exps, ks, twist))]
+        terms[kind, i] = [(o[0], o[1]) for o in out]
+    return terms
+
+
+def _point_density(action, label, point, k, twist):
+    """`transverse_terms`' density entry at one point and one k, on the stratification of label alone."""
+    alone = strata.Stratification(action, [label], {}, [])
+    return transverse_terms(action, alone, [k], twist, None, None, density={0: point})["density", 0][0][0]
 
 
 def density_I(action, label, point, k):
     """The plain norm density on a stratum; 1 when H = G, 2^{-m/2} vol(G.x) as k grows (vol: geometric orbit volume)."""
-    return _density(action, label, point, [k], False)[0][0]
+    return _point_density(action, label, point, k, "plain")
 
 
 def density_J(action, label, point, k):
     """The half-form norm density on a stratum; 1 when H = G, limit 1."""
-    return _density(action, label, point, [k], True)[0][0]
-
-
-# ----------------------------------------------------------------------
-# residual pieces
-
-
-def _residual_pieces(action, label, quad, strat):
-    """A label's extra preimage pieces as (dim, nodes, rules) on their level slices, at max(24, grid_order // 2)."""
-    order = max(24, as_quad(quad).grid_order // 2)
-    return [(dim, *strata.slice_quadrature(action, sl, order)) for dim, _, sl in strat.preimage(label)[1:]]
-
-
-def _own_piece(action, label, strat):
-    """A stratum's own zero-level slice as (dim, nodes, rules) at DENSITY_ORDER."""
-    dim, _, sl = strat.preimage(label)[0]
-    return dim, *strata.slice_quadrature(action, sl, DENSITY_ORDER)
-
-
-def residual_with_error(action, label, ks, twist="plain", quad=None, strat=None, exps=None, pieces=None):
-    """One (diagonal, error) per k in ks: Gram-diagonal contributions of the extra preimage pieces of one label.
-
-    The sum of `reduction._piece_integral` over `_residual_pieces`.  Each
-    piece's level slice meets every orbit of the piece once, at any torus
-    rank.  `quad` sets the Gauss order; `exps` holds each k's invariant
-    exponents and `pieces` the label's `_transverse_batch` entries, if
-    already computed.
-    """
-    strat = strat or strata.analyze(action)
-    exps = sections.invariant_exponents_for(action, ks, twist) if exps is None else exps
-    if pieces is None:
-        wanted = {0: _residual_pieces(action, label, quad, strat)}
-        pieces = _transverse_batch(action, wanted, ks, twist == "halfform")[0]
-    out = [np.zeros((2, e.shape[0])) for e in exps]  # diagonal, error
-    for piece in pieces:
-        out = [o + part for o, part in zip(out, reduction._piece_integral(action, piece, exps, ks, twist))]
-    return [(o[0], o[1]) for o in out]
+    return _point_density(action, label, point, k, "halfform")
 
 
 def residual_II(action, label, k, twist="plain", quad=None, strat=None):
-    """Trace over the invariant basis of the extra-piece contributions."""
-    return float(np.sum(residual_with_error(action, label, [k], twist, quad, strat)[0][0]))
+    """Trace over the invariant basis of the extra-piece contributions: `transverse_terms`' residual entry."""
+    strat = strat or strata.analyze(action)
+    i = [lab.key for lab in strat.strata].index(label.key)
+    exps = [sections.invariant_exponents(action, k, twist)]
+    return float(np.sum(transverse_terms(action, strat, [k], twist, quad, exps, residual=[i])["residual", i][0][0]))
 
 
 # ----------------------------------------------------------------------
 # defects and consistency
 
 
-def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None, grams=None):
-    """max |lambda - 1| over the generalized eigenvalues of (G_down, G_up).
+def unitarity_defect(gu, gd):
+    """max |lambda - 1| over the generalized eigenvalues of the Gram pair (G_down, G_up) at one k.
 
     The descent matrix is the identity in matched bases, so the defect of
     B'^* B' - I (or A'^* A' - I) is read off the Gram pair under the chosen
@@ -332,16 +329,11 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
     propagated error sqrt(sd_a^2 + lambda_a^2 su_a^2) / u_a at the worst a,
     by hypot, which cannot underflow).  An entry u_a <= 0, which only underflow makes, raises.
     """
-    if grams is not None:
-        gu, gd = grams
-    else:
-        gu = sections.gram_upstairs(action, k, twist, norm_def, strat=strat)
-        gd = reduction.reduced_gram(action, k, twist, norm_def, quad, strat=strat)
     if gu.dim == 0:
-        raise AsymptoticsError(f"empty invariant space at k={k}")
+        raise AsymptoticsError(f"empty invariant space at k={gu.k}")
     u = gu.diagonal
     if u.min() <= 0:  # a sum of positive Dirichlet moments is 0 only when every term underflowed
-        raise AsymptoticsError(f"upstairs Gram not positive definite: its entries underflowed to 0 at k={k}")
+        raise AsymptoticsError(f"upstairs Gram not positive definite: its entries underflowed to 0 at k={gu.k}")
     lam = gd.diagonal / u
     a = int(np.argmax(np.abs(lam - 1.0)))
     sigma = np.hypot(gd.stderr[a], lam[a] * gu.stderr[a]) / u[a]
@@ -350,41 +342,31 @@ def unitarity_defect(action, k, twist="plain", norm_def=1, quad=None, strat=None
 
 def norm_split_consistency(action, k, twist="plain", quad=None, strat=None):
     """Per-stratum comparison of the direct piece integrals with the
-    stratum-density route at k: the `_norm_split_reports` report."""
-    return _norm_split_reports(action, [k], twist, quad, strat)[0]
+    stratum-density route at k: the `norm_split_reports` report."""
+    strat = strat or strata.analyze(action)
+    exps = [sections.invariant_exponents(action, k, twist)]
+    moments = sections.moment_table(action, [k], twist, exps, strat)
+    every = range(len(strat.strata)) if exps[0].shape[0] else ()
+    terms = transverse_terms(action, strat, [k], twist, quad, exps, residual=every, own=every)
+    return norm_split_reports(action, [k], twist, strat, exps, moments, terms)[0]
 
 
-def _norm_split_reports(action, ks, twist="plain", quad=None, strat=None, residuals=None, exps=None, own=None,
-                        moments=None):
+def norm_split_reports(action, ks, twist, strat, exps, moments, terms):
     """One norm-split report per k in ks, each with per-section discrepancies.
 
     Both sides run over the pieces of `Stratification.preimage`.  The left side is exact: the sum of the pieces'
-    rows of `sections.moment_table`.  The right side is one `reduction._piece_integral` per piece for all of ks:
-    on the stratum's own zero-level slice (`_own_piece`, the reduced-space integral of the descended norm against
-    I_k or J_k), on the extra pieces through `residual_with_error`, whose grid order `quad` sets.  `stderr` is
-    their quadrature error plus CONSISTENCY_FLOOR times the stratum's largest |lhs|, and nsigma = |lhs - rhs| /
-    stderr.  `residuals`, `exps`, `own` and `moments`, if given, hold each stratum's `residual_with_error` for ks
-    and this quad, each k's exponents, each stratum's own piece as its `_transverse_batch` entry at ks, and the
-    moment table; one `_transverse_batch` call makes the rest.
+    rows of `sections.moment_table`.  The right side is the stratum's own and residual entries of
+    `transverse_terms`, one `reduction._piece_integral` per piece for all of ks.  `stderr` is their quadrature
+    error plus CONSISTENCY_FLOOR times the stratum's largest |lhs|, and nsigma = |lhs - rhs| / stderr.  exps[i]
+    holds the invariant exponents at ks[i]; terms holds every stratum's entries when some k has an invariant
+    section.
     """
-    strat = strat or strata.analyze(action)
-    exps = sections.invariant_exponents_for(action, ks, twist) if exps is None else exps
-    moments = sections.moment_table(action, ks, twist, exps, strat) if moments is None else moments
     reports = [{"k": int(k), "twist": twist, "strata": [], "max_nsigma": 0.0, "dim": int(e.shape[0])}
                | ({} if e.shape[0] else {"note": "empty invariant space"}) for k, e in zip(ks, exps)]
     live = [i for i, e in enumerate(exps) if e.shape[0]]
-    labels = strat.strata if live else []
-    wanted = {("own", si): [_own_piece(action, lab, strat)] for si, lab in enumerate(labels) if own is None}
-    wanted |= {("residual", si): _residual_pieces(action, lab, quad, strat)
-               for si, lab in enumerate(labels) if residuals is None}
-    done = _transverse_batch(action, wanted, ks, twist == "halfform")
-    own = own or [done["own", si][0] for si in range(len(labels))]
-    residuals = residuals or [residual_with_error(action, lab, ks, twist, quad, strat, exps, done["residual", si])
-                              for si, lab in enumerate(labels)]
-    for si, lab in enumerate(labels):
-        own_k = reduction._piece_integral(action, own[si], exps, ks, twist)
+    for si, lab in enumerate(strat.strata if live else []):
         for i in live:
-            (rhs, err), (r, r_err) = own_k[i], residuals[si][i]
+            (rhs, err), (r, r_err) = terms["own", si][i], terms["residual", si][i]
             lhs = sum(moments[i][pattern] for _, pattern, _ in strat.preimage(lab))
             rhs, err = rhs + r, err + r_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))
             nsig = np.abs(lhs - rhs) / np.maximum(err, 1e-300)

@@ -350,9 +350,11 @@ def run(scn):
     empty = [k for k, e in zip(ks, exps) if e.shape[0] == 0] if "unitarity" in scn.quantities else []
     if empty:  # a defect needs an invariant section
         raise ConfigError(f"k_list: empty invariant space at k={', '.join(map(str, empty))}, so no unitarity defect")
-    moments = sections.moment_table(scn.action, ks, scn.twist, exps, strat) if "consistency" in scn.quantities else None
+    if {"gram", "unitarity", "consistency"} & set(scn.quantities):  # the lhs and Definition (2) read every piece's row
+        every = "consistency" in scn.quantities or 2 in scn.norm_defs
+        moments = sections.moment_table(scn.action, ks, scn.twist, exps, strat, every)
     if "gram" in scn.quantities or "unitarity" in scn.quantities:  # {nd: one Gram per k} on each side
-        ups = sections.grams_upstairs(scn.action, ks, scn.twist, scn.norm_defs, strat=strat, exps=exps, moments=moments)
+        ups = sections.grams_upstairs(scn.action, ks, scn.twist, scn.norm_defs, exps, moments)
         downs = reduction.reduced_grams(scn.action, ks, scn.twist, scn.norm_defs, quad, strat, exps)
 
     if "strata" in scn.quantities:
@@ -363,34 +365,27 @@ def run(scn):
             for side, grams in (("up", ups), ("down", downs)):
                 write(f"gram_{side}_{k}.json", _write_json, {str(nd): _gram_json(grams[nd][i]) for nd in scn.norm_defs})
 
-    wanted, points = {}, {}  # every transverse integral the quantities need, in one call; residuals are shared
-    for i, lab in enumerate(strat.strata):
-        if "consistency" in scn.quantities or "density" in scn.quantities and lab.isotropy.is_full:
-            wanted["residual", i] = asymptotics._residual_pieces(scn.action, lab, quad, strat)
-        if "consistency" in scn.quantities and any(e.shape[0] for e in exps):
-            wanted["own", i] = [asymptotics._own_piece(scn.action, lab, strat)]
-        if "density" in scn.quantities and not lab.isotropy.is_full:
-            points[i] = x = strata.sample_stratum(scn.action, lab, 1, seed=scn.seed + 17 * i)[0][0]
-            wanted["density", i] = [(0, models.normalize(scn.model, x)[None], None)]
-    done = asymptotics._transverse_batch(scn.action, wanted, ks, scn.twist == "halfform")
-    residuals = {i: asymptotics.residual_with_error(scn.action, strat.strata[i], ks, scn.twist, quad, strat, exps, p)
-                 for (kind, i), p in done.items() if kind == "residual"}
+    # every transverse term the quantities need, in one call; the II rows and the consistency check share residuals
+    full, all_strata = [i for i, lab in enumerate(strat.strata) if lab.isotropy.is_full], range(len(strat.strata))
+    residual = all_strata if "consistency" in scn.quantities else full if "density" in scn.quantities else ()
+    own = all_strata if "consistency" in scn.quantities and any(e.shape[0] for e in exps) else ()
+    points = {i: strata.sample_stratum(scn.action, lab, 1, seed=scn.seed + 17 * i)[0][0]
+              for i, lab in enumerate(strat.strata) if "density" in scn.quantities and i not in full}
+    terms = asymptotics.transverse_terms(scn.action, strat, ks, scn.twist, quad, exps, residual, own, points)
 
     if "density" in scn.quantities:
         rows, fits = [], []
         for i, lab in enumerate(strat.strata):
             where = f"stratum_{i}"
-            if lab.isotropy.is_full:
+            if i in full:
                 name = "II"
                 curve = [_row(k, float(np.sum(diagonal)), float(np.sum(error)), name, where)
-                         for k, (diagonal, error) in zip(ks, residuals[i])]
+                         for k, (diagonal, error) in zip(ks, terms["residual", i])]
                 if all(p[1] > 0 for p in curve):
                     fits.append({"quantity": name, "stratum": i, "fit_power": _fit(curve)})
             else:
-                x = points[i]
-                name = "J" if scn.twist == "halfform" else "I"
-                values = asymptotics._density(scn.action, lab, x, ks, scn.twist == "halfform", done["density", i][0])
-                curve = [_row(k, val, error, name, where) for k, (val, error) in zip(ks, values)]
+                name, x = "J" if scn.twist == "halfform" else "I", points[i]
+                curve = [_row(k, val, error, name, where) for k, (val, error) in zip(ks, terms["density", i])]
                 limit = 1.0 if scn.twist == "halfform" else reduction.descent_norm_factor(scn.action, x, lab.isotropy)
                 fits.append({"quantity": name, "stratum": i, "limit": limit, "fit_power": _fit(curve, limit)})
             rows.extend((name, where, k, repr(v), repr(e)) for k, v, e in curve)
@@ -401,17 +396,14 @@ def run(scn):
         rows = []
         for i, k in enumerate(ks):
             for nd in scn.norm_defs:
-                defect, err = asymptotics.unitarity_defect(scn.action, k, scn.twist, nd, quad, strat=strat,
-                                                           grams=(ups[nd][i], downs[nd][i]))
+                defect, err = asymptotics.unitarity_defect(ups[nd][i], downs[nd][i])
                 where = f"norm definition {nd}"
                 rows.append((k, scn.twist, nd, repr(_finite(defect, "defect", where, k)),
                              repr(_finite(err, "defect stderr", where, k))))
         write("defects.csv", _write_csv, ("k", "twist", "norm_def", "defect", "stderr"), rows)
 
     if "consistency" in scn.quantities:
-        own = [pieces[0] for (kind, _), pieces in done.items() if kind == "own"] or None  # None: no live k
-        reports = asymptotics._norm_split_reports(scn.action, ks, scn.twist, quad, strat, list(residuals.values()),
-                                                  exps, own, moments)
+        reports = asymptotics.norm_split_reports(scn.action, ks, scn.twist, strat, exps, moments, terms)
         write("consistency.json", _write_json,
               {"reports": reports, "note": "zero-dimensional strata contribute point values with (k/2pi)^0 = 1"})
 

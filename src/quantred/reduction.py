@@ -13,6 +13,7 @@ with m = dim(G/H) and vol the geometric (finite-part-corrected) orbit
 volume.  The tests check the factor against an independent route, which
 contracts the restricted Liouville form with the complexified orbit
 directions and reproduces 2^{-m} vol_Gram^2 against the reduced volume form.
+`reduced_grams` requires a run's stratification and exponents; the one-k `reduced_gram` builds them.
 """
 
 import numpy as np
@@ -122,17 +123,15 @@ def _stratum_gram_mc(action, lab, exps, twist, quad, tag):
     return [sums(e) for e in exps]
 
 
-def reduced_grams(action, ks, twist="plain", norm_defs=(1,), quad=None, strat=None, exps=None):
+def reduced_grams(action, ks, twist, norm_defs, quad, strat, exps):
     """Grams of the descended basis under each of norm_defs downstairs: {nd: one Gram per k in ks}.
 
     Definition (1) integrates over the open stratum, Definition (2) over every stratum.  Each stratum runs
     one `stratum_gram` for all of ks, which every definition that needs it reads, so the mc route draws each
-    stratum once; `exps`, if given, holds each k's invariant exponents.
+    stratum once; exps[i] holds the invariant exponents at ks[i].
     """
     quad = as_quad(quad)
-    exps = sections.invariant_exponents_for(action, ks, twist) if exps is None else exps
     live = [i for i, e in enumerate(exps) if e.shape[0]]
-    strat = (strat or strata.analyze(action)) if live else strat
     out, done = {}, {}  # done: stratum key -> its `stratum_gram` at the live ks, read by every definition
     for nd in norm_defs:
         diags, errs = [np.zeros(e.shape[0]) for e in exps], [np.zeros(e.shape[0]) for e in exps]
@@ -152,5 +151,6 @@ def reduced_grams(action, ks, twist="plain", norm_defs=(1,), quad=None, strat=No
 
 
 def reduced_gram(action, k, twist="plain", norm_def=1, quad=None, strat=None):
-    """Gram of the descended basis under Definition (1) or (2) downstairs."""
-    return reduced_grams(action, [k], twist, (norm_def,), quad, strat)[norm_def][0]
+    """`reduced_grams` at the one k under Definition (1) or (2); strat is analyzed here if not given."""
+    exps = [sections.invariant_exponents(action, k, twist)]
+    return reduced_grams(action, [k], twist, (norm_def,), quad, strat or strata.analyze(action), exps)[norm_def][0]

@@ -5,7 +5,8 @@ Sections of L^k are multi-homogeneous polynomials of per-factor degree
 k*l_j; the half-form twist shifts the degrees to k*l_j - (n_j+1)/2.  The
 package works in the monomial basis, one exponent row per section, and on
 a run's whole k list at once: one enumeration of the invariant rows
-(`invariant_exponents_for`) and one moment call per pattern (`moment_table`).
+(`invariant_exponents_for`) and one moment call per pattern (`moment_table`),
+both required by `grams_upstairs`; the one-k `gram_upstairs` builds them.
 On unit-normalized coordinates the plain pointwise norm square of a
 monomial is |z^alpha|^2; the twisted norm carries the half-form frame
 factor (mu, mu), the constant prod_j l_j^{-n_j/2} (`halfform_frame`), whose
@@ -236,17 +237,16 @@ def _full_pattern(model):
     return tuple(tuple(range(sl.start, sl.stop)) for sl in model.slices)
 
 
-def moment_table(action, ks, twist, exps, strat=None, every=True):
+def moment_table(action, ks, twist, exps, strat, every=True):
     """The exact upstairs terms: per k in ks, {pattern: (k/2pi)^{dim/2} `_gram_exact_on_pattern`}.
 
     The patterns are the ambient one (dim n) and, if every, the (distinct) patterns of every piece of
-    `Stratification.preimage`, in strata order.  Both norm definitions and the norm-split check's lhs
-    are sums of these rows.  exps[i] holds the invariant exponents at ks[i]; the rows of every k are
+    strat's `Stratification.preimage`, in strata order.  Both norm definitions and the norm-split check's
+    lhs are sums of these rows.  exps[i] holds the invariant exponents at ks[i]; the rows of every k are
     stacked, so each pattern takes one `_gram_exact_on_pattern` call.
     """
     dims = {_full_pattern(action.model): action.model.n_total}
     if every:
-        strat = strat or strata.analyze(action)
         dims |= {pattern: dim for lab in strat.strata for dim, pattern, _ in strat.preimage(lab)}
     stacked, bounds = np.vstack(exps), np.cumsum([len(e) for e in exps])[:-1]
     diags = {pattern: np.split(_gram_exact_on_pattern(action, stacked, twist, pattern), bounds) for pattern in dims}
@@ -254,17 +254,15 @@ def moment_table(action, ks, twist, exps, strat=None, every=True):
             for i, k in enumerate(ks)]
 
 
-def grams_upstairs(action, ks, twist="plain", norm_defs=(1,), *, strat=None, exps=None, moments=None):
+def grams_upstairs(action, ks, twist, norm_defs, exps, moments):
     """Grams of the invariant basis under each of norm_defs: {nd: one Gram per k in ks}.
 
     Definition (1) integrates over the open dense preimage piece, which has full measure: the ambient row of
     `moment_table`.  Definition (2) adds the rows of every other piece; zero-dimensional pieces contribute
     point values.  The ambient is the open stratum's complexification where 0 is interior to phi(M) and an
-    extra piece where 0 lies on its boundary.  Every row is exact, so stderr is 0.  `exps` and `moments`,
-    if given, hold each k's invariant exponents and the table.
+    extra piece where 0 lies on its boundary.  Every row is exact, so stderr is 0.  exps[i] holds the
+    invariant exponents at ks[i], and moments the table, with every piece's row if 2 is in norm_defs.
     """
-    exps = invariant_exponents_for(action, ks, twist) if exps is None else exps
-    moments = moment_table(action, ks, twist, exps, strat, 2 in norm_defs) if moments is None else moments
     ambient = _full_pattern(action.model)
     ids = [list(map(tuple, e.tolist())) for e in exps]
 
@@ -274,10 +272,12 @@ def grams_upstairs(action, ks, twist="plain", norm_defs=(1,), *, strat=None, exp
                             twist=twist) for k, b, rows in zip(ks, ids, moments)] for nd in norm_defs}
 
 
-def gram_upstairs(action, k, twist="plain", norm_def=1, *, strat=None, exps=None):
-    """`grams_upstairs` at the one k; `exps`, if given, holds the invariant exponents at k."""
-    exps = [invariant_exponents(action, k, twist) if exps is None else exps]
-    return grams_upstairs(action, [k], twist, (norm_def,), strat=strat, exps=exps)[norm_def][0]
+def gram_upstairs(action, k, twist="plain", norm_def=1, *, strat=None):
+    """`grams_upstairs` at the one k; Definition (2) reads strat, analyzed here if not given."""
+    exps = [invariant_exponents(action, k, twist)]
+    strat = (strat or strata.analyze(action)) if norm_def == 2 else None
+    moments = moment_table(action, [k], twist, exps, strat, norm_def == 2)
+    return grams_upstairs(action, [k], twist, (norm_def,), exps, moments)[norm_def][0]
 
 
 def _gram_exact_on_pattern(action, exps, twist, pattern):

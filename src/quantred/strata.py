@@ -294,7 +294,8 @@ def slice_quadrature(action, sl, order):
     its Gauss error is exactly 0.
     """
     if sl.q > 1:
-        raise StrataError("slice quadrature supports slice dimension <= 1; use mc")
+        raise StrataError(f"the level slice of pattern {list(map(list, sl.pattern))} has dimension q = {sl.q}, but "
+                          "the Gauss rule takes q <= 1: only gram and unitarity have a q >= 2 route (quad.method mc)")
     C = slice_constant(action, sl, ta.isotropy_of_support(action, sl.pattern))
     if sl.q == 0:
         s, rules = np.zeros((1, 0)), ((slice(0, 1), np.array([C])),) * 2

@@ -8,7 +8,7 @@ the shifted product of two lines, metaplectic).
 import numpy as np
 
 from quantred import actions as ta
-from quantred import asymptotics, models, reduction, strata
+from quantred import asymptotics, models, reduction, sections, strata
 from quantred.integrate import fit_power
 
 import reference
@@ -148,9 +148,11 @@ def test_criterion_6_asymptotic_unitarity(e3, st3):
     ks = (10, 16, 22, 28, 34, 40)
     dh, dp_low = [], []
     for k in ks:
-        d, s = asymptotics.unitarity_defect(e3, k, "halfform", 1, quad, strat=st3)
+        d, s = asymptotics.unitarity_defect(sections.gram_upstairs(e3, k, "halfform", 1, strat=st3),
+                                            reduction.reduced_gram(e3, k, "halfform", 1, quad, strat=st3))
         dh.append(d)
-        d2, s2 = asymptotics.unitarity_defect(e3, k, "plain", 1, quad, strat=st3)
+        d2, s2 = asymptotics.unitarity_defect(sections.gram_upstairs(e3, k, "plain", 1, strat=st3),
+                                              reduction.reduced_gram(e3, k, "plain", 1, quad, strat=st3))
         dp_low.append(d2 - 1.96 * s2)
     halved = dh[-1] <= dh[0] / 2.0
     _, p, r2 = fit_power(ks, dh)

@@ -505,7 +505,7 @@ def test_defect_scalar_case(e1, st1, e2, st2):
     for action, strat, k, down_quad in ((e1, st1, 2, {"method": "grid"}), (e2, st2, 4, mc)):
         gu = sections.gram_upstairs(action, k, "plain", 2, strat=strat)
         gd = reduction.reduced_gram(action, k, "plain", 2, down_quad, strat=strat)
-        d, sigma = asymptotics.unitarity_defect(action, k, "plain", 2, grams=(gu, gd))
+        d, sigma = asymptotics.unitarity_defect(gu, gd)
         u, su = np.diag(gu.matrix).real, gu.stderr
         lam, sd = np.diag(gd.matrix).real / u, gd.stderr
         a = int(np.argmax(np.abs(lam - 1.0)))
@@ -515,9 +515,13 @@ def test_defect_scalar_case(e1, st1, e2, st2):
 
 def test_defect_halfform_decreases_plain_floors(e3, st3):
     quad = {"method": "exact", "grid_order": 96}
-    dh = {k: asymptotics.unitarity_defect(e3, k, "halfform", 1, quad, strat=st3)[0] for k in (10, 40)}
+
+    def defect(k, twist):
+        return asymptotics.unitarity_defect(sections.gram_upstairs(e3, k, twist, 1, strat=st3),
+                                            reduction.reduced_gram(e3, k, twist, 1, quad, strat=st3))[0]
+    dh = {k: defect(k, "halfform") for k in (10, 40)}
     assert dh[40] < dh[10] / 2.0
-    dp = {k: asymptotics.unitarity_defect(e3, k, "plain", 1, quad, strat=st3)[0] for k in (10, 40)}
+    dp = {k: defect(k, "plain") for k in (10, 40)}
     assert min(dp.values()) > 0.2
 
 
@@ -534,12 +538,13 @@ def test_stated_errors_do_not_underflow_at_k_512(e3, st3):
         assert np.all(gd.stderr > 0)
         assert np.all(gd.stderr >= gap - 1e-13 * np.abs(gd.diagonal))
         gu = sections.gram_upstairs(e3, k, "halfform", nd, strat=st3)
-        assert asymptotics.unitarity_defect(e3, k, "halfform", nd, grams=(gu, gd))[1] > 0
+        assert asymptotics.unitarity_defect(gu, gd)[1] > 0
 
 
 def test_defect_empty_space_raises(e1):
-    with pytest.raises(asymptotics.AsymptoticsError):
-        asymptotics.unitarity_defect(e1, 3, "plain", 1, {"method": "exact"})
+    gu, gd = sections.gram_upstairs(e1, 3, "plain", 1), reduction.reduced_gram(e1, 3, "plain", 1, {"method": "exact"})
+    with pytest.raises(asymptotics.AsymptoticsError, match="empty invariant space at k=3"):
+        asymptotics.unitarity_defect(gu, gd)
 
 
 def test_norm_split_consistency_small(e1, e2, st1, st2):

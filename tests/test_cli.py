@@ -394,8 +394,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     with pytest.raises(TypeError):
         cli.main(argv)
     # a NaN is a numerical failure, not a number to write to curves.csv
-    monkeypatch.setattr(asymptotics, "residual_with_error",
-                        lambda action, label, ks, *args: [(np.full(1, np.nan), np.zeros(1)) for _ in ks])
+    terms = asymptotics.transverse_terms
+
+    def nan_residuals(*args):
+        return {key: [(np.full(1, np.nan), np.zeros(1)) for _ in value] if key[0] == "residual" else value
+                for key, value in terms(*args).items()}
+
+    monkeypatch.setattr(asymptotics, "transverse_terms", nan_residuals)
     out = tmp_path / "d"
     assert cli.main(["density", "--preset", "E2", "--k", "2", "--out", str(out)]) == 3
     assert not (out / "curves.csv").exists() and not (out / "run_manifest.json").exists()
@@ -413,7 +418,7 @@ def test_underflow_is_named_on_the_exact_route(tmp_path, capsys):
     gram = sections.GramMatrix(basis_ids=[(0, 1)], diagonal=np.zeros(1), stderr=np.zeros(1), norm_def=1, k=2,
                                twist="plain")
     with pytest.raises(asymptotics.AsymptoticsError, match="underflowed to 0 at k=2"):
-        asymptotics.unitarity_defect(None, 2, quad={"method": "mc"}, grams=(gram, gram))
+        asymptotics.unitarity_defect(gram, gram)
 
 
 def test_underflow_is_named_on_the_mc_route(tmp_path, capsys):
@@ -600,6 +605,70 @@ def test_run_enumerates_each_invariant_basis_once(tmp_path, monkeypatch):
     assert seen == [(2, 4, 8)]
 
 
+def test_one_k_names_give_the_run_numbers(tmp_path):
+    """The one-k entry points compute their own inputs, and give the numbers
+    `quantred run` writes, repr for repr: density_I or density_J at the
+    run's density point and residual_II against the curves.csv values,
+    norm_split_consistency against consistency.json, and unitarity_defect of
+    gram_upstairs and reduced_gram against defects.csv; on E2 plain and E3
+    half-form at k = 2, 4, 8 and on (CP^1)^3 at k = 2."""
+    import csv
+
+    from quantred import asymptotics, reduction, sections, strata
+
+    rank2 = {"model": {"factors": [1, 1, 1], "bundle_degrees": [1, 1, 1]},
+             "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1]]}}
+    for n, (cfg, twist, ks) in enumerate((({"preset": "E2"}, "plain", [2, 4, 8]),
+                                          ({"preset": "E3"}, "halfform", [2, 4, 8]), (rank2, "plain", [2]))):
+        out = tmp_path / str(n)
+        scn = cli.validate(dict(cfg, twist=twist, k_list=ks, out=str(out)))
+        cli.run(scn)
+        action, quad, st = scn.action, scn.quad, strata.analyze(scn.action)
+        with open(out / "curves.csv") as fh:
+            curves = {(row["stratum"], int(row["k"])): row["value"] for row in csv.DictReader(fh)}
+        for i, lab in enumerate(st.strata):
+            x = strata.sample_stratum(action, lab, 1, seed=scn.seed + 17 * i)[0][0]
+            for k in ks:
+                if lab.isotropy.is_full:
+                    value = asymptotics.residual_II(action, lab, k, twist, quad)
+                else:
+                    value = (asymptotics.density_J if twist == "halfform" else asymptotics.density_I)(action, lab, x, k)
+                assert repr(value) == curves[f"stratum_{i}", k], (i, k)
+        reports = json.loads((out / "consistency.json").read_text())["reports"]
+        for k, report in zip(ks, reports):
+            one = asymptotics.norm_split_consistency(action, k, twist, quad)
+            assert json.dumps(one, sort_keys=True) == json.dumps(report, sort_keys=True), k
+        with open(out / "defects.csv") as fh:
+            defects = {(int(row["k"]), int(row["norm_def"])): (row["defect"], row["stderr"])
+                       for row in csv.DictReader(fh)}
+        assert len(defects) == 2 * len(ks)
+        for (k, nd), row in defects.items():
+            pair = sections.gram_upstairs(action, k, twist, nd), reduction.reduced_gram(action, k, twist, nd, quad)
+            assert tuple(map(repr, asymptotics.unitarity_defect(*pair))) == row, (k, nd)
+
+
+def test_q2_slices_refuse_by_pattern_and_name_the_mc_route(tmp_path, capsys):
+    """CP^3 with weights (0, 0, -1, 0) under quad.method mc: the whole space
+    is an extra piece whose level slice has q = 2.  The density and
+    consistency quantities read it through the slice quadrature and exit 3
+    with a message that names the pattern, its q, and gram and unitarity as
+    the only quantities with a q >= 2 route; gram and unitarity exit 0."""
+    cfg = tmp_path / "cp3.json"
+    cfg.write_text(json.dumps({"model": {"factors": [3], "bundle_degrees": [1]},
+                               "action": {"rank": 1, "weights": [[0, 0, -1, 0]]}, "quad": {"method": "mc"}}))
+    for only, code in (("density", 3), ("consistency", 3), ("gram,unitarity", 0)):
+        out = tmp_path / only
+        assert cli.main(["run", "--config", str(cfg), "--k", "2,4", "--only", only, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("numerical failure: StrataError: the level slice of pattern [[0, 1, 2, 3]] "
+                                  "has dimension q = 2")
+            assert "only gram and unitarity have a q >= 2 route (quad.method mc)" in err
+            assert not (out / "run_manifest.json").exists()
+        else:
+            assert err == "" and (out / "defects.csv").exists()
+
+
 def test_python_dash_m_runs_the_cli():
     import subprocess
     import sys
@@ -689,12 +758,12 @@ def test_run_files_keep_the_square_gram_layout(tmp_path, monkeypatch):
     grams = {}
     grams_upstairs, reduced_grams = sections.grams_upstairs, reduction.reduced_grams
 
-    def up(action, ks, twist, norm_defs, **kwargs):
-        out = grams_upstairs(action, ks, twist, norm_defs, **kwargs)
+    def up(action, ks, twist, norm_defs, exps, moments):
+        out = grams_upstairs(action, ks, twist, norm_defs, exps, moments)
         grams.update((("up", k, nd), g) for nd, gs in out.items() for k, g in zip(ks, gs))
         return out
 
-    def down(action, ks, twist, norm_defs, quad, strat=None, exps=None):
+    def down(action, ks, twist, norm_defs, quad, strat, exps):
         out = reduced_grams(action, ks, twist, norm_defs, quad, strat, exps)
         grams.update((("down", k, nd), g) for nd, gs in out.items() for k, g in zip(ks, gs))
         return out

@@ -64,6 +64,26 @@ def test_every_package_definition_is_reachable():
     assert sorted(set(defs) - reached) == []
 
 
+def test_cli_reads_no_private_name_of_another_module():
+    """An ast walk: cli.py reads no `_`-prefixed attribute of a quantred
+    module it imports and imports no `_`-prefixed name from one, so what a
+    run computes once is decided by the modules' public functions."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    private.append(f"{node.module or ''}.{alias.name}")
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert {"asymptotics", "reduction", "sections", "strata"} <= modules
+    assert private == []
+
+
 def test_import_and_validate_do_not_load_scipy():
     """scipy is imported by the first linear program, not by `import quantred`
     or config validation, so a CLI start that fails validation never pays for it."""

@@ -247,18 +247,19 @@ def test_gram_def2_dominates_def1(e2, st2):
     assert np.any(d2 > d1 + 1e-6)
 
 
-def test_gram_upstairs_takes_strat_and_exps_by_keyword_only(e2, st2):
-    """A positional `strat` or `exps` in `gram_upstairs` raises TypeError
-    rather than landing in a slot a caller or a wrapper reads as something
-    else; by keyword, each definition's Gram equals its entry in one
-    `grams_upstairs` call for both definitions."""
+def test_gram_upstairs_takes_strat_by_keyword_only(e2, st2):
+    """A positional `strat` in `gram_upstairs` raises TypeError rather than
+    landing in a slot a caller or a wrapper reads as something else, and so
+    does an `exps`, which it no longer takes; by keyword, each definition's
+    Gram equals its entry in one `grams_upstairs` call for both definitions."""
     exps = sections.invariant_exponents(e2, 4)
-    for args in ((st2,), (None, exps)):
+    for args, kwargs in (((st2,), {}), ((None, exps), {}), ((), {"strat": st2, "exps": exps})):
         with pytest.raises(TypeError):
-            sections.gram_upstairs(e2, 4, "plain", 2, *args)
-    both = sections.grams_upstairs(e2, [4], "plain", (1, 2), strat=st2)
+            sections.gram_upstairs(e2, 4, "plain", 2, *args, **kwargs)
+    moments = sections.moment_table(e2, [4], "plain", [exps], st2)
+    both = sections.grams_upstairs(e2, [4], "plain", (1, 2), [exps], moments)
     for nd in (1, 2):
-        g = sections.gram_upstairs(e2, 4, "plain", nd, strat=st2, exps=exps)
+        g = sections.gram_upstairs(e2, 4, "plain", nd, strat=st2)
         assert g.norm_def == nd and np.array_equal(g.diagonal, both[nd][0].diagonal)
 
 

@@ -35,6 +35,8 @@ CONFIGS = {  # written to files and passed as --config {name}
     "cp1cp2mc": {"model": {"factors": [1, 2], "bundle_degrees": [1, 1]},
                  "action": {"rank": 1, "weights": [[1, 0, -1, 0, 1]]}, "quad": {"method": "mc"}},
     "cp2line": {"model": {"factors": [2], "bundle_degrees": [1]}, "action": {"rank": 1, "weights": [[1, 0, 0]]}},
+    "cp3mc": {"model": {"factors": [3], "bundle_degrees": [1]}, "action": {"rank": 1, "weights": [[0, 0, -1, 0]]},
+              "quad": {"method": "mc"}},
 }
 E3_SWEEP = ",".join(str(k) for k in range(12, 85, 8))
 E2_SWEEP = ",".join(str(k) for k in range(2, 41, 2))  # a long k list
@@ -76,6 +78,9 @@ SCENARIOS = [
     ("E1 halfform --only gram,density,consistency --k 2,3,4,5",
      ["--preset", "E1", "--twist", "halfform", "--only", "gram,density,consistency", "--k", "2,3,4,5"]),
     (f"E2 --only gram,unitarity --k {E2_SWEEP}", ["--preset", "E2", "--only", "gram,unitarity", "--k", E2_SWEEP]),
+    # Monte Carlo Grams under both norm definitions where the ambient pattern is an extra piece with a q = 2 slice
+    ("CP^3 weights (0, 0, -1, 0) mc --only gram,unitarity --k 2,4",
+     ["--config", "{cp3mc}", "--only", "gram,unitarity", "--k", "2,4"]),
 ]
 VALUE_OF_STDERR = ("value", "rhs", "matrix_re", "defect")
 
