@@ -46,7 +46,7 @@ MAX_HALVINGS = 10        # h halves at most this often per node
 MAX_GRID_POINTS = 2**23  # points of one node's grid
 DENSITY_ORDER = 32       # Gauss nodes per zero-level slice in the stratum-density route
 ORBIT_GRAM_RTOL = 1e-12  # a node raises when lambda_min(S) <= ORBIT_GRAM_RTOL lambda_max(U), see below
-CONSISTENCY_FLOOR = 1e-13  # the norm-split check's stated error is at least this share of a stratum's largest |lhs|
+CONSISTENCY_FLOOR = 1e-13  # the norm-split check's stated error is at least this share of its row's |lhs|
 
 
 def _grid_pass(integrand, nodes, came, J, m, sums):
@@ -357,7 +357,7 @@ def norm_split_reports(action, ks, twist, strat, exps, moments, terms):
     Both sides run over the pieces of `Stratification.preimage`.  The left side is exact: the sum of the pieces'
     rows of `sections.moment_table`.  The right side is the stratum's own and residual entries of
     `transverse_terms`, one `reduction._piece_integral` per piece for all of ks.  `stderr` is their quadrature
-    error plus CONSISTENCY_FLOOR times the stratum's largest |lhs|, and nsigma = |lhs - rhs| / stderr.  exps[i]
+    error plus CONSISTENCY_FLOOR times the row's own |lhs|, and nsigma = |lhs - rhs| / stderr.  exps[i]
     holds the invariant exponents at ks[i]; terms holds every stratum's entries when some k has an invariant
     section.
     """
@@ -368,7 +368,7 @@ def norm_split_reports(action, ks, twist, strat, exps, moments, terms):
         for i in live:
             (rhs, err), (r, r_err) = terms["own", si][i], terms["residual", si][i]
             lhs = sum(moments[i][pattern] for _, pattern, _ in strat.preimage(lab))
-            rhs, err = rhs + r, err + r_err + CONSISTENCY_FLOOR * np.max(np.abs(lhs))
+            rhs, err = rhs + r, err + r_err + CONSISTENCY_FLOOR * np.abs(lhs)
             nsig = np.abs(lhs - rhs) / np.maximum(err, 1e-300)
             reports[i]["strata"].append({"stratum": si, "dim_S": lab.dim_S, "lhs": lhs.tolist(), "rhs": rhs.tolist(),
                                          "stderr": err.tolist(), "nsigma": nsig.tolist()})

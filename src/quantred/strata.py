@@ -70,15 +70,11 @@ class PatternInfo:
     pattern: tuple
     iso: ta.IsotropyDescriptor
     location: str
-    masses: tuple = field(default=None, compare=False, repr=False)  # (p0, basis) at level 0, None unless inside
+    masses: tuple = field(default=None, compare=False, repr=False)  # _level_masses's (location, p0, basis) at level 0
 
     @property
     def dim_complex(self):
         return sum(len(sup) - 1 for sup in self.pattern)
-
-
-def pattern_contains(big, small):
-    return all(set(s).issubset(set(b)) for b, s in zip(big, small))
 
 
 # ----------------------------------------------------------------------
@@ -118,8 +114,8 @@ class LevelSlice:
         return z
 
 
-def _level_masses(action, pattern, value):
-    """(location, p, basis) of the level phi = value on a pattern.
+def _level_masses(action, patterns, values):
+    """[(location, p, basis)] of the level phi = values[j] on each patterns[j].
 
     p maximises the smallest mass under the level equations A p = b and basis
     spans their q = nsup - rank A null directions.  'outside' if no p >= 0
@@ -127,70 +123,77 @@ def _level_masses(action, pattern, value):
     ZERO_TOL, else 'inside'.  For q = 0 the equations fix p; for q = 1 p is
     the midpoint of the optimal interval on the line of solutions (a point
     unless the smallest mass is constant along it); only q >= 2 solves a
-    linear program.
+    linear program.  The patterns of one support size share one stacked SVD,
+    which gives each its rank, minimum-norm solution and null basis.
     """
-    model = action.model
-    sup = [i for fac in pattern for i in fac]
-    nsup = len(sup)
-    A = np.vstack([action.scaled_weights()[:, sup], [[float(i in fac) for i in sup] for fac in pattern]])
-    b = np.concatenate([-value / TWO_PI - action.shift_float, np.ones(len(pattern))])
-    u, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
-    q = nsup - rank
-    basis = np.zeros((q, model.ncoords))
-    basis[:, sup] = vt[rank:]
-    if q <= 1:
-        x = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])
-        if q == 1:
-            # the smallest mass is concave along x + t v: its maximum is the best crossing of a
-            # rising and a falling mass, kept on the interval where every moving mass reaches it
-            v = vt[rank]
-            up, down = v > MOVE_TOL, v < -MOVE_TOL
-            t = ((x[None, down] - x[up, None]) / (v[up, None] - v[None, down])).ravel()
-            best = np.max(np.min(x[:, None] + v[:, None] * t, axis=0))
-            x = x + np.mean(_segment(x, v, best)) * v
-        if np.linalg.norm(A @ x - b) > FEAS_TOL or x.min() < -FEAS_TOL:
-            return "outside", None, None
-        eps = x.min()
-    else:
-        # max eps with p_i >= eps
-        c = np.zeros(nsup + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-np.eye(nsup), np.ones((nsup, 1))])
-        res = _linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=np.zeros(nsup),
-            A_eq=np.hstack([A, np.zeros((A.shape[0], 1))]),
-            b_eq=b,
-            bounds=[(0, None)] * nsup + [(0, 1.0)],
-        )
-        if res.status == 2:
-            return "outside", None, None
-        if res.status != 0:
-            raise StrataError(f"level linear program on pattern {pattern} failed: {res.message}")
-        x, eps = res.x[:nsup], -res.fun
-    p = np.zeros(model.ncoords)
-    p[sup] = x
-    return ("inside" if eps > ZERO_TOL else "boundary"), p, basis
+    model, n, nfac = action.model, len(patterns), len(action.model.slices)
+    cols = np.vstack([action.scaled_weights(), np.repeat(np.eye(nfac), [m + 1 for m in model.factors], axis=1)])
+    rhs = np.concatenate([np.reshape(values, (n, action.rank)) / -TWO_PI - action.shift_float, np.ones((n, nfac))], 1)
+    sups = [[i for fac in pat for i in fac] for pat in patterns]
+    p, basis = np.zeros((n, model.ncoords)), np.zeros((n, model.ncoords, model.ncoords))
+    rank, eps, lp = np.zeros(n, dtype=int), np.zeros(n), {}  # lp[j]: the linear program of q >= 2 found masses
+    for nsup in set(map(len, sups)):
+        js = [j for j, sup in enumerate(sups) if len(sup) == nsup]
+        sup, b = np.array([sups[j] for j in js]), rhs[js]
+        A = cols[:, sup].transpose(1, 0, 2)
+        u, s, vt = np.linalg.svd(A)
+        r = (s > 1e-10 * np.maximum(s[:, :1], 1.0)).sum(1)
+        x = np.zeros(sup.shape)
+        ranks = set(r.tolist())
+        for k in ranks:  # the minimum-norm solutions, one stacked product per rank
+            on = r == k if len(ranks) > 1 else slice(None)
+            c = u[on, :, :k].transpose(0, 2, 1) @ b[on, :, None] / s[on, :k, None]
+            x[on] = (vt[on, :k].transpose(0, 2, 1) @ c)[..., 0]
+        one = r == nsup - 1
+        if one.any():
+            # the smallest mass is concave along x + t v: its maximum is the best crossing t of a
+            # rising mass i and a falling mass j, kept on the interval where every moving mass reaches it
+            xo, v = x[one], vt[one, r[one]]
+            pair = (v > MOVE_TOL)[:, :, None] & (v < -MOVE_TOL)[:, None, :]
+            t = (xo[:, None, :] - xo[:, :, None]) / np.where(pair, v[:, :, None] - v[:, None, :], 1.0)
+            low = np.min(xo[:, :, None, None] + v[:, :, None, None] * t[:, None], axis=1)
+            lo, hi = _segment(xo, v, np.max(np.where(pair, low, -np.inf), axis=(1, 2))[:, None])
+            x[one] = xo + ((lo + hi) / 2)[:, None] * v
+        eps[js] = x.min(axis=1)
+        for m in np.flatnonzero(r < nsup - 1):
+            # max eps with p_i >= eps
+            c = np.zeros(nsup + 1)
+            c[-1] = -1.0
+            res = _linprog(c, A_ub=np.hstack([-np.eye(nsup), np.ones((nsup, 1))]), b_ub=np.zeros(nsup),
+                           A_eq=np.hstack([A[m], np.zeros((A.shape[1], 1))]), b_eq=b[m],
+                           bounds=[(0, None)] * nsup + [(0, 1.0)])
+            if res.status not in (0, 2):
+                raise StrataError(f"level linear program on pattern {patterns[js[m]]} failed: {res.message}")
+            if lp.setdefault(js[m], res.status == 0):
+                x[m], eps[js[m]] = res.x[:nsup], -res.fun
+        rows = np.array(js)[:, None]
+        p[rows, sup] = x
+        basis[rows[..., None], np.arange(nsup)[:, None], sup[:, None]] = vt
+        rank[js] = r
+    solved = (np.sqrt(np.square(p @ cols.T - rhs).sum(axis=1)) <= FEAS_TOL) & (eps >= -FEAS_TOL)
+    return [("inside" if e > ZERO_TOL else "boundary", p[j], basis[j, k:len(sups[j])]) if lp.get(j, ok)
+            else ("outside", None, None)
+            for j, (ok, e, k) in enumerate(zip(solved.tolist(), eps.tolist(), rank.tolist()))]
 
 
 def _segment(p, v, floor=0.0):
-    """(t_lo, t_hi): the interval of t where p + t v >= floor on the coordinates that move along v."""
-    move = np.abs(v) > MOVE_TOL
-    t = (floor - p[move]) / v[move]
-    return np.max(t[v[move] > 0]), np.min(t[v[move] < 0])
+    """(t_lo, t_hi): the interval of t where p + t v >= floor on the coordinates that move along v.
+
+    Along the last axis, so a stack of segments gives a stack of intervals."""
+    t = (floor - p) / np.where(np.abs(v) > MOVE_TOL, v, 1.0)
+    return (np.max(t, axis=-1, where=v > MOVE_TOL, initial=-np.inf),
+            np.min(t, axis=-1, where=v < -MOVE_TOL, initial=np.inf))
 
 
 def make_level_slice(action, pattern, value, masses=None):
     """The level slice of a pattern at `value`; StrataError if the level misses it.
 
     Its box is the segment shrunk by SEGMENT_SHRINK of its length at each end
-    for q = 1, and the LP bounds of the slice polytope otherwise (no LP for q = 0).
-    `masses`, when given, is the (p0, basis) `_level_masses` found at `value`.
+    for q = 1, empty for q = 0, and the LP bounds of the slice polytope for q >= 2.
+    `masses`, when given, is the (location, p0, basis) `_level_masses` found at `value`.
     """
     value = np.asarray(value, dtype=float)
-    location, p0, basis = ("inside", *masses) if masses else _level_masses(action, pattern, value)
+    location, p0, basis = masses or _level_masses(action, [pattern], [value])[0]
     if location != "inside":
         raise StrataError(f"the level {value} misses the open pattern {pattern} ({location})")
     if basis.shape[0] == 1:
@@ -198,14 +201,15 @@ def make_level_slice(action, pattern, value, masses=None):
         span = t_hi - t_lo
         box = (np.array([t_lo + SEGMENT_SHRINK * span]), np.array([t_hi - SEGMENT_SHRINK * span]))
     else:
-        box = _slice_box(p0, basis)
+        box = _slice_box(p0, basis) if basis.shape[0] else (np.zeros(0), np.zeros(0))
     gauge = []
     theta = []
+    mass = p0.tolist()
     for fac in pattern:
         # gauge the phase of the most robustly positive coordinate, the first
         # within 1e-12 of the largest mass so that rounding cannot move it
-        top = max(p0[i] for i in fac)
-        best = next(i for i in fac if p0[i] >= top - 1e-12)
+        top = max(mass[i] for i in fac)
+        best = next(i for i in fac if mass[i] >= top - 1e-12)
         gauge.append(best)
         theta.extend(i for i in fac if i != best)
     return LevelSlice(
@@ -408,19 +412,29 @@ class Stratification:
 
 
 def _pattern_infos(action):
-    zero = np.zeros(action.rank)
-    infos = []
-    for pattern in all_support_patterns(action.model):
-        location, p0, basis = _level_masses(action, pattern, zero)
-        masses = (p0, basis) if location == "inside" else None
-        infos.append(PatternInfo(pattern, ta.isotropy_of_support(action, pattern), location, masses))
-    return infos
+    """Every support pattern with its isotropy and its level-0 masses, from one `_level_masses` call."""
+    patterns = all_support_patterns(action.model)
+    solved = _level_masses(action, patterns, np.zeros((len(patterns), action.rank)))
+    return [PatternInfo(pat, ta.isotropy_of_support(action, pat), m[0], m) for pat, m in zip(patterns, solved)]
 
 
-def _merge_carriers(action, carriers):
-    """Group carrier patterns into connected strata of equal isotropy."""
-    n = len(carriers)
-    parent = list(range(n))
+def _pattern_masks(model, infos):
+    """(len(infos), ncoords) booleans: the coordinates of each pattern."""
+    mask = np.zeros((len(infos), model.ncoords), dtype=bool)
+    for row, info in zip(mask, infos):
+        row[[i for fac in info.pattern for i in fac]] = True
+    return mask
+
+
+def _contains(big, small):
+    """[a, b]: pattern a of `big` contains pattern b of `small`, as coordinate masks."""
+    return ~np.any(small[None] & ~big[:, None], axis=2)
+
+
+def _merge_carriers(carriers, contains):
+    """Group carrier patterns into connected strata of equal isotropy; contains[i, j]: carrier i contains j."""
+    parent = list(range(len(carriers)))
+    keys = [info.iso.key() for info in carriers]
 
     def find(i):
         while parent[i] != i:
@@ -428,42 +442,40 @@ def _merge_carriers(action, carriers):
             i = parent[i]
         return i
 
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if carriers[i].iso.key() != carriers[j].iso.key():
-                continue
-            a, b = carriers[i].pattern, carriers[j].pattern
-            if pattern_contains(a, b) or pattern_contains(b, a):
-                union(i, j)
+    for i, j in np.argwhere(contains).tolist():
+        if i != j and keys[i] == keys[j]:
+            parent[find(i)] = find(j)
     groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(carriers[i])
+    for i, info in enumerate(carriers):
+        groups.setdefault(find(i), []).append(info)
     return list(groups.values())
 
 
 def analyze(action):
-    """Full combinatorial stratification of the zero level set and its preimage."""
+    """Full combinatorial stratification of the zero level set and its preimage.
+
+    Two `_level_masses` calls solve every level equation: all patterns at level 0,
+    then the boundary patterns at their pieces' levels."""
     infos = _pattern_infos(action)
     carriers = [info for info in infos if info.location == "inside"]
     boundary = [info for info in infos if info.location == "boundary"]
     unsemi = [info for info in infos if info.location == "outside"]
     if not carriers:
         raise EmptyZeroLevelError("empty zero level set: the shift places 0 outside phi(M)")
+    model = action.model
+    inside = _pattern_masks(model, carriers)
 
     strata = []
     rng = np.random.default_rng(20240707)
-    for cid, group in enumerate(_merge_carriers(action, carriers)):
+    for cid, group in enumerate(_merge_carriers(carriers, _contains(inside, inside))):
         top = max(group, key=lambda info: info.dim_complex)
         iso = top.iso
         m = action.rank - iso.dim
         dim_S = top.dim_complex - m
         sl = make_level_slice(action, top.pattern, np.zeros(action.rank), top.masses)
-        theta = np.zeros(action.model.ncoords)
+        theta = np.zeros(model.ncoords)
         theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=len(sl.theta_idx))
-        rep = models.normalize(action.model, sl.point(theta=theta))
+        rep = models.normalize(model, sl.point(theta=theta))
         strata.append(
             StratumLabel(
                 isotropy=iso,
@@ -477,39 +489,38 @@ def analyze(action):
             )
         )
 
-    pieces = {s.key: [] for s in strata}
-    for info in boundary:
-        piece = _build_piece(action, info, carriers, strata)
-        pieces[piece.parent_key].append(piece)
+    found = [[] for _ in strata]
+    if boundary:
+        # a point's flow limit is supported on the face of its pattern hull with 0 in its relative
+        # interior (Atiyah 1982; Kirwan 1984); every carrier inside the pattern lies in that face,
+        # so the largest such carrier names the piece's parent stratum
+        edge, owner = _pattern_masks(model, boundary), {pat: i for i, s in enumerate(strata) for pat in s.patterns}
+        faces = np.argmax(np.where(_contains(edge, inside), inside.sum(axis=1), -1), axis=1)
+        levels = ta.moment_from_masses(action, np.hstack([edge[:, f] / edge[:, f].sum(1, keepdims=True)
+                                                          for f in model.slices])) / 2.0
+        solved = _level_masses(action, [info.pattern for info in boundary], levels)
+        for info, level, masses, face in zip(boundary, levels, solved, faces):
+            parent = owner[carriers[face].pattern]
+            found[parent].append(_build_piece(action, info, level, masses, strata[parent]))
+    pieces = {s.key: ps for s, ps in zip(strata, found)}
     return Stratification(action=action, strata=strata, pieces=pieces, unsemistable=unsemi)
 
 
-def _build_piece(action, info, carriers, strata):
+def _build_piece(action, info, level, masses, parent):
     """Slice data for one boundary pattern, attached to its parent stratum.
 
     Every complexified torus orbit in the pattern has the open hull of the
     pattern's vertices as its moment image (Atiyah 1982), so one level in
     its relative interior meets every orbit of the piece.  Half the vertex
     centroid (phi at uniform masses) is such a level at every torus rank: the
-    midpoint of a relative-interior point and the boundary point 0.
-    A point's flow limit is supported on the face of its pattern hull with 0
-    in its relative interior (Atiyah 1982; Kirwan 1984).  Every carrier inside
-    the pattern lies in that face, so it is the largest such carrier.
+    midpoint of a relative-interior point and the boundary point 0.  `level`
+    is that level and `masses` what `_level_masses` found there.
     """
-    uniform = np.zeros(action.model.ncoords)
-    for fac in info.pattern:
-        uniform[list(fac)] = 1.0 / len(fac)
-    sl = make_level_slice(action, info.pattern, ta.moment_from_masses(action, uniform) / 2.0)
-    face = max(
-        (c.pattern for c in carriers if pattern_contains(info.pattern, c.pattern)),
-        key=lambda pat: sum(map(len, pat)),
-    )
-    parent = next(s for s in strata if face in s.patterns)
     return ExtraPiece(
         parent_key=parent.key,
         isotropy_prime=info.iso,
         pattern=info.pattern,
-        level_slice=sl,
+        level_slice=make_level_slice(action, info.pattern, level, masses),
         dim_piece=info.dim_complex,
     )
 

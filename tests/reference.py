@@ -505,6 +505,56 @@ def is_semistable(action, point, tol=1e-12):
     return "stable" if iso.dim == 0 else "semistable_strict"
 
 
+def level_masses(action, pattern, value):
+    """(location, p, basis) of the level phi = value on one pattern: the one-pattern oracle of
+    `strata._level_masses`, which solves every pattern of a support size in one stacked SVD.
+
+    p maximises the smallest mass under the level equations A p = b and basis
+    spans their q = nsup - rank A null directions.  'outside' if no p >= 0
+    solves them (p and basis None), 'boundary' if that mass is at most
+    ZERO_TOL, else 'inside'.  For q = 0 the equations fix p; for q = 1 p is
+    the midpoint of the optimal interval on the line of solutions; only q >= 2
+    solves a linear program.
+    """
+    model = action.model
+    sup = [i for fac in pattern for i in fac]
+    nsup = len(sup)
+    A = np.vstack([action.scaled_weights()[:, sup], [[float(i in fac) for i in sup] for fac in pattern]])
+    b = np.concatenate([-np.asarray(value, dtype=float) / TWO_PI - action.shift_float, np.ones(len(pattern))])
+    u, s, vt = np.linalg.svd(A)
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
+    q = nsup - rank
+    basis = np.zeros((q, model.ncoords))
+    basis[:, sup] = vt[rank:]
+    if q <= 1:
+        x = vt[:rank].T @ (u[:, :rank].T @ b / s[:rank])
+        if q == 1:
+            # the smallest mass is concave along x + t v: its maximum is the best crossing of a
+            # rising and a falling mass, kept on the interval where every moving mass reaches it
+            v = vt[rank]
+            up, down = v > strata.MOVE_TOL, v < -strata.MOVE_TOL
+            t = ((x[None, down] - x[up, None]) / (v[up, None] - v[None, down])).ravel()
+            best = np.max(np.min(x[:, None] + v[:, None] * t, axis=0))
+            x = x + np.mean(strata._segment(x, v, best)) * v
+        if np.linalg.norm(A @ x - b) > strata.FEAS_TOL or x.min() < -strata.FEAS_TOL:
+            return "outside", None, None
+        eps = x.min()
+    else:
+        # max eps with p_i >= eps
+        c = np.zeros(nsup + 1)
+        c[-1] = -1.0
+        res = strata._linprog(c, A_ub=np.hstack([-np.eye(nsup), np.ones((nsup, 1))]), b_ub=np.zeros(nsup),
+                              A_eq=np.hstack([A, np.zeros((A.shape[0], 1))]), b_eq=b,
+                              bounds=[(0, None)] * nsup + [(0, 1.0)])
+        if res.status == 2:
+            return "outside", None, None
+        assert res.status == 0, res.message
+        x, eps = res.x[:nsup], -res.fun
+    p = np.zeros(model.ncoords)
+    p[sup] = x
+    return ("inside" if eps > strata.ZERO_TOL else "boundary"), p, basis
+
+
 def enumerate_strata(action, sampler=None):
     """Stratum labels of the zero level, with an optional flow cross-check.
 
@@ -527,7 +577,7 @@ def enumerate_strata(action, sampler=None):
             if not res.converged:
                 continue  # unsemistable: no limit on the zero level
             sup = ta.support_of(action.model, res.limit, tol=1e-6)
-            if not any(strata.pattern_contains(pat, sup) for s in strat.strata for pat in s.patterns):
+            if not any(all(set(f) <= set(g) for g, f in zip(pat, sup)) for s in strat.strata for pat in s.patterns):
                 raise strata.StrataError("sampled flow limit missed the combinatorial strata")
     return strat.strata
 

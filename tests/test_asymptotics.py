@@ -614,6 +614,29 @@ def test_norm_split_exact_on_e3_at_large_k(e3, st3):
                 assert np.all(np.abs(lhs - rhs) <= 1e-10 * np.abs(lhs))
 
 
+def test_norm_split_floor_is_a_share_of_each_row(e2, st2):
+    """The norm-split check's rounding floor is CONSISTENCY_FLOOR times the
+    row's own |lhs|, not the stratum's largest: on E2 at k = 128, where one
+    stratum's rows span 1e-60 to 0.05, a row near 1e-60 states an error of at
+    most its own quadrature error plus 1e-13 |lhs|, and its gap stays within
+    that error."""
+    k = 128
+    exps = [sections.invariant_exponents(e2, k, "plain")]
+    moments = sections.moment_table(e2, [k], "plain", exps, st2)
+    every = range(len(st2.strata))
+    terms = asymptotics.transverse_terms(e2, st2, [k], "plain", None, exps, residual=every, own=every)
+    report, = asymptotics.norm_split_reports(e2, [k], "plain", st2, exps, moments, terms)
+    near = 0
+    for entry in report["strata"]:
+        quad = terms["own", entry["stratum"]][0][1] + terms["residual", entry["stratum"]][0][1]
+        lhs, stderr = np.abs(entry["lhs"]), np.asarray(entry["stderr"])
+        rows = (lhs > 1e-62) & (lhs < 1e-58)
+        near += np.count_nonzero(rows)
+        assert np.all(stderr[rows] <= (quad[rows] + 1e-13 * lhs[rows]) * (1 + 1e-12))
+        assert np.all(np.asarray(entry["nsigma"])[rows] <= 1.0)
+    assert near >= 1
+
+
 def test_norm_split_consistency_draws_no_samples(e1, st1, e2, st2, e3, st3, monkeypatch):
     """Both sides of the check are deterministic: it never samples a stratum
     and never asks for a random generator."""

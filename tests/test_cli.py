@@ -170,9 +170,10 @@ def test_run_builds_each_level_slice_once(tmp_path, monkeypatch):
 
 def test_run_solves_each_slice_box_once(tmp_path, monkeypatch):
     """An MC Gram run on CP^1 x CP^2, whose open stratum has a q = 2 slice,
-    builds the box of each q != 1 slice once, inside strata.analyze (LPs only
-    for q >= 2); the reduced Grams at every k and norm definition sample
-    from the kept box."""
+    builds the box of each q >= 2 slice once with linear programs, inside
+    strata.analyze (a point slice's box is empty, a segment's its shrunk
+    ends); the reduced Grams at every k and norm definition sample from the
+    kept box."""
     from quantred import strata
 
     cfg = {"model": {"factors": [1, 2], "bundle_degrees": [1, 1]},
@@ -191,7 +192,7 @@ def test_run_solves_each_slice_box_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(strata, "_slice_box", counted)
     cli.run(scn)
-    assert sorted(calls) == sorted(sl.q for sl in slices if sl.q != 1)
+    assert sorted(calls) == sorted(sl.q for sl in slices if sl.q > 1)
     assert calls.count(2) == 1
 
 

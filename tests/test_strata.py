@@ -673,7 +673,8 @@ def test_closed_form_level_masses_match_the_linear_program(named):
     does, with the same smallest mass, and its masses are the LP's optimum
     where that is unique and the midpoint of the optimal interval where the
     smallest mass is constant along the segment.  The last model's open
-    pattern has such a segment whose midpoint is no crossing of two masses."""
+    pattern has such a segment whose midpoint is no crossing of two masses.
+    One batched `_level_masses` call per model solves every such level."""
     flat = ta.make_action(models.make_model([1, 2], [1, 1]), [[-2, 1, 1, 1, -2], [2, 0, 1, -2, 0]])
     cases = [(action, st) for action, st in named.values()] + [(action, None) for action in _random_models(20)]
     cases.append((flat, None))
@@ -686,11 +687,10 @@ def test_closed_form_level_masses_match_the_linear_program(named):
                 pass  # empty zero level: no pieces
         levels = [(pat, np.zeros(action.rank)) for pat in strata.all_support_patterns(action.model)]
         pieces = [(p.pattern, p.level_slice.value) for ps in (st.pieces.values() if st else ()) for p in ps]
-        for pattern, value in levels + pieces:
-            q, best, argmin = _level_lp(action, pattern, value)
-            if q > 1:
-                continue
-            location, p0, basis = strata._level_masses(action, pattern, value)
+        lps = [(pattern, value, *_level_lp(action, pattern, value)) for pattern, value in levels + pieces]
+        lps = [lp for lp in lps if lp[2] <= 1]
+        solved = strata._level_masses(action, [lp[0] for lp in lps], [lp[1] for lp in lps])
+        for (pattern, value, q, best, argmin), (location, p0, basis) in zip(lps, solved):
             seen[location] += 1
             seen["piece"] += any(value)
             if best is None:
@@ -710,6 +710,51 @@ def test_closed_form_level_masses_match_the_linear_program(named):
     assert min(seen.values()) >= 5, seen
 
 
+def test_batched_level_masses_match_the_one_pattern_oracle(named):
+    """`strata._level_masses` solves the patterns of one support size in one
+    stacked SVD; `reference.level_masses` solves one pattern at a time.  On
+    the named models, 20 random ones, the configs of tools/zoo.py and (CP^1)^4
+    under a rank-2 action (q up to 3 with CP^2 x CP^2 rank 2), at level 0 on
+    every pattern and at each extra piece's level, both place every pattern
+    alike, give the same masses to 1e-15 and null bases spanning the same
+    space.  Some support sizes group patterns of different ranks."""
+    import importlib.util
+    import pathlib
+
+    from quantred import cli
+
+    spec = importlib.util.spec_from_file_location("zoo", pathlib.Path(__file__).resolve().parents[1] / "tools" / "zoo.py")
+    zoo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(zoo)
+    cp1x4 = ta.make_action(models.make_model([1] * 4, [1] * 4), [[1, -1, 1, -1, 0, 0, 1, -1], [0, 0, 1, -1, 1, -1, -1, 1]])
+    actions = [action for action, _ in named.values()] + _random_models(20) + [cp1x4]
+    actions += [cli.validate(dict(config, k_list=[2])).action for config in zoo.configs()]
+    seen = {"outside": 0, "boundary": 0, "inside": 0, "piece": 0, "q": set(), "mixed ranks": 0}
+    for action in actions:
+        levels = [(pat, np.zeros(action.rank)) for pat in strata.all_support_patterns(action.model)]
+        try:
+            levels += [(p.pattern, p.level_slice.value) for ps in strata.analyze(action).pieces.values() for p in ps]
+        except strata.StrataError:
+            pass  # empty zero level: no pieces
+        ranks = {}
+        for (pattern, value), (location, p0, basis) in zip(levels, strata._level_masses(action, *zip(*levels))):
+            ref_location, ref_p0, ref_basis = reference.level_masses(action, pattern, value)
+            assert location == ref_location, pattern
+            seen[location] += 1
+            seen["piece"] += any(value)
+            if location == "outside":
+                continue
+            assert np.max(np.abs(p0 - ref_p0)) <= 1e-15, pattern
+            assert basis.shape == ref_basis.shape
+            np.testing.assert_allclose(basis @ basis.T, np.eye(basis.shape[0]), rtol=0, atol=1e-13)
+            assert np.max(np.abs(ref_basis - ref_basis @ basis.T @ basis), initial=0.0) <= 1e-13, pattern
+            seen["q"].add(basis.shape[0])
+            nsup = sum(map(len, pattern))
+            ranks.setdefault(nsup, set()).add(nsup - basis.shape[0])
+        seen["mixed ranks"] += sum(len(r) > 1 for r in ranks.values())
+    assert seen["q"] == {0, 1, 2, 3} and min(seen[key] for key in seen if key != "q") >= 5, seen
+
+
 def test_slice_gauge_ignores_last_bit_rounding(e1, st1, e3, st3, monkeypatch):
     """Masses of a factor that tie up to rounding, such as E1's (1/2, 1/2),
     which a linear solve and a linear program round apart, keep a slice's
@@ -722,12 +767,14 @@ def test_slice_gauge_ignores_last_bit_rounding(e1, st1, e3, st3, monkeypatch):
             for i in range(f.start, f.stop):
                 def nudged(*args):
                     nonlocal nudges
-                    location, p, basis = original(*args)
-                    if p is not None and p[f].max() - p[i] <= 1e-12:
-                        p = p.copy()
-                        p[i] = np.nextafter(p[f].max(), np.inf)
-                        nudges += 1
-                    return location, p, basis
+                    out = []
+                    for location, p, basis in original(*args):
+                        if p is not None and p[f].max() - p[i] <= 1e-12:
+                            p = p.copy()
+                            p[i] = np.nextafter(p[f].max(), np.inf)
+                            nudges += 1
+                        out.append((location, p, basis))
+                    return out
 
                 monkeypatch.setattr(strata, "_level_masses", nudged)
                 for lab, ref in zip(strata.analyze(action).strata, st.strata):

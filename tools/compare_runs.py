@@ -37,6 +37,10 @@ CONFIGS = {  # written to files and passed as --config {name}
     "cp2line": {"model": {"factors": [2], "bundle_degrees": [1]}, "action": {"rank": 1, "weights": [[1, 0, 0]]}},
     "cp3mc": {"model": {"factors": [3], "bundle_degrees": [1]}, "action": {"rank": 1, "weights": [[0, 0, -1, 0]]},
               "quad": {"method": "mc"}},
+    "cp2cp2": {"model": {"factors": [2, 2], "bundle_degrees": [1, 1]},
+               "action": {"rank": 2, "weights": [[-1, -2, 1, 1, 1, -2], [-2, 0, -1, 0, 2, -1]]}},
+    "cp1x4": {"model": {"factors": [1, 1, 1, 1], "bundle_degrees": [1, 1, 1, 1]},
+              "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0, 1, -1], [0, 0, 1, -1, 1, -1, -1, 1]]}},
 }
 E3_SWEEP = ",".join(str(k) for k in range(12, 85, 8))
 E2_SWEEP = ",".join(str(k) for k in range(2, 41, 2))  # a long k list
@@ -81,6 +85,9 @@ SCENARIOS = [
     # Monte Carlo Grams under both norm definitions where the ambient pattern is an extra piece with a q = 2 slice
     ("CP^3 weights (0, 0, -1, 0) mc --only gram,unitarity --k 2,4",
      ["--config", "{cp3mc}", "--only", "gram,unitarity", "--k", "2,4"]),
+    # rank-2 stratifications whose level slices have q = 2 and 3, so the level masses and boxes solve linear programs
+    ("CP^2 x CP^2 rank 2 --only strata --k 2", ["--config", "{cp2cp2}", "--only", "strata", "--k", "2"]),
+    ("(CP^1)^4 rank 2 --only strata --k 2", ["--config", "{cp1x4}", "--only", "strata", "--k", "2"]),
 ]
 VALUE_OF_STDERR = ("value", "rhs", "matrix_re", "defect")
 
