@@ -127,14 +127,17 @@ def _level_masses(action, patterns, values):
     which gives each its rank, minimum-norm solution and null basis.
     """
     model, n, nfac = action.model, len(patterns), len(action.model.slices)
-    cols = np.vstack([action.scaled_weights(), np.repeat(np.eye(nfac), [m + 1 for m in model.factors], axis=1)])
+    cols = np.concatenate([action.scaled_weights(), np.zeros((nfac, model.ncoords))])  # coordinate i's column of A
+    for f, fac in enumerate(model.slices):
+        cols[action.rank + f, fac] = 1.0
     rhs = np.concatenate([np.reshape(values, (n, action.rank)) / -TWO_PI - action.shift_float, np.ones((n, nfac))], 1)
     sups = [[i for fac in pat for i in fac] for pat in patterns]
     p, basis = np.zeros((n, model.ncoords)), np.zeros((n, model.ncoords, model.ncoords))
     rank, eps, lp = np.zeros(n, dtype=int), np.zeros(n), {}  # lp[j]: the linear program of q >= 2 found masses
     for nsup in set(map(len, sups)):
         js = [j for j, sup in enumerate(sups) if len(sup) == nsup]
-        sup, b = np.array([sups[j] for j in js]), rhs[js]
+        rows, sup = np.array(js), np.array([sups[j] for j in js])
+        b = rhs[rows]
         A = cols[:, sup].transpose(1, 0, 2)
         u, s, vt = np.linalg.svd(A)
         r = (s > 1e-10 * np.maximum(s[:, :1], 1.0)).sum(1)
@@ -154,8 +157,8 @@ def _level_masses(action, patterns, values):
             low = np.min(xo[:, :, None, None] + v[:, :, None, None] * t[:, None], axis=1)
             lo, hi = _segment(xo, v, np.max(np.where(pair, low, -np.inf), axis=(1, 2))[:, None])
             x[one] = xo + ((lo + hi) / 2)[:, None] * v
-        eps[js] = x.min(axis=1)
-        for m in np.flatnonzero(r < nsup - 1):
+        eps[rows] = x.min(axis=1)
+        for m in (r < nsup - 1).nonzero()[0]:
             # max eps with p_i >= eps
             c = np.zeros(nsup + 1)
             c[-1] = -1.0
@@ -166,10 +169,9 @@ def _level_masses(action, patterns, values):
                 raise StrataError(f"level linear program on pattern {patterns[js[m]]} failed: {res.message}")
             if lp.setdefault(js[m], res.status == 0):
                 x[m], eps[js[m]] = res.x[:nsup], -res.fun
-        rows = np.array(js)[:, None]
-        p[rows, sup] = x
-        basis[rows[..., None], np.arange(nsup)[:, None], sup[:, None]] = vt
-        rank[js] = r
+        p[rows[:, None], sup] = x
+        basis[rows[:, None, None], np.arange(nsup)[:, None], sup[:, None]] = vt
+        rank[rows] = r
     solved = (np.sqrt(np.square(p @ cols.T - rhs).sum(axis=1)) <= FEAS_TOL) & (eps >= -FEAS_TOL)
     return [("inside" if e > ZERO_TOL else "boundary", p[j], basis[j, k:len(sups[j])]) if lp.get(j, ok)
             else ("outside", None, None)
@@ -426,15 +428,11 @@ def _pattern_masks(model, infos):
     return mask
 
 
-def _contains(big, small):
-    """[a, b]: pattern a of `big` contains pattern b of `small`, as coordinate masks."""
-    return ~np.any(small[None] & ~big[:, None], axis=2)
-
-
-def _merge_carriers(carriers, contains):
-    """Group carrier patterns into connected strata of equal isotropy; contains[i, j]: carrier i contains j."""
-    parent = list(range(len(carriers)))
-    keys = [info.iso.key() for info in carriers]
+def _merge_carriers(carriers):
+    """Group carrier patterns into connected strata of equal isotropy."""
+    n = len(carriers)
+    parent = list(range(n))
+    bits = [sum(1 << i for fac in info.pattern for i in fac) for info in carriers]  # one bit per coordinate
 
     def find(i):
         while parent[i] != i:
@@ -442,12 +440,14 @@ def _merge_carriers(carriers, contains):
             i = parent[i]
         return i
 
-    for i, j in np.argwhere(contains).tolist():
-        if i != j and keys[i] == keys[j]:
-            parent[find(i)] = find(j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # one pattern contains the other and both have one isotropy
+            if (bits[i] | bits[j]) in (bits[i], bits[j]) and carriers[i].iso.key() == carriers[j].iso.key():
+                parent[find(i)] = find(j)
     groups = {}
-    for i, info in enumerate(carriers):
-        groups.setdefault(find(i), []).append(info)
+    for i in range(n):
+        groups.setdefault(find(i), []).append(carriers[i])
     return list(groups.values())
 
 
@@ -463,11 +463,10 @@ def analyze(action):
     if not carriers:
         raise EmptyZeroLevelError("empty zero level set: the shift places 0 outside phi(M)")
     model = action.model
-    inside = _pattern_masks(model, carriers)
 
     strata = []
     rng = np.random.default_rng(20240707)
-    for cid, group in enumerate(_merge_carriers(carriers, _contains(inside, inside))):
+    for cid, group in enumerate(_merge_carriers(carriers)):
         top = max(group, key=lambda info: info.dim_complex)
         iso = top.iso
         m = action.rank - iso.dim
@@ -494,8 +493,10 @@ def analyze(action):
         # a point's flow limit is supported on the face of its pattern hull with 0 in its relative
         # interior (Atiyah 1982; Kirwan 1984); every carrier inside the pattern lies in that face,
         # so the largest such carrier names the piece's parent stratum
-        edge, owner = _pattern_masks(model, boundary), {pat: i for i, s in enumerate(strata) for pat in s.patterns}
-        faces = np.argmax(np.where(_contains(edge, inside), inside.sum(axis=1), -1), axis=1)
+        edge, inside = _pattern_masks(model, boundary), _pattern_masks(model, carriers)
+        inner = ~np.any(inside[None] & ~edge[:, None], axis=2)  # [b, c]: boundary pattern b contains carrier c
+        faces = np.argmax(np.where(inner, inside.sum(axis=1), -1), axis=1)
+        owner = {pat: i for i, s in enumerate(strata) for pat in s.patterns}
         levels = ta.moment_from_masses(action, np.hstack([edge[:, f] / edge[:, f].sum(1, keepdims=True)
                                                           for f in model.slices])) / 2.0
         solved = _level_masses(action, [info.pattern for info in boundary], levels)

@@ -9,7 +9,8 @@ invariant filter and one-monomial Dirichlet moments (the oracles of
 `sections.invariant_exponents` and `sections._gram_exact_on_pattern`), the
 Monte Carlo Grams block by block from complex points (the oracles of the
 upstairs Grams, which the package computes only as exact Dirichlet moments,
-and of the reduced Monte Carlo route `reduction._stratum_gram_mc`), a
+and of the reduced Monte Carlo route `reduction._stratum_gram_mc`), the
+one-pattern level solver (the oracle of the batched `strata._level_masses`), a
 general polynomial section type, and the paper diagnostics that no
 `quantred run` reports (semistability, the boundedness probe, the growth
 constant).  The package folds tau, e^{-k f} and the

@@ -10,8 +10,10 @@ tree that goes first alternates from pair to pair.  Each subprocess imports
 `quantred` from its tree's `src`, builds every model of MODELS, makes one
 untimed `strata.analyze` call per model and then times ROUNDS calls per
 model, printing their medians.  The tool prints, per model, the median over
-pairs of each tree's median, the ratio change / parent, and in how many
-pairs the change read lower.
+pairs of each tree's median, the median over pairs of the ratio change /
+parent (adjacent runs share a speed regime, so the pair ratio is steadier
+than the ratio of the two medians), and in how many pairs the change read
+lower.
 """
 
 import json
@@ -31,7 +33,7 @@ MODELS = {  # quantred run configs
     "(CP^1)^4": {"model": {"factors": [1, 1, 1, 1], "bundle_degrees": [1, 1, 1, 1]},
                  "action": {"rank": 2, "weights": [[1, -1, 1, -1, 0, 0, 1, -1], [0, 0, 1, -1, 1, -1, -1, 1]]}},
 }
-ROUNDS = 30
+ROUNDS = 100
 CHILD = """
 import json, statistics, sys, time
 from quantred import cli, strata
@@ -68,12 +70,13 @@ def main(argv=None):
         for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
             runs[side].append(medians(argv[side]))
     print(f"strata.analyze, median of {ROUNDS} calls per subprocess, {pairs} alternating pairs")
-    print(f"{'model':12s} {'parent ms':>10s} {'change ms':>10s} {'ratio':>6s}  change lower")
+    print(f"{'model':12s} {'parent ms':>10s} {'change ms':>10s} {'pair ratio':>10s}  change lower")
     for name in MODELS:
         old, new = ([run[name] for run in runs[side]] for side in (0, 1))
         lower = sum(b < a for a, b in zip(old, new))
-        a, b = statistics.median(old), statistics.median(new)
-        print(f"{name:12s} {1e3 * a:10.3f} {1e3 * b:10.3f} {b / a:6.2f}  {lower}/{pairs}")
+        ratio = statistics.median(b / a for a, b in zip(old, new))
+        print(f"{name:12s} {1e3 * statistics.median(old):10.3f} {1e3 * statistics.median(new):10.3f} {ratio:10.2f}"
+              f"  {lower}/{pairs}")
     return 0
 
 
