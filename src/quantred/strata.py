@@ -167,7 +167,8 @@ def _level_masses(action, patterns, values):
                            bounds=[(0, None)] * nsup + [(0, 1.0)])
             if res.status not in (0, 2):
                 raise StrataError(f"level linear program on pattern {patterns[js[m]]} failed: {res.message}")
-            if lp.setdefault(js[m], res.status == 0):
+            lp[js[m]] = res.status == 0
+            if lp[js[m]]:
                 x[m], eps[js[m]] = res.x[:nsup], -res.fun
         p[rows[:, None], sup] = x
         basis[rows[:, None, None], np.arange(nsup)[:, None], sup[:, None]] = vt
@@ -462,7 +463,6 @@ def analyze(action):
     unsemi = [info for info in infos if info.location == "outside"]
     if not carriers:
         raise EmptyZeroLevelError("empty zero level set: the shift places 0 outside phi(M)")
-    model = action.model
 
     strata = []
     rng = np.random.default_rng(20240707)
@@ -472,9 +472,9 @@ def analyze(action):
         m = action.rank - iso.dim
         dim_S = top.dim_complex - m
         sl = make_level_slice(action, top.pattern, np.zeros(action.rank), top.masses)
-        theta = np.zeros(model.ncoords)
+        theta = np.zeros(action.model.ncoords)
         theta[list(sl.theta_idx)] = rng.uniform(0, TWO_PI, size=len(sl.theta_idx))
-        rep = models.normalize(model, sl.point(theta=theta))
+        rep = models.normalize(action.model, sl.point(theta=theta))
         strata.append(
             StratumLabel(
                 isotropy=iso,
@@ -493,12 +493,12 @@ def analyze(action):
         # a point's flow limit is supported on the face of its pattern hull with 0 in its relative
         # interior (Atiyah 1982; Kirwan 1984); every carrier inside the pattern lies in that face,
         # so the largest such carrier names the piece's parent stratum
-        edge, inside = _pattern_masks(model, boundary), _pattern_masks(model, carriers)
+        edge, inside = _pattern_masks(action.model, boundary), _pattern_masks(action.model, carriers)
         inner = ~np.any(inside[None] & ~edge[:, None], axis=2)  # [b, c]: boundary pattern b contains carrier c
         faces = np.argmax(np.where(inner, inside.sum(axis=1), -1), axis=1)
         owner = {pat: i for i, s in enumerate(strata) for pat in s.patterns}
         levels = ta.moment_from_masses(action, np.hstack([edge[:, f] / edge[:, f].sum(1, keepdims=True)
-                                                          for f in model.slices])) / 2.0
+                                                          for f in action.model.slices])) / 2.0
         solved = _level_masses(action, [info.pattern for info in boundary], levels)
         for info, level, masses, face in zip(boundary, levels, solved, faces):
             parent = owner[carriers[face].pattern]
