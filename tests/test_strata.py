@@ -723,10 +723,12 @@ def test_batched_level_masses_match_the_one_pattern_oracle(named):
 
     from quantred import cli
 
-    spec = importlib.util.spec_from_file_location("zoo", pathlib.Path(__file__).resolve().parents[1] / "tools" / "zoo.py")
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "zoo.py"
+    spec = importlib.util.spec_from_file_location("zoo", path)
     zoo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(zoo)
-    cp1x4 = ta.make_action(models.make_model([1] * 4, [1] * 4), [[1, -1, 1, -1, 0, 0, 1, -1], [0, 0, 1, -1, 1, -1, -1, 1]])
+    cp1x4 = ta.make_action(models.make_model([1] * 4, [1] * 4),
+                           [[1, -1, 1, -1, 0, 0, 1, -1], [0, 0, 1, -1, 1, -1, -1, 1]])
     actions = [action for action, _ in named.values()] + _random_models(20) + [cp1x4]
     actions += [cli.validate(dict(config, k_list=[2])).action for config in zoo.configs()]
     seen = {"outside": 0, "boundary": 0, "inside": 0, "piece": 0, "q": set(), "mixed ranks": 0}
